@@ -21,7 +21,7 @@ from .fock import (
     multi_indices,
     pair,
 )
-from .matrices import DenseMatrix, exp_nilpotent
+from .matrices import DenseMatrix, exp_nilpotent_apply
 from .poly import MultiPoly, TAU, group_of, series_power
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
@@ -104,9 +104,9 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
     for j in range(1, n + 1):
         lower = lower + GaussianRational.coerce(w[j - 1]) * alg.L(j)
         raiser = raiser + GaussianRational.coerce(v[j - 1]) * alg.R(j)
-    moved = exp_nilpotent(raiser).apply(omega.entries)
+    moved = exp_nilpotent_apply(raiser, omega.entries)
     moved = _matrix_of(words, alg).apply(moved)
-    moved = exp_nilpotent(lower).apply(moved)
+    moved = exp_nilpotent_apply(lower, moved)
     numerator = lambda_factor(StateVector(moved))
     if check_fock:
         bound = 3 + max((len(x.factors) for x in words), default=0)

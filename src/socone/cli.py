@@ -35,7 +35,10 @@ class UsageError(ValueError):
 def _parse_exact(text: str) -> Fraction:
     if not _EXACT_RE.match(text.strip()):
         raise UsageError(f"not an exact rational: {text!r} (floats are rejected)")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {text!r}") from None
 
 
 def _parse_tau(text: str):
@@ -51,8 +54,22 @@ def _parse_tuple(text: str, n: int) -> list:
     return [_parse_exact(p) for p in parts]
 
 
+_FORMATS = ("text", "json", "csv")
+
+
 def _env(name: str, fallback: str) -> str:
+    # argparse runs a string default through the flag's type, so a bad
+    # SOCONE_* value is reported like a bad flag (exit 2)
     return os.environ.get(f"SOCONE_{name}", fallback)
+
+
+def _format(text: str) -> str:
+    # argparse checks `choices` only on the command line, not on defaults
+    if text not in _FORMATS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, _FORMATS))})"
+        )
+    return text
 
 
 @dataclass(frozen=True)
@@ -407,16 +424,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, degree_default="4"):
-        p.add_argument("--n", type=int, default=int(_env("N", "2")))
+        p.add_argument("--n", type=int, default=_env("N", "2"))
         p.add_argument("--tau", default=_env("TAU", "symbolic"))
-        p.add_argument("--degree", type=int, default=int(_env("DEGREE", degree_default)))
-        p.add_argument("--kmax", type=int, default=int(_env("KMAX", "4")))
-        p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-        p.add_argument("--height", type=int, default=int(_env("HEIGHT", "5")))
+        p.add_argument("--degree", type=int, default=_env("DEGREE", degree_default))
+        p.add_argument("--kmax", type=int, default=_env("KMAX", "4"))
+        p.add_argument("--seed", type=int, default=_env("SEED", "0"))
+        p.add_argument("--height", type=int, default=_env("HEIGHT", "5"))
         p.add_argument(
-            "--format",
-            choices=("text", "json", "csv"),
-            default=_env("FORMAT", "text"),
+            "--format", type=_format, choices=_FORMATS, default=_env("FORMAT", "text")
         )
 
     p = sub.add_parser("verify", help="run verification suites")

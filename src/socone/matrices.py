@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial
 
 from .poly import MultiPoly
-from .scalars import GaussianRational
+from .scalars import ZERO, GaussianRational
 
 _SCALARS = (int, Fraction, GaussianRational, MultiPoly)
 
@@ -143,11 +143,16 @@ class DenseMatrix:
 
 
 def _dot(row, col):
+    # A product of two GaussianRationals with a zero factor adds nothing, so
+    # it is skipped. A MultiPoly operand is always multiplied: its truncation
+    # bounds merge into the sum even when its terms vanish.
     acc = None
     for a, b in zip(row, col):
+        if type(a) is type(b) is GaussianRational and not (a and b):
+            continue
         p = a * b
         acc = p if acc is None else acc + p
-    return acc
+    return ZERO if acc is None else acc
 
 
 def commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -175,6 +180,28 @@ def exp_nilpotent(m: DenseMatrix) -> DenseMatrix:
         if k == m.rows:
             raise NotNilpotentError("matrix is not nilpotent")
         acc = acc + power * Fraction(1, factorial(k))
+    return acc
+
+
+def exp_nilpotent_apply(m: DenseMatrix, vector) -> tuple:
+    """exp(m) applied to a column vector, by matrix-vector products only.
+
+    Sums m**k v / k! while the iterates are nonzero and raises
+    NotNilpotentError if m**rows v is not exactly zero, so no truncation can
+    ever happen silently. Equals exp_nilpotent(m).apply(vector).
+    """
+    if not m.is_square:
+        raise ValueError("exp_nilpotent_apply needs a square matrix")
+    acc = tuple(_coerce_entry(e) for e in vector)
+    term = acc
+    for k in range(1, m.rows + 1):
+        term = m.apply(term)
+        if not any(term):
+            return acc
+        if k == m.rows:
+            raise NotNilpotentError("matrix is not nilpotent")
+        scale = Fraction(1, factorial(k))
+        acc = tuple(a + t * scale for a, t in zip(acc, term))
     return acc
 
 

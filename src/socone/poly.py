@@ -14,7 +14,9 @@ Coefficients are GaussianRational, so all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from operator import add, le
 
 from .scalars import GaussianRational
 
@@ -24,35 +26,40 @@ _GROUP_ORDER = {"v": 0, "w": 1, "z": 2, "x": 3}
 TAU_NAME = "t"
 
 
-def _split_name(name):
+@cache
+def _name_info(name: str) -> tuple:
+    """(group, index, var_key) of a variable name, parsed once per name.
+
+    A bad name raises ValueError on every call: exceptions are not cached.
+    """
     i = 0
     while i < len(name) and name[i].isalpha():
         i += 1
     group, index = name[:i], name[i:]
     if not group or (index and not index.isdigit()):
         raise ValueError(f"bad variable name: {name!r}")
-    return group, (int(index) if index else 0)
-
-
-def group_of(name: str) -> str:
-    return _split_name(name)[0]
-
-
-def var_key(name: str):
-    """Canonical ordering key: v-group, w, z, x, then others, then t."""
-    group, index = _split_name(name)
+    index = int(index) if index else 0
     if group == TAU_NAME:
         rank = 1_000_000
     else:
         rank = _GROUP_ORDER.get(group, 500_000)
-    return (rank, group, index)
+    return group, index, (rank, group, index)
+
+
+def group_of(name: str) -> str:
+    return _name_info(name)[0]
+
+
+def var_key(name: str):
+    """Canonical ordering key: v-group, w, z, x, then others, then t."""
+    return _name_info(name)[2]
 
 
 # A monomial is a tuple of (name, exponent) pairs, sorted by var_key,
 # with no zero exponents.
 def _mono(items) -> tuple:
     cleaned = [(n, e) for n, e in items if e]
-    cleaned.sort(key=lambda it: var_key(it[0]))
+    cleaned.sort(key=lambda it: _name_info(it[0])[2])
     return tuple(cleaned)
 
 
@@ -72,12 +79,16 @@ def _mono_degree(mono: tuple) -> int:
 
 
 def _mono_group_degree(mono: tuple, group: str) -> int:
-    return sum(e for name, e in mono if group_of(name) == group)
+    return sum(e for name, e in mono if _name_info(name)[0] == group)
+
+
+def _group_degrees(mono: tuple, groups: tuple) -> tuple:
+    return tuple(_mono_group_degree(mono, g) for g in groups)
 
 
 def _mono_sort_key(mono: tuple):
     # graded lexicographic, leading (highest) term first
-    return (-_mono_degree(mono), tuple((var_key(n), -e) for n, e in mono))
+    return (-_mono_degree(mono), tuple((_name_info(n)[2], -e) for n, e in mono))
 
 
 def _merge_trunc(a: dict, b: dict) -> dict:
@@ -94,11 +105,12 @@ def _merge_trunc(a: dict, b: dict) -> dict:
 def _clip(terms: dict, trunc: dict) -> dict:
     if not trunc:
         return terms
-    kept = {}
-    for mono, coeff in terms.items():
-        if all(_mono_group_degree(mono, g) <= bound for g, bound in trunc.items()):
-            kept[mono] = coeff
-    return kept
+    groups, bounds = tuple(trunc), tuple(trunc.values())
+    return {
+        mono: coeff
+        for mono, coeff in terms.items()
+        if all(map(le, _group_degrees(mono, groups), bounds))
+    }
 
 
 class MultiPoly:
@@ -116,6 +128,15 @@ class MultiPoly:
         object.__setattr__(self, "terms", _clip(cleaned, t))
         object.__setattr__(self, "trunc", t)
 
+    @classmethod
+    def _make(cls, terms: dict, trunc: dict) -> "MultiPoly":
+        """Wrap terms that already have nonzero GaussianRational coefficients
+        and lie within trunc, unchecked. Neither dict may be mutated later."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "trunc", trunc)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -131,7 +152,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str, trunc=None):
-        var_key(name)  # validates
+        _name_info(name)  # validates
         return cls({((name, 1),): GaussianRational(1)}, trunc)
 
     @staticmethod
@@ -156,12 +177,14 @@ class MultiPoly:
                 terms[mono] = s
             elif acc is not None:
                 del terms[mono]
-        return MultiPoly(terms, trunc)
+        if trunc != self.trunc or trunc != other.trunc:
+            terms = _clip(terms, trunc)
+        return MultiPoly._make(terms, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({m: -c for m, c in self.terms.items()}, self.trunc)
+        return MultiPoly._make({m: -c for m, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -178,18 +201,22 @@ class MultiPoly:
             c = GaussianRational.coerce(other)
             if not c:
                 return MultiPoly.zero(self.trunc)
-            return MultiPoly({m: k * c for m, k in self.terms.items()}, self.trunc)
+            terms = {m: k * c for m, k in self.terms.items()}
+            return MultiPoly._make(terms, self.trunc)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         trunc = _merge_trunc(self.trunc, other.trunc)
+        groups, bounds = tuple(trunc), tuple(trunc.values())
+        right = [(m, c, _group_degrees(m, groups)) for m, c in other.terms.items()]
         out = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                if trunc and not all(
-                    _mono_group_degree(mono, g) <= b for g, b in trunc.items()
-                ):
+            d1 = _group_degrees(m1, groups)
+            for m2, c2, d2 in right:
+                # group degrees add under multiplication, so a product beyond
+                # the bounds is dropped before its monomial is formed
+                if groups and not all(map(le, map(add, d1, d2), bounds)):
                     continue
+                mono = _mono_mul(m1, m2)
                 c = c1 * c2
                 acc = out.get(mono)
                 s = c if acc is None else acc + c
@@ -197,7 +224,7 @@ class MultiPoly:
                     out[mono] = s
                 elif acc is not None:
                     del out[mono]
-        return MultiPoly(out, trunc)
+        return MultiPoly._make(out, trunc)
 
     __rmul__ = __mul__
 
@@ -295,7 +322,7 @@ class MultiPoly:
 
     def conj(self) -> "MultiPoly":
         """Conjugate the coefficients; the indeterminates are treated as real."""
-        return MultiPoly({m: c.conj() for m, c in self.terms.items()}, self.trunc)
+        return MultiPoly._make({m: c.conj() for m, c in self.terms.items()}, self.trunc)
 
     def split_groups(self, groups) -> dict:
         """Group terms by their monomial part in the given variable groups.
@@ -306,8 +333,8 @@ class MultiPoly:
         groups = set(groups)
         buckets = {}
         for mono, coeff in self.terms.items():
-            key = _mono((n, e) for n, e in mono if group_of(n) in groups)
-            rest = _mono((n, e) for n, e in mono if group_of(n) not in groups)
+            key = _mono((n, e) for n, e in mono if _name_info(n)[0] in groups)
+            rest = _mono((n, e) for n, e in mono if _name_info(n)[0] not in groups)
             buckets.setdefault(key, {})[rest] = coeff
         return {key: MultiPoly(terms) for key, terms in buckets.items()}
 
@@ -392,7 +419,7 @@ class MultiPoly:
 
     def latex(self) -> str:
         def name_fmt(n):
-            group, index = _split_name(n)
+            group, index, _ = _name_info(n)
             if group == TAU_NAME and not index:
                 return r"\tau"
             return f"{group}_{{{index}}}" if index else group
@@ -432,11 +459,11 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     if base.constant_term != 1:
         raise ValueError("series_power requires constant term 1")
     minus_e = -_exponent_poly(exponent)
-    groups = {group_of(n) for n in base.variables() if group_of(n) != TAU_NAME}
+    groups = {_name_info(n)[0] for n in base.variables()} - {TAU_NAME}
     work = base.truncate({g: bound for g in groups})
     u = MultiPoly.const(1, work.trunc) - work
     for mono in u.terms:
-        if all(group_of(n) == TAU_NAME for n, _ in mono):
+        if all(_name_info(n)[0] == TAU_NAME for n, _ in mono):
             raise ValueError("series does not terminate: base has a pure-t term")
     acc = MultiPoly.const(1, work.trunc)
     upow = MultiPoly.const(1, work.trunc)
@@ -463,10 +490,10 @@ def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
     argument = MultiPoly.coerce(argument)
     if argument.constant_term != 0:
         raise ValueError("exp_series requires zero constant term")
-    groups = {group_of(n) for n in argument.variables() if group_of(n) != TAU_NAME}
+    groups = {_name_info(n)[0] for n in argument.variables()} - {TAU_NAME}
     work = argument.truncate({g: bound for g in groups})
     for mono in work.terms:
-        if all(group_of(n) == TAU_NAME for n, _ in mono):
+        if all(_name_info(n)[0] == TAU_NAME for n, _ in mono):
             raise ValueError("series does not terminate: argument has a pure-t term")
     acc = MultiPoly.const(1, work.trunc)
     pw = MultiPoly.const(1, work.trunc)

@@ -35,37 +35,58 @@ class GaussianRational:
             return GaussianRational(value)
         raise TypeError(f"cannot interpret {type(value).__name__} as GaussianRational")
 
+    @classmethod
+    def _make(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """Wrap two Fractions that are already in lowest terms, unchecked.
+
+        The ring operations build every result through here: Fraction
+        arithmetic already returns normalised values, so passing them
+        through Fraction() again would only repeat the work.
+        """
+        self = _new(cls)
+        _set_re(self, re)
+        _set_im(self, im)
+        return self
+
     # -- ring operations ---------------------------------------------------
+    # Fast paths only skip Fraction operations whose operand is exactly
+    # zero; every result is the same exact value as the textbook formula.
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
+            b, d = self.im, other.im
+            return _make(self.re + other.re, (b + d) if b and d else (b or d))
         if isinstance(other, _RATIONAL):
-            return GaussianRational(self.re + other, self.im)
+            return _make(self.re + other, self.im)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(self.re - other.re, self.im - other.im)
+            b, d = self.im, other.im
+            return _make(self.re - other.re, (b - d) if d else b)
         if isinstance(other, _RATIONAL):
-            return GaussianRational(self.re - other, self.im)
+            return _make(self.re - other, self.im)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _RATIONAL):
-            return GaussianRational(other - self.re, -self.im)
+            return _make(other - self.re, -self.im)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
+            a, b = self.re, self.im
+            c, d = other.re, other.im
+            if not d:
+                return _make(a * c, b * c if b else b)
+            if not b:
+                return _make(a * c, a * d)
+            return _make(a * c - b * d, a * d + b * c)
         if isinstance(other, _RATIONAL):
-            return GaussianRational(self.re * other, self.im * other)
+            b = self.im
+            return _make(self.re * other, b * other if b else b)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -78,7 +99,7 @@ class GaussianRational:
         n2 = other.norm2
         if n2 == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(other.re / n2, -other.im / n2)
+        return self * _make(other.re / n2, -other.im / n2)
 
     def __rtruediv__(self, other):
         if isinstance(other, _RATIONAL):
@@ -86,23 +107,19 @@ class GaussianRational:
         return NotImplemented
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.re, -self.im)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def norm2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def as_fraction(self) -> Fraction:
         if self.im != 0:
@@ -113,7 +130,7 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -146,6 +163,12 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+_make = GaussianRational._make
 
 
 def gr(re=0, im=0) -> GaussianRational:

@@ -25,7 +25,7 @@ from .fock import (
     positivity_probe,
     vacuum_vector,
 )
-from .matrices import DenseMatrix, exact_ldl, exp_nilpotent
+from .matrices import DenseMatrix, exact_ldl, exp_nilpotent_apply
 from .poly import MultiPoly, TAU, exp_series, series_power
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
@@ -91,7 +91,7 @@ def exp_zX_vacuum(z, algebra=None) -> StateVector:
     for c, e in zip(comps, obs):
         generator = generator + c * e.matrix
     omega = vacuum(n, alg)
-    moved = StateVector(exp_nilpotent(generator).apply(omega.entries))
+    moved = StateVector(exp_nilpotent_apply(generator, omega.entries))
     zeta2 = zeta2_value(comps)
     closed = StateVector(
         (gr(0, 2) * (comps[0] - zeta2),)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import SoAlgebra, build_algebra
-from .matrices import DenseMatrix, exp_nilpotent
+from .matrices import DenseMatrix, exp_nilpotent_apply
 from .poly import MultiPoly, TAU, series_power
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
@@ -116,7 +116,7 @@ def coherent_state(v, algebra: SoAlgebra | None = None) -> StateVector:
     for j, c in enumerate(comps, start=1):
         generator = generator + c * alg.R(j)
     omega = vacuum(n, alg)
-    via_exp = StateVector(exp_nilpotent(generator).apply(omega.entries))
+    via_exp = StateVector(exp_nilpotent_apply(generator, omega.entries))
     closed = coherent_closed_form(comps)
     if via_exp != closed:
         raise AssertionError("exponential and closed-form coherent states differ")
@@ -208,7 +208,7 @@ def leibniz_from_matrices(w, v, algebra: SoAlgebra | None = None):
         lower = lower + wc[j - 1] * alg.L(j)
         raiser = raiser + vc[j - 1] * alg.R(j)
     omega = vacuum(n, alg)
-    moved = exp_nilpotent(lower).apply(exp_nilpotent(raiser).apply(omega.entries))
+    moved = exp_nilpotent_apply(lower, exp_nilpotent_apply(raiser, omega.entries))
     state = StateVector(moved)
     symbolic = any(isinstance(c, MultiPoly) for c in wc + vc)
     lam = lambda_factor(state)

@@ -158,3 +158,39 @@ def test_singular_input_exit_code(capsys):
     assert "singular" in err
     code, _, err = run(capsys, "coords", "--n", "1")
     assert code == 2
+
+
+def test_zero_denominator_tau_is_usage_error(capsys):
+    code, _, err = run(capsys, "gram", "--n", "1", "--degree", "2", "--tau", "1/0")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_zero_denominator_point_is_usage_error(capsys):
+    code, _, err = run(capsys, "coords", "--n", "1", "--z", "1/0")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize("name", ["N", "DEGREE", "KMAX", "SEED", "HEIGHT"])
+def test_bad_int_env_default_exits_2(capsys, monkeypatch, name):
+    monkeypatch.setenv(f"SOCONE_{name}", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lie"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_bad_tau_env_default_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SOCONE_TAU", "1/0")
+    code, _, err = run(capsys, "moments", "--n", "1", "--degree", "1")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_bad_format_env_default_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SOCONE_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lie", "--n", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err

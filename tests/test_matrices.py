@@ -7,12 +7,14 @@ from socone.matrices import (
     DenseMatrix,
     NotNilpotentError,
     commutator,
+    _dot,
     exact_ldl,
     exp_nilpotent,
+    exp_nilpotent_apply,
     is_positive_definite,
 )
 from socone.poly import MultiPoly
-from socone.scalars import gr
+from socone.scalars import GaussianRational, gr
 
 from conftest import fraction_det, leading_minors_positive
 
@@ -132,3 +134,110 @@ def test_exact_ldl_zero_and_indefinite():
     assert verdict is False
     verdict, _ = is_positive_definite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
     assert verdict is False
+
+
+# -- kernel fast paths against the plain formulas ----------------------------------
+
+tiny_fracs = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=2))
+gaussians = st.one_of(
+    st.just(gr(0)), st.builds(gr, tiny_fracs, tiny_fracs), st.builds(gr, tiny_fracs)
+)
+
+
+@st.composite
+def truncated_polys(draw):
+    v1, w1 = MultiPoly.var("v1"), MultiPoly.var("w1")
+    poly = (
+        draw(gaussians) * v1
+        + draw(gaussians) * w1 * v1
+        + draw(gaussians) * v1 * v1 * v1
+        + draw(gaussians)
+    )
+    bound = draw(st.sampled_from([None, 1, 2, 3]))
+    return poly if bound is None else poly.truncate({"v": bound})
+
+
+entries = st.one_of(gaussians, truncated_polys())
+
+
+def naive_dot(row, col):
+    acc = None
+    for a, b in zip(row, col):
+        p = a * b
+        acc = p if acc is None else acc + p
+    return acc
+
+
+def same_entry(x, y):
+    assert type(x) is type(y)
+    if isinstance(x, MultiPoly):
+        assert x.trunc == y.trunc
+        assert x.terms == y.terms
+    else:
+        assert x == y
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.lists(st.tuples(entries, entries), min_size=1, max_size=4))
+def test_dot_skips_only_scalar_zero_products(pairs):
+    row, col = zip(*pairs)
+    same_entry(_dot(row, col), naive_dot(row, col))
+
+
+def test_dot_keeps_truncation_of_a_zero_times_series():
+    series = (MultiPoly.var("v1") ** 3 + 1).truncate({"v": 2})
+    for row, col in (([gr(0)], [series]), ([series, gr(0)], [gr(0), gr(5)])):
+        got = _dot(row, col)
+        same_entry(got, naive_dot(row, col))
+        assert got.trunc == {"v": 2}
+    assert type(_dot([gr(0), gr(0)], [gr(1), gr(0, 2)])) is GaussianRational
+
+
+@st.composite
+def nilpotent_systems(draw, entries):
+    size = draw(st.integers(1, 4))
+    m = DenseMatrix(
+        [
+            [draw(entries) if j > i else 0 for j in range(size)]
+            for i in range(size)
+        ]
+    )
+    vector = tuple(draw(entries) for _ in range(size))
+    return m, vector
+
+
+@settings(derandomize=True, max_examples=60)
+@given(nilpotent_systems(gaussians))
+def test_exp_nilpotent_apply_matches_matrix_exponential(system):
+    m, vector = system
+    want = exp_nilpotent(m).apply(vector)
+    for got, expected in zip(exp_nilpotent_apply(m, vector), want):
+        same_entry(got, expected)
+
+
+@settings(derandomize=True, max_examples=30)
+@given(nilpotent_systems(entries))
+def test_exp_nilpotent_apply_matches_on_series_entries(system):
+    m, vector = system
+    assert exp_nilpotent_apply(m, vector) == exp_nilpotent(m).apply(vector)
+
+
+@settings(derandomize=True, max_examples=30)
+@given(st.integers(1, 4), st.data())
+def test_exp_nilpotent_apply_rejects_non_nilpotent(size, data):
+    # upper triangular with a nonzero diagonal is invertible: no iterate of
+    # a nonzero vector can vanish
+    diag = st.fractions(-3, 3, max_denominator=2).filter(bool)
+    m = DenseMatrix(
+        [
+            [
+                data.draw(diag) if i == j else data.draw(tiny_fracs) if j > i else 0
+                for j in range(size)
+            ]
+            for i in range(size)
+        ]
+    )
+    vector = [0] * size
+    vector[data.draw(st.integers(0, size - 1))] = 1
+    with pytest.raises(NotNilpotentError):
+        exp_nilpotent_apply(m, vector)

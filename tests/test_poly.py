@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socone.poly import MultiPoly, TAU, exp_series, series_power
+from socone.poly import MultiPoly, TAU, exp_series, group_of, series_power, var_key
 from socone.scalars import gr
 
 from conftest import poch
@@ -169,3 +169,34 @@ def test_split_groups():
     assert buckets[()] == MultiPoly.const(-5)
     assert buckets[(("v1", 1), ("w1", 2))] == 3 * TAU
     assert buckets[(("v2", 1), ("w1", 2))] == 1
+
+
+def test_name_lookups_after_the_cache_is_warm():
+    for name in ("v1", "w12", "z3", "x2", "t", "q7", "v"):
+        var_key(name)
+        group_of(name)
+    assert group_of("w12") == "w" and var_key("w12") == (1, "w", 12)
+    assert var_key("q7") == (500_000, "q", 7)
+    assert var_key("t") == (1_000_000, "t", 0)
+    assert sorted(["t", "x2", "q7", "z3", "w12", "v1"], key=var_key) == [
+        "v1", "w12", "z3", "x2", "q7", "t"
+    ]
+    for bad in ("", "1v", "v1a", "v-1", "v 1", "_"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                var_key(bad)
+            with pytest.raises(ValueError):
+                group_of(bad)
+            with pytest.raises(ValueError):
+                MultiPoly.var(bad)
+
+
+def test_sum_with_a_tighter_bound_is_clipped():
+    # the merged bound is tighter than the left operand's, so its terms
+    # must be clipped again
+    p = MultiPoly.var("v1") ** 3 + MultiPoly.var("w1")
+    q = MultiPoly.zero({"v": 1})
+    assert (p + q).terms == {(("w1", 1),): gr(1)}
+    assert (q + p).terms == (p + q).terms
+    assert (p + q).trunc == {"v": 1}
+    assert (p * q.truncate({"w": 0}) + 1).terms == {(): gr(1)}

@@ -81,3 +81,52 @@ def test_immutability():
     x = gr(1, 2)
     with pytest.raises(AttributeError):
         x.re = Fraction(5)
+
+
+# Parts that exercise every fast path: exact zeros, units, integers and
+# general fractions, in purely real, purely imaginary and mixed operands.
+parts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    fractions,
+)
+operands = st.one_of(
+    st.builds(GaussianRational, parts, parts),
+    st.builds(GaussianRational, parts),
+    st.builds(lambda im: GaussianRational(0, im), parts),
+)
+
+
+def parts_of(x):
+    assert type(x) is GaussianRational
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    return x.re, x.im
+
+
+@settings(derandomize=True, max_examples=200)
+@given(operands, operands)
+def test_ring_operations_match_textbook_formulas(x, y):
+    a, b = x.re, x.im
+    c, d = y.re, y.im
+    assert parts_of(x + y) == (a + c, b + d)
+    assert parts_of(x - y) == (a - c, b - d)
+    assert parts_of(x * y) == (a * c - b * d, a * d + b * c)
+    assert parts_of(-x) == (-a, -b)
+    assert parts_of(x.conj()) == (a, -b)
+    if c or d:
+        n2 = c * c + d * d
+        assert parts_of(x / y) == ((a * c + b * d) / n2, (b * c - a * d) / n2)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@settings(derandomize=True, max_examples=100)
+@given(operands, parts)
+def test_mixed_rational_operands_match_textbook_formulas(x, r):
+    a, b = x.re, x.im
+    for k in (r, int(r)):
+        assert parts_of(x + k) == parts_of(k + x) == (a + k, b)
+        assert parts_of(x - k) == (a - k, b)
+        assert parts_of(k - x) == (k - a, -b)
+        assert parts_of(x * k) == parts_of(k * x) == (a * k, b * k)
