@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 from .matrices import DenseMatrix, commutator, exp_nilpotent
 from .report import CheckResult, Report
@@ -73,8 +74,12 @@ class SoAlgebra:
         return [e.label for e in self.elements]
 
 
+@cache
 def build_algebra(n: int) -> SoAlgebra:
-    """All ladder and rotation basis elements, in canonical order."""
+    """All ladder and rotation basis elements, in canonical order.
+
+    Built once per n and shared: the algebra is immutable.
+    """
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
     elements = []
@@ -97,8 +102,17 @@ def build_algebra(n: int) -> SoAlgebra:
 
 
 def build_observables(n: int, algebra: SoAlgebra | None = None) -> list:
-    """The commuting family X_1..X_n; commutation and X_j**3 = 0 are asserted."""
-    alg = algebra if algebra is not None else build_algebra(n)
+    """The commuting family X_1..X_n as a new list.
+
+    Commutation and X_j**3 = 0 are asserted once per n. algebra is
+    redundant and ignored: the algebra is a pure function of n.
+    """
+    return list(_observables(n))
+
+
+@cache
+def _observables(n: int) -> tuple:
+    alg = build_algebra(n)
     out = [LieBasisElement("X1", "X", (1,), alg.R(1) + alg.L(1) + alg.rho0)]
     for j in range(2, n + 1):
         m = (-_I) * (alg.R(j) - alg.L(j) - 2 * alg.rho(1, j))
@@ -110,7 +124,7 @@ def build_observables(n: int, algebra: SoAlgebra | None = None) -> list:
     for e in out:
         if not (e.matrix * e.matrix * e.matrix).is_zero:
             raise AssertionError(f"{e.label}**3 != 0")
-    return out
+    return tuple(out)
 
 
 def verify_relations(algebra: SoAlgebra) -> Report:
@@ -152,9 +166,12 @@ def verify_relations(algebra: SoAlgebra) -> Report:
 
 
 def verify_observables(n: int, algebra: SoAlgebra | None = None) -> Report:
-    """Pairwise commutation and cube-nilpotency of the X family."""
-    alg = algebra if algebra is not None else build_algebra(n)
-    obs = build_observables(n, alg)
+    """Pairwise commutation and cube-nilpotency of the X family.
+
+    algebra is redundant and ignored: the algebra is a pure function of n.
+    """
+    alg = build_algebra(n)
+    obs = build_observables(n)
     checks = []
     zero = DenseMatrix.zeros(n + 2)
     for a in range(n):
@@ -177,7 +194,7 @@ def conjugation_check(n: int) -> Report:
     if n < 2:
         raise ValueError("the conjugation check needs n >= 2")
     alg = build_algebra(n)
-    obs = {e.label: e.matrix for e in build_observables(n, alg)}
+    obs = {e.label: e.matrix for e in build_observables(n)}
     g = exp_nilpotent(alg.L(1))
     ginv = exp_nilpotent(-alg.L(1))
     checks = [CheckResult("exp(L1) exp(-L1) = 1", g * ginv == DenseMatrix.identity(n + 2))]
@@ -326,7 +343,7 @@ def reference_check_n3() -> Report:
     """Entry-for-entry comparison of the built n=3 matrices with the table."""
     alg = build_algebra(3)
     built = {"R1": alg.R(1), "L1": alg.L(1)}
-    built.update({e.label: e.matrix for e in build_observables(3, alg)})
+    built.update({e.label: e.matrix for e in build_observables(3)})
     checks = [
         CheckResult(f"{label} matches the n=3 reference", built[label] == expected)
         for label, expected in REFERENCE_N3.items()

@@ -8,7 +8,6 @@ comparing polynomials, never by sampling alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import OperatorWord, build_algebra, word_to_matrix
@@ -17,12 +16,11 @@ from .fock import (
     build_hat,
     coherent_vector,
     gram_matrix,
-    mi_degree,
     multi_indices,
     pair,
 )
 from .matrices import DenseMatrix, exp_nilpotent_apply
-from .poly import MultiPoly, TAU, group_of, series_power
+from .poly import MultiPoly, TAU, _mono_group_degree
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
 from .states import (
@@ -39,10 +37,6 @@ _I = gr(0, 1)
 
 class PoleError(ZeroDivisionError):
     pass
-
-
-def _word_total_length(words) -> int:
-    return sum(len(w.factors) for w in words)
 
 
 def _words(word_or_words):
@@ -94,11 +88,13 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
     """
     words = _words(word_or_words)
     n = len(w)
+    if len(v) != n:
+        raise ValueError("w and v must have the same length")
     alg = build_algebra(n)
     den = leibniz_base_value(w, v)
     if not den:
         raise PoleError("the pairing vanishes at this point")
-    omega = vacuum(n, alg)
+    omega = vacuum(n)
     lower = DenseMatrix.zeros(n + 2)
     raiser = DenseMatrix.zeros(n + 2)
     for j in range(1, n + 1):
@@ -298,6 +294,11 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
         )
     checks = []
     mismatches = 0
+
+    def low(value):
+        terms = MultiPoly.coerce(value).terms
+        return {m: c for m, c in terms.items() if _mono_group_degree(m, "v") <= safe}
+
     for word in words:
         direct = dict(psi)
         for kind, j in reversed(word):
@@ -306,11 +307,7 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
         subst = _diffop_apply(normal_order(word), psi)
         ok = True
         for k in multi_indices(n, safe):
-            a = MultiPoly.coerce(direct.get(k, MultiPoly.zero()))
-            b = MultiPoly.coerce(subst.get(k, MultiPoly.zero()))
-            fa = {m: c for m, c in a.terms.items() if mi_mono_degree(m) <= safe}
-            fb = {m: c for m, c in b.terms.items() if mi_mono_degree(m) <= safe}
-            if fa != fb:
+            if low(direct.get(k, 0)) != low(subst.get(k, 0)):
                 ok = False
                 break
         if not ok:
@@ -323,10 +320,6 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
         )
     )
     return Report(f"ordering recipe (n={n}, D={degree_bound})", checks)
-
-
-def mi_mono_degree(mono) -> int:
-    return sum(e for name, e in mono if group_of(name) == "v")
 
 
 def hat_from_pde_check(n: int, degree_bound: int) -> Report:

@@ -127,10 +127,9 @@ def _emit_table(cfg: RunConfig, headers: list, rows: list, payload: dict) -> str
 
 
 def _suite_lie(cfg: RunConfig) -> list:
-    alg = algebra.build_algebra(cfg.n)
     reports = [
-        algebra.verify_relations(alg),
-        algebra.verify_observables(cfg.n, alg),
+        algebra.verify_relations(algebra.build_algebra(cfg.n)),
+        algebra.verify_observables(cfg.n),
     ]
     if cfg.n >= 2:
         reports.append(algebra.conjugation_check(cfg.n))
@@ -264,17 +263,14 @@ def cmd_gram(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
-    cfg = _config(args)
-    table = spectral.moments(cfg.n, cfg.degree, tau=cfg.tau, check_hat=False)
-    basis = fock.multi_indices(cfg.n, cfg.degree)
+def _emit_indexed(cfg: RunConfig, basis: list, values: list, key: str) -> int:
+    """One value per multi-index: a single csv row, or index/value rows."""
     labels = [jsonio.multi_index_label(k) for k in basis]
-    values = [table.moment(k) for k in basis]
     payload = {
         "n": cfg.n,
         "degree": cfg.degree,
         "tau": "symbolic" if cfg.tau is None else str(cfg.tau),
-        "moments": [
+        key: [
             {"index": lab, "value": jsonio.scalar_to_json(v)}
             for lab, v in zip(labels, values)
         ],
@@ -286,6 +282,13 @@ def cmd_moments(args) -> int:
         out = _emit_table(cfg, [], rows, payload)
     sys.stdout.write(out)
     return 0
+
+
+def cmd_moments(args) -> int:
+    cfg = _config(args)
+    table = spectral.moments(cfg.n, cfg.degree, tau=cfg.tau, check_hat=False)
+    basis = fock.multi_indices(cfg.n, cfg.degree)
+    return _emit_indexed(cfg, basis, [table.moment(k) for k in basis], "moments")
 
 
 def cmd_basis_poly(args) -> int:
@@ -315,27 +318,11 @@ def cmd_transform(args) -> int:
     series = spectral.spectral_transform(cfg.n, cfg.degree, tau=cfg.tau)
     buckets = series.split_groups({"z"})
     basis = fock.multi_indices(cfg.n, cfg.degree)
-    labels = [jsonio.multi_index_label(k) for k in basis]
     values = []
     for k in basis:
         mono = tuple((f"z{j}", e) for j, e in enumerate(k, start=1) if e)
         values.append(buckets.get(mono, MultiPoly.zero()))
-    payload = {
-        "n": cfg.n,
-        "degree": cfg.degree,
-        "tau": "symbolic" if cfg.tau is None else str(cfg.tau),
-        "coefficients": [
-            {"index": lab, "value": jsonio.scalar_to_json(v)}
-            for lab, v in zip(labels, values)
-        ],
-    }
-    if cfg.fmt == "csv":
-        out = _emit_table(cfg, labels, [[_value_str(v) for v in values]], payload)
-    else:
-        rows = [[lab, _value_str(v)] for lab, v in zip(labels, values)]
-        out = _emit_table(cfg, [], rows, payload)
-    sys.stdout.write(out)
-    return 0
+    return _emit_indexed(cfg, basis, values, "coefficients")
 
 
 def cmd_leibniz(args) -> int:

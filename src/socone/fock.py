@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from types import MappingProxyType
 
-from .matrices import exact_ldl
+from .matrices import is_positive_definite
 from .poly import MultiPoly, TAU
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
@@ -24,15 +26,6 @@ from .states import leibniz_closed_form
 def multi_indices(n: int, max_degree: int) -> list:
     """All multi-indices of length n with total degree <= max_degree."""
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for d in range(remaining + 1):
-                out.append(prefix + (d,))
-            return
-        for d in range(remaining + 1):
-            rec(prefix + (d,), remaining - d, slots - 1)
-
     for total in range(max_degree + 1):
         block = []
 
@@ -267,13 +260,13 @@ class HatFamily:
     degree_bound: int
     raising: tuple
     lowering: tuple
-    ladder_r: tuple
     ladder_l: tuple
     rho0: FockMatrix
-    rotations: dict = field(hash=False)
+    rotations: MappingProxyType = field(hash=False)
 
     def R(self, j: int) -> FockMatrix:
-        return self.ladder_r[j - 1]
+        # algebraic raising acts as the shift itself
+        return self.raising[j - 1]
 
     def L(self, j: int) -> FockMatrix:
         return self.ladder_l[j - 1]
@@ -303,11 +296,13 @@ class HatFamily:
         raise ValueError(f"unknown generator label {label!r}")
 
 
+@cache
 def build_hat(n: int, degree_bound: int) -> HatFamily:
     """Ladder and rotation operators as polynomials in the shift operators.
 
     L_j is t V_j + 2 (R_l V_l) V_j - R_j V.V; the equivalent form
     rho0 V_j - R_j V.V is built as well and the equality is asserted.
+    Built and checked once per (n, D) and shared: the family is immutable.
     """
     if degree_bound < 2:
         raise ValueError("need truncation degree at least 2")
@@ -345,10 +340,9 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
         degree_bound,
         raising,
         lowering,
-        raising,  # algebraic raising acts as the shift itself
         tuple(ladder_l),
         rho0,
-        rotations,
+        MappingProxyType(rotations),
     )
 
 
@@ -449,13 +443,13 @@ class GramMatrix:
 
     G[k][m] = k! m! [w^k v^m] of the Leibniz series; the entries vanish
     between different degrees, the vacuum entry is 1, and the table is
-    symmetric. All three facts are asserted on build.
+    symmetric. All three facts are asserted on build, once per (n, D).
     """
 
     n: int
     degree_bound: int
     basis: tuple
-    entries: dict = field(hash=False)
+    entries: MappingProxyType = field(hash=False)
 
     def entry(self, k, m) -> MultiPoly:
         return self.entries.get((k, m), MultiPoly.zero())
@@ -485,8 +479,12 @@ class GramMatrix:
         )
 
 
+@cache
 def gram_matrix(n: int, degree_bound: int) -> GramMatrix:
-    """Extract all pairings of degree <= D from the Leibniz series."""
+    """Extract all pairings of degree <= D from the Leibniz series.
+
+    Built once per (n, D) and shared: the table is immutable.
+    """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     _, series = leibniz_closed_form(n, degree_bound)
@@ -504,7 +502,7 @@ def gram_matrix(n: int, degree_bound: int) -> GramMatrix:
         if mi_degree(k) > degree_bound or mi_degree(m) > degree_bound:
             continue
         entries[(k, m)] = mi_factorial(k) * mi_factorial(m) * poly
-    gram = GramMatrix(n, degree_bound, basis, entries)
+    gram = GramMatrix(n, degree_bound, basis, MappingProxyType(entries))
     if gram.entry((0,) * n, (0,) * n) != 1:
         raise AssertionError("vacuum pairing is not 1")
     for (k, m), poly in entries.items():
@@ -554,7 +552,10 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Exact verdict with pivots; the float eigenvalue is display only."""
+    """Exact verdict with pivots; the float eigenvalue is display only.
+
+    A Gram probe lists (degree, pivot) pairs, a moment probe plain pivots.
+    """
 
     positive_definite: bool
     pivots: tuple
@@ -562,16 +563,24 @@ class PositivityProbe:
     float_min_eigenvalue: float
 
 
-def _float_min_eig(blocks) -> float:
+def probe_blocks(blocks, by_degree: bool) -> PositivityProbe:
+    """Exact verdict over the diagonal blocks of a symmetric Fraction
+    matrix; with by_degree each pivot is paired with its block's index."""
     import numpy as np
 
+    verdict = completed = True
+    pivots = []
     worst = float("inf")
-    for block in blocks:
-        if not block:
-            continue
-        arr = np.array([[float(x) for x in row] for row in block], dtype=float)
-        worst = min(worst, float(np.linalg.eigvalsh(arr).min()))
-    return worst
+    for d, block in enumerate(blocks):
+        ok, piv = is_positive_definite(block)
+        verdict = verdict and ok
+        # exact_ldl stops short of a full pivot list only when it fails
+        completed = completed and len(piv) == len(block)
+        pivots.extend([(d, p) for p in piv] if by_degree else piv)
+        if block:
+            arr = np.array([[float(x) for x in row] for row in block], dtype=float)
+            worst = min(worst, float(np.linalg.eigvalsh(arr).min()))
+    return PositivityProbe(verdict, tuple(pivots), completed, worst)
 
 
 def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProbe:
@@ -582,8 +591,6 @@ def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProb
     """
     gram = gram_matrix(n, degree_bound)
     point = {"t": Fraction(tau)}
-    pivots = []
-    completed = True
     blocks = []
     for d in range(degree_bound + 1):
         members = gram.block(d)
@@ -595,13 +602,7 @@ def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProb
             for k in members
         ]
         blocks.append(block)
-        piv, done = exact_ldl(block)
-        pivots.extend((d, p) for p in piv)
-        completed = completed and done
-    verdict = completed and all(p > 0 for _, p in pivots)
-    return PositivityProbe(
-        verdict, tuple(pivots), completed, _float_min_eig(blocks)
-    )
+    return probe_blocks(blocks, by_degree=True)
 
 
 def coherent_vector(n: int, degree_bound: int, prefix: str) -> dict:

@@ -435,6 +435,11 @@ class MultiPoly:
 TAU = MultiPoly.var(TAU_NAME)
 
 
+def weight_exponent(tau):
+    """-tau/2: the pairing and transform exponent, in t when tau is None."""
+    return TAU * Fraction(-1, 2) if tau is None else Fraction(-tau, 2)
+
+
 def _exponent_poly(exponent) -> MultiPoly:
     if isinstance(exponent, (int, Fraction, GaussianRational)):
         return MultiPoly.const(exponent)

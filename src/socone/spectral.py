@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import build_algebra, build_observables
+from .algebra import build_observables
 from .fock import (
     FockMatrix,
+    PositivityProbe,
     build_hat,
     gram_matrix,
     mi_degree,
@@ -23,15 +24,15 @@ from .fock import (
     multi_indices,
     pair,
     positivity_probe,
+    probe_blocks,
     vacuum_vector,
 )
-from .matrices import DenseMatrix, exact_ldl, exp_nilpotent_apply
-from .poly import MultiPoly, TAU, exp_series, series_power
+from .matrices import DenseMatrix, _coerce_entry, exp_nilpotent_apply
+from .poly import MultiPoly, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
-from .scalars import GaussianRational, gr
+from .scalars import gr
 from .states import (
     StateVector,
-    coherent_closed_form,
     recover_coordinates,
     vacuum,
 )
@@ -43,14 +44,8 @@ class SingularCoordinateError(ValueError):
     pass
 
 
-def _coerce(value):
-    if isinstance(value, (GaussianRational, MultiPoly)):
-        return value
-    return GaussianRational.coerce(value)
-
-
 def zeta2_value(z):
-    comps = [_coerce(c) for c in z]
+    comps = [_coerce_entry(c) for c in z]
     acc = comps[0] * comps[0]
     for c in comps[1:]:
         acc = acc - c * c
@@ -58,7 +53,7 @@ def zeta2_value(z):
 
 
 def h2_value(z):
-    comps = [_coerce(c) for c in z]
+    comps = [_coerce_entry(c) for c in z]
     acc = (1 - comps[0]) * (1 - comps[0])
     for c in comps[1:]:
         acc = acc - c * c
@@ -82,15 +77,15 @@ class ZCoordinates:
 
 def exp_zX_vacuum(z, algebra=None) -> StateVector:
     """exp(z.X) applied to the vacuum, via the nilpotent exponential, checked
-    against the closed quadratic form."""
+    against the closed quadratic form. algebra is redundant and ignored: the
+    algebra is a pure function of n."""
     n = len(z)
-    alg = algebra if algebra is not None else build_algebra(n)
-    comps = [_coerce(c) for c in z]
-    obs = build_observables(n, alg)
+    comps = [_coerce_entry(c) for c in z]
+    obs = build_observables(n)
     generator = DenseMatrix.zeros(n + 2)
     for c, e in zip(comps, obs):
         generator = generator + c * e.matrix
-    omega = vacuum(n, alg)
+    omega = vacuum(n)
     moved = StateVector(exp_nilpotent_apply(generator, omega.entries))
     zeta2 = zeta2_value(comps)
     closed = StateVector(
@@ -108,7 +103,7 @@ def z_to_v(z):
 
     Checked against coordinate recovery from the moved vacuum vector.
     """
-    comps = [_coerce(c) for c in z]
+    comps = [_coerce_entry(c) for c in z]
     h2 = h2_value(comps)
     if not h2:
         raise SingularCoordinateError("h^2 vanishes at this point")
@@ -122,7 +117,7 @@ def z_to_v(z):
 
 def v_to_z(v):
     """(z, h^2) with h^2 = (1 + 2 v1 + v.v)^(-1); inverse of z_to_v."""
-    comps = [_coerce(c) for c in v]
+    comps = [_coerce_entry(c) for c in v]
     v2 = sum((c * c for c in comps), gr(0))
     denom = 1 + 2 * comps[0] + v2
     if not denom:
@@ -192,8 +187,7 @@ def roundtrip_check(n: int, count: int, seed: int, height: int = 5) -> Report:
 def spectral_transform(n: int, truncation: int, tau: Fraction | None = None):
     """Series of ((1-z1)^2 - sum z_k^2) ** (-tau/2) in the z variables."""
     coords = ZCoordinates.symbolic(n)
-    exponent = TAU * Fraction(-1, 2) if tau is None else Fraction(-tau, 2)
-    return series_power(coords.h2, exponent, truncation)
+    return series_power(coords.h2, weight_exponent(tau), truncation)
 
 
 @dataclass(frozen=True)
@@ -263,15 +257,7 @@ def moments(
     return MomentTable(n, max_degree, tau, entries)
 
 
-@dataclass(frozen=True)
-class MomentProbe:
-    positive_definite: bool
-    pivots: tuple
-    completed: bool
-    float_min_eigenvalue: float
-
-
-def moment_positivity_probe(n: int, tau: Fraction, degree: int) -> MomentProbe:
+def moment_positivity_probe(n: int, tau: Fraction, degree: int) -> PositivityProbe:
     """Exact LDL of the moment matrix M[k][m] = E[x^(k+m)].
 
     An empirical probe of one weight, not a positivity proof.
@@ -285,13 +271,7 @@ def moment_positivity_probe(n: int, tau: Fraction, degree: int) -> MomentProbe:
             s = tuple(a + b for a, b in zip(k, m))
             row.append(table.moment(s).as_gaussian().as_fraction())
         mat.append(row)
-    pivots, completed = exact_ldl(mat)
-    verdict = completed and len(pivots) == len(basis) and all(p > 0 for p in pivots)
-    import numpy as np
-
-    arr = np.array([[float(x) for x in row] for row in mat], dtype=float)
-    min_eig = float(np.linalg.eigvalsh(arr).min()) if len(mat) else 0.0
-    return MomentProbe(verdict, tuple(pivots), completed, min_eig)
+    return probe_blocks([mat], by_degree=False)
 
 
 @dataclass(frozen=True)
@@ -321,8 +301,7 @@ def basis_polynomials(
     numerator = x[0] * (v[0] + v2) + _I * (cross - x[0] * v[0])
     exponent_arg = numerator * inv_q
     exp_part = exp_series(exponent_arg, kmax)
-    weight_exp = TAU * Fraction(-1, 2) if tau is None else Fraction(-tau, 2)
-    weight_part = series_power(q, weight_exp, kmax)
+    weight_part = series_power(q, weight_exponent(tau), kmax)
     gf = exp_part * weight_part
     buckets = gf.split_groups({"v"})
     out = []

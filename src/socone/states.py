@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import SoAlgebra, build_algebra
-from .matrices import DenseMatrix, exp_nilpotent_apply
-from .poly import MultiPoly, TAU, series_power
+from .matrices import DenseMatrix, _coerce_entry, exp_nilpotent_apply
+from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
-from .scalars import GaussianRational, gr
+from .scalars import gr
 
 _I = gr(0, 1)
 _HALF = Fraction(1, 2)
@@ -27,12 +28,6 @@ _HALF = Fraction(1, 2)
 
 class NotInOrbitError(ValueError):
     pass
-
-
-def _coerce_component(value):
-    if isinstance(value, (GaussianRational, MultiPoly)):
-        return value
-    return GaussianRational.coerce(value)
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,7 @@ class StateVector:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "entries", tuple(_coerce_component(e) for e in self.entries)
+            self, "entries", tuple(_coerce_entry(e) for e in self.entries)
         )
         if len(self.entries) < 3:
             raise ValueError("state vectors need at least three components")
@@ -81,8 +76,16 @@ class StateVector:
 
 
 def vacuum(n: int, algebra: SoAlgebra | None = None) -> StateVector:
-    """The vacuum (0,..,0,1,i); its annihilation properties are asserted."""
-    alg = algebra if algebra is not None else build_algebra(n)
+    """The vacuum (0,..,0,1,i); its annihilation properties are asserted
+    once per n. algebra is redundant and ignored: the algebra is a pure
+    function of n.
+    """
+    return _vacuum(n)
+
+
+@cache
+def _vacuum(n: int) -> StateVector:
+    alg = build_algebra(n)
     omega = StateVector((gr(0),) * n + (gr(1), _I))
     for j in range(1, n + 1):
         if any(alg.L(j).apply(omega.entries)):
@@ -98,7 +101,7 @@ def vacuum(n: int, algebra: SoAlgebra | None = None) -> StateVector:
 
 def coherent_closed_form(v) -> StateVector:
     """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v."""
-    comps = [_coerce_component(c) for c in v]
+    comps = [_coerce_entry(c) for c in v]
     v2 = None
     for c in comps:
         p = c * c
@@ -108,14 +111,17 @@ def coherent_closed_form(v) -> StateVector:
 
 
 def coherent_state(v, algebra: SoAlgebra | None = None) -> StateVector:
-    """exp(v.R) applied to the vacuum, computed two ways and asserted equal."""
+    """exp(v.R) applied to the vacuum, computed two ways and asserted equal.
+
+    algebra is redundant and ignored: the algebra is a pure function of n.
+    """
     n = len(v)
-    alg = algebra if algebra is not None else build_algebra(n)
-    comps = [_coerce_component(c) for c in v]
+    alg = build_algebra(n)
+    comps = [_coerce_entry(c) for c in v]
     generator = DenseMatrix.zeros(n + 2)
     for j, c in enumerate(comps, start=1):
         generator = generator + c * alg.R(j)
-    omega = vacuum(n, alg)
+    omega = vacuum(n)
     via_exp = StateVector(exp_nilpotent_apply(generator, omega.entries))
     closed = coherent_closed_form(comps)
     if via_exp != closed:
@@ -181,8 +187,8 @@ def leibniz_base(n: int) -> MultiPoly:
 
 def leibniz_base_value(w, v):
     """The same bilinear expression evaluated at numeric tuples."""
-    wc = [_coerce_component(c) for c in w]
-    vc = [_coerce_component(c) for c in v]
+    wc = [_coerce_entry(c) for c in w]
+    vc = [_coerce_entry(c) for c in v]
     wv = sum((a * b for a, b in zip(wc, vc)), gr(0))
     w2 = sum((a * a for a in wc), gr(0))
     v2 = sum((a * a for a in vc), gr(0))
@@ -194,20 +200,21 @@ def leibniz_from_matrices(w, v, algebra: SoAlgebra | None = None):
 
     Applies exp(w.L) to exp(v.R) vacuum, reads off the scale factor, and
     asserts it equals 1 - 2 w.v + (w.w)(v.v). Works on exact numbers and on
-    symbolic components alike.
+    symbolic components alike. algebra is redundant and ignored: the
+    algebra is a pure function of n.
     """
     n = len(w)
     if len(v) != n:
         raise ValueError("w and v must have the same length")
-    alg = algebra if algebra is not None else build_algebra(n)
-    wc = [_coerce_component(c) for c in w]
-    vc = [_coerce_component(c) for c in v]
+    alg = build_algebra(n)
+    wc = [_coerce_entry(c) for c in w]
+    vc = [_coerce_entry(c) for c in v]
     lower = DenseMatrix.zeros(n + 2)
     raiser = DenseMatrix.zeros(n + 2)
     for j in range(1, n + 1):
         lower = lower + wc[j - 1] * alg.L(j)
         raiser = raiser + vc[j - 1] * alg.R(j)
-    omega = vacuum(n, alg)
+    omega = vacuum(n)
     moved = exp_nilpotent_apply(lower, exp_nilpotent_apply(raiser, omega.entries))
     state = StateVector(moved)
     symbolic = any(isinstance(c, MultiPoly) for c in wc + vc)
@@ -252,9 +259,7 @@ class LeibnizValue:
             raise ValueError("the base must be symmetric under swapping w and v")
 
     def exponent(self):
-        if self.tau_value is None:
-            return TAU * Fraction(-1, 2)
-        return Fraction(-self.tau_value, 2)
+        return weight_exponent(self.tau_value)
 
     def series(self, bound: int) -> MultiPoly:
         return series_power(self.base, self.exponent(), bound)
@@ -282,7 +287,6 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     import random
 
     rng = random.Random(seed)
-    alg = build_algebra(n)
 
     def rand_tuple():
         return [
@@ -292,7 +296,7 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
 
     checks = []
     try:
-        vacuum(n, alg)
+        vacuum(n)
         checks.append(CheckResult("vacuum axioms", True))
     except AssertionError as exc:
         checks.append(CheckResult("vacuum axioms", False, str(exc)))
@@ -300,13 +304,13 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     for _ in range(count):
         w, v = rand_tuple(), rand_tuple()
         try:
-            lam = leibniz_from_matrices(w, v, alg)
+            lam = leibniz_from_matrices(w, v)
         except AssertionError:
             agree = False
             break
-        if lam != leibniz_from_matrices(v, w, alg):
+        if lam != leibniz_from_matrices(v, w):
             symmetric = False
-        if leibniz_from_matrices([0] * n, v, alg) != 1:
+        if leibniz_from_matrices([0] * n, v) != 1:
             reproducing = False
     checks.append(
         CheckResult(f"matrix pairing equals closed form ({count} points)", agree)
@@ -317,7 +321,7 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     for _ in range(max(count // 2, 1)):
         v = rand_tuple()
         lam = Fraction(rng.randint(1, height), rng.randint(1, height))
-        got_v, got_lam = recover_coordinates(lam * coherent_state(v, alg))
+        got_v, got_lam = recover_coordinates(lam * coherent_state(v))
         if got_lam != lam or any(a != b for a, b in zip(got_v, v)):
             recovered = False
             break
@@ -326,7 +330,7 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
         w = [MultiPoly.var(f"w{j}") for j in range(1, n + 1)]
         v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
         try:
-            leibniz_from_matrices(w, v, alg)
+            leibniz_from_matrices(w, v)
             checks.append(CheckResult("symbolic pairing identity", True))
         except AssertionError as exc:
             checks.append(CheckResult("symbolic pairing identity", False, str(exc)))

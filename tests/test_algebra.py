@@ -130,6 +130,18 @@ def test_observables_commute_and_cube_to_zero(n):
         assert (e.matrix * e.matrix * e.matrix).is_zero
 
 
+def test_build_algebra_is_built_once_per_n():
+    assert build_algebra(2) is build_algebra(2)
+
+
+def test_build_observables_returns_a_fresh_list():
+    first = build_observables(2)
+    snapshot = list(first)
+    first[0] = None
+    first.append(None)
+    assert build_observables(2) == snapshot
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_conjugation_recovers_observables(n):
     assert conjugation_check(n).all_passed

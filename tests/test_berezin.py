@@ -45,6 +45,12 @@ def test_transform_pole_error():
         berezin_transform(OperatorWord.identity(), [1], [1])
 
 
+@pytest.mark.parametrize("w, v", [([1], [0, 5]), ([1, 0], [0])])
+def test_transform_rejects_mismatched_lengths(w, v):
+    with pytest.raises(ValueError, match="same length"):
+        berezin_transform(OperatorWord.of("rho0"), w, v, check_fock=False)
+
+
 def test_word_products_and_sums():
     w1 = OperatorWord.of("rho0")
     w2 = OperatorWord.of("R1")

@@ -131,6 +131,16 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_verify_all_byte_identical_with_warm_caches(capsys):
+    # the second run meets every per-n and per-(n, D) structure cached
+    for fmt in ("text", "json"):
+        args = ["verify", "--all", "--n", "2", "--degree", "4", "--format", fmt]
+        code1, out1, _ = run(capsys, *args)
+        code2, out2, _ = run(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+
 def test_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SOCONE_FORMAT", "json")
     code, out, _ = run(capsys, "moments", "--n", "1", "--tau", "2", "--degree", "1")

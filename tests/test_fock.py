@@ -201,3 +201,22 @@ def test_build_hat_validates_bound():
         build_hat(1, 1)
     with pytest.raises(ValueError):
         verify_hat_relations(1, 2)
+
+
+def test_hat_and_gram_are_built_once_per_key():
+    assert build_hat(2, 3) is build_hat(2, 3)
+    assert gram_matrix(2, 3) is gram_matrix(2, 3)
+
+
+def test_shared_tables_are_read_only():
+    with pytest.raises(TypeError):
+        gram_matrix(2, 3).entries[(0, 0), (0, 0)] = MultiPoly.zero()
+    with pytest.raises(TypeError):
+        build_hat(2, 3).rotations[(1, 2)] = None
+
+
+@pytest.mark.parametrize("builder, args", [(build_hat, (1, 1)), (gram_matrix, (1, -1))])
+def test_failed_builds_are_not_cached(builder, args):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            builder(*args)

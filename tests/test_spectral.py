@@ -3,6 +3,8 @@ from math import factorial
 
 import pytest
 
+from socone.fock import gram_matrix, multi_indices, positivity_probe
+from socone.matrices import is_positive_definite
 from socone.poly import MultiPoly, TAU
 from socone.scalars import gr
 from socone.spectral import (
@@ -138,6 +140,40 @@ def test_moment_positivity_probes():
     probe = moment_positivity_probe(2, Fraction(3), 2)
     assert probe.positive_definite is True
     assert probe.float_min_eigenvalue > -1e-10
+
+
+@pytest.mark.parametrize("tau", [Fraction(-1, 2), Fraction(1)])
+def test_gram_and_moment_probes_share_one_verdict(tau):
+    # n = 2: the Wallach boundary is t = 0, so the two weights straddle it
+    gram = gram_matrix(2, 3)
+    dense = gram.eval_at(tau)
+    blocks = []
+    for d in range(4):
+        idx = [i for i, k in enumerate(gram.basis) if sum(k) == d]
+        blocks.append([[dense[i][j] for j in idx] for i in idx])
+    gram_probe = positivity_probe(2, 3, tau)
+    assert gram_probe.positive_definite == all(
+        is_positive_definite(b)[0] for b in blocks
+    )
+    assert [p for _, p in gram_probe.pivots] == [
+        p for b in blocks for p in is_positive_definite(b)[1]
+    ]
+
+    table = moments(2, 4, tau=tau, check_hat=False)
+    basis = multi_indices(2, 2)
+    mat = [
+        [
+            table.moment(tuple(a + b for a, b in zip(k, m))).as_gaussian().as_fraction()
+            for m in basis
+        ]
+        for k in basis
+    ]
+    moment_probe = moment_positivity_probe(2, tau, 2)
+    assert type(moment_probe) is type(gram_probe)
+    assert (moment_probe.positive_definite, list(moment_probe.pivots)) == (
+        is_positive_definite(mat)
+    )
+    assert gram_probe.positive_definite == moment_probe.positive_definite == (tau > 0)
 
 
 def test_basis_polynomials_small():

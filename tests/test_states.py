@@ -159,3 +159,7 @@ def test_leibniz_value_validates_base():
 def test_coherent_suite_passes():
     for n in (1, 2, 3):
         assert coherent_suite(n, count=15, seed=3).all_passed
+
+
+def test_vacuum_is_built_once_per_n():
+    assert vacuum(2) is vacuum(2, build_algebra(2))
