@@ -26,6 +26,9 @@ from .report import Report
 from .scalars import GaussianRational
 
 _EXACT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# argparse reads "-5/2" or "-1/2,0" as an option unless it matches the
+# parser's negative-number pattern, which by default admits only decimals
+_NEGATIVE_VALUE_RE = re.compile(r"^-\d")
 
 
 class UsageError(ValueError):
@@ -239,16 +242,10 @@ def cmd_gram(args) -> int:
     gram = fock.gram_matrix(cfg.n, cfg.degree)
     basis = gram.basis
     labels = [jsonio.multi_index_label(k) for k in basis]
-    point = {"t": cfg.tau} if cfg.tau is not None else None
-    entries = []
-    for k in basis:
-        row = []
-        for m in basis:
-            val = gram.entry(k, m)
-            if point is not None:
-                val = val.subs(point)
-            row.append(val)
-        entries.append(row)
+    if cfg.tau is None:
+        entries = [[gram.entry(k, m) for m in basis] for k in basis]
+    else:
+        entries = [[MultiPoly.const(v) for v in row] for row in gram.eval_at(cfg.tau)]
     rows = [
         [labels[i]] + [_value_str(v) for v in row] for i, row in enumerate(entries)
     ]
@@ -316,12 +313,9 @@ def cmd_basis_poly(args) -> int:
 def cmd_transform(args) -> int:
     cfg = _config(args)
     series = spectral.spectral_transform(cfg.n, cfg.degree, tau=cfg.tau)
-    buckets = series.split_groups({"z"})
+    buckets = series.split_index("z", cfg.n)
     basis = fock.multi_indices(cfg.n, cfg.degree)
-    values = []
-    for k in basis:
-        mono = tuple((f"z{j}", e) for j, e in enumerate(k, start=1) if e)
-        values.append(buckets.get(mono, MultiPoly.zero()))
+    values = [buckets.get(k, MultiPoly.zero()) for k in basis]
     return _emit_indexed(cfg, basis, values, "coefficients")
 
 
@@ -411,6 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, degree_default="4"):
+        p._negative_number_matcher = _NEGATIVE_VALUE_RE
         p.add_argument("--n", type=int, default=_env("N", "2"))
         p.add_argument("--tau", default=_env("TAU", "symbolic"))
         p.add_argument("--degree", type=int, default=_env("DEGREE", degree_default))

@@ -457,16 +457,12 @@ class GramMatrix:
     def eval_at(self, tau: Fraction) -> list:
         """Dense Fraction matrix in basis order at an exact weight."""
         size = len(self.basis)
+        index = {k: i for i, k in enumerate(self.basis)}
         out = [[Fraction(0)] * size for _ in range(size)]
         point = {"t": Fraction(tau)}
         for (k, m), poly in self.entries.items():
-            val = poly.subs(point).as_gaussian().as_fraction()
-            out[self.basis.index(k)][self.basis.index(m)] = val
+            out[index[k]][index[m]] = poly.subs(point).as_gaussian().as_fraction()
         return out
-
-    def block(self, degree: int) -> tuple:
-        members = [k for k in self.basis if mi_degree(k) == degree]
-        return tuple(members)
 
     def to_fock_matrix(self) -> FockMatrix:
         proto = FockMatrix.zero(self.n, self.degree_bound)
@@ -490,18 +486,10 @@ def gram_matrix(n: int, degree_bound: int) -> GramMatrix:
     _, series = leibniz_closed_form(n, degree_bound)
     basis = tuple(multi_indices(n, degree_bound))
     entries = {}
-    for mono, poly in series.split_groups({"w", "v"}).items():
-        k = [0] * n
-        m = [0] * n
-        for name, e in mono:
-            if name[0] == "w":
-                k[int(name[1:]) - 1] = e
-            else:
-                m[int(name[1:]) - 1] = e
-        k, m = tuple(k), tuple(m)
-        if mi_degree(k) > degree_bound or mi_degree(m) > degree_bound:
-            continue
-        entries[(k, m)] = mi_factorial(k) * mi_factorial(m) * poly
+    for k, cofactor in series.split_index("w", n).items():
+        for m, poly in cofactor.split_index("v", n).items():
+            if mi_degree(k) <= degree_bound and mi_degree(m) <= degree_bound:
+                entries[(k, m)] = mi_factorial(k) * mi_factorial(m) * poly
     gram = GramMatrix(n, degree_bound, basis, MappingProxyType(entries))
     if gram.entry((0,) * n, (0,) * n) != 1:
         raise AssertionError("vacuum pairing is not 1")
@@ -590,18 +578,11 @@ def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProb
     about the set of weights with a positive pairing.
     """
     gram = gram_matrix(n, degree_bound)
-    point = {"t": Fraction(tau)}
-    blocks = []
-    for d in range(degree_bound + 1):
-        members = gram.block(d)
-        block = [
-            [
-                gram.entry(k, m).subs(point).as_gaussian().as_fraction()
-                for m in members
-            ]
-            for k in members
-        ]
-        blocks.append(block)
+    dense = gram.eval_at(tau)
+    # the basis is graded, so each degree block is a contiguous diagonal slice
+    degrees = [mi_degree(k) for k in gram.basis]
+    ends = [degrees.index(d) for d in range(degree_bound + 1)] + [len(degrees)]
+    blocks = [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
     return probe_blocks(blocks, by_degree=True)
 
 

@@ -14,9 +14,9 @@ Coefficients are GaussianRational, so all arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import factorial
-from operator import add, le
+from operator import add, le, mul
 
 from .scalars import GaussianRational
 
@@ -307,18 +307,36 @@ class MultiPoly:
         return MultiPoly(out, self.trunc)
 
     def subs(self, assignments: dict) -> "MultiPoly":
-        """Substitute variables by scalars or polynomials."""
-        values = {n: MultiPoly.coerce(v) for n, v in assignments.items()}
-        result = MultiPoly.zero(self.trunc)
+        """Substitute variables by scalars or polynomials.
+
+        A scalar value multiplies straight into the coefficient; polynomial
+        products are formed only for the terms that meet a polynomial value,
+        whose truncation merges into the result's.
+        """
+        items = assignments.items()
+        polys = {n: v for n, v in items if isinstance(v, MultiPoly)}
+        scalars = {n: GaussianRational.coerce(v) for n, v in items if n not in polys}
+        terms = {}
+        products = MultiPoly.zero(self.trunc)
         for mono, coeff in self.terms.items():
-            factor = MultiPoly.const(coeff, self.trunc)
+            rest, pieces = [], []
             for name, e in mono:
-                piece = values.get(name)
-                if piece is None:
-                    piece = MultiPoly.var(name)
-                factor = factor * piece ** e
-            result = result + factor
-        return result
+                if name in polys:
+                    pieces.append(polys[name] ** e)
+                elif name in scalars:
+                    for _ in range(e):
+                        coeff = coeff * scalars[name]
+                else:
+                    rest.append((name, e))
+            if pieces:
+                factor = MultiPoly({tuple(rest): coeff}, self.trunc)
+                products = products + reduce(mul, pieces, factor)
+            else:
+                # the untouched variables keep their order and stay in bounds
+                key = tuple(rest)
+                terms[key] = terms[key] + coeff if key in terms else coeff
+        terms = {m: c for m, c in terms.items() if c}
+        return MultiPoly._make(terms, self.trunc) + products
 
     def conj(self) -> "MultiPoly":
         """Conjugate the coefficients; the indeterminates are treated as real."""
@@ -333,10 +351,22 @@ class MultiPoly:
         groups = set(groups)
         buckets = {}
         for mono, coeff in self.terms.items():
-            key = _mono((n, e) for n, e in mono if _name_info(n)[0] in groups)
-            rest = _mono((n, e) for n, e in mono if _name_info(n)[0] not in groups)
+            # both parts of a sorted monomial are sorted monomials already
+            key = tuple(it for it in mono if _name_info(it[0])[0] in groups)
+            rest = tuple(it for it in mono if _name_info(it[0])[0] not in groups)
             buckets.setdefault(key, {})[rest] = coeff
-        return {key: MultiPoly(terms) for key, terms in buckets.items()}
+        return {key: MultiPoly._make(terms, {}) for key, terms in buckets.items()}
+
+    def split_index(self, group: str, n: int) -> dict:
+        """split_groups for one group, keyed by multi-index: the cofactor of
+        group1^k1 ... groupn^kn is stored under (k1, ..., kn)."""
+        out = {}
+        for mono, cofactor in self.split_groups({group}).items():
+            k = [0] * n
+            for name, e in mono:
+                k[_name_info(name)[1] - 1] = e
+            out[tuple(k)] = cofactor
+        return out
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ValueError if it does not divide.

@@ -237,23 +237,28 @@ def _hat_moments(n: int, max_degree: int) -> dict:
 def moments(
     n: int, max_degree: int, tau: Fraction | None = None, check_hat: bool = True
 ) -> MomentTable:
-    """Moment table from the transform, cross-checked against the vacuum
-    expectations of the observable family in the hat realization."""
-    series = spectral_transform(n, max_degree)
-    buckets = series.split_groups({"z"})
-    entries = {}
-    for k in multi_indices(n, max_degree):
-        mono = tuple((f"z{j}", e) for j, e in enumerate(k, start=1) if e)
-        coeff = buckets.get(mono, MultiPoly.zero())
-        entries[k] = mi_factorial(k) * coeff
+    """Moment table from the transform at the requested weight.
+
+    With check_hat the table in symbolic t is compared with the vacuum
+    expectations of the observable family in the hat realization, and a
+    table at a given weight with those expectations at that weight.
+    """
+
+    def table(weight):
+        buckets = spectral_transform(n, max_degree, weight).split_index("z", n)
+        return {
+            k: mi_factorial(k) * buckets.get(k, MultiPoly.zero())
+            for k in multi_indices(n, max_degree)
+        }
+
+    entries = table(tau)
     if check_hat:
         expected = _hat_moments(n, max_degree)
-        for k, value in entries.items():
-            if expected[k] != value:
+        symbolic = entries if tau is None else table(None)
+        for k, value in symbolic.items():
+            at_tau = tau is None or expected[k].subs({"t": tau}) == entries[k]
+            if expected[k] != value or not at_tau:
                 raise AssertionError(f"moment mismatch at {k}")
-    if tau is not None:
-        point = {"t": Fraction(tau)}
-        entries = {k: v.subs(point) for k, v in entries.items()}
     return MomentTable(n, max_degree, tau, entries)
 
 
@@ -303,23 +308,16 @@ def basis_polynomials(
     exp_part = exp_series(exponent_arg, kmax)
     weight_part = series_power(q, weight_exponent(tau), kmax)
     gf = exp_part * weight_part
-    buckets = gf.split_groups({"v"})
-    out = []
-    for k in multi_indices(n, kmax):
-        mono = tuple((f"v{j}", e) for j, e in enumerate(k, start=1) if e)
-        coeff = buckets.get(mono, MultiPoly.zero())
-        out.append(BasisPolynomial(k, mi_factorial(k) * coeff))
-    return out
+    buckets = gf.split_index("v", n)
+    return [
+        BasisPolynomial(k, mi_factorial(k) * buckets.get(k, MultiPoly.zero()))
+        for k in multi_indices(n, kmax)
+    ]
 
 
-def _apply_moment_functional(poly: MultiPoly, table: MomentTable, n: int):
-    acc = MultiPoly.zero()
-    for mono, cofactor in poly.split_groups({"x"}).items():
-        k = [0] * n
-        for name, e in mono:
-            k[int(name[1:]) - 1] = e
-        acc = acc + cofactor * table.moment(tuple(k))
-    return acc
+def _apply_moment_functional(poly: MultiPoly, table: MomentTable):
+    by_index = poly.split_index("x", table.n)
+    return sum((c * table.moment(k) for k, c in by_index.items()), MultiPoly.zero())
 
 
 def vacuum_orthogonality_check(n: int, kmax: int) -> Report:
@@ -328,7 +326,7 @@ def vacuum_orthogonality_check(n: int, kmax: int) -> Report:
     polys = basis_polynomials(n, kmax)
     checks = []
     for bp in polys:
-        value = _apply_moment_functional(bp.poly, table, n)
+        value = _apply_moment_functional(bp.poly, table)
         expected_zero = mi_degree(bp.index) > 0
         ok = value.is_zero if expected_zero else value == 1
         name = (
@@ -345,8 +343,7 @@ def orthogonality_check(tau: Fraction, kmax: int) -> Report:
     applied to p_k p_m, (c) the closed form delta_km k! (tau)_k.
     """
     tau = Fraction(tau)
-    gram = gram_matrix(1, kmax)
-    point = {"t": tau}
+    dense = gram_matrix(1, kmax).eval_at(tau)
     table = moments(1, 2 * kmax, tau=tau, check_hat=False)
     polys = {bp.index: bp.poly for bp in basis_polynomials(1, kmax, tau=tau)}
     checks = [
@@ -357,10 +354,8 @@ def orthogonality_check(tau: Fraction, kmax: int) -> Report:
     ]
     for k in range(kmax + 1):
         for m in range(k, kmax + 1):
-            a = gram.entry((k,), (m,)).subs(point).as_gaussian()
-            b = _apply_moment_functional(
-                polys[(k,)] * polys[(m,)], table, 1
-            ).as_gaussian()
+            a = dense[k][m]
+            b = _apply_moment_functional(polys[(k,)] * polys[(m,)], table).as_gaussian()
             if k == m:
                 c = Fraction(mi_factorial((k,)))
                 for i in range(k):

@@ -134,7 +134,7 @@ def lambda_factor(state: StateVector):
     return (state.a - _I * state.b) * _HALF
 
 
-def recover_coordinates(state: StateVector, want_v: bool = True):
+def recover_coordinates(state: StateVector):
     """Invert s = lam * (2i v, 1 + v.v, i(1 - v.v)) to (v, lam).
 
     The quotient form of lam is asserted through its cleared-denominator
@@ -151,8 +151,6 @@ def recover_coordinates(state: StateVector, want_v: bool = True):
     # cleared form of lam = -(1/2) v0.v0 / (a + i b)
     if -_HALF * v0sq != lam * (state.a + _I * state.b):
         raise NotInOrbitError("quotient identity for the scale factor fails")
-    if not want_v:
-        return None, lam
     denom = state.b + _I * state.a
     if isinstance(denom, MultiPoly) or any(
         isinstance(c, MultiPoly) for c in state.v0
@@ -173,20 +171,14 @@ def recover_coordinates(state: StateVector, want_v: bool = True):
 
 def leibniz_base(n: int) -> MultiPoly:
     """1 - 2 w.v + (w.w)(v.v) in the symbolic w and v variables."""
-    wv = MultiPoly.zero()
-    w2 = MultiPoly.zero()
-    v2 = MultiPoly.zero()
-    for j in range(1, n + 1):
-        wj = MultiPoly.var(f"w{j}")
-        vj = MultiPoly.var(f"v{j}")
-        wv = wv + wj * vj
-        w2 = w2 + wj * wj
-        v2 = v2 + vj * vj
-    return 1 - 2 * wv + w2 * v2
+    return leibniz_base_value(
+        [MultiPoly.var(f"w{j}") for j in range(1, n + 1)],
+        [MultiPoly.var(f"v{j}") for j in range(1, n + 1)],
+    )
 
 
 def leibniz_base_value(w, v):
-    """The same bilinear expression evaluated at numeric tuples."""
+    """1 - 2 w.v + (w.w)(v.v) at tuples of exact numbers or polynomials."""
     wc = [_coerce_entry(c) for c in w]
     vc = [_coerce_entry(c) for c in v]
     wv = sum((a * b for a, b in zip(wc, vc)), gr(0))
@@ -221,16 +213,10 @@ def leibniz_from_matrices(w, v, algebra: SoAlgebra | None = None):
     lam = lambda_factor(state)
     if not symbolic and lam:
         # on the invertible part of the orbit the full recovery must agree
-        _, lam_check = recover_coordinates(state, want_v=True)
+        _, lam_check = recover_coordinates(state)
         if lam_check != lam:
             raise AssertionError("scale factor recovery is inconsistent")
-    if symbolic:
-        point = {f"w{j}": wc[j - 1] for j in range(1, n + 1)}
-        point.update({f"v{j}": vc[j - 1] for j in range(1, n + 1)})
-        expected = leibniz_base(n).subs(point)
-    else:
-        expected = leibniz_base_value(wc, vc)
-    if lam != expected:
+    if lam != leibniz_base_value(wc, vc):
         raise AssertionError("matrix pipeline disagrees with the closed form")
     return lam
 

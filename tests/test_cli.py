@@ -204,3 +204,17 @@ def test_bad_format_env_default_exits_2(capsys, monkeypatch):
         main(["verify", "--lie", "--n", "1"])
     assert exc.value.code == 2
     assert "invalid choice: 'xml'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["gram", "--n", "1", "--degree", "1"], "--tau", "-5/2"),
+        (["coords", "--n", "2"], "--v", "-1/2,0"),
+    ],
+)
+def test_negative_values_parse_like_the_equals_spelling(capsys, argv, flag, value):
+    spaced = run(capsys, *argv, flag, value)
+    joined = run(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0

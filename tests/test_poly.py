@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from socone.poly import MultiPoly, TAU, exp_series, group_of, series_power, var_key
-from socone.scalars import gr
+from socone.scalars import GaussianRational, gr
 
 from conftest import poch
 
@@ -13,10 +13,10 @@ V2 = MultiPoly.var("v2")
 W1 = MultiPoly.var("w1")
 
 
-def small_polys():
+def small_polys(max_exponent=3, max_terms=4):
     coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     names = st.sampled_from(["v1", "v2", "w1", "x1", "t"])
-    monos = st.lists(st.tuples(names, st.integers(0, 3)), max_size=3)
+    monos = st.lists(st.tuples(names, st.integers(0, max_exponent)), max_size=3)
 
     def build(items, c):
         acc = MultiPoly.const(c)
@@ -25,7 +25,7 @@ def small_polys():
         return acc
 
     term = st.builds(build, monos, coeffs)
-    return st.lists(term, min_size=0, max_size=4).map(
+    return st.lists(term, min_size=0, max_size=max_terms).map(
         lambda ts: sum(ts, MultiPoly.zero())
     )
 
@@ -53,6 +53,44 @@ def test_substitution_commutes_with_arithmetic(a, b, x, y):
     point = {"v1": x, "w1": y, "v2": 1, "x1": 2, "t": Fraction(1, 3)}
     assert (a + b).subs(point) == a.subs(point) + b.subs(point)
     assert (a * b).subs(point) == a.subs(point) * b.subs(point)
+
+
+def truncated(polys):
+    groups = st.sampled_from(["v", "w", "x"])
+    bounds = st.dictionaries(groups, st.integers(0, 3), max_size=2)
+    return st.builds(lambda p, b: p.truncate(b), polys, bounds)
+
+
+_SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_SUBS_VALUES = st.one_of(
+    st.integers(-2, 2),
+    _SMALL_FRACTIONS,
+    st.builds(gr, _SMALL_FRACTIONS, _SMALL_FRACTIONS),
+    truncated(small_polys(max_exponent=1, max_terms=2)),
+)
+
+
+@settings(derandomize=True, max_examples=150)
+@given(
+    truncated(small_polys()),
+    st.dictionaries(st.sampled_from(["v1", "v2", "w1", "x1", "t"]), _SUBS_VALUES),
+)
+# a zero scalar meets a truncated polynomial value: its bound still merges
+@example(V1 * W1, {"w1": 0, "v1": V1.truncate({"v": 0})})
+def test_subs_matches_the_polynomial_route(p, assignments):
+    # reference: every value as a polynomial, const(coeff) * value ** e per term
+    values = {name: MultiPoly.coerce(v) for name, v in assignments.items()}
+    want = MultiPoly.zero(p.trunc)
+    for mono, coeff in p.terms.items():
+        factor = MultiPoly.const(coeff, p.trunc)
+        for name, e in mono:
+            factor = factor * values.get(name, MultiPoly.var(name)) ** e
+        want = want + factor
+    got = p.subs(assignments)
+    assert type(got) is MultiPoly
+    assert got.terms == want.terms
+    assert got.trunc == want.trunc
+    assert all(type(c) is GaussianRational and c for c in got.terms.values())
 
 
 def test_no_stored_zero_coefficients():
@@ -169,6 +207,10 @@ def test_split_groups():
     assert buckets[()] == MultiPoly.const(-5)
     assert buckets[(("v1", 1), ("w1", 2))] == 3 * TAU
     assert buckets[(("v2", 1), ("w1", 2))] == 1
+    by_index = p.split_index("w", 2)
+    assert by_index.keys() == {(0, 0), (2, 0)}
+    assert by_index[(0, 0)] == -5
+    assert by_index[(2, 0)] == 3 * V1 * TAU + V2
 
 
 def test_name_lookups_after_the_cache_is_warm():

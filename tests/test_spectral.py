@@ -7,6 +7,7 @@ from socone.fock import gram_matrix, multi_indices, positivity_probe
 from socone.matrices import is_positive_definite
 from socone.poly import MultiPoly, TAU
 from socone.scalars import gr
+from socone import spectral
 from socone.spectral import (
     SingularCoordinateError,
     basis_polynomials,
@@ -115,6 +116,44 @@ def test_moments_n2():
     assert table.moment((0, 2)) == TAU
     assert table.moment((1, 0)) == TAU
     assert table.moment((2, 0)) == TAU * TAU + TAU
+
+
+@pytest.mark.parametrize("check_hat", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moments_at_a_weight_equal_the_symbolic_table_there(n, check_hat):
+    symbolic = moments(n, 3, check_hat=check_hat)
+    for tau in (Fraction(-5, 2), Fraction(0), Fraction(1, 3), Fraction(4)):
+        table = moments(n, 3, tau=tau, check_hat=check_hat)
+        assert table.tau == tau
+        assert table.entries.keys() == symbolic.entries.keys()
+        for k, value in symbolic.entries.items():
+            assert table.moment(k) == value.subs({"t": tau})
+
+
+def test_moments_at_a_weight_are_checked_against_the_hat_route(monkeypatch):
+    real = spectral.spectral_transform
+
+    def off_at_a_weight(n, truncation, tau=None):
+        series = real(n, truncation, tau)
+        return series if tau is None else series + MultiPoly.var("z1")
+
+    monkeypatch.setattr(spectral, "spectral_transform", off_at_a_weight)
+    moments(2, 2, tau=Fraction(1, 2), check_hat=False)
+    with pytest.raises(AssertionError, match="moment mismatch"):
+        moments(2, 2, tau=Fraction(1, 2), check_hat=True)
+
+
+def test_moment_probe_expands_the_transform_at_the_weight(monkeypatch):
+    exponents = []
+    real = spectral.series_power
+
+    def spy(base, exponent, bound):
+        exponents.append(exponent)
+        return real(base, exponent, bound)
+
+    monkeypatch.setattr(spectral, "series_power", spy)
+    moment_positivity_probe(2, Fraction(1, 2), 2)
+    assert exponents == [Fraction(-1, 4)]
 
 
 def test_moment_hat_consistency():
