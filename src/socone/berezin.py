@@ -251,24 +251,32 @@ def normal_order(word) -> dict:
     return result
 
 
-def _diffop_apply(normal_terms: dict, vector: dict):
+def _diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
     """Apply the ordering substitution to a coherent-parameter vector.
 
     A normal word R^a V^b acts on the parameter side as multiplication by
     v^b after differentiation d^a; the substitution reverses the factor
     order, matching the adjoint-style pairing of the two pictures.
+    derivatives caches the nonzero components of d^a vector per raises
+    tuple a; pass the same dict only with the same vector.
     """
     out = {}
     for (raises, lowers), coeff in normal_terms.items():
-        for k, poly in vector.items():
-            p = MultiPoly.coerce(poly)
-            for j in raises:
-                p = p.diff(f"v{j}")
-            for j in lowers:
-                p = p * MultiPoly.var(f"v{j}")
-            p = coeff * p
-            if p.is_zero:
-                continue
+        moved = derivatives.get(raises)
+        if moved is None:
+            moved = {}
+            for k, poly in vector.items():
+                p = MultiPoly.coerce(poly)
+                for j in raises:
+                    p = p.diff(f"v{j}")
+                if p:
+                    moved[k] = p
+            derivatives[raises] = moved
+        factor = MultiPoly.const(coeff)
+        for j in lowers:
+            factor = factor * MultiPoly.var(f"v{j}")
+        for k, p in moved.items():
+            p = p * factor
             acc = out.get(k)
             out[k] = p if acc is None else acc + p
     return {k: v for k, v in out.items() if v}
@@ -279,7 +287,10 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
     substitution, for every word up to the given length.
 
     Both routes are compared on components of degree at most D minus the
-    word length budget, where the truncation cannot have leaked.
+    word length budget, where the truncation cannot have leaked. The direct
+    route applies a word's first letter to the vector of the rest of the
+    word, so each word costs one shift; the substitution route shares each
+    derivative of the coherent vector between the words that need it.
     """
     hat = build_hat(n, degree_bound)
     psi = coherent_vector(n, degree_bound, "v")
@@ -294,19 +305,26 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
         )
     checks = []
     mismatches = 0
+    compared = multi_indices(n, safe)
+    # direct vectors of the words that are suffixes of longer ones
+    suffixes = {(): psi}
+    derivatives = {}
 
     def low(value):
         terms = MultiPoly.coerce(value).terms
         return {m: c for m, c in terms.items() if _mono_group_degree(m, "v") <= safe}
 
     for word in words:
-        direct = dict(psi)
-        for kind, j in reversed(word):
+        direct = psi
+        if word:
+            kind, j = word[0]
             op = hat.shift_raise(j) if kind == "R" else hat.shift_lower(j)
-            direct = op.apply(direct)
-        subst = _diffop_apply(normal_order(word), psi)
+            direct = op.apply(suffixes[word[1:]])
+            if len(word) < max_length:
+                suffixes[word] = direct
+        subst = _diffop_apply(normal_order(word), psi, derivatives)
         ok = True
-        for k in multi_indices(n, safe):
+        for k in compared:
             if low(direct.get(k, 0)) != low(subst.get(k, 0)):
                 ok = False
                 break

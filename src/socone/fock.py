@@ -17,7 +17,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .matrices import is_positive_definite
-from .poly import MultiPoly, TAU
+from .poly import MultiPoly, TAU, TAU_NAME
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
 from .states import leibniz_closed_form
@@ -68,7 +68,7 @@ class FockMatrix:
     in the history of the matrix.
     """
 
-    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "flagged")
+    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "flagged", "_columns")
 
     def __init__(self, n, degree_bound, entries=None, flagged=frozenset(), basis=None):
         object.__setattr__(self, "n", n)
@@ -82,6 +82,7 @@ class FockMatrix:
                 cleaned[pos] = value
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(self, "flagged", frozenset(flagged))
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockMatrix is immutable")
@@ -195,13 +196,16 @@ class FockMatrix:
 
     def apply(self, vector: dict) -> dict:
         """Apply to a sparse vector keyed by multi-index."""
+        cols = self._columns
+        if cols is None:
+            # built on first use and kept: the matrix is immutable
+            cols = {}
+            for (r, c), value in self.entries.items():
+                cols.setdefault(c, []).append((self.basis[r], value))
+            object.__setattr__(self, "_columns", cols)
         out = {}
-        cols = {}
-        for (r, c), value in self.entries.items():
-            cols.setdefault(c, []).append((r, value))
         for k, coeff in vector.items():
-            for r, value in cols.get(self.index[k], ()):  # noqa: B905
-                mi = self.basis[r]
+            for mi, value in cols.get(self.index[k], ()):  # noqa: B905
                 p = value * coeff
                 acc = out.get(mi)
                 s = p if acc is None else acc + p
@@ -455,13 +459,26 @@ class GramMatrix:
         return self.entries.get((k, m), MultiPoly.zero())
 
     def eval_at(self, tau: Fraction) -> list:
-        """Dense Fraction matrix in basis order at an exact weight."""
+        """Dense Fraction matrix in basis order at an exact weight.
+
+        Each entry is a polynomial in t alone; its t-coefficients are summed
+        against the powers of the weight, computed once per table.
+        """
         size = len(self.basis)
         index = {k: i for i, k in enumerate(self.basis)}
         out = [[Fraction(0)] * size for _ in range(size)]
-        point = {"t": Fraction(tau)}
+        tau = Fraction(tau)
+        powers = [Fraction(1)]
         for (k, m), poly in self.entries.items():
-            out[index[k]][index[m]] = poly.subs(point).as_gaussian().as_fraction()
+            value = Fraction(0)
+            for mono, coeff in poly.terms.items():
+                if mono and (len(mono) != 1 or mono[0][0] != TAU_NAME):
+                    raise ValueError(f"{poly} is not a polynomial in t alone")
+                e = mono[0][1] if mono else 0
+                while len(powers) <= e:
+                    powers.append(powers[-1] * tau)
+                value += coeff.as_fraction() * powers[e]
+            out[index[k]][index[m]] = value
         return out
 
     def to_fock_matrix(self) -> FockMatrix:

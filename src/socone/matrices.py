@@ -38,13 +38,26 @@ class DenseMatrix:
         object.__setattr__(self, "cols", len(data[0]))
         object.__setattr__(self, "data", data)
 
+    @classmethod
+    def _make(cls, data: tuple) -> "DenseMatrix":
+        """Wrap a non-empty rectangular tuple of tuples of GaussianRational or
+        MultiPoly entries, unchecked: the ring operations build every result
+        through here, since their entries are already of those types."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(data))
+        object.__setattr__(self, "cols", len(data[0]))
+        object.__setattr__(self, "data", data)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("DenseMatrix is immutable")
 
     @classmethod
     def zeros(cls, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise ValueError("matrices must have at least one row and column")
+        return cls._make(((ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, size):
@@ -63,11 +76,10 @@ class DenseMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix addition")
-        return DenseMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ]
+        return DenseMatrix._make(
+            tuple(
+                tuple(map(_add_entry, r1, r2)) for r1, r2 in zip(self.data, other.data)
+            )
         )
 
     def __sub__(self, other):
@@ -76,27 +88,43 @@ class DenseMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return DenseMatrix([[-e for e in row] for row in self.data])
+        return DenseMatrix._make(tuple(tuple(-e for e in row) for row in self.data))
 
     def __mul__(self, other):
         if isinstance(other, DenseMatrix):
             if self.cols != other.rows:
                 raise ValueError("dimension mismatch in matrix product")
             cols = list(zip(*other.data))
-            return DenseMatrix(
-                [
-                    [_dot(row, col) for col in cols]
-                    for row in self.data
-                ]
+            return DenseMatrix._make(
+                tuple(tuple(_dot(row, col) for col in cols) for row in self.data)
             )
         if isinstance(other, _SCALARS):
-            return DenseMatrix([[e * other for e in row] for row in self.data])
+            return self._scale(other, lambda e: e * other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
-            return DenseMatrix([[other * e for e in row] for row in self.data])
+            return self._scale(other, lambda e: other * e)
         return NotImplemented
+
+    def _scale(self, scalar, product):
+        # A GaussianRational entry times a rational or GaussianRational scalar
+        # is an exact zero when either factor is 0, so that product is
+        # skipped. A MultiPoly factor is always multiplied: the product is a
+        # MultiPoly that carries its truncation.
+        skip = not isinstance(scalar, MultiPoly)
+        zero = skip and not scalar
+        return DenseMatrix._make(
+            tuple(
+                tuple(
+                    (e if not e else ZERO if zero else product(e))
+                    if skip and type(e) is GaussianRational
+                    else product(e)
+                    for e in row
+                )
+                for row in self.data
+            )
+        )
 
     def __eq__(self, other):
         if not isinstance(other, DenseMatrix):
@@ -112,10 +140,12 @@ class DenseMatrix:
         return all(not e for row in self.data for e in row)
 
     def transpose(self):
-        return DenseMatrix(list(zip(*self.data)))
+        return DenseMatrix._make(tuple(zip(*self.data)))
 
     def conjugate_transpose(self):
-        return DenseMatrix([[e.conj() for e in row] for row in zip(*self.data)])
+        return DenseMatrix._make(
+            tuple(tuple(e.conj() for e in row) for row in zip(*self.data))
+        )
 
     def apply(self, vector):
         """Matrix times a column vector given as a sequence; returns a tuple."""
@@ -140,6 +170,15 @@ class DenseMatrix:
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def _add_entry(a, b):
+    # Adding an exact-zero GaussianRational to a GaussianRational gives the
+    # other operand. A MultiPoly operand is always added: its truncation
+    # bounds merge into the sum.
+    if type(a) is type(b) is GaussianRational and not (a and b):
+        return b if not a else a
+    return a + b
 
 
 def _dot(row, col):
@@ -201,7 +240,12 @@ def exp_nilpotent_apply(m: DenseMatrix, vector) -> tuple:
         if k == m.rows:
             raise NotNilpotentError("matrix is not nilpotent")
         scale = Fraction(1, factorial(k))
-        acc = tuple(a + t * scale for a, t in zip(acc, term))
+        # as in _dot: a zero GaussianRational term adds nothing to a
+        # GaussianRational, while a MultiPoly sum always merges truncations
+        acc = tuple(
+            a if type(a) is type(t) is GaussianRational and not t else a + t * scale
+            for a, t in zip(acc, term)
+        )
     return acc
 
 

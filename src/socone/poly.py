@@ -510,7 +510,7 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
         if upow.is_zero:
             return acc
         poch = poch * (minus_e + (m - 1))
-        acc = acc + poch * upow * Fraction(1, factorial(m))
+        acc = acc + (poch * Fraction(1, factorial(m))) * upow
 
 
 def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:

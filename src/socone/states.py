@@ -251,13 +251,15 @@ class LeibnizValue:
         return series_power(self.base, self.exponent(), bound)
 
 
+@cache
 def leibniz_closed_form(
     n: int, truncation: int, tau: Fraction | None = None
 ) -> tuple:
     """The pairing as a truncated double series in w and v.
 
     Returns (LeibnizValue, series); with tau None the coefficients are
-    polynomials in t.
+    polynomials in t. Built and validated once per key and shared: both
+    are immutable. A failed build raises every time.
     """
     value = LeibnizValue(leibniz_base(n), tau)
     return value, value.series(truncation)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from socone import berezin
 from socone.algebra import OperatorWord
 from socone.berezin import (
     PoleError,
@@ -128,6 +129,23 @@ def test_normal_order_contraction():
 def test_wick_recipe():
     assert wick_recipe_check(1, 6).all_passed
     assert wick_recipe_check(2, 6).all_passed
+
+
+def test_wick_recipe_at_the_verify_size():
+    assert wick_recipe_check(3, 5).all_passed
+
+
+def test_wick_recipe_catches_a_missing_contraction(monkeypatch):
+    def commuting_order(word):
+        # every lower moved right of every raise with no [V_j, R_j] = 1 terms
+        raises = tuple(sorted(j for kind, j in word if kind == "R"))
+        lowers = tuple(sorted(j for kind, j in word if kind == "V"))
+        return {(raises, lowers): 1}
+
+    monkeypatch.setattr(berezin, "normal_order", commuting_order)
+    report = wick_recipe_check(2, 5)
+    assert not report.all_passed
+    assert "mismatches" in report.checks[0].detail
 
 
 def test_fock_pairing_series_identity_word():

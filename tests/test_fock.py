@@ -203,6 +203,36 @@ def test_build_hat_validates_bound():
         verify_hat_relations(1, 2)
 
 
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 5), (3, 4)])
+def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
+    gram = gram_matrix(n, d)
+    for tau in (Fraction(-5, 2), Fraction(0), Fraction(1, 3), Fraction(4)):
+        dense = gram.eval_at(tau)
+        point = {"t": tau}
+        want = [
+            [gram.entry(k, m).subs(point).as_gaussian().as_fraction() for m in gram.basis]
+            for k in gram.basis
+        ]
+        assert dense == want
+        assert all(type(x) is Fraction for row in dense for x in row)
+
+
+def test_shared_matrices_apply_like_fresh_copies():
+    hat = build_hat(2, 4)
+    vectors = [
+        vacuum_vector(2),
+        {(1, 0): gr(2), (0, 2): gr(0, 1)},
+        coherent_vector(2, 4, "v"),
+    ]
+    for shared in (hat.L(1), hat.rho0, hat.rho(1, 2), hat.shift_lower(2)):
+        for _ in range(2):
+            for vector in vectors:
+                fresh = FockMatrix(
+                    shared.n, shared.degree_bound, dict(shared.entries), shared.flagged
+                )
+                assert shared.apply(vector) == fresh.apply(vector)
+
+
 def test_hat_and_gram_are_built_once_per_key():
     assert build_hat(2, 3) is build_hat(2, 3)
     assert gram_matrix(2, 3) is gram_matrix(2, 3)

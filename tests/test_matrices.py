@@ -241,3 +241,49 @@ def test_exp_nilpotent_apply_rejects_non_nilpotent(size, data):
     vector[data.draw(st.integers(0, size - 1))] = 1
     with pytest.raises(NotNilpotentError):
         exp_nilpotent_apply(m, vector)
+
+
+scalars = st.one_of(
+    entries, st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=2)
+)
+
+
+@st.composite
+def matrix_pairs(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def grid():
+        return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+    return grid(), grid()
+
+
+@settings(derandomize=True, max_examples=100)
+@given(matrix_pairs(), scalars)
+def test_sum_and_scaling_skip_only_scalar_zero_operations(pair, scalar):
+    left, right = pair
+    a, b = DenseMatrix(left), DenseMatrix(right)
+    cases = [
+        (a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]),
+        (a * scalar, [[x * scalar for x in row] for row in left]),
+        (scalar * a, [[scalar * x for x in row] for row in left]),
+    ]
+    for got, want in cases:
+        assert (got.rows, got.cols) == (len(want), len(want[0]))
+        for got_row, want_row in zip(got.data, want):
+            for x, y in zip(got_row, want_row):
+                same_entry(x, y)
+
+
+def test_zero_operands_keep_the_truncation_of_series_entries():
+    series = (MultiPoly.var("v1") ** 3 + 1).truncate({"v": 2})
+    m = DenseMatrix([[gr(0), series]])
+    for got in (m * 0, gr(0) * m):
+        same_entry(got[0, 0], gr(0))
+        same_entry(got[0, 1], series * 0)
+        assert got[0, 1].trunc == {"v": 2}
+    same_entry((m + DenseMatrix.zeros(1, 2))[0, 1], series + gr(0))
+    zeroed = DenseMatrix.zeros(1, 2) * series
+    assert all(type(e) is MultiPoly and e.trunc == {"v": 2} for e in zeroed.data[0])
+    with pytest.raises(ValueError):
+        DenseMatrix.zeros(0)

@@ -163,3 +163,12 @@ def test_coherent_suite_passes():
 
 def test_vacuum_is_built_once_per_n():
     assert vacuum(2) is vacuum(2, build_algebra(2))
+
+
+def test_leibniz_series_is_built_once_per_key():
+    assert leibniz_closed_form(2, 3) is leibniz_closed_form(2, 3)
+    weight = Fraction(-2)
+    assert leibniz_closed_form(1, 4, weight) is leibniz_closed_form(1, 4, weight)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            leibniz_closed_form(1, -1)
