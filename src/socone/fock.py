@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, gcd
 from types import MappingProxyType
 
 from .matrices import is_positive_definite
@@ -462,23 +462,30 @@ class GramMatrix:
         """Dense Fraction matrix in basis order at an exact weight.
 
         Each entry is a polynomial in t alone; its t-coefficients are summed
-        against the powers of the weight, computed once per table.
+        against the powers of the weight, computed once per table, in
+        integers over a common denominator that is reduced once per entry.
         """
         size = len(self.basis)
         index = {k: i for i, k in enumerate(self.basis)}
         out = [[Fraction(0)] * size for _ in range(size)]
         tau = Fraction(tau)
-        powers = [Fraction(1)]
+        # (numerator, denominator) of tau^e
+        powers = [(1, 1)]
         for (k, m), poly in self.entries.items():
-            value = Fraction(0)
+            num, den = 0, 1
             for mono, coeff in poly.terms.items():
                 if mono and (len(mono) != 1 or mono[0][0] != TAU_NAME):
                     raise ValueError(f"{poly} is not a polynomial in t alone")
                 e = mono[0][1] if mono else 0
                 while len(powers) <= e:
-                    powers.append(powers[-1] * tau)
-                value += coeff.as_fraction() * powers[e]
-            out[index[k]][index[m]] = value
+                    p, q = powers[-1]
+                    powers.append((p * tau.numerator, q * tau.denominator))
+                a, d = coeff.as_integer_ratio()
+                p, q = powers[e]
+                a, d = a * p, d * q
+                g = gcd(den, d)
+                num, den = num * (d // g) + a * (den // g), den // g * d
+            out[index[k]][index[m]] = Fraction(num, den)
         return out
 
     def to_fock_matrix(self) -> FockMatrix:

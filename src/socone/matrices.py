@@ -7,7 +7,7 @@ immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .poly import MultiPoly
 from .scalars import ZERO, GaussianRational
@@ -252,10 +252,17 @@ def exp_nilpotent_apply(m: DenseMatrix, vector) -> tuple:
 def exact_ldl(matrix):
     """Exact LDL pivots of a symmetric matrix of Fractions.
 
-    Uses symmetric pivoting on the diagonal. Returns (pivots, completed):
+    Uses symmetric pivoting on the diagonal: each step takes the first
+    nonzero diagonal entry of the remainder. Returns (pivots, completed):
     completed is False when a nonzero remainder has an all-zero diagonal,
-    which already rules out positive definiteness. Pivots are reported in
-    elimination order; the verdict helpers below interpret them.
+    which already rules out positive definiteness. Pivots are Fractions,
+    reported in elimination order; the verdict helpers below interpret them.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22 (1968)): the
+    matrix is scaled to integers by the lcm L of its denominators, and after
+    each step an entry of the remainder is the minor bordering the pivots
+    eliminated so far, so the update divides exactly by the previous pivot
+    minor prev. The Schur complement entry is that minor over prev * L.
     """
     a = [list(map(Fraction, row)) for row in matrix]
     size = len(a)
@@ -265,25 +272,30 @@ def exact_ldl(matrix):
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ValueError("matrix must be symmetric")
+    scale = lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
     remaining = list(range(size))
     pivots = []
+    prev = 1
     while remaining:
-        pivot_idx = next((i for i in remaining if a[i][i] != 0), None)
-        if pivot_idx is None:
-            if all(a[i][j] == 0 for i in remaining for j in remaining):
-                pivots.extend(Fraction(0) for _ in remaining)
-                return pivots, True
-            return pivots, False
-        remaining.remove(pivot_idx)
-        p = a[pivot_idx][pivot_idx]
-        pivots.append(p)
-        factors = {i: a[i][pivot_idx] / p for i in remaining}
-        for i in remaining:
-            f = factors[i]
-            if f == 0:
-                continue
-            for j in remaining:
-                a[i][j] -= f * a[pivot_idx][j]
+        k = next((i for i in remaining if b[i][i]), None)
+        if k is None:
+            if any(b[i][j] for i in remaining for j in remaining):
+                return pivots, False
+            pivots.extend(Fraction(0) for _ in remaining)
+            return pivots, True
+        remaining.remove(k)
+        p = b[k][k]
+        pivots.append(Fraction(p, prev * scale))
+        row_k = b[k]
+        for x, i in enumerate(remaining):
+            row_i, f = b[i], b[i][k]
+            # the remainder stays symmetric: fill the upper triangle and
+            # mirror it
+            for j in remaining[x:]:
+                v = (p * row_i[j] - f * row_k[j]) // prev
+                row_i[j] = b[j][i] = v
+        prev = p
     return pivots, True
 
 

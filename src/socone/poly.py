@@ -63,6 +63,15 @@ def _mono(items) -> tuple:
     return tuple(cleaned)
 
 
+def _mono_sum(items) -> tuple:
+    """The monomial of (name, exponent) pairs in any order, exponents of a
+    repeated name summed."""
+    exps = {}
+    for name, e in items:
+        exps[name] = exps.get(name, 0) + e
+    return _mono(exps.items())
+
+
 def _mono_mul(a: tuple, b: tuple) -> tuple:
     if not a:
         return b
@@ -119,12 +128,16 @@ class MultiPoly:
     __slots__ = ("terms", "trunc")
 
     def __init__(self, terms=None, trunc=None):
-        cleaned = {}
+        """terms maps monomials, given as (name, exponent) pairs in any
+        order, to coefficients; monomials equal after sorting, dropping
+        zero exponents and summing repeated names are added together."""
+        summed = {}
         for mono, coeff in (terms or {}).items():
+            key = _mono_sum(mono)
             c = GaussianRational.coerce(coeff)
-            if c:
-                cleaned[mono] = c
+            summed[key] = summed[key] + c if key in summed else c
         t = dict(trunc) if trunc else {}
+        cleaned = {m: c for m, c in summed.items() if c}
         object.__setattr__(self, "terms", _clip(cleaned, t))
         object.__setattr__(self, "trunc", t)
 
@@ -137,6 +150,13 @@ class MultiPoly:
         object.__setattr__(self, "trunc", trunc)
         return self
 
+    @classmethod
+    def _clipped(cls, terms: dict, trunc=None) -> "MultiPoly":
+        """Wrap canonical terms with nonzero GaussianRational coefficients,
+        dropping those beyond trunc."""
+        t = dict(trunc) if trunc else {}
+        return cls._make(_clip(terms, t), t)
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -144,16 +164,17 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, trunc=None):
-        return cls({}, trunc)
+        return cls._clipped({}, trunc)
 
     @classmethod
     def const(cls, value, trunc=None):
-        return cls({(): GaussianRational.coerce(value)}, trunc)
+        c = GaussianRational.coerce(value)
+        return cls._clipped({(): c} if c else {}, trunc)
 
     @classmethod
     def var(cls, name: str, trunc=None):
         _name_info(name)  # validates
-        return cls({((name, 1),): GaussianRational(1)}, trunc)
+        return cls._clipped({((name, 1),): GaussianRational(1)}, trunc)
 
     @staticmethod
     def coerce(value, trunc=None) -> "MultiPoly":
@@ -285,15 +306,15 @@ class MultiPoly:
         return max(_mono_group_degree(m, group) for m in self.terms)
 
     def coefficient(self, mono_items) -> GaussianRational:
-        return self.terms.get(_mono(mono_items), GaussianRational(0))
+        return self.terms.get(_mono_sum(mono_items), GaussianRational(0))
 
     # -- calculus and rewriting -------------------------------------------------
 
     def truncate(self, bounds: dict) -> "MultiPoly":
-        return MultiPoly(self.terms, _merge_trunc(self.trunc, bounds))
+        return MultiPoly._clipped(self.terms, _merge_trunc(self.trunc, bounds))
 
     def drop_truncation(self) -> "MultiPoly":
-        return MultiPoly(self.terms, None)
+        return MultiPoly._make(self.terms, {})
 
     def diff(self, name: str) -> "MultiPoly":
         out = {}
@@ -304,7 +325,7 @@ class MultiPoly:
                 continue
             exps[name] = e - 1
             out[_mono(exps.items())] = coeff * e
-        return MultiPoly(out, self.trunc)
+        return MultiPoly._make(out, self.trunc)
 
     def subs(self, assignments: dict) -> "MultiPoly":
         """Substitute variables by scalars or polynomials.
@@ -329,7 +350,7 @@ class MultiPoly:
                 else:
                     rest.append((name, e))
             if pieces:
-                factor = MultiPoly({tuple(rest): coeff}, self.trunc)
+                factor = MultiPoly._make({tuple(rest): coeff} if coeff else {}, self.trunc)
                 products = products + reduce(mul, pieces, factor)
             else:
                 # the untouched variables keep their order and stay in bounds
@@ -397,7 +418,7 @@ class MultiPoly:
             q_mono = _mono(q_exps.items())
             q_coeff = remainder.terms[rm] / lead_coeff
             quotient[q_mono] = quotient.get(q_mono, GaussianRational(0)) + q_coeff
-            remainder = remainder - MultiPoly({q_mono: q_coeff}) * divisor
+            remainder = remainder - MultiPoly._make({q_mono: q_coeff}, {}) * divisor
         return MultiPoly(quotient)
 
     # -- display -------------------------------------------------------------------

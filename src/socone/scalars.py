@@ -6,23 +6,54 @@ Every other module computes over this field; nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _RATIONAL = (int, Fraction)
 
 
-class GaussianRational:
-    """A complex number re + im*i whose parts are exact rationals.
+def _part(n: int, d: int):
+    """The exact rational n/d: an int when integral, else a Fraction."""
+    if d == 1 or not n:
+        return n
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
-    Both parts are held as fractions.Fraction, so they are always in
-    lowest terms with a positive denominator. Instances are immutable
-    and hashable.
+
+def _part_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)), without building the Fraction."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != d:
+            return f"{n // g}/{d // g}"
+        n //= g
+    return str(n)
+
+
+class GaussianRational:
+    """A complex number (a + b*i)/d with integers a, b, d.
+
+    The triple is reduced: d > 0 and gcd(a, b, d) = 1, so every value has
+    exactly one representation and equality compares three integers. The
+    read-only parts re and im are exact rationals: an int when integral, a
+    fractions.Fraction in lowest terms otherwise. Instances are immutable
+    and hashable, with the hash of an equal int or Fraction when real.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            q, s = re.denominator, im.denominator
+            # both parts are in lowest terms, so over the lcm of their
+            # denominators gcd(a, b, d) = 1 already
+            d = q * s // gcd(q, s)
+            a, b = re.numerator * (d // q), im.numerator * (d // s)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -35,71 +66,105 @@ class GaussianRational:
             return GaussianRational(value)
         raise TypeError(f"cannot interpret {type(value).__name__} as GaussianRational")
 
-    @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        """Wrap two Fractions that are already in lowest terms, unchecked.
+    @property
+    def re(self):
+        return _part(self._a, self._d)
 
-        The ring operations build every result through here: Fraction
-        arithmetic already returns normalised values, so passing them
-        through Fraction() again would only repeat the work.
-        """
-        self = _new(cls)
-        _set_re(self, re)
-        _set_im(self, im)
-        return self
+    @property
+    def im(self):
+        return _part(self._b, self._d)
 
     # -- ring operations ---------------------------------------------------
-    # Fast paths only skip Fraction operations whose operand is exactly
-    # zero; every result is the same exact value as the textbook formula.
+    # Each operation is a few int products on the triples and at most one
+    # gcd, skipped when the result's denominator is 1. Zero parts skip their
+    # products; every result is the same exact value as the textbook formula.
 
     def __add__(self, other):
+        a, b, d = self._a, self._b, self._d
         if isinstance(other, GaussianRational):
-            b, d = self.im, other.im
-            return _make(self.re + other.re, (b + d) if b and d else (b or d))
-        if isinstance(other, _RATIONAL):
-            return _make(self.re + other, self.im)
-        return NotImplemented
+            c, e, f = other._a, other._b, other._d
+        elif isinstance(other, int):
+            # adding a multiple of d keeps gcd(a, b, d) = 1
+            return _make(a + other * d, b, d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        if d == f:
+            if d == 1:
+                return _make(a + c, b + e, 1)
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d if e else b * f, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        a, b, d = self._a, self._b, self._d
         if isinstance(other, GaussianRational):
-            b, d = self.im, other.im
-            return _make(self.re - other.re, (b - d) if d else b)
-        if isinstance(other, _RATIONAL):
-            return _make(self.re - other, self.im)
-        return NotImplemented
+            c, e, f = other._a, other._b, other._d
+        elif isinstance(other, int):
+            return _make(a - other * d, b, d)
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
+            return NotImplemented
+        if d == f:
+            if d == 1:
+                return _make(a - c, b - e, 1)
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d if e else b * f, d * f)
 
     def __rsub__(self, other):
-        if isinstance(other, _RATIONAL):
-            return _make(other - self.re, -self.im)
+        a, b, d = self._a, self._b, self._d
+        if isinstance(other, int):
+            return _make(other * d - a, -b, d)
+        if isinstance(other, Fraction):
+            f = other.denominator
+            return _reduced(other.numerator * d - a * f, -b * f, d * f)
         return NotImplemented
 
     def __mul__(self, other):
+        a, b, d = self._a, self._b, self._d
         if isinstance(other, GaussianRational):
-            a, b = self.re, self.im
-            c, d = other.re, other.im
-            if not d:
-                return _make(a * c, b * c if b else b)
-            if not b:
-                return _make(a * c, a * d)
-            return _make(a * c - b * d, a * d + b * c)
-        if isinstance(other, _RATIONAL):
-            b = self.im
-            return _make(self.re * other, b * other if b else b)
+            c, e, f = other._a, other._b, other._d
+            if not e:
+                re, im = a * c, b * c if b else 0
+            elif not b:
+                re, im = a * c, a * e
+            else:
+                re, im = a * c - b * e, a * e + b * c
+            d *= f
+            if d == 1:
+                return _make(re, im, 1)
+            return _reduced(re, im, d)
+        if isinstance(other, int):
+            if d == 1:
+                return _make(a * other, b * other if b else 0, 1)
+            # gcd(a k, b k, d) = gcd(k, d) because gcd(a, b, d) = 1
+            g = gcd(other, d)
+            k = other // g
+            return _make(a * k, b * k if b else 0, d // g)
+        if isinstance(other, Fraction):
+            c = other.numerator
+            return _reduced(a * c, b * c if b else 0, d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _RATIONAL):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
+        if isinstance(other, GaussianRational):
+            c, e, f = other._a, other._b, other._d
+        elif isinstance(other, int):
+            c, e, f = other, 0, 1
+        elif isinstance(other, Fraction):
+            c, e, f = other.numerator, 0, other.denominator
+        else:
             return NotImplemented
-        n2 = other.norm2
+        n2 = c * c + e * e
         if n2 == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return self * _make(other.re / n2, -other.im / n2)
+        # 1 / ((c + e i)/f) = f (c - e i) / (c^2 + e^2)
+        return self * _reduced(c * f, -e * f, n2)
 
     def __rtruediv__(self, other):
         if isinstance(other, _RATIONAL):
@@ -107,68 +172,100 @@ class GaussianRational:
         return NotImplemented
 
     def __neg__(self):
-        return _make(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __pos__(self):
         return self
 
     def conj(self) -> "GaussianRational":
-        return _make(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- structure ----------------------------------------------------------
 
     @property
     def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
+
+    def as_integer_ratio(self) -> tuple:
+        """(numerator, denominator) of a real value, in lowest terms with a
+        positive denominator, as for Fraction."""
+        if self._b:
+            raise ValueError(f"{self} has a nonzero imaginary part")
+        return self._a, self._d
 
     def as_fraction(self) -> Fraction:
-        if self.im != 0:
-            raise ValueError(f"{self} has a nonzero imaginary part")
-        return self.re
+        return Fraction(*self.as_integer_ratio())
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        d = self._d
+        return complex(self._a / d, self._b / d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, _RATIONAL):
-            return self.im == 0 and self.re == other
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                not self._b
+                and self._d == other.denominator
+                and self._a == other.numerator
+            )
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
+        if not self._b:
             return hash(self.re)
         return hash((self.re, self.im))
 
     # -- display ------------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _part_str(a, d)
+        if b == d:
             imag = "i"
-        elif self.im == -1:
+        elif b == -d:
             imag = "-i"
         else:
-            imag = f"{self.im}i"
-        if self.re == 0:
+            imag = _part_str(b, d) + "i"
+        if not a:
             return imag
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if b > 0 else "-"
         mag = imag.lstrip("-")
-        return f"{self.re}{sign}{mag}"
+        return f"{_part_str(a, d)}{sign}{mag}"
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        return f"GaussianRational({Fraction(self.re)!r}, {Fraction(self.im)!r})"
 
 
 _new = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
-_make = GaussianRational._make
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already reduced, unchecked: d > 0 and
+    gcd(a, b, d) = 1."""
+    self = _new(GaussianRational)
+    _set_a(self, a)
+    _set_b(self, b)
+    _set_d(self, d)
+    return self
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _make(a, b, d)
+    return _make(a // g, b // g, d // g)
 
 
 def gr(re=0, im=0) -> GaussianRational:

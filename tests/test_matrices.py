@@ -136,6 +136,98 @@ def test_exact_ldl_zero_and_indefinite():
     assert verdict is False
 
 
+def textbook_ldl(matrix):
+    """The Fraction elimination exact_ldl must reproduce: same pivot rule,
+    pivots, types and completion flag."""
+    a = [list(map(Fraction, row)) for row in matrix]
+    remaining = list(range(len(a)))
+    pivots = []
+    while remaining:
+        k = next((i for i in remaining if a[i][i] != 0), None)
+        if k is None:
+            if all(a[i][j] == 0 for i in remaining for j in remaining):
+                pivots.extend(Fraction(0) for _ in remaining)
+                return pivots, True
+            return pivots, False
+        remaining.remove(k)
+        p = a[k][k]
+        pivots.append(p)
+        factors = {i: a[i][k] / p for i in remaining}
+        for i in remaining:
+            for j in remaining:
+                a[i][j] -= factors[i] * a[k][j]
+    return pivots, True
+
+
+ldl_entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=4), st.integers(-4, 4)
+)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    size = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["general", "zero-diagonal", "low-rank", "blocks"]))
+    if kind == "low-rank":
+        # V diag(s) V^T with rank <= size - 1 and mixed signs in s: singular,
+        # PSD when every sign is positive, and an all-zero remainder at the end
+        rank = draw(st.integers(0, max(size - 1, 0)))
+        v = [[draw(ldl_entries) for _ in range(rank)] for _ in range(size)]
+        s = [draw(st.sampled_from([1, 1, 2, -1, Fraction(1, 3)])) for _ in range(rank)]
+        return [
+            [sum(v[i][r] * s[r] * v[j][r] for r in range(rank)) for j in range(size)]
+            for i in range(size)
+        ]
+    m = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1):
+            m[i][j] = m[j][i] = Fraction(draw(ldl_entries))
+    if kind == "zero-diagonal":
+        for i in draw(st.sets(st.integers(0, max(size - 1, 0)))):
+            if i < size:
+                m[i][i] = Fraction(0)
+    elif kind == "blocks" and size:
+        # a zero block after the first rows leaves an all-zero remainder
+        cut = draw(st.integers(0, size))
+        for i in range(cut, size):
+            for j in range(size):
+                m[i][j] = m[j][i] = Fraction(0)
+    return m
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_exact_ldl_matches_the_fraction_elimination(m):
+    pivots, completed = exact_ldl(m)
+    ref_pivots, ref_completed = textbook_ldl(m)
+    assert completed == ref_completed
+    assert pivots == ref_pivots
+    assert all(type(p) is Fraction for p in pivots)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 2]], "matrix must be square"),
+        ([[1, 2], [3]], "matrix must be square"),
+        ([[1, 2], [3, 4]], "matrix must be symmetric"),
+        ([[0, Fraction(1, 2)], [Fraction(1, 3), 0]], "matrix must be symmetric"),
+    ],
+)
+def test_exact_ldl_rejects_non_square_and_non_symmetric(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        exact_ldl(matrix)
+
+
+def test_exact_ldl_pivot_cases():
+    assert exact_ldl([]) == ([], True)
+    # a zero first diagonal is passed over; the pivots come back as Fractions
+    pivots, completed = exact_ldl([[0, 0, 0], [0, Fraction(-1, 2), 1], [0, 1, 2]])
+    assert completed and pivots == [Fraction(-1, 2), 4, 0]
+    # nonzero remainder with an all-zero diagonal: stop without completing
+    assert exact_ldl([[1, 1, 0], [1, 1, 1], [0, 1, 0]]) == ([1], False)
+
+
 # -- kernel fast paths against the plain formulas ----------------------------------
 
 tiny_fracs = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=2))

@@ -242,3 +242,17 @@ def test_sum_with_a_tighter_bound_is_clipped():
     assert (q + p).terms == (p + q).terms
     assert (p + q).trunc == {"v": 1}
     assert (p * q.truncate({"w": 0}) + 1).terms == {(): gr(1)}
+
+
+def test_constructor_canonicalises_monomials():
+    p = MultiPoly({(("w1", 1), ("v1", 1)): 1})
+    assert p == MultiPoly.var("v1") * MultiPoly.var("w1")
+    assert p.coefficient([("v1", 1), ("w1", 1)]) == 1
+    assert str(p) == "v1*w1"
+    # zero exponents dropped, repeated names and equal monomials summed
+    q = MultiPoly({(("v1", 1), ("w1", 0), ("v1", 1)): 2, (("v1", 2),): 3, (("t", 0),): 5})
+    assert q.terms == {(("v1", 2),): gr(5), (): gr(5)}
+    assert q.coefficient([("v1", 1), ("v1", 1)]) == 5
+    # terms that cancel after canonicalisation leave nothing
+    r = MultiPoly({(("v1", 1), ("w1", 1)): 1, (("w1", 1), ("v1", 1)): -1}, {"v": 3})
+    assert r.is_zero and r.trunc == {"v": 3}

@@ -97,17 +97,29 @@ operands = st.one_of(
 )
 
 
+def canonical_part(q):
+    # a part is an int exactly when it is integral, else a lowest-terms Fraction
+    if type(q) is int:
+        return Fraction(q)
+    assert type(q) is Fraction and q.denominator > 1
+    return q
+
+
 def parts_of(x):
     assert type(x) is GaussianRational
-    assert type(x.re) is Fraction and type(x.im) is Fraction
-    return x.re, x.im
+    re, im = canonical_part(x.re), canonical_part(x.im)
+    # equality compares the stored form, so this also checks it is reduced
+    assert x == GaussianRational(re, im)
+    return re, im
 
 
 @settings(derandomize=True, max_examples=200)
 @given(operands, operands)
 def test_ring_operations_match_textbook_formulas(x, y):
-    a, b = x.re, x.im
-    c, d = y.re, y.im
+    # the reference computes on Fractions: raw int parts would turn / into
+    # float division
+    a, b = parts_of(x)
+    c, d = parts_of(y)
     assert parts_of(x + y) == (a + c, b + d)
     assert parts_of(x - y) == (a - c, b - d)
     assert parts_of(x * y) == (a * c - b * d, a * d + b * c)
@@ -124,9 +136,52 @@ def test_ring_operations_match_textbook_formulas(x, y):
 @settings(derandomize=True, max_examples=100)
 @given(operands, parts)
 def test_mixed_rational_operands_match_textbook_formulas(x, r):
-    a, b = x.re, x.im
+    a, b = parts_of(x)
     for k in (r, int(r)):
         assert parts_of(x + k) == parts_of(k + x) == (a + k, b)
         assert parts_of(x - k) == (a - k, b)
         assert parts_of(k - x) == (k - a, -b)
         assert parts_of(x * k) == parts_of(k * x) == (a * k, b * k)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(operands, parts)
+def test_division_by_rationals_keeps_exact_parts(x, r):
+    for k in (r, int(r)):
+        if k:
+            parts_of(x / k)
+            parts_of(k / GaussianRational(x.re or 1, x.im))
+    for num, den in ((1, 3), (6, 3), (-4, 6), (0, 5)):
+        q = GaussianRational(num) / den
+        assert parts_of(q) == (Fraction(num, den), 0)
+        assert type(q.as_fraction()) is Fraction
+
+
+@settings(derandomize=True, max_examples=100)
+@given(operands)
+def test_structure_values_are_fractions(x):
+    a, b = parts_of(x)
+    assert type(x.norm2) is Fraction and x.norm2 == a * a + b * b
+    assert GaussianRational(x.re) == x.re
+    assert type(GaussianRational(x.re).as_fraction()) is Fraction
+    assert GaussianRational(x.re).as_fraction() == a
+    assert GaussianRational(x.re).as_integer_ratio() == (a.numerator, a.denominator)
+    if b:
+        with pytest.raises(ValueError):
+            x.as_integer_ratio()
+    assert complex(x) == complex(float(a), float(b))
+    assert repr(x) == f"GaussianRational({a!r}, {b!r})"
+
+
+def test_hash_and_repr_of_canonical_values():
+    assert hash(gr(3)) == hash(3)
+    assert hash(gr(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(gr(Fraction(6, 3))) == hash(2)
+    assert hash(gr(1, Fraction(1, 2))) == hash((Fraction(1), Fraction(1, 2)))
+    assert gr(Fraction(4, 2), Fraction(-3, 6)) == gr(2, Fraction(-1, 2))
+    assert type(gr(Fraction(4, 2)).re) is int
+    assert type(gr(Fraction(1, 2), 3).im) is int
+    assert repr(gr(3)) == "GaussianRational(Fraction(3, 1), Fraction(0, 1))"
+    assert repr(gr(Fraction(1, 2), -2)) == "GaussianRational(Fraction(1, 2), Fraction(-2, 1))"
+    assert repr(ONE / 3) == "GaussianRational(Fraction(1, 3), Fraction(0, 1))"
+    assert str(ONE / 3) == "1/3" and str((ONE + I) / 2) == "1/2+1/2i"
