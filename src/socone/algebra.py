@@ -101,11 +101,10 @@ def build_algebra(n: int) -> SoAlgebra:
     return SoAlgebra(n, tuple(elements), {e.label: e for e in elements})
 
 
-def build_observables(n: int, algebra: SoAlgebra | None = None) -> list:
+def build_observables(n: int) -> list:
     """The commuting family X_1..X_n as a new list.
 
-    Commutation and X_j**3 = 0 are asserted once per n. algebra is
-    redundant and ignored: the algebra is a pure function of n.
+    Commutation and X_j**3 = 0 are asserted once per n.
     """
     return list(_observables(n))
 
@@ -165,11 +164,8 @@ def verify_relations(algebra: SoAlgebra) -> Report:
     return Report(f"bracket relations (n={n})", checks)
 
 
-def verify_observables(n: int, algebra: SoAlgebra | None = None) -> Report:
-    """Pairwise commutation and cube-nilpotency of the X family.
-
-    algebra is redundant and ignored: the algebra is a pure function of n.
-    """
+def verify_observables(n: int) -> Report:
+    """Pairwise commutation and cube-nilpotency of the X family."""
     alg = build_algebra(n)
     obs = build_observables(n)
     checks = []
@@ -217,32 +213,27 @@ _LABEL_RE = re.compile(r"^(R|L|X)(\d+)$|^rho0$|^rho(\d)(\d)$")
 class OperatorWord:
     """A scalar multiple of an ordered product of generator labels.
 
-    The empty word is the identity. realization selects how downstream
-    code interprets the labels: "matrix" (weight fixed at -2) or "fock"
-    (symbolic weight).
+    The empty word is the identity.
     """
 
     coeff: GaussianRational
     factors: tuple
-    realization: str = "matrix"
 
     @classmethod
-    def identity(cls, realization: str = "matrix"):
-        return cls(gr(1), (), realization)
+    def identity(cls):
+        return cls(gr(1), ())
 
     @classmethod
-    def of(cls, *labels, coeff=1, realization="matrix"):
+    def of(cls, *labels, coeff=1):
         for label in labels:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"unknown generator label {label!r}")
-        return cls(GaussianRational.coerce(coeff), tuple(labels), realization)
+        return cls(GaussianRational.coerce(coeff), tuple(labels))
 
     def __mul__(self, other):
         if not isinstance(other, OperatorWord):
             return NotImplemented
-        return OperatorWord(
-            self.coeff * other.coeff, self.factors + other.factors, self.realization
-        )
+        return OperatorWord(self.coeff * other.coeff, self.factors + other.factors)
 
 
 def _adjoint_label(label: str):
@@ -269,7 +260,7 @@ def formal_adjoint(word: OperatorWord) -> OperatorWord:
         factors.append(out)
         if sign < 0:
             coeff = -coeff
-    return OperatorWord(coeff, tuple(factors), word.realization)
+    return OperatorWord(coeff, tuple(factors))
 
 
 def word_to_matrix(algebra: SoAlgebra, word: OperatorWord) -> DenseMatrix:

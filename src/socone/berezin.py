@@ -20,7 +20,7 @@ from .fock import (
     pair,
 )
 from .matrices import DenseMatrix, exp_nilpotent_apply
-from .poly import MultiPoly, TAU, _mono_group_degree
+from .poly import MultiPoly, TAU
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
 from .states import (
@@ -154,9 +154,7 @@ def verify_raising_identity(n: int, degree_bound: int = 4) -> Report:
         )
     _, series = leibniz_closed_form(n, degree_bound)
     for j in range(1, n + 1):
-        fock_num = fock_pairing_series(
-            OperatorWord.of(f"R{j}", realization="fock"), n, degree_bound
-        )
+        fock_num = fock_pairing_series(OperatorWord.of(f"R{j}"), n, degree_bound)
         checks.append(
             CheckResult(
                 f"Fock numerator for R{j} is d/dv{j} of the pairing series",
@@ -186,9 +184,7 @@ def verify_pde_system(n: int) -> Report:
             + Fraction(1, 2) * TAU * v2 * base.diff(f"v{j}")
         )
         checks.append(CheckResult(f"first-order identity for j={j}", lhs == rhs))
-        degrees = {
-            sum(e for name, e in mono if name == "t") for mono in lhs.terms
-        } | {sum(e for name, e in mono if name == "t") for mono in rhs.terms}
+        degrees = lhs.degrees("t") | rhs.degrees("t")
         checks.append(
             CheckResult(f"t-homogeneity of degree 1 for j={j}", degrees <= {1})
         )
@@ -311,8 +307,7 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
     derivatives = {}
 
     def low(value):
-        terms = MultiPoly.coerce(value).terms
-        return {m: c for m, c in terms.items() if _mono_group_degree(m, "v") <= safe}
+        return MultiPoly.coerce(value).truncate({"v": safe}).terms
 
     for word in words:
         direct = psi
@@ -367,9 +362,7 @@ def hat_from_pde_check(n: int, degree_bound: int) -> Report:
 
 def vacuum_symbol_check(n: int, degree_bound: int = 3) -> Report:
     """The transform of rho0 at w=v=0 is the weight itself."""
-    num, den = berezin_symbol_series(
-        OperatorWord.of("rho0", realization="fock"), n, degree_bound
-    )
+    num, den = berezin_symbol_series(OperatorWord.of("rho0"), n, degree_bound)
     zero_point = {}
     for j in range(1, n + 1):
         zero_point[f"w{j}"] = 0

@@ -473,10 +473,7 @@ class GramMatrix:
         powers = [(1, 1)]
         for (k, m), poly in self.entries.items():
             num, den = 0, 1
-            for mono, coeff in poly.terms.items():
-                if mono and (len(mono) != 1 or mono[0][0] != TAU_NAME):
-                    raise ValueError(f"{poly} is not a polynomial in t alone")
-                e = mono[0][1] if mono else 0
+            for e, coeff in poly.powers_of(TAU_NAME):
                 while len(powers) <= e:
                     p, q = powers[-1]
                     powers.append((p * tau.numerator, q * tau.denominator))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matrices import DenseMatrix
-from .poly import MultiPoly, var_key
+from .poly import MultiPoly
 from .scalars import GaussianRational
 
 
@@ -25,8 +25,9 @@ def fraction_from_str(text: str) -> Fraction:
 
 
 def gaussian_to_json(value: GaussianRational) -> dict:
+    # the parts are an int or a Fraction in lowest terms already
     value = GaussianRational.coerce(value)
-    return {"re": fraction_to_str(value.re), "im": fraction_to_str(value.im)}
+    return {"re": str(value.re), "im": str(value.im)}
 
 
 def gaussian_from_json(obj: dict) -> GaussianRational:
@@ -44,8 +45,7 @@ def matrix_from_json(rows: list) -> DenseMatrix:
 def poly_to_json(poly: MultiPoly) -> list:
     out = []
     for mono, coeff in poly.canonical_items():
-        exps = {name: e for name, e in sorted(mono, key=lambda it: var_key(it[0]))}
-        out.append({"exps": exps, "coeff": gaussian_to_json(coeff)})
+        out.append({"exps": dict(mono), "coeff": gaussian_to_json(coeff)})
     return out
 
 

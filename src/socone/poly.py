@@ -9,14 +9,29 @@ untruncated result. The weight parameter "t" is never truncated; series
 with symbolic exponents expand Pochhammer factors into polynomials in t.
 
 Coefficients are GaussianRational, so all arithmetic is exact.
+
+A monomial is one int, a packed exponent word (Monagan and Pearce, CASC
+2007): a 16-bit field per variable holds its exponent, and a 16-bit field
+per group holds the group's total degree. A name takes its field the first
+time it is seen, above every field taken before, so words already built
+stay valid. A product of monomials is one int add, and a truncation test
+one more add and an AND. Words are decoded to (name, exponent) pairs in
+var_key order only where monomials meet the outside: the constructor,
+coefficient, subs, split_groups and split_index, the leading term of
+exact_divide, and the printed and JSON forms, which sort in graded
+lexicographic order. So the order in which names were first seen never
+reaches an output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
+from itertools import compress
 from math import factorial
-from operator import add, le, mul
+from operator import ge, itemgetter, mul, or_
+from sys import byteorder
+from threading import Lock
 
 from .scalars import GaussianRational
 
@@ -25,13 +40,80 @@ _GROUP_ORDER = {"v": 0, "w": 1, "z": 2, "x": 3}
 # the canonical symbolic weight parameter ("tau" in formulas)
 TAU_NAME = "t"
 
+# Field layout of a monomial word. A stored exponent or group degree is
+# below _LIMIT, so the sum of two stays below the guard bit (the bit in
+# between is headroom) and adding two words never carries between fields.
+_BITS = 16  # the decoder reads the fields as a C unsigned short array
+_FIELD = (1 << _BITS) - 1
+_GUARD = 1 << (_BITS - 1)
+_LIMIT = 1 << (_BITS - 2)
+_OVERFLOW = f"a monomial exponent or group degree reached {_LIMIT}"
 
-@cache
+# The layout only grows. It changes under _LAYOUT_LOCK, and readers take
+# one snapshot of the decoder, so threads may share it.
+_LAYOUT_LOCK = Lock()
+_INFO = {}  # name -> (group, index, var_key, unit word, shift of its field)
+_GROUP_SHIFT = {}  # group -> shift of its degree field
+_OFFSETS = {}  # truncation items -> (offset, guards, heads), see _offsets
+_fields = 0  # fields taken so far
+
+
+class _Decoder:
+    """Reads words of one layout: the exponents of all registered names,
+    in (var_key, name) order, as a tuple."""
+
+    __slots__ = ("names", "size", "pick")
+
+    def __init__(self):
+        self.names = tuple(sorted(_INFO, key=lambda n: (_INFO[n][2], n)))
+        self.size = _fields * _BITS // 8
+        fields = [_INFO[n][4] // _BITS for n in self.names]
+        if len(fields) == 1:
+            self.pick = lambda array, i=fields[0]: (array[i],)
+        else:
+            self.pick = itemgetter(*fields)
+
+    def exponents(self, word: int) -> tuple:
+        return self.pick(memoryview(word.to_bytes(self.size, byteorder)).cast("H"))
+
+    def monomial(self, exps: tuple) -> tuple:
+        """The (name, exponent) pairs, in var_key order, of exponents()."""
+        return tuple(zip(compress(self.names, exps), compress(exps, exps)))
+
+    def grlex(self, word: int) -> tuple:
+        # graded lexicographic order: the larger key is the leading term
+        exps = self.exponents(word)
+        return sum(exps), exps
+
+
+_decoder = None  # the _Decoder of the current layout
+
+
+def _take_field() -> int:
+    global _fields
+    _fields += 1
+    _OFFSETS.clear()  # the cached offsets lack the new field
+    return (_fields - 1) * _BITS
+
+
+def _group_field(group: str) -> int:
+    """The shift of a group's degree field; call with _LAYOUT_LOCK held."""
+    shift = _GROUP_SHIFT.get(group)
+    if shift is None:
+        shift = _GROUP_SHIFT[group] = _take_field()
+    return shift
+
+
 def _name_info(name: str) -> tuple:
-    """(group, index, var_key) of a variable name, parsed once per name.
+    """(group, index, var_key, unit, shift) of a variable name, parsed once.
 
-    A bad name raises ValueError on every call: exceptions are not cached.
+    The first call registers the name: its exponent field at shift and, for
+    a new group, the group's degree field. unit is the word of the variable
+    itself. A bad name raises ValueError on every call.
     """
+    info = _INFO.get(name)
+    if info is not None:
+        return info
     i = 0
     while i < len(name) and name[i].isalpha():
         i += 1
@@ -43,7 +125,16 @@ def _name_info(name: str) -> tuple:
         rank = 1_000_000
     else:
         rank = _GROUP_ORDER.get(group, 500_000)
-    return group, index, (rank, group, index)
+    global _decoder
+    with _LAYOUT_LOCK:
+        info = _INFO.get(name)
+        if info is None:
+            gshift = _group_field(group)
+            shift = _take_field()
+            unit = (1 << shift) | (1 << gshift)
+            info = _INFO[name] = (group, index, (rank, group, index), unit, shift)
+            _decoder = _Decoder()
+    return info
 
 
 def group_of(name: str) -> str:
@@ -55,56 +146,83 @@ def var_key(name: str):
     return _name_info(name)[2]
 
 
-# A monomial is a tuple of (name, exponent) pairs, sorted by var_key,
-# with no zero exponents.
-def _mono(items) -> tuple:
-    cleaned = [(n, e) for n, e in items if e]
-    cleaned.sort(key=lambda it: _name_info(it[0])[2])
-    return tuple(cleaned)
+def _decode(word: int) -> tuple:
+    """The monomial as (name, exponent) pairs in var_key order."""
+    decoder = _decoder
+    return decoder.monomial(decoder.exponents(word))
 
 
-def _mono_sum(items) -> tuple:
-    """The monomial of (name, exponent) pairs in any order, exponents of a
-    repeated name summed."""
+def _pack(items) -> int:
+    """The word of (name, exponent) pairs in any order; the exponents of a
+    repeated name add."""
     exps = {}
     for name, e in items:
         exps[name] = exps.get(name, 0) + e
-    return _mono(exps.items())
+    word = 0
+    degrees = {}
+    for name, e in exps.items():
+        if not e:
+            continue
+        if not 0 < e < _LIMIT:
+            raise ValueError(f"exponent {e} of {name} is outside 0..{_LIMIT - 1}")
+        group, _, _, _, shift = _name_info(name)
+        word += e << shift
+        degrees[group] = degrees.get(group, 0) + e
+    for group, d in degrees.items():
+        if d >= _LIMIT:
+            raise ValueError(_OVERFLOW)
+        word += d << _GROUP_SHIFT[group]
+    return word
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return _mono(exps.items())
+def _group_mask(groups) -> int:
+    """Every field of the given groups: degree and exponent fields."""
+    mask = 0
+    for group, _, _, _, shift in tuple(_INFO.values()):
+        if group in groups:
+            mask |= (_FIELD << shift) | (_FIELD << _GROUP_SHIFT[group])
+    return mask
 
 
-def _mono_degree(mono: tuple) -> int:
-    return sum(e for _, e in mono)
+def _offsets(trunc: dict) -> tuple:
+    """(offset, guards, heads) of a truncation, cached per bound items.
 
-
-def _mono_group_degree(mono: tuple, group: str) -> int:
-    return sum(e for name, e in mono if _name_info(name)[0] == group)
-
-
-def _group_degrees(mono: tuple, groups: tuple) -> tuple:
-    return tuple(_mono_group_degree(mono, g) for g in groups)
-
-
-def _mono_sort_key(mono: tuple):
-    # graded lexicographic, leading (highest) term first
-    return (-_mono_degree(mono), tuple((_name_info(n)[2], -e) for n, e in mono))
+    offset holds guard - 1 - bound in each bounded group's degree field and
+    _LIMIT in every other one, so a word w lies within the bounds and its
+    fields within range exactly when (w + offset) & guards is 0, where
+    guards holds the guard bit of every degree field. For a sum of two
+    words, which may reach past _LIMIT, w & heads tells an out-of-range
+    unbounded degree from a bound exceeded.
+    """
+    key = tuple(trunc.items())
+    hit = _OFFSETS.get(key)
+    if hit is not None:
+        return hit
+    with _LAYOUT_LOCK:
+        bounded = {
+            _group_field(g): max(b, -1) for g, b in trunc.items() if b < _LIMIT
+        }
+        offset = guards = heads = 0
+        for shift in _GROUP_SHIFT.values():
+            guards |= _GUARD << shift
+            b = bounded.get(shift)
+            if b is None:
+                offset |= _LIMIT << shift
+                heads |= _LIMIT << shift
+            else:
+                offset |= (_GUARD - 1 - b) << shift
+        if len(_OFFSETS) > 255:
+            _OFFSETS.clear()
+        hit = _OFFSETS[key] = (offset, guards, heads)
+    return hit
 
 
 def _merge_trunc(a: dict, b: dict) -> dict:
+    # bound dicts are never mutated, so a result may share an operand's
+    if a is b or not b:
+        return a
     if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
+        return b
     merged = dict(a)
     for g, bound in b.items():
         merged[g] = min(merged.get(g, bound), bound)
@@ -114,12 +232,8 @@ def _merge_trunc(a: dict, b: dict) -> dict:
 def _clip(terms: dict, trunc: dict) -> dict:
     if not trunc:
         return terms
-    groups, bounds = tuple(trunc), tuple(trunc.values())
-    return {
-        mono: coeff
-        for mono, coeff in terms.items()
-        if all(map(le, _group_degrees(mono, groups), bounds))
-    }
+    offset, guards, _ = _offsets(trunc)
+    return {m: c for m, c in terms.items() if not (m + offset) & guards}
 
 
 class MultiPoly:
@@ -130,35 +244,32 @@ class MultiPoly:
     def __init__(self, terms=None, trunc=None):
         """terms maps monomials, given as (name, exponent) pairs in any
         order, to coefficients; monomials equal after sorting, dropping
-        zero exponents and summing repeated names are added together."""
+        zero exponents and summing repeated names are added together.
+        A negative exponent, or an exponent or group degree of 2**14 or
+        more, raises ValueError."""
         summed = {}
         for mono, coeff in (terms or {}).items():
-            key = _mono_sum(mono)
+            key = _pack(mono)
             c = GaussianRational.coerce(coeff)
             summed[key] = summed[key] + c if key in summed else c
         t = dict(trunc) if trunc else {}
         cleaned = {m: c for m, c in summed.items() if c}
-        object.__setattr__(self, "terms", _clip(cleaned, t))
-        object.__setattr__(self, "trunc", t)
-
-    @classmethod
-    def _make(cls, terms: dict, trunc: dict) -> "MultiPoly":
-        """Wrap terms that already have nonzero GaussianRational coefficients
-        and lie within trunc, unchecked. Neither dict may be mutated later."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "trunc", trunc)
-        return self
+        _set_terms(self, _clip(cleaned, t))
+        _set_trunc(self, t)
 
     @classmethod
     def _clipped(cls, terms: dict, trunc=None) -> "MultiPoly":
         """Wrap canonical terms with nonzero GaussianRational coefficients,
         dropping those beyond trunc."""
         t = dict(trunc) if trunc else {}
-        return cls._make(_clip(terms, t), t)
+        return _make(_clip(terms, t), t)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        # field positions differ between processes, so monomials travel decoded
+        return MultiPoly, (self.decoded_terms(), self.trunc)
 
     # -- constructors --------------------------------------------------------
 
@@ -169,12 +280,11 @@ class MultiPoly:
     @classmethod
     def const(cls, value, trunc=None):
         c = GaussianRational.coerce(value)
-        return cls._clipped({(): c} if c else {}, trunc)
+        return cls._clipped({0: c} if c else {}, trunc)
 
     @classmethod
     def var(cls, name: str, trunc=None):
-        _name_info(name)  # validates
-        return cls._clipped({((name, 1),): GaussianRational(1)}, trunc)
+        return cls._clipped({_name_info(name)[3]: GaussianRational(1)}, trunc)
 
     @staticmethod
     def coerce(value, trunc=None) -> "MultiPoly":
@@ -185,27 +295,30 @@ class MultiPoly:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
+            other = MultiPoly.const(other)
         trunc = _merge_trunc(self.trunc, other.trunc)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = terms.get(mono)
-            s = coeff if acc is None else acc + coeff
-            if s:
-                terms[mono] = s
-            elif acc is not None:
-                del terms[mono]
+            if acc is None:
+                terms[mono] = coeff
+            else:
+                s = acc + coeff
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
         if trunc != self.trunc or trunc != other.trunc:
             terms = _clip(terms, trunc)
-        return MultiPoly._make(terms, trunc)
+        return _make(terms, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._make({m: -c for m, c in self.terms.items()}, self.trunc)
+        return _make({m: -c for m, c in self.terms.items()}, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -218,34 +331,39 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, MultiPoly):
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
             c = GaussianRational.coerce(other)
             if not c:
                 return MultiPoly.zero(self.trunc)
             terms = {m: k * c for m, k in self.terms.items()}
-            return MultiPoly._make(terms, self.trunc)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+            return _make(terms, self.trunc)
         trunc = _merge_trunc(self.trunc, other.trunc)
-        groups, bounds = tuple(trunc), tuple(trunc.values())
-        right = [(m, c, _group_degrees(m, groups)) for m, c in other.terms.items()]
+        offset, guards, heads = _offsets(trunc)
+        right = list(other.terms.items())
         out = {}
         for m1, c1 in self.terms.items():
-            d1 = _group_degrees(m1, groups)
-            for m2, c2, d2 in right:
-                # group degrees add under multiplication, so a product beyond
-                # the bounds is dropped before its monomial is formed
-                if groups and not all(map(le, map(add, d1, d2), bounds)):
+            for m2, c2 in right:
+                # exponents and group degrees add with the words; a product
+                # beyond the bounds is dropped before its coefficient is formed
+                mono = m1 + m2
+                if (mono + offset) & guards:
+                    if mono & heads:
+                        raise ValueError(_OVERFLOW)
                     continue
-                mono = _mono_mul(m1, m2)
                 c = c1 * c2
                 acc = out.get(mono)
-                s = c if acc is None else acc + c
-                if s:
-                    out[mono] = s
-                elif acc is not None:
-                    del out[mono]
-        return MultiPoly._make(out, trunc)
+                if acc is None:
+                    # both coefficients are nonzero, and so is their product
+                    out[mono] = c
+                else:
+                    s = acc + c
+                    if s:
+                        out[mono] = s
+                    else:
+                        del out[mono]
+        return _make(out, trunc)
 
     __rmul__ = __mul__
 
@@ -283,11 +401,11 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not m for m in self.terms)
+        return self.terms.keys() <= {0}
 
     @property
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((), GaussianRational(0))
+        return self.terms.get(0, GaussianRational(0))
 
     def as_gaussian(self) -> GaussianRational:
         if not self.is_constant:
@@ -295,18 +413,45 @@ class MultiPoly:
         return self.constant_term
 
     def variables(self) -> set:
-        return {n for m in self.terms for n, _ in m}
+        used = reduce(or_, self.terms, 0)
+        return {n for n, info in tuple(_INFO.items()) if (used >> info[4]) & _FIELD}
 
     def degree(self, group: str | None = None) -> int:
         """Total degree, or total degree within one group. Zero poly gives -1."""
         if not self.terms:
             return -1
         if group is None:
-            return max(_mono_degree(m) for m in self.terms)
-        return max(_mono_group_degree(m, group) for m in self.terms)
+            decoder = _decoder
+            return max(sum(decoder.exponents(m)) for m in self.terms)
+        return max(self.degrees(group))
+
+    def degrees(self, group: str) -> set:
+        """The total degrees within one group of the terms."""
+        shift = _GROUP_SHIFT.get(group)
+        if shift is None:
+            return {0} if self.terms else set()
+        return {(m >> shift) & _FIELD for m in self.terms}
+
+    def powers_of(self, name: str) -> list:
+        """(exponent, coefficient) of each term of a polynomial in name
+        alone; ValueError if another variable occurs."""
+        info = _INFO.get(name)
+        unit, shift = (info[3], info[4]) if info else (0, 0)
+        out = []
+        for m, c in self.terms.items():
+            e = (m >> shift) & _FIELD if unit else 0
+            if m != e * unit:
+                raise ValueError(f"{self} is not a polynomial in {name} alone")
+            out.append((e, c))
+        return out
 
     def coefficient(self, mono_items) -> GaussianRational:
-        return self.terms.get(_mono_sum(mono_items), GaussianRational(0))
+        return self.terms.get(_pack(mono_items), GaussianRational(0))
+
+    def decoded_terms(self) -> dict:
+        """terms keyed by monomials as (name, exponent) pairs in var_key
+        order, in the same order as terms."""
+        return {_decode(m): c for m, c in self.terms.items()}
 
     # -- calculus and rewriting -------------------------------------------------
 
@@ -314,18 +459,16 @@ class MultiPoly:
         return MultiPoly._clipped(self.terms, _merge_trunc(self.trunc, bounds))
 
     def drop_truncation(self) -> "MultiPoly":
-        return MultiPoly._make(self.terms, {})
+        return _make(self.terms, {})
 
     def diff(self, name: str) -> "MultiPoly":
+        _, _, _, unit, shift = _name_info(name)
         out = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(name, 0)
-            if not e:
-                continue
-            exps[name] = e - 1
-            out[_mono(exps.items())] = coeff * e
-        return MultiPoly._make(out, self.trunc)
+            e = (mono >> shift) & _FIELD
+            if e:
+                out[mono - unit] = coeff * e
+        return _make(out, self.trunc)
 
     def subs(self, assignments: dict) -> "MultiPoly":
         """Substitute variables by scalars or polynomials.
@@ -337,31 +480,36 @@ class MultiPoly:
         items = assignments.items()
         polys = {n: v for n, v in items if isinstance(v, MultiPoly)}
         scalars = {n: GaussianRational.coerce(v) for n, v in items if n not in polys}
+        # the exponent fields of the assigned names; other terms pass through
+        touched = 0
+        for name in assignments:
+            if name in _INFO:
+                touched |= _FIELD << _INFO[name][4]
         terms = {}
         products = MultiPoly.zero(self.trunc)
         for mono, coeff in self.terms.items():
-            rest, pieces = [], []
-            for name, e in mono:
-                if name in polys:
-                    pieces.append(polys[name] ** e)
-                elif name in scalars:
-                    for _ in range(e):
-                        coeff = coeff * scalars[name]
-                else:
-                    rest.append((name, e))
+            rest, pieces = mono, []
+            if mono & touched:
+                for name, e in _decode(mono):
+                    if name in polys:
+                        pieces.append(polys[name] ** e)
+                        rest -= e * _INFO[name][3]
+                    elif name in scalars:
+                        for _ in range(e):
+                            coeff = coeff * scalars[name]
+                        rest -= e * _INFO[name][3]
             if pieces:
-                factor = MultiPoly._make({tuple(rest): coeff} if coeff else {}, self.trunc)
+                factor = _make({rest: coeff} if coeff else {}, self.trunc)
                 products = products + reduce(mul, pieces, factor)
             else:
-                # the untouched variables keep their order and stay in bounds
-                key = tuple(rest)
-                terms[key] = terms[key] + coeff if key in terms else coeff
+                # the untouched variables stay in bounds
+                terms[rest] = terms[rest] + coeff if rest in terms else coeff
         terms = {m: c for m, c in terms.items() if c}
-        return MultiPoly._make(terms, self.trunc) + products
+        return _make(terms, self.trunc) + products
 
     def conj(self) -> "MultiPoly":
         """Conjugate the coefficients; the indeterminates are treated as real."""
-        return MultiPoly._make({m: c.conj() for m, c in self.terms.items()}, self.trunc)
+        return _make({m: c.conj() for m, c in self.terms.items()}, self.trunc)
 
     def split_groups(self, groups) -> dict:
         """Group terms by their monomial part in the given variable groups.
@@ -369,25 +517,27 @@ class MultiPoly:
         Returns a map from that monomial part to the polynomial cofactor in
         the remaining variables (truncation metadata is dropped on pieces).
         """
-        groups = set(groups)
-        buckets = {}
-        for mono, coeff in self.terms.items():
-            # both parts of a sorted monomial are sorted monomials already
-            key = tuple(it for it in mono if _name_info(it[0])[0] in groups)
-            rest = tuple(it for it in mono if _name_info(it[0])[0] not in groups)
-            buckets.setdefault(key, {})[rest] = coeff
-        return {key: MultiPoly._make(terms, {}) for key, terms in buckets.items()}
+        return {_decode(key): cofactor for key, cofactor in self._split(groups)}
 
     def split_index(self, group: str, n: int) -> dict:
         """split_groups for one group, keyed by multi-index: the cofactor of
         group1^k1 ... groupn^kn is stored under (k1, ..., kn)."""
         out = {}
-        for mono, cofactor in self.split_groups({group}).items():
+        for key, cofactor in self._split({group}):
             k = [0] * n
-            for name, e in mono:
-                k[_name_info(name)[1] - 1] = e
+            for name, e in _decode(key):
+                k[_INFO[name][1] - 1] = e
             out[tuple(k)] = cofactor
         return out
+
+    def _split(self, groups) -> list:
+        """(word in the groups, cofactor) pairs of split_groups."""
+        mask = _group_mask(set(groups))
+        buckets = {}
+        for mono, coeff in self.terms.items():
+            key = mono & mask
+            buckets.setdefault(key, {})[mono - key] = coeff
+        return [(key, _make(terms, {})) for key, terms in buckets.items()]
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ValueError if it does not divide.
@@ -398,35 +548,31 @@ class MultiPoly:
             raise ValueError("exact_divide requires untruncated polynomials")
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        lead = min(divisor.terms, key=_mono_sort_key)
+        decoder = _decoder
+        lead = max(divisor.terms, key=decoder.grlex)
         lead_coeff = divisor.terms[lead]
-        lead_exps = dict(lead)
+        lead_exps = decoder.exponents(lead)
         remainder = self
         quotient = {}
         while remainder.terms:
-            rm = min(remainder.terms.keys(), key=_mono_sort_key)
-            exps = dict(rm)
-            q_exps = {}
-            for name, e in lead_exps.items():
-                d = exps.get(name, 0) - e
-                if d < 0:
-                    raise ValueError("not exactly divisible")
-                q_exps[name] = d
-            for name, e in exps.items():
-                if name not in lead_exps:
-                    q_exps[name] = e
-            q_mono = _mono(q_exps.items())
+            rm = max(remainder.terms, key=decoder.grlex)
+            if not all(map(ge, decoder.exponents(rm), lead_exps)):
+                raise ValueError("not exactly divisible")
+            q_mono = rm - lead
             q_coeff = remainder.terms[rm] / lead_coeff
             quotient[q_mono] = quotient.get(q_mono, GaussianRational(0)) + q_coeff
-            remainder = remainder - MultiPoly._make({q_mono: q_coeff}, {}) * divisor
-        return MultiPoly(quotient)
+            remainder = remainder - _make({q_mono: q_coeff}, {}) * divisor
+        return _make({m: c for m, c in quotient.items() if c}, {})
 
     # -- display -------------------------------------------------------------------
 
-    def canonical_items(self):
-        """Terms in graded lexicographic order, leading term first."""
-        for mono in sorted(self.terms, key=_mono_sort_key):
-            yield mono, self.terms[mono]
+    def canonical_items(self) -> list:
+        """(monomial, coefficient) pairs in graded lexicographic order,
+        leading term first, each monomial as (name, exponent) pairs in
+        var_key order."""
+        decoder, terms = _decoder, self.terms
+        rows = sorted(((decoder.grlex(m), m) for m in terms), reverse=True)
+        return [(decoder.monomial(exps), terms[m]) for (_, exps), m in rows]
 
     def _render(self, power_fmt, name_fmt, coeff_fmt, sep):
         if not self.terms:
@@ -470,7 +616,7 @@ class MultiPoly:
 
     def latex(self) -> str:
         def name_fmt(n):
-            group, index, _ = _name_info(n)
+            group, index = _name_info(n)[:2]
             if group == TAU_NAME and not index:
                 return r"\tau"
             return f"{group}_{{{index}}}" if index else group
@@ -481,6 +627,20 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+_new = object.__new__
+_set_terms = MultiPoly.terms.__set__
+_set_trunc = MultiPoly.trunc.__set__
+
+
+def _make(terms: dict, trunc: dict) -> MultiPoly:
+    """Wrap terms that already have nonzero GaussianRational coefficients
+    and lie within trunc, unchecked. Neither dict may be mutated later."""
+    self = _new(MultiPoly)
+    _set_terms(self, terms)
+    _set_trunc(self, trunc)
+    return self
 
 
 TAU = MultiPoly.var(TAU_NAME)
@@ -501,6 +661,12 @@ def _exponent_poly(exponent) -> MultiPoly:
     raise TypeError(f"unsupported series exponent {exponent!r}")
 
 
+def _has_pure_t_term(p: MultiPoly) -> bool:
+    """Whether a term of p, the constant included, lies in group t alone."""
+    t_fields = _group_mask({TAU_NAME})
+    return any(not m & ~t_fields for m in p.terms)
+
+
 def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     """Truncated binomial series for base**exponent.
 
@@ -518,9 +684,8 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     groups = {_name_info(n)[0] for n in base.variables()} - {TAU_NAME}
     work = base.truncate({g: bound for g in groups})
     u = MultiPoly.const(1, work.trunc) - work
-    for mono in u.terms:
-        if all(_name_info(n)[0] == TAU_NAME for n, _ in mono):
-            raise ValueError("series does not terminate: base has a pure-t term")
+    if _has_pure_t_term(u):
+        raise ValueError("series does not terminate: base has a pure-t term")
     acc = MultiPoly.const(1, work.trunc)
     upow = MultiPoly.const(1, work.trunc)
     poch = MultiPoly.const(1)
@@ -548,9 +713,8 @@ def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
         raise ValueError("exp_series requires zero constant term")
     groups = {_name_info(n)[0] for n in argument.variables()} - {TAU_NAME}
     work = argument.truncate({g: bound for g in groups})
-    for mono in work.terms:
-        if all(_name_info(n)[0] == TAU_NAME for n, _ in mono):
-            raise ValueError("series does not terminate: argument has a pure-t term")
+    if _has_pure_t_term(work):
+        raise ValueError("series does not terminate: argument has a pure-t term")
     acc = MultiPoly.const(1, work.trunc)
     pw = MultiPoly.const(1, work.trunc)
     m = 0

@@ -75,10 +75,9 @@ class ZCoordinates:
         return cls(n, z, zeta2_value(z), h2_value(z))
 
 
-def exp_zX_vacuum(z, algebra=None) -> StateVector:
+def exp_zX_vacuum(z) -> StateVector:
     """exp(z.X) applied to the vacuum, via the nilpotent exponential, checked
-    against the closed quadratic form. algebra is redundant and ignored: the
-    algebra is a pure function of n."""
+    against the closed quadratic form."""
     n = len(z)
     comps = [_coerce_entry(c) for c in z]
     obs = build_observables(n)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import SoAlgebra, build_algebra
+from .algebra import build_algebra
 from .matrices import DenseMatrix, _coerce_entry, exp_nilpotent_apply
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
@@ -75,10 +75,9 @@ class StateVector:
     __hash__ = None
 
 
-def vacuum(n: int, algebra: SoAlgebra | None = None) -> StateVector:
+def vacuum(n: int) -> StateVector:
     """The vacuum (0,..,0,1,i); its annihilation properties are asserted
-    once per n. algebra is redundant and ignored: the algebra is a pure
-    function of n.
+    once per n.
     """
     return _vacuum(n)
 
@@ -110,11 +109,8 @@ def coherent_closed_form(v) -> StateVector:
     return StateVector(spatial + (1 + v2, _I * (1 - v2)))
 
 
-def coherent_state(v, algebra: SoAlgebra | None = None) -> StateVector:
-    """exp(v.R) applied to the vacuum, computed two ways and asserted equal.
-
-    algebra is redundant and ignored: the algebra is a pure function of n.
-    """
+def coherent_state(v) -> StateVector:
+    """exp(v.R) applied to the vacuum, computed two ways and asserted equal."""
     n = len(v)
     alg = build_algebra(n)
     comps = [_coerce_entry(c) for c in v]
@@ -187,13 +183,12 @@ def leibniz_base_value(w, v):
     return 1 - 2 * wv + w2 * v2
 
 
-def leibniz_from_matrices(w, v, algebra: SoAlgebra | None = None):
+def leibniz_from_matrices(w, v):
     """Pairing of two coherent states through the matrix pipeline.
 
     Applies exp(w.L) to exp(v.R) vacuum, reads off the scale factor, and
     asserts it equals 1 - 2 w.v + (w.w)(v.v). Works on exact numbers and on
-    symbolic components alike. algebra is redundant and ignored: the
-    algebra is a pure function of n.
+    symbolic components alike.
     """
     n = len(w)
     if len(v) != n:

@@ -45,7 +45,7 @@ def _report(number, passed, note=""):
 def test_criterion_01_tabulated_matrices():
     t0 = time.perf_counter()
     alg = build_algebra(3)
-    obs = {e.label: e.matrix for e in build_observables(3, alg)}
+    obs = {e.label: e.matrix for e in build_observables(3)}
     ok = (
         pairs_equal(mat_from_dense(alg.R(1)), R1_TAB)
         and pairs_equal(mat_from_dense(alg.L(1)), L1_TAB)
@@ -63,7 +63,7 @@ def test_criterion_02_relation_suite():
     for n in range(1, 5):
         alg = build_algebra(n)
         ok = ok and verify_relations(alg).all_passed
-        obs = build_observables(n, alg)
+        obs = build_observables(n)
         zero = DenseMatrix.zeros(n + 2)
         for a in range(n):
             for b in range(n):
@@ -81,11 +81,10 @@ def test_criterion_03_leibniz_pairing():
     rng = random.Random(0)
     ok = True
     for n in (1, 2, 3):
-        alg = build_algebra(n)
         for _ in range(50):
             w = [rand_fraction(rng) for _ in range(n)]
             v = [rand_fraction(rng) for _ in range(n)]
-            ok = ok and leibniz_from_matrices(w, v, alg) == leibniz_base_value(w, v)
+            ok = ok and leibniz_from_matrices(w, v) == leibniz_base_value(w, v)
     for n in (1, 2):
         w = [MultiPoly.var(f"w{j}") for j in range(1, n + 1)]
         v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]

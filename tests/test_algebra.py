@@ -71,7 +71,7 @@ def test_build_rho_definition():
 
 def test_tabulated_n3_matrices_reproduced():
     alg = build_algebra(3)
-    obs = {e.label: e.matrix for e in build_observables(3, alg)}
+    obs = {e.label: e.matrix for e in build_observables(3)}
     assert pairs_equal(mat_from_dense(alg.R(1)), R1_TAB)
     assert pairs_equal(mat_from_dense(alg.L(1)), L1_TAB)
     assert pairs_equal(mat_from_dense(obs["X1"]), X1_TAB)
@@ -150,7 +150,7 @@ def test_conjugation_recovers_observables(n):
 def test_conjugation_against_bracket_expansion_oracle():
     # exp(L1) R_j exp(-L1) = R_j + [L1, R_j] + (1/2)[L1, [L1, R_j]]
     alg = build_algebra(2)
-    obs = {e.label: e.matrix for e in build_observables(2, alg)}
+    obs = {e.label: e.matrix for e in build_observables(2)}
     l1 = mat_from_dense(alg.L(1))
     for j, expected in ((1, obs["X1"]), (2, gr(0, 1) * obs["X2"])):
         rj = mat_from_dense(alg.R(j))
@@ -212,7 +212,7 @@ def test_exp_inverse_on_nilpotent_orbit_elements(rng):
 
     n = 3
     alg = build_algebra(n)
-    obs = build_observables(n, alg)
+    obs = build_observables(n)
     wings = (
         [alg.R(j) for j in range(1, n + 1)],
         [alg.L(j) for j in range(1, n + 1)],

@@ -67,9 +67,7 @@ def test_symbol_series_closed_form():
     # cleared form: numerator * P = t (w_j - v_j w.w) * series(P^(-t/2))
     n, bound = 2, 4
     base = leibniz_base(n)
-    num, den = berezin_symbol_series(
-        OperatorWord.of("R1", realization="fock"), n, bound
-    )
+    num, den = berezin_symbol_series(OperatorWord.of("R1"), n, bound)
     w1 = MultiPoly.var("w1")
     v1 = MultiPoly.var("v1")
     w2sum = MultiPoly.var("w1") ** 2 + MultiPoly.var("w2") ** 2
@@ -153,6 +151,6 @@ def test_fock_pairing_series_identity_word():
     from socone.states import leibniz_closed_form
 
     n, bound = 2, 3
-    got = fock_pairing_series(OperatorWord.identity("fock"), n, bound)
+    got = fock_pairing_series(OperatorWord.identity(), n, bound)
     _, expected = leibniz_closed_form(n, bound)
     assert got == expected

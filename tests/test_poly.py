@@ -1,12 +1,19 @@
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import socone
 from socone.poly import MultiPoly, TAU, exp_series, group_of, series_power, var_key
 from socone.scalars import GaussianRational, gr
 
 from conftest import poch
+
+# the source tree of the socone under test, for fresh interpreters
+_SRC = str(Path(socone.__file__).resolve().parent.parent)
 
 V1 = MultiPoly.var("v1")
 V2 = MultiPoly.var("v2")
@@ -81,7 +88,7 @@ def test_subs_matches_the_polynomial_route(p, assignments):
     # reference: every value as a polynomial, const(coeff) * value ** e per term
     values = {name: MultiPoly.coerce(v) for name, v in assignments.items()}
     want = MultiPoly.zero(p.trunc)
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.decoded_terms().items():
         factor = MultiPoly.const(coeff, p.trunc)
         for name, e in mono:
             factor = factor * values.get(name, MultiPoly.var(name)) ** e
@@ -238,10 +245,10 @@ def test_sum_with_a_tighter_bound_is_clipped():
     # must be clipped again
     p = MultiPoly.var("v1") ** 3 + MultiPoly.var("w1")
     q = MultiPoly.zero({"v": 1})
-    assert (p + q).terms == {(("w1", 1),): gr(1)}
+    assert (p + q).decoded_terms() == {(("w1", 1),): gr(1)}
     assert (q + p).terms == (p + q).terms
     assert (p + q).trunc == {"v": 1}
-    assert (p * q.truncate({"w": 0}) + 1).terms == {(): gr(1)}
+    assert (p * q.truncate({"w": 0}) + 1).decoded_terms() == {(): gr(1)}
 
 
 def test_constructor_canonicalises_monomials():
@@ -251,8 +258,338 @@ def test_constructor_canonicalises_monomials():
     assert str(p) == "v1*w1"
     # zero exponents dropped, repeated names and equal monomials summed
     q = MultiPoly({(("v1", 1), ("w1", 0), ("v1", 1)): 2, (("v1", 2),): 3, (("t", 0),): 5})
-    assert q.terms == {(("v1", 2),): gr(5), (): gr(5)}
+    assert q.decoded_terms() == {(("v1", 2),): gr(5), (): gr(5)}
     assert q.coefficient([("v1", 1), ("v1", 1)]) == 5
     # terms that cancel after canonicalisation leave nothing
     r = MultiPoly({(("v1", 1), ("w1", 1)): 1, (("w1", 1), ("v1", 1)): -1}, {"v": 3})
     assert r.is_zero and r.trunc == {"v": 3}
+
+
+# -- packed monomials against the tuple-monomial arithmetic --------------------
+#
+# The reference keeps each monomial as a tuple of (name, exponent) pairs
+# sorted by var_key, the representation MultiPoly used before its monomials
+# became packed integer words, and repeats that arithmetic term by term.
+
+POOL = ["v1", "v2", "w1", "w2", "x1", "t", "a1", "a2", "b3"]
+POOL_GROUPS = ["v", "w", "x", "a", "b"]
+
+
+def ref_mono(items):
+    exps = {}
+    for name, e in items:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(((n, e) for n, e in exps.items() if e), key=lambda it: var_key(it[0])))
+
+
+def ref_group_degree(mono, group):
+    return sum(e for name, e in mono if group_of(name) == group)
+
+
+def ref_clip(terms, trunc):
+    return {
+        m: c
+        for m, c in terms.items()
+        if all(ref_group_degree(m, g) <= b for g, b in trunc.items())
+    }
+
+
+def ref_merge(a, b):
+    merged = dict(a)
+    for g, bound in b.items():
+        merged[g] = min(merged.get(g, bound), bound)
+    return merged
+
+
+def ref_accumulate(out, mono, c):
+    acc = out.get(mono)
+    s = c if acc is None else acc + c
+    if s:
+        out[mono] = s
+    elif acc is not None:
+        del out[mono]
+
+
+def ref_build(raw, trunc):
+    summed = {}
+    for items, c in raw.items():
+        key = ref_mono(items)
+        summed[key] = summed[key] + c if key in summed else c
+    return ref_clip({m: c for m, c in summed.items() if c}, trunc), dict(trunc)
+
+
+def ref_add(a, b):
+    trunc = ref_merge(a[1], b[1])
+    out = dict(a[0])
+    for m, c in b[0].items():
+        ref_accumulate(out, m, c)
+    return ref_clip(out, trunc), trunc
+
+
+def ref_mul(a, b):
+    trunc = ref_merge(a[1], b[1])
+    out = {}
+    for m1, c1 in a[0].items():
+        for m2, c2 in b[0].items():
+            mono = ref_mono(m1 + m2)
+            if all(ref_group_degree(mono, g) <= bd for g, bd in trunc.items()):
+                ref_accumulate(out, mono, c1 * c2)
+    return out, trunc
+
+
+def ref_diff(a, name):
+    out = {}
+    for m, c in a[0].items():
+        exps = dict(m)
+        e = exps.get(name, 0)
+        if e:
+            exps[name] = e - 1
+            out[ref_mono(exps.items())] = c * e
+    return out, a[1]
+
+
+def ref_subs(a, values):
+    terms = {}
+    for m, c in a[0].items():
+        rest = []
+        for name, e in m:
+            if name in values:
+                for _ in range(e):
+                    c = c * values[name]
+            else:
+                rest.append((name, e))
+        key = tuple(rest)
+        terms[key] = terms[key] + c if key in terms else c
+    return {m: c for m, c in terms.items() if c}, a[1]
+
+
+def ref_split(a, groups):
+    buckets = {}
+    for m, c in a[0].items():
+        key = tuple(it for it in m if group_of(it[0]) in groups)
+        rest = tuple(it for it in m if group_of(it[0]) not in groups)
+        buckets.setdefault(key, {})[rest] = c
+    return buckets
+
+
+def ref_grlex(mono):
+    return (-sum(e for _, e in mono), tuple((var_key(n), -e) for n, e in mono))
+
+
+def ref_exact_divide(a, b):
+    """Long division leading term first; None when it does not divide."""
+    lead = min(b, key=ref_grlex)
+    lead_exps = dict(lead)
+    rem, quotient = dict(a), {}
+    while rem:
+        rm = min(rem, key=ref_grlex)
+        exps = dict(rm)
+        if any(exps.get(n, 0) < e for n, e in lead_exps.items()):
+            return None
+        q = ref_mono([(n, exps[n] - lead_exps.get(n, 0)) for n in exps])
+        qc = rem[rm] / b[lead]
+        quotient[q] = quotient.get(q, gr(0)) + qc
+        for m, c in b.items():
+            ref_accumulate(rem, ref_mono(q + m), -qc * c)
+    return {m: c for m, c in quotient.items() if c}
+
+
+def same(p, ref):
+    # the same terms in the same insertion order, and the same bounds
+    assert list(p.decoded_terms().items()) == list(ref[0].items())
+    assert p.trunc == ref[1]
+
+
+_ref_coeffs = st.builds(
+    gr,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([0, 0, 1, Fraction(-1, 2)]),
+)
+_ref_raw = st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(POOL), st.integers(0, 3)), max_size=3).map(tuple),
+    _ref_coeffs,
+    max_size=5,
+)
+_ref_truncs = st.one_of(
+    st.just({}), st.dictionaries(st.sampled_from(POOL_GROUPS), st.integers(0, 3), max_size=3)
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.permutations(POOL),
+    _ref_raw,
+    _ref_truncs,
+    _ref_raw,
+    _ref_truncs,
+    st.sampled_from(POOL),
+    st.sets(st.sampled_from(POOL_GROUPS + ["t"]), max_size=3),
+    st.dictionaries(st.sampled_from(POOL), st.one_of(st.integers(-2, 2), _ref_coeffs)),
+)
+def test_packed_monomials_match_tuple_monomials(
+    order, raw_a, trunc_a, raw_b, trunc_b, name, groups, values
+):
+    for n in order:  # names first seen in a drawn order
+        var_key(n)
+    a, b = MultiPoly(raw_a, trunc_a), MultiPoly(raw_b, trunc_b)
+    ra, rb = ref_build(raw_a, trunc_a), ref_build(raw_b, trunc_b)
+    same(a, ra)
+    same(a + b, ref_add(ra, rb))
+    same(a * b, ref_mul(ra, rb))
+    same(b * a, ref_mul(rb, ra))
+    same(a.diff(name), ref_diff(ra, name))
+    bounds = dict(trunc_b)
+    same(a.truncate(bounds), (ref_clip(ra[0], ref_merge(ra[1], bounds)), ref_merge(ra[1], bounds)))
+    scalars = {n: gr(v) if isinstance(v, int) else v for n, v in values.items()}
+    same(a.subs(values), ref_subs(ra, scalars))
+    got = a.split_groups(groups)
+    want = ref_split(ra, groups)
+    assert list(got) == list(want)
+    for key, cofactor in got.items():
+        same(cofactor, (want[key], {}))
+    for group in POOL_GROUPS + ["t"]:
+        want_degree = max((ref_group_degree(m, group) for m in ra[0]), default=-1)
+        assert a.degree(group) == want_degree
+        assert a.degrees(group) == {ref_group_degree(m, group) for m in ra[0]}
+    for group in POOL_GROUPS:
+        by_index = a.split_index(group, 3)
+        want = ref_split(ra, {group})
+        assert len(by_index) == len(want)
+        for k, cofactor in by_index.items():
+            mono = tuple((f"{group}{i}", e) for i, e in enumerate(k, start=1) if e)
+            assert cofactor.decoded_terms() == want[mono]
+    assert a.degree() == max((sum(e for _, e in m) for m in ra[0]), default=-1)
+    assert a.variables() == {n for m in ra[0] for n, _ in m}
+    assert [m for m, _ in a.canonical_items()] == sorted(ra[0], key=ref_grlex)
+    # division of untruncated polynomials, exact and not
+    p, q = a.drop_truncation(), b.drop_truncation()
+    if not q.is_zero:
+        for dividend in (p * q, p):
+            want = ref_exact_divide(dividend.decoded_terms(), q.decoded_terms())
+            if want is None:
+                with pytest.raises(ValueError):
+                    dividend.exact_divide(q)
+            else:
+                assert dividend.exact_divide(q).decoded_terms() == want
+
+
+def test_exponent_and_degree_limits_raise():
+    limit = 2 ** 14
+    top = V1 ** (limit - 1)
+    assert top.degree("v") == limit - 1
+    assert top.decoded_terms() == {(("v1", limit - 1),): gr(1)}
+    with pytest.raises(ValueError):
+        top * V1
+    with pytest.raises(ValueError):
+        V1 ** limit
+    # each exponent fits its field, their group degree does not
+    with pytest.raises(ValueError):
+        top * V2
+    # the neighbouring fields are untouched by a product at the limit
+    assert (top * W1 * TAU).decoded_terms() == {(("v1", limit - 1), ("w1", 1), ("t", 1)): gr(1)}
+    # beyond a bound the product is dropped, not an error
+    assert (top.truncate({"v": limit - 1}) * V1).is_zero
+    # a negative bound keeps nothing, however far below zero it is
+    assert (W1 + 1).truncate({"v": -1}).is_zero
+    assert top.truncate({"v": -(limit + 5000)}).is_zero
+    for raw in (
+        {(("v1", limit),): 1},
+        {(("v1", limit // 2), ("v2", limit // 2)): 1},
+        {(("v1", -1),): 1},
+    ):
+        with pytest.raises(ValueError):
+            MultiPoly(raw)
+    with pytest.raises(ValueError):
+        TAU ** limit
+
+
+def test_copy_deepcopy_and_pickle_round_trip():
+    import copy
+    import pickle
+
+    p = (gr(1, 2) * V1 * TAU - Fraction(3, 4) * W1 ** 2 + 7).truncate({"v": 3})
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(q) is MultiPoly
+        assert q == p and q.trunc == p.trunc
+        assert list(q.decoded_terms().items()) == list(p.decoded_terms().items())
+        assert str(q) == str(p) and q.latex() == p.latex()
+
+
+def test_pickle_loads_in_a_process_that_saw_names_in_another_order():
+    import json
+    import pickle
+
+    from socone.jsonio import poly_to_json
+
+    p = (3 * V2 * W1 * MultiPoly.var("z2") - Fraction(1, 3) * TAU ** 2 * V1).truncate(
+        {"w": 2}
+    ) + gr(0, 1) * MultiPoly.var("x3")
+    script = (
+        "import json, pickle, sys\n"
+        "from socone.poly import MultiPoly\n"
+        "from socone.jsonio import poly_to_json\n"
+        "for n in ('x3', 'z2', 'w1', 'q1', 'v2', 'v1'):\n"
+        "    MultiPoly.var(n)\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(str(p)); print(p.latex()); print(json.dumps(poly_to_json(p)))\n"
+        "print(p.trunc); print(p == pickle.loads(pickle.dumps(p)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        input=pickle.dumps(p),
+        capture_output=True,
+        env={"PYTHONPATH": _SRC},
+        check=True,
+        timeout=120,
+    )
+    want = f"{p}\n{p.latex()}\n{json.dumps(poly_to_json(p))}\n{p.trunc}\nTrue\n"
+    assert result.stdout.decode() == want
+
+
+_THREADS_SCRIPT = """
+import sys, threading
+from functools import reduce
+from operator import mul
+from socone.poly import TAU, MultiPoly, var_key
+from socone.scalars import gr
+
+groups = [f"k{c}" for c in "abcdefghijklmnop"]
+failures = []
+
+def work(group):
+    try:
+        for i in range(1, 61):
+            name = f"{group}{i}"
+            p = MultiPoly.var(name) ** 2 * TAU
+            if p.decoded_terms() != {((name, 2), ("t", 1)): gr(1)}:
+                failures.append(name)
+    except Exception as exc:
+        failures.append(repr(exc))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=work, args=(g,)) for g in groups]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads), "a thread did not finish"
+assert failures == [], failures
+# every name took a field of its own
+names = [f"{g}{i}" for g in groups for i in range(1, 61)]
+product = reduce(mul, (MultiPoly.var(n) for n in names), MultiPoly.const(1))
+want = tuple(sorted(((n, 1) for n in names), key=lambda it: var_key(it[0])))
+assert product.decoded_terms() == {want: gr(1)}
+print("ok")
+"""
+
+
+def test_names_registered_from_many_threads_keep_their_own_fields():
+    # in a fresh interpreter, so the many names stay out of this one's layout
+    result = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT],
+        capture_output=True,
+        env={"PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"ok\n"

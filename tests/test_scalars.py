@@ -185,3 +185,17 @@ def test_hash_and_repr_of_canonical_values():
     assert repr(gr(Fraction(1, 2), -2)) == "GaussianRational(Fraction(1, 2), Fraction(-2, 1))"
     assert repr(ONE / 3) == "GaussianRational(Fraction(1, 3), Fraction(0, 1))"
     assert str(ONE / 3) == "1/3" and str((ONE + I) / 2) == "1/2+1/2i"
+
+
+@settings(derandomize=True, max_examples=30)
+@given(scalars)
+def test_copy_deepcopy_and_pickle_round_trip(x):
+    import copy
+    import pickle
+
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is GaussianRational
+        assert y == x and hash(y) == hash(x)
+        assert (y.re, y.im) == (x.re, x.im)
+        assert type(y.re) is type(x.re) and type(y.im) is type(x.im)
+        assert str(y) == str(x) and repr(y) == repr(x)

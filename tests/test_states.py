@@ -25,7 +25,7 @@ from conftest import poch, rand_fraction
 def test_vacuum_annihilation():
     for n in (1, 2, 3):
         alg = build_algebra(n)
-        omega = vacuum(n, alg)
+        omega = vacuum(n)
         assert omega.entries == (gr(0),) * n + (gr(1), gr(0, 1))
         for j in range(1, n + 1):
             assert not any(alg.L(j).apply(omega.entries))
@@ -83,14 +83,13 @@ def test_leibniz_matrix_values():
 
 def test_leibniz_random_agreement_and_symmetry(rng):
     for n in (1, 2, 3, 4):
-        alg = build_algebra(n)
         for _ in range(50 if n < 4 else 20):
             w = [rand_fraction(rng) for _ in range(n)]
             v = [rand_fraction(rng) for _ in range(n)]
-            lam = leibniz_from_matrices(w, v, alg)
+            lam = leibniz_from_matrices(w, v)
             assert lam == leibniz_base_value(w, v)
-            assert lam == leibniz_from_matrices(v, w, alg)
-        assert leibniz_from_matrices([0] * n, [rand_fraction(rng)] * n, alg) == 1
+            assert lam == leibniz_from_matrices(v, w)
+        assert leibniz_from_matrices([0] * n, [rand_fraction(rng)] * n) == 1
 
 
 def test_leibniz_symbolic_identity():
@@ -113,7 +112,7 @@ def test_moved_vacuum_closed_form_n2():
     for j in (1, 2):
         lower = lower + w[j - 1] * alg.L(j)
         raiser = raiser + v[j - 1] * alg.R(j)
-    omega = vacuum(n, alg)
+    omega = vacuum(n)
     moved = exp_nilpotent(lower).apply(exp_nilpotent(raiser).apply(omega.entries))
     wv = w[0] * v[0] + w[1] * v[1]
     v2 = v[0] * v[0] + v[1] * v[1]
@@ -162,7 +161,7 @@ def test_coherent_suite_passes():
 
 
 def test_vacuum_is_built_once_per_n():
-    assert vacuum(2) is vacuum(2, build_algebra(2))
+    assert vacuum(2) is vacuum(2)
 
 
 def test_leibniz_series_is_built_once_per_key():

@@ -28,7 +28,7 @@ def rational(q):
 
 def to_sympy(p: MultiPoly):
     expr = sp.Integer(0)
-    for mono, c in p.terms.items():
+    for mono, c in p.decoded_terms().items():
         term = rational(c.re) + sp.I * rational(c.im)
         for name, e in mono:
             term *= SYMS[name] ** e
