@@ -1,22 +1,36 @@
-"""Matrix realization of so(n,2) and its commuting observable family.
+"""The so(n,2) generators, their bracket table, and the matrix realization.
 
-Coordinates 1..n are spatial, n+1 and n+2 temporal. The ladder elements
-R_j and L_j combine a boost with i times a second boost, rho0 generates
-the temporal rotation scaled by 2i, and rho_jk (j < k spatial) are the
-plain rotations. All matrices are (n+2) x (n+2) over GaussianRational.
+A realization is an SoAlgebra: a read-only map from generator labels to
+matrices in the canonical order R_j, L_j, rho0, rho_jk (j < k), plus the
+identity. Labels are read in one place, SoAlgebra.generator, and the
+bracket table, the observable formula X_j and the word evaluator are
+written once for every realization; the truncated Fock realization in
+fock.HatFamily is a subclass.
+
+In the matrix realization, coordinates 1..n are spatial, n+1 and n+2
+temporal. The ladder elements R_j and L_j combine a boost with i times a
+second boost, rho0 generates the temporal rotation scaled by 2i, and
+rho_jk (j < k spatial) are the plain rotations. All matrices are
+(n+2) x (n+2) over GaussianRational.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import combinations
+from types import MappingProxyType
 
 from .matrices import DenseMatrix, commutator, exp_nilpotent
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
 
 _I = gr(0, 1)
+
+# R_j, L_j, rho0 and rho_jk with single-digit spatial indices
+_LABEL_RE = re.compile(r"^[RL]\d+$|^rho0$|^rho(\d)(\d)$")
 
 
 def build_rho(n: int, k: int, l: int) -> DenseMatrix:
@@ -35,43 +49,64 @@ def build_rho(n: int, k: int, l: int) -> DenseMatrix:
 @dataclass(frozen=True)
 class LieBasisElement:
     label: str
-    kind: str  # "R", "L", "rho0", "rho", "X"
-    indices: tuple
     matrix: DenseMatrix
+
+
+def generator_table(n: int, raising, lowering, rho0, rotation) -> MappingProxyType:
+    """Label -> matrix in canonical order, from R_j = raising(j),
+    L_j = lowering(j), rho0 and rho_jk = rotation(j, k) for j < k."""
+    table = {f"R{j}": raising(j) for j in range(1, n + 1)}
+    table.update((f"L{j}", lowering(j)) for j in range(1, n + 1))
+    table["rho0"] = rho0
+    for j, k in combinations(range(1, n + 1), 2):
+        table[f"rho{j}{k}"] = rotation(j, k)
+    return MappingProxyType(table)
 
 
 @dataclass(frozen=True)
 class SoAlgebra:
+    """One realization of so(n,2): its generators and identity."""
+
     n: int
-    elements: tuple
-    _by_label: dict = field(hash=False, compare=False)
+    generators: MappingProxyType = field(hash=False)
+    identity: object = field(hash=False)
 
-    def element(self, label: str) -> LieBasisElement:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise ValueError(f"unknown generator label {label!r}") from None
+    def generator(self, label: str):
+        """The matrix of a label; rho_kj (k > j) reads as -rho_jk."""
+        matrix = self.generators.get(label)
+        if matrix is not None:
+            return matrix
+        m = _LABEL_RE.match(label)
+        if m and m[1] and m[1] > m[2] and f"rho{m[2]}{m[1]}" in self.generators:
+            return -self.generators[f"rho{m[2]}{m[1]}"]
+        raise ValueError(f"unknown generator label {label!r}")
 
-    def R(self, j: int) -> DenseMatrix:
-        return self.element(f"R{j}").matrix
+    def R(self, j: int):
+        return self.generator(f"R{j}")
 
-    def L(self, j: int) -> DenseMatrix:
-        return self.element(f"L{j}").matrix
+    def L(self, j: int):
+        return self.generator(f"L{j}")
 
     @property
-    def rho0(self) -> DenseMatrix:
-        return self.element("rho0").matrix
+    def rho0(self):
+        return self.generator("rho0")
 
-    def rho(self, j: int, k: int) -> DenseMatrix:
-        """Spatial rotation rho_jk; rho_kj resolves to -rho_jk."""
-        if j == k:
-            raise ValueError("rho needs distinct spatial indices")
-        if j < k:
-            return self.element(f"rho{j}{k}").matrix
-        return -self.element(f"rho{k}{j}").matrix
+    def rho(self, j: int, k: int):
+        """Spatial rotation rho_jk; rho_kj resolves to -rho_jk by index, since
+        rotation labels run together from n = 10 on (rho112)."""
+        if j > k:
+            return -self.rho(k, j)
+        return self.generator(f"rho{j}{k}")
 
     def labels(self):
-        return [e.label for e in self.elements]
+        return list(self.generators)
+
+    def observable(self, j: int):
+        """The observable X_j: X_1 = R_1 + L_1 + rho0 and, for j >= 2,
+        X_j = -i (R_j - L_j - 2 rho_1j)."""
+        if j == 1:
+            return self.R(1) + self.L(1) + self.rho0
+        return (-_I) * (self.R(j) - self.L(j) - 2 * self.rho(1, j))
 
 
 @cache
@@ -82,23 +117,14 @@ def build_algebra(n: int) -> SoAlgebra:
     """
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
-    elements = []
-    for j in range(1, n + 1):
-        m = build_rho(n, j, n + 2) + _I * build_rho(n, j, n + 1)
-        elements.append(LieBasisElement(f"R{j}", "R", (j,), m))
-    for j in range(1, n + 1):
-        m = build_rho(n, j, n + 2) + (-_I) * build_rho(n, j, n + 1)
-        elements.append(LieBasisElement(f"L{j}", "L", (j,), m))
-    elements.append(
-        LieBasisElement("rho0", "rho0", (), gr(0, 2) * build_rho(n, n + 1, n + 2))
+    generators = generator_table(
+        n,
+        lambda j: build_rho(n, j, n + 2) + _I * build_rho(n, j, n + 1),
+        lambda j: build_rho(n, j, n + 2) + (-_I) * build_rho(n, j, n + 1),
+        gr(0, 2) * build_rho(n, n + 1, n + 2),
+        lambda j, k: build_rho(n, j, k),
     )
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            elements.append(
-                LieBasisElement(f"rho{j}{k}", "rho", (j, k), build_rho(n, j, k))
-            )
-    assert len(elements) == 2 * n + 1 + n * (n - 1) // 2
-    return SoAlgebra(n, tuple(elements), {e.label: e for e in elements})
+    return SoAlgebra(n, generators, DenseMatrix.identity(n + 2))
 
 
 def build_observables(n: int) -> list:
@@ -112,10 +138,7 @@ def build_observables(n: int) -> list:
 @cache
 def _observables(n: int) -> tuple:
     alg = build_algebra(n)
-    out = [LieBasisElement("X1", "X", (1,), alg.R(1) + alg.L(1) + alg.rho0)]
-    for j in range(2, n + 1):
-        m = (-_I) * (alg.R(j) - alg.L(j) - 2 * alg.rho(1, j))
-        out.append(LieBasisElement(f"X{j}", "X", (j,), m))
+    out = [LieBasisElement(f"X{j}", alg.observable(j)) for j in range(1, n + 1)]
     for a in range(n):
         for b in range(a + 1, n):
             if not commutator(out[a].matrix, out[b].matrix).is_zero:
@@ -126,42 +149,55 @@ def _observables(n: int) -> tuple:
     return tuple(out)
 
 
-def verify_relations(algebra: SoAlgebra) -> Report:
-    """Check every stated bracket identity exactly; failures become report rows."""
-    alg = algebra
-    n = alg.n
-    checks = []
-
-    def record(name, lhs, rhs):
-        checks.append(CheckResult(name, lhs == rhs))
-
-    zero = DenseMatrix.zeros(n + 2)
+def brackets(n: int) -> list:
+    """The stated bracket identities as rows (a, b, (coeff, c)): [a, b] is
+    coeff times generator c, or zero when coeff is 0 (c is then None). A
+    generator is a label, or an index pair (j, k) for rho_jk."""
+    rows = []
     for j in range(1, n + 1):
-        record(f"[rho0, R{j}] = 2 R{j}", commutator(alg.rho0, alg.R(j)), 2 * alg.R(j))
-        record(f"[L{j}, rho0] = 2 L{j}", commutator(alg.L(j), alg.rho0), 2 * alg.L(j))
-        record(f"[L{j}, R{j}] = rho0", commutator(alg.L(j), alg.R(j)), alg.rho0)
+        rows.append(("rho0", f"R{j}", (2, f"R{j}")))
+        rows.append((f"L{j}", "rho0", (2, f"L{j}")))
+        rows.append((f"L{j}", f"R{j}", (1, "rho0")))
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            if j == k:
-                continue
-            record(
-                f"[L{k}, R{j}] = 2 rho{j}{k}",
-                commutator(alg.L(k), alg.R(j)),
-                2 * alg.rho(j, k),
-            )
-            record(
-                f"[rho{j}{k}, L{k}] = L{j}",
-                commutator(alg.rho(j, k), alg.L(k)),
-                alg.L(j),
-            )
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            record(f"[R{j}, R{k}] = 0", commutator(alg.R(j), alg.R(k)), zero)
-            record(f"[L{j}, L{k}] = 0", commutator(alg.L(j), alg.L(k)), zero)
-            record(
-                f"[rho{j}{k}, rho0] = 0", commutator(alg.rho(j, k), alg.rho0), zero
-            )
-    return Report(f"bracket relations (n={n})", checks)
+            if j != k:
+                rows.append((f"L{k}", f"R{j}", (2, (j, k))))
+                rows.append(((j, k), f"L{k}", (1, f"L{j}")))
+    for j, k in combinations(range(1, n + 1), 2):
+        rows.append((f"R{j}", f"R{k}", (0, None)))
+        rows.append((f"L{j}", f"L{k}", (0, None)))
+        rows.append(((j, k), "rho0", (0, None)))
+    return rows
+
+
+def bracket_checks(family: SoAlgebra, suffix: str, same) -> list:
+    """One CheckResult per row of brackets(family.n), comparing [a, b] with
+    its right side by same(lhs, rhs); suffix marks every label in the name."""
+
+    def matrix(g):
+        return family.rho(*g) if isinstance(g, tuple) else family.generator(g)
+
+    def label(g):
+        return (f"rho{g[0]}{g[1]}" if isinstance(g, tuple) else g) + suffix
+
+    zero = 0 * family.identity
+    checks = []
+    for a, b, (coeff, c) in brackets(family.n):
+        lhs = commutator(matrix(a), matrix(b))
+        if not coeff:
+            rhs, text = zero, "0"
+        elif coeff == 1:
+            rhs, text = matrix(c), label(c)
+        else:
+            rhs, text = coeff * matrix(c), f"{coeff} {label(c)}"
+        checks.append(CheckResult(f"[{label(a)}, {label(b)}] = {text}", same(lhs, rhs)))
+    return checks
+
+
+def verify_relations(algebra: SoAlgebra) -> Report:
+    """Check every stated bracket identity exactly; failures become report rows."""
+    checks = bracket_checks(algebra, "", operator.eq)
+    return Report(f"bracket relations (n={algebra.n})", checks)
 
 
 def verify_observables(n: int) -> Report:
@@ -178,7 +214,7 @@ def verify_observables(n: int) -> Report:
                     commutator(obs[a].matrix, obs[b].matrix) == zero,
                 )
             )
-    for e in obs + [alg._by_label[f"R{j}"] for j in range(1, n + 1)]:
+    for e in obs + [LieBasisElement(f"R{j}", alg.R(j)) for j in range(1, n + 1)]:
         checks.append(
             CheckResult(f"{e.label}^3 = 0", (e.matrix * e.matrix * e.matrix).is_zero)
         )
@@ -205,9 +241,6 @@ def conjugation_check(n: int) -> Report:
 
 
 # -- formal words and the adjoint involution ----------------------------------
-
-_LABEL_RE = re.compile(r"^(R|L|X)(\d+)$|^rho0$|^rho(\d)(\d)$")
-
 
 @dataclass(frozen=True)
 class OperatorWord:
@@ -237,8 +270,7 @@ class OperatorWord:
 
 
 def _adjoint_label(label: str):
-    m = _LABEL_RE.match(label)
-    if m is None or label.startswith("X"):
+    if not _LABEL_RE.match(label):
         raise ValueError(f"unknown generator label {label!r}")
     if label == "rho0":
         return label, 1
@@ -263,15 +295,11 @@ def formal_adjoint(word: OperatorWord) -> OperatorWord:
     return OperatorWord(coeff, tuple(factors))
 
 
-def word_to_matrix(algebra: SoAlgebra, word: OperatorWord) -> DenseMatrix:
-    acc = DenseMatrix.identity(algebra.n + 2)
+def word_to_matrix(family: SoAlgebra, word: OperatorWord):
+    """The word's operator in either realization, through its generators."""
+    acc = family.identity
     for label in word.factors:
-        m = _LABEL_RE.match(label)
-        if m and m.group(3):
-            mat = algebra.rho(int(m.group(3)), int(m.group(4)))
-        else:
-            mat = algebra.element(label).matrix
-        acc = acc * mat
+        acc = acc * family.generator(label)
     return word.coeff * acc
 
 

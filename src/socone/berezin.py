@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .algebra import OperatorWord, build_algebra, word_to_matrix
 from .fock import (
-    FockMatrix,
     build_hat,
     coherent_vector,
     gram_matrix,
@@ -45,27 +44,14 @@ def _words(word_or_words):
     return list(word_or_words)
 
 
-def _matrix_of(words, algebra) -> DenseMatrix:
-    acc = DenseMatrix.zeros(algebra.n + 2)
-    for w in words:
-        acc = acc + word_to_matrix(algebra, w)
-    return acc
-
-
-def _fock_of(words, hat) -> FockMatrix:
-    acc = FockMatrix.zero(hat.n, hat.degree_bound)
-    for w in words:
-        piece = FockMatrix.identity(hat.n, hat.degree_bound)
-        for label in w.factors:
-            piece = piece * hat.matrix_for_label(label)
-        acc = acc + w.coeff * piece
-    return acc
+def _operator(words, family):
+    """The sum of the words' operators in either realization."""
+    return sum((word_to_matrix(family, w) for w in words), 0 * family.identity)
 
 
 def fock_pairing_series(words, n: int, degree_bound: int) -> MultiPoly:
     """<psi_w, Q psi_v> as a truncated double series, weight symbolic."""
-    hat = build_hat(n, degree_bound)
-    q = _fock_of(_words(words), hat)
+    q = _operator(_words(words), build_hat(n, degree_bound))
     left = coherent_vector(n, degree_bound, "w")
     right = coherent_vector(n, degree_bound, "v")
     moved = {}
@@ -101,7 +87,7 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
         lower = lower + GaussianRational.coerce(w[j - 1]) * alg.L(j)
         raiser = raiser + GaussianRational.coerce(v[j - 1]) * alg.R(j)
     moved = exp_nilpotent_apply(raiser, omega.entries)
-    moved = _matrix_of(words, alg).apply(moved)
+    moved = _operator(words, alg).apply(moved)
     moved = exp_nilpotent_apply(lower, moved)
     numerator = lambda_factor(StateVector(moved))
     if check_fock:
@@ -201,7 +187,7 @@ def bessel_form_check(n: int, degree_bound: int) -> Report:
     checks = []
     omega = {(0,) * n: gr(1)}
     for j in range(1, n + 1):
-        alt = hat.rho0 * hat.shift_lower(j) - hat.shift_raise(j) * vsq
+        alt = hat.rho0 * hat.shift_lower(j) - hat.R(j) * vsq
         checks.append(CheckResult(f"lowering form for j={j}", alt == hat.L(j)))
         checks.append(
             CheckResult(
@@ -313,7 +299,7 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
         direct = psi
         if word:
             kind, j = word[0]
-            op = hat.shift_raise(j) if kind == "R" else hat.shift_lower(j)
+            op = hat.R(j) if kind == "R" else hat.shift_lower(j)
             direct = op.apply(suffixes[word[1:]])
             if len(word) < max_length:
                 suffixes[word] = direct
@@ -349,9 +335,9 @@ def hat_from_pde_check(n: int, degree_bound: int) -> Report:
         acc = TAU * hat.shift_lower(j)
         for l in range(1, n + 1):
             acc = acc + 2 * (
-                hat.shift_raise(l) * hat.shift_lower(l) * hat.shift_lower(j)
+                hat.R(l) * hat.shift_lower(l) * hat.shift_lower(j)
             )
-            acc = acc - hat.shift_raise(j) * (
+            acc = acc - hat.R(j) * (
                 hat.shift_lower(l) * hat.shift_lower(l)
             )
         checks.append(

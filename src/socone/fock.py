@@ -1,6 +1,11 @@
 """Degree-truncated Fock space, shift operators, the hat realization, Gram
 matrices, and exact positivity probes.
 
+The hat realization is the so(n,2) generator interface of algebra.SoAlgebra
+on truncated Fock operators: HatFamily reads labels, brackets, words and
+observables through it and adds only the truncation degree and the
+lowering shifts V_j.
+
 Basis states are multi-indices (k_1..k_n) of total degree at most D in
 graded lexicographic order. Raising out of the truncated space lands in a
 flagged boundary sink (the write is dropped and the source column is
@@ -16,11 +21,12 @@ from functools import cache
 from math import factorial, gcd
 from types import MappingProxyType
 
-from .matrices import is_positive_definite
+from .algebra import SoAlgebra, bracket_checks, generator_table
+from .matrices import commutator, is_positive_definite
 from .poly import MultiPoly, TAU, TAU_NAME
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
-from .states import leibniz_closed_form
+from .states import LeibnizValue, leibniz_base, leibniz_closed_form
 
 
 def multi_indices(n: int, max_degree: int) -> list:
@@ -228,10 +234,6 @@ class FockMatrix:
         return self._like(out)
 
 
-def fock_commutator(a: FockMatrix, b: FockMatrix) -> FockMatrix:
-    return a * b - b * a
-
-
 def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMatrix:
     """The shift operators: kind "raise" appends to slot j with coefficient 1,
     kind "lower" removes one from slot j with coefficient k_j."""
@@ -257,47 +259,18 @@ def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMat
 
 
 @dataclass(frozen=True)
-class HatFamily:
-    """The full operator family on the truncated Fock space, weight symbolic."""
+class HatFamily(SoAlgebra):
+    """The so(n,2) generators on the truncated Fock space, weight symbolic,
+    with the shift operators V_j they are built from. R_j is the raising
+    shift itself."""
 
-    n: int
     degree_bound: int
-    raising: tuple
     lowering: tuple
-    ladder_l: tuple
-    rho0: FockMatrix
-    rotations: MappingProxyType = field(hash=False)
-
-    def R(self, j: int) -> FockMatrix:
-        # algebraic raising acts as the shift itself
-        return self.raising[j - 1]
-
-    def L(self, j: int) -> FockMatrix:
-        return self.ladder_l[j - 1]
-
-    def rho(self, j: int, k: int) -> FockMatrix:
-        if j == k:
-            raise ValueError("rho needs distinct indices")
-        if j < k:
-            return self.rotations[(j, k)]
-        return -self.rotations[(k, j)]
-
-    def shift_raise(self, j: int) -> FockMatrix:
-        return self.raising[j - 1]
 
     def shift_lower(self, j: int) -> FockMatrix:
+        if not 1 <= j <= self.n:
+            raise ValueError(f"shift index {j} out of range 1..{self.n}")
         return self.lowering[j - 1]
-
-    def matrix_for_label(self, label: str) -> FockMatrix:
-        if label == "rho0":
-            return self.rho0
-        if label[0] == "R":
-            return self.R(int(label[1:]))
-        if label[0] == "L":
-            return self.L(int(label[1:]))
-        if label.startswith("rho"):
-            return self.rho(int(label[3]), int(label[4]))
-        raise ValueError(f"unknown generator label {label!r}")
 
 
 @cache
@@ -325,29 +298,23 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
         vsq = vterm if vsq is None else vsq + vterm
     identity = FockMatrix.identity(n, degree_bound)
     rho0 = TAU * identity + 2 * number
-    ladder_l = []
-    for j in range(1, n + 1):
+
+    def ladder(j):
         vj = lowering[j - 1]
         lj = TAU * vj + 2 * (number * vj) - raising[j - 1] * vsq
         bessel = rho0 * vj - raising[j - 1] * vsq
         if lj != bessel:
             raise AssertionError("the two lowering forms disagree")
-        ladder_l.append(lj)
-    rotations = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            rotations[(j, k)] = raising[j - 1] * lowering[k - 1] - raising[
-                k - 1
-            ] * lowering[j - 1]
-    return HatFamily(
+        return lj
+
+    generators = generator_table(
         n,
-        degree_bound,
-        raising,
-        lowering,
-        tuple(ladder_l),
+        lambda j: raising[j - 1],
+        ladder,
         rho0,
-        MappingProxyType(rotations),
+        lambda j, k: raising[j - 1] * lowering[k - 1] - raising[k - 1] * lowering[j - 1],
     )
+    return HatFamily(n, generators, identity, degree_bound, lowering)
 
 
 def vacuum_vector(n: int) -> dict:
@@ -364,61 +331,16 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
         raise ValueError("need truncation degree at least 3")
     hat = build_hat(n, degree_bound)
     interior = degree_bound - 2
-    checks = []
-
-    def record(name, lhs, rhs):
-        checks.append(
-            CheckResult(name, lhs.restrict(interior) == rhs.restrict(interior))
-        )
-
-    zero = FockMatrix.zero(n, degree_bound)
-    for j in range(1, n + 1):
-        record(
-            f"[rho0^, R{j}^] = 2 R{j}^",
-            fock_commutator(hat.rho0, hat.R(j)),
-            2 * hat.R(j),
-        )
-        record(
-            f"[L{j}^, rho0^] = 2 L{j}^",
-            fock_commutator(hat.L(j), hat.rho0),
-            2 * hat.L(j),
-        )
-        record(
-            f"[L{j}^, R{j}^] = rho0^",
-            fock_commutator(hat.L(j), hat.R(j)),
-            hat.rho0,
-        )
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            if j == k:
-                continue
-            record(
-                f"[L{k}^, R{j}^] = 2 rho{j}{k}^",
-                fock_commutator(hat.L(k), hat.R(j)),
-                2 * hat.rho(j, k),
-            )
-            record(
-                f"[rho{j}{k}^, L{k}^] = L{j}^",
-                fock_commutator(hat.rho(j, k), hat.L(k)),
-                hat.L(j),
-            )
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            record(f"[R{j}^, R{k}^] = 0", fock_commutator(hat.R(j), hat.R(k)), zero)
-            record(f"[L{j}^, L{k}^] = 0", fock_commutator(hat.L(j), hat.L(k)), zero)
-            record(
-                f"[rho{j}{k}^, rho0^] = 0",
-                fock_commutator(hat.rho(j, k), hat.rho0),
-                zero,
-            )
+    checks = bracket_checks(
+        hat, "^", lambda a, b: a.restrict(interior) == b.restrict(interior)
+    )
     # interior shift-operator commutator
     for j in range(1, n + 1):
-        comm = fock_commutator(hat.shift_lower(j), hat.shift_raise(j))
-        ident = FockMatrix.identity(n, degree_bound)
+        comm = commutator(hat.shift_lower(j), hat.R(j))
         checks.append(
             CheckResult(
                 f"[V{j}, R{j}] = 1 (interior)",
-                comm.restrict(degree_bound - 1) == ident.restrict(degree_bound - 1),
+                comm.restrict(degree_bound - 1) == hat.identity.restrict(degree_bound - 1),
             )
         )
     # vacuum axioms
@@ -504,7 +426,8 @@ def gram_matrix(n: int, degree_bound: int) -> GramMatrix:
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    _, series = leibniz_closed_form(n, degree_bound)
+    # uncached: the table is kept per key, its generating series is not
+    series = LeibnizValue(leibniz_base(n)).series(degree_bound)
     basis = tuple(multi_indices(n, degree_bound))
     entries = {}
     for k, cofactor in series.split_index("w", n).items():

@@ -80,8 +80,8 @@ def algebra_to_json(algebra) -> dict:
     return {
         "n": algebra.n,
         "basis": [
-            {"label": e.label, "matrix": matrix_to_json(e.matrix)}
-            for e in algebra.elements
+            {"label": label, "matrix": matrix_to_json(matrix)}
+            for label, matrix in algebra.generators.items()
         ],
     }
 

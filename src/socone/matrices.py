@@ -194,10 +194,9 @@ def _dot(row, col):
     return ZERO if acc is None else acc
 
 
-def commutator(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    """[a, b] = a b - b a for square matrices of equal size."""
-    if not (a.is_square and b.is_square and a.rows == b.rows):
-        raise ValueError("dimension mismatch in commutator")
+def commutator(a, b):
+    """[a, b] = a b - b a for two dense or two Fock matrices; the products
+    and the difference raise ValueError when the shapes disagree."""
     return a * b - b * a
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .algebra import build_observables
 from .fock import (
-    FockMatrix,
     PositivityProbe,
     build_hat,
     gram_matrix,
@@ -202,14 +201,6 @@ class MomentTable:
         return self.entries.get(tuple(k), MultiPoly.zero())
 
 
-def hat_observable(hat, j: int) -> FockMatrix:
-    """X_j in the hat realization: X1 = R1 + L1 + rho0 and, for j >= 2,
-    X_j = -i (R_j - L_j - 2 rho_1j)."""
-    if j == 1:
-        return hat.R(1) + hat.L(1) + hat.rho0
-    return (-_I) * (hat.R(j) - hat.L(j) - 2 * hat.rho(1, j))
-
-
 def _hat_moments(n: int, max_degree: int) -> dict:
     """<vacuum, X^k vacuum> for all |k| <= max_degree, weight symbolic.
 
@@ -221,7 +212,7 @@ def _hat_moments(n: int, max_degree: int) -> dict:
     hat = build_hat(n, bound)
     gram = gram_matrix(n, bound)
     omega = vacuum_vector(n)
-    xs = [hat_observable(hat, j) for j in range(1, n + 1)]
+    xs = [hat.observable(j) for j in range(1, n + 1)]
     table = {(0,) * n: omega}
     out = {}
     for k in multi_indices(n, max_degree):

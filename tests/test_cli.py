@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,6 +130,25 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+# sha256 of stdout, recorded at 5c998ab: the verify bytes are a contract
+# across commits, not only between two runs of one build
+VERIFY_ALL_DIGESTS = {
+    (2, 4, "text"): "6c3c92afcce68b4effc9da8caaabf71f7bd29fe1b868303e6c42bc6b57526308",
+    (2, 4, "json"): "b66336c5ba6f4b7ed69acf87c656715bf0e2b464c4dc41e3071e7b6434a50315",
+    (3, 5, "text"): "5a77c7121c7e98770e1f6951476bac7b92534bef8b22dff28a129b02e8afd89d",
+    (3, 5, "json"): "088274929413e5cebddd2509ce83175f0268988e87336d4a0909cade9bd0f412",
+}
+
+
+@pytest.mark.parametrize("n, d, fmt", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_matches_recorded_digest(capsys, n, d, fmt):
+    args = ["verify", "--all", "--n", str(n), "--degree", str(d)]
+    code, out, err = run(capsys, *args, "--format", fmt, "--seed", "0")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == VERIFY_ALL_DIGESTS[n, d, fmt]
 
 
 def test_verify_all_byte_identical_with_warm_caches(capsys):

@@ -1,14 +1,17 @@
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from socone import algebra
+from socone.algebra import OperatorWord, brackets, build_algebra, verify_relations
+from socone.berezin import fock_pairing_series
 from socone.fock import (
     FockMatrix,
     build_combinatorial,
     build_hat,
     coherent_vector,
-    fock_commutator,
     gram_matrix,
     mi_degree,
     multi_indices,
@@ -20,8 +23,11 @@ from socone.fock import (
     verify_adjointness,
     verify_hat_relations,
 )
+from socone.matrices import commutator
 from socone.poly import MultiPoly, TAU
+from socone.report import CheckResult
 from socone.scalars import gr
+from socone.states import leibniz_closed_form
 
 from conftest import leading_minors_positive, poch
 
@@ -50,7 +56,7 @@ def test_shift_commutator_is_identity_on_interior():
         for j in range(1, n + 1):
             lower = build_combinatorial(n, d, "lower", j)
             raiser = build_combinatorial(n, d, "raise", j)
-            comm = fock_commutator(lower, raiser)
+            comm = commutator(lower, raiser)
             ident = FockMatrix.identity(n, d)
             assert comm.restrict(d - 1) == ident.restrict(d - 1)
             # and it genuinely fails at the boundary, which is the point
@@ -242,7 +248,7 @@ def test_shared_tables_are_read_only():
     with pytest.raises(TypeError):
         gram_matrix(2, 3).entries[(0, 0), (0, 0)] = MultiPoly.zero()
     with pytest.raises(TypeError):
-        build_hat(2, 3).rotations[(1, 2)] = None
+        build_hat(2, 3).generators["rho12"] = None
 
 
 @pytest.mark.parametrize("builder, args", [(build_hat, (1, 1)), (gram_matrix, (1, -1))])
@@ -250,3 +256,84 @@ def test_failed_builds_are_not_cached(builder, args):
     for _ in range(2):
         with pytest.raises(ValueError):
             builder(*args)
+
+
+@pytest.mark.parametrize(
+    "call, as_in_matrices",
+    [
+        (lambda family: family.R(0), True),
+        (lambda family: family.L(0), True),
+        (lambda family: family.R(3), True),
+        (lambda family: family.L(3), True),
+        (lambda family: family.rho(1, 3), True),
+        (lambda family: family.rho(3, 1), True),
+        (lambda family: family.rho(2, 2), True),
+        (lambda family: family.shift_lower(0), False),
+        (lambda family: family.shift_lower(3), False),
+        (lambda family: fock_pairing_series(OperatorWord.of("R0"), 2, 4), False),
+        (lambda family: OperatorWord.of("X1"), False),
+    ],
+    ids=["R0", "L0", "R3", "L3", "rho13", "rho31", "rho22", "V0", "V3", "word R0", "X1"],
+)
+def test_fock_realization_rejects_labels_out_of_range(call, as_in_matrices):
+    with pytest.raises(ValueError) as got:
+        call(build_hat(2, 4))
+    if as_in_matrices:
+        with pytest.raises(ValueError) as want:
+            call(build_algebra(2))
+        assert str(got.value) == str(want.value)
+
+
+def test_both_realizations_share_labels_and_the_rotation_sign():
+    for n in (1, 2, 3):
+        alg, hat = build_algebra(n), build_hat(n, 3)
+        assert hat.labels() == alg.labels() == list(alg.generators)
+        for family in (alg, hat):
+            for j in range(1, n + 1):
+                for k in range(j + 1, n + 1):
+                    assert family.rho(k, j) == -family.generator(f"rho{j}{k}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hat_report_opens_with_the_matrix_bracket_rows(n):
+    rows = verify_relations(build_algebra(n)).checks
+    hat_rows = verify_hat_relations(n, 3).checks[: len(brackets(n))]
+    marked = [
+        CheckResult(re.sub(r"(R\d|L\d|rho\d+)", r"\1^", ch.name), ch.passed, ch.detail)
+        for ch in rows
+    ]
+    assert len(rows) == len(brackets(n))
+    assert hat_rows == marked
+    assert all(ch.passed for ch in rows)
+
+
+def test_a_wrong_bracket_coefficient_fails_the_same_row_in_both(monkeypatch):
+    table = brackets(2)
+    names = [ch.name for ch in verify_relations(build_algebra(2)).checks]
+    hat_names = [ch.name for ch in verify_hat_relations(2, 3).checks]
+    for i, (a, b, (coeff, c)) in enumerate(table):
+        if not coeff:
+            continue
+        wrong = table[:i] + [(a, b, (coeff + 1, c))] + table[i + 1 :]
+        monkeypatch.setattr(algebra, "brackets", lambda n, rows=wrong: rows)
+        lie = [ch.name for ch in verify_relations(build_algebra(2)).failed()]
+        hat = [ch.name for ch in verify_hat_relations(2, 3).failed()]
+        for got, name in ((lie, names[i]), (hat, hat_names[i])):
+            lhs, rhs = name.split(" = ")
+            assert got == [f"{lhs} = {coeff + 1} {rhs.split()[-1]}"]
+
+
+def test_rotations_are_read_by_index_where_labels_run_together():
+    # from n = 12 on, "rho112" is both rho_1,12 and rho_11,2
+    alg, hat = build_algebra(12), build_hat(12, 2)
+    for family in (alg, hat):
+        assert family.rho(11, 2) == -family.rho(2, 11)
+        assert family.rho(11, 2) != -family.rho(1, 12)
+    assert verify_relations(alg).all_passed
+
+
+def test_gram_matrix_leaves_the_leibniz_cache_alone():
+    before = leibniz_closed_form.cache_info()
+    built = gram_matrix.__wrapped__(2, 3)
+    assert leibniz_closed_form.cache_info() == before
+    assert dict(built.entries) == dict(gram_matrix(2, 3).entries)
