@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
-import json
 import os
 import re
 import sys
@@ -60,10 +60,12 @@ def _parse_tuple(text: str, n: int) -> list:
 _FORMATS = ("text", "json", "csv")
 
 
-def _env(name: str, fallback: str) -> str:
-    # argparse runs a string default through the flag's type, so a bad
-    # SOCONE_* value is reported like a bad flag (exit 2)
-    return os.environ.get(f"SOCONE_{name}", fallback)
+_ENV_NAMES = ("N", "TAU", "DEGREE", "KMAX", "SEED", "HEIGHT", "FORMAT")
+
+
+def _env_defaults() -> tuple:
+    """The SOCONE_* values, None where unset: the key of the cached parser."""
+    return tuple(os.environ.get(f"SOCONE_{name}") for name in _ENV_NAMES)
 
 
 def _format(text: str) -> str:
@@ -92,6 +94,8 @@ def _config(args) -> RunConfig:
         raise UsageError("the spatial dimension must be at least 1")
     if getattr(args, "degree", 0) < 0 or getattr(args, "kmax", 0) < 0:
         raise UsageError("degree bounds must be non-negative")
+    if args.height < 1:
+        raise UsageError("the height of random rationals must be at least 1")
     return RunConfig(
         command=args.command,
         n=args.n,
@@ -110,20 +114,26 @@ def _value_str(value) -> str:
     return str(GaussianRational.coerce(value))
 
 
-def _emit_table(cfg: RunConfig, headers: list, rows: list, payload: dict) -> str:
-    if cfg.fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+def _tau_json(cfg: RunConfig) -> str:
+    return "symbolic" if cfg.tau is None else str(cfg.tau)
+
+
+def _write_json(payload) -> int:
+    sys.stdout.write(jsonio.dumps(payload) + "\n")
+    return 0
+
+
+def _write_rows(cfg: RunConfig, headers: list, rows: list) -> int:
+    """A table of str cells: csv with a header row, or text without one."""
     if cfg.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
-        for row in rows:
-            writer.writerow(row)
-        return buf.getvalue()
-    lines = []
-    for row in rows:
-        lines.append("  ".join(str(c) for c in row))
-    return "\n".join(lines) + "\n"
+        writer.writerows(rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        sys.stdout.write("\n".join("  ".join(row) for row in rows) + "\n")
+    return 0
 
 
 # -- verify ---------------------------------------------------------------------
@@ -219,7 +229,7 @@ def cmd_verify(args) -> int:
     if suites["observables"]:
         reports.extend(_suite_observables(cfg))
     if cfg.fmt == "json":
-        print(json.dumps([r.to_json() for r in reports], indent=2))
+        print(jsonio.dumps([r.to_json() for r in reports]))
     else:
         for report in reports:
             for line in report.lines():
@@ -246,39 +256,35 @@ def cmd_gram(args) -> int:
         entries = [[gram.entry(k, m) for m in basis] for k in basis]
     else:
         entries = [[MultiPoly.const(v) for v in row] for row in gram.eval_at(cfg.tau)]
-    rows = [
-        [labels[i]] + [_value_str(v) for v in row] for i, row in enumerate(entries)
-    ]
-    payload = {
-        "n": cfg.n,
-        "degree": cfg.degree,
-        "tau": "symbolic" if cfg.tau is None else str(cfg.tau),
-        "basis": labels,
-        "matrix": [[jsonio.scalar_to_json(v) for v in row] for row in entries],
-    }
-    sys.stdout.write(_emit_table(cfg, [""] + labels, rows, payload))
-    return 0
+    if cfg.fmt == "json":
+        return _write_json({
+            "n": cfg.n,
+            "degree": cfg.degree,
+            "tau": _tau_json(cfg),
+            "basis": labels,
+            "matrix": [[jsonio.scalar_to_json(v) for v in row] for row in entries],
+        })
+    rows = [[lab] + [_value_str(v) for v in row] for lab, row in zip(labels, entries)]
+    return _write_rows(cfg, [""] + labels, rows)
 
 
 def _emit_indexed(cfg: RunConfig, basis: list, values: list, key: str) -> int:
     """One value per multi-index: a single csv row, or index/value rows."""
     labels = [jsonio.multi_index_label(k) for k in basis]
-    payload = {
-        "n": cfg.n,
-        "degree": cfg.degree,
-        "tau": "symbolic" if cfg.tau is None else str(cfg.tau),
-        key: [
-            {"index": lab, "value": jsonio.scalar_to_json(v)}
-            for lab, v in zip(labels, values)
-        ],
-    }
+    if cfg.fmt == "json":
+        return _write_json({
+            "n": cfg.n,
+            "degree": cfg.degree,
+            "tau": _tau_json(cfg),
+            key: [
+                {"index": lab, "value": jsonio.scalar_to_json(v)}
+                for lab, v in zip(labels, values)
+            ],
+        })
+    cells = [_value_str(v) for v in values]
     if cfg.fmt == "csv":
-        out = _emit_table(cfg, labels, [[_value_str(v) for v in values]], payload)
-    else:
-        rows = [[lab, _value_str(v)] for lab, v in zip(labels, values)]
-        out = _emit_table(cfg, [], rows, payload)
-    sys.stdout.write(out)
-    return 0
+        return _write_rows(cfg, labels, [cells])
+    return _write_rows(cfg, [], list(zip(labels, cells)))
 
 
 def cmd_moments(args) -> int:
@@ -292,22 +298,22 @@ def cmd_basis_poly(args) -> int:
     cfg = _config(args)
     polys = spectral.basis_polynomials(cfg.n, cfg.kmax, tau=cfg.tau)
     labels = [jsonio.multi_index_label(bp.index) for bp in polys]
-    payload = {
-        "n": cfg.n,
-        "kmax": cfg.kmax,
-        "tau": "symbolic" if cfg.tau is None else str(cfg.tau),
-        "polynomials": [
-            {
-                "index": lab,
-                "text": str(bp.poly),
-                "terms": jsonio.poly_to_json(bp.poly),
-            }
-            for lab, bp in zip(labels, polys)
-        ],
-    }
+    if cfg.fmt == "json":
+        return _write_json({
+            "n": cfg.n,
+            "kmax": cfg.kmax,
+            "tau": _tau_json(cfg),
+            "polynomials": [
+                {
+                    "index": lab,
+                    "text": str(bp.poly),
+                    "terms": jsonio.poly_to_json(bp.poly),
+                }
+                for lab, bp in zip(labels, polys)
+            ],
+        })
     rows = [[lab, str(bp.poly)] for lab, bp in zip(labels, polys)]
-    sys.stdout.write(_emit_table(cfg, ["index", "polynomial"], rows, payload))
-    return 0
+    return _write_rows(cfg, ["index", "polynomial"], rows)
 
 
 def cmd_transform(args) -> int:
@@ -327,25 +333,23 @@ def cmd_leibniz(args) -> int:
         w = _parse_tuple(args.w, cfg.n)
         v = _parse_tuple(args.v, cfg.n)
         value = states.leibniz_from_matrices(w, v)
-        payload = {
-            "n": cfg.n,
-            "w": [str(c) for c in w],
-            "v": [str(c) for c in v],
-            "value": jsonio.scalar_to_json(value),
-        }
-        rows = [[_value_str(value)]]
-        sys.stdout.write(_emit_table(cfg, ["value"], rows, payload))
-        return 0
+        if cfg.fmt == "json":
+            return _write_json({
+                "n": cfg.n,
+                "w": [str(c) for c in w],
+                "v": [str(c) for c in v],
+                "value": jsonio.scalar_to_json(value),
+            })
+        return _write_rows(cfg, ["value"], [[_value_str(value)]])
     _, series = states.leibniz_closed_form(cfg.n, cfg.degree, tau=cfg.tau)
-    payload = {
-        "n": cfg.n,
-        "degree": cfg.degree,
-        "tau": "symbolic" if cfg.tau is None else str(cfg.tau),
-        "series": jsonio.poly_to_json(series),
-    }
-    rows = [[str(series)]]
-    sys.stdout.write(_emit_table(cfg, ["series"], rows, payload))
-    return 0
+    if cfg.fmt == "json":
+        return _write_json({
+            "n": cfg.n,
+            "degree": cfg.degree,
+            "tau": _tau_json(cfg),
+            "series": jsonio.poly_to_json(series),
+        })
+    return _write_rows(cfg, ["series"], [[str(series)]])
 
 
 def cmd_coords(args) -> int:
@@ -353,50 +357,53 @@ def cmd_coords(args) -> int:
     if (args.z is None) == (args.v is None):
         raise UsageError("provide exactly one of --z or --v")
     if args.z is not None:
-        z = _parse_tuple(args.z, cfg.n)
-        v, h2 = spectral.z_to_v(z)
-        payload = {
-            "n": cfg.n,
-            "z": [str(c) for c in z],
-            "v": [jsonio.scalar_to_json(c) for c in v],
-            "h2": jsonio.scalar_to_json(h2),
-        }
-        rows = [["v"] + [_value_str(c) for c in v], ["h2", _value_str(h2)]]
+        given, name, other = _parse_tuple(args.z, cfg.n), "z", "v"
+        image, h2 = spectral.z_to_v(given)
     else:
-        v = _parse_tuple(args.v, cfg.n)
-        z, h2 = spectral.v_to_z(v)
-        payload = {
+        given, name, other = _parse_tuple(args.v, cfg.n), "v", "z"
+        image, h2 = spectral.v_to_z(given)
+    if cfg.fmt == "json":
+        return _write_json({
             "n": cfg.n,
-            "v": [str(c) for c in v],
-            "z": [jsonio.scalar_to_json(c) for c in z],
+            name: [str(c) for c in given],
+            other: [jsonio.scalar_to_json(c) for c in image],
             "h2": jsonio.scalar_to_json(h2),
-        }
-        rows = [["z"] + [_value_str(c) for c in z], ["h2", _value_str(h2)]]
-    sys.stdout.write(_emit_table(cfg, ["name", "value"], rows, payload))
-    return 0
+        })
+    rows = [[other] + [_value_str(c) for c in image], ["h2", _value_str(h2)]]
+    return _write_rows(cfg, ["name", "value"], rows)
 
 
 def cmd_coherent(args) -> int:
     cfg = _config(args)
-    if args.v == "symbolic":
+    symbolic = args.v == "symbolic"
+    if symbolic:
         v = [MultiPoly.var(f"v{j}") for j in range(1, cfg.n + 1)]
     else:
         v = _parse_tuple(args.v, cfg.n)
     state = states.coherent_state(v)
-    payload = {
-        "n": cfg.n,
-        "v": "symbolic" if args.v == "symbolic" else [str(Fraction(c)) for c in v],
-        "state": jsonio.state_to_json(state),
-    }
-    rows = [[_value_str(e)] for e in state.entries]
-    sys.stdout.write(_emit_table(cfg, ["component"], rows, payload))
-    return 0
+    if cfg.fmt == "json":
+        return _write_json({
+            "n": cfg.n,
+            "v": "symbolic" if symbolic else [str(Fraction(c)) for c in v],
+            "state": jsonio.state_to_json(state),
+        })
+    return _write_rows(cfg, ["component"], [[_value_str(e)] for e in state.entries])
 
 
 # -- entry point -------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=4)
+def _build_parser(env: tuple) -> argparse.ArgumentParser:
+    # argparse runs a string default through the flag's type on every
+    # parse_args, so a bad SOCONE_* value is reported like a bad flag
+    # (exit 2) by a cached parser too
+    values = dict(zip(_ENV_NAMES, env))
+
+    def default(name, fallback):
+        value = values[name]
+        return fallback if value is None else value
+
     parser = argparse.ArgumentParser(
         prog="socone",
         description="exact verification suites and tables for the so(n,2) "
@@ -406,14 +413,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, degree_default="4"):
         p._negative_number_matcher = _NEGATIVE_VALUE_RE
-        p.add_argument("--n", type=int, default=_env("N", "2"))
-        p.add_argument("--tau", default=_env("TAU", "symbolic"))
-        p.add_argument("--degree", type=int, default=_env("DEGREE", degree_default))
-        p.add_argument("--kmax", type=int, default=_env("KMAX", "4"))
-        p.add_argument("--seed", type=int, default=_env("SEED", "0"))
-        p.add_argument("--height", type=int, default=_env("HEIGHT", "5"))
+        p.add_argument("--n", type=int, default=default("N", "2"))
+        p.add_argument("--tau", default=default("TAU", "symbolic"))
+        p.add_argument("--degree", type=int, default=default("DEGREE", degree_default))
+        p.add_argument("--kmax", type=int, default=default("KMAX", "4"))
+        p.add_argument("--seed", type=int, default=default("SEED", "0"))
+        p.add_argument("--height", type=int, default=default("HEIGHT", "5"))
         p.add_argument(
-            "--format", type=_format, choices=_FORMATS, default=_env("FORMAT", "text")
+            "--format", type=_format, choices=_FORMATS, default=default("FORMAT", "text")
         )
 
     p = sub.add_parser("verify", help="run verification suites")
@@ -460,8 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser(_env_defaults()).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from socone import cli, jsonio
 from socone.cli import main
 
 
@@ -161,6 +162,90 @@ def test_verify_all_byte_identical_with_warm_caches(capsys):
         assert out1 == out2
 
 
+# sha256 of stdout, recorded at 4d8e696 before the table commands stopped
+# building the format they do not print: one small invocation per table
+# command and format
+TABLE_DIGESTS = {
+    ("gram --n 2 --degree 2 --tau 5/2", "text"): "a11a36e36faabd024fd6652b78385a6d5e2d662ed7185ba1b7ebc19af18a550a",
+    ("gram --n 2 --degree 2 --tau 5/2", "json"): "56988bc33ebe99c8f36e432c696b96a80f7a7fdc56fc4b6302be6f701fd0d922",
+    ("gram --n 2 --degree 2 --tau 5/2", "csv"): "60787a494831df4313557c2c9d7d15dae54a605f8da0783ab9f3532c04d12e8a",
+    ("gram --n 1 --degree 3", "text"): "5d59861c0332347f8ca8f3bbd1b8981e7b5402b500a1bc44d6c22dde9def0ce7",
+    ("gram --n 1 --degree 3", "json"): "f36838a445a6cbaea3de3062a3fb68929f198460eee9cb22c745156b30360de8",
+    ("gram --n 1 --degree 3", "csv"): "3091ae0e864c13bc7a7736f092e03bf67a1fc1a50059aa2075fa8157059aaa7d",
+    ("moments --n 2 --degree 3 --tau 3", "text"): "53a2c6de9d3150e204d372e73f4e6b5eb89c8f966c0fc08fe88553c43f7547a6",
+    ("moments --n 2 --degree 3 --tau 3", "json"): "370b71cf4e717ba7d494a5e4e7a74e5bf8baaebb437c6c250fcd3c9fd502250c",
+    ("moments --n 2 --degree 3 --tau 3", "csv"): "f97beb73f9e45641db9925a64560811c386ef68ed2da927a6af22178b00e7665",
+    ("transform --n 2 --degree 2", "text"): "071cc7338e976cae1aa168723839875e0f3d11e0fff6b86a447997f552427473",
+    ("transform --n 2 --degree 2", "json"): "18f6a2edcdadcebaa3a450fc1db039cb40b50750899a7dfe785c8f00cdf79545",
+    ("transform --n 2 --degree 2", "csv"): "7a06d1a8d85569b1f9187d63143c0dc6e05e9bbdb6a57910f0d741d30c015cb2",
+    ("leibniz --n 2 --degree 3", "text"): "e6ff2a17d1f010953e0a7a3b6c06d72b5e618f641fcdd55ded6c2ae956eae4fe",
+    ("leibniz --n 2 --degree 3", "json"): "7eb07a7c68c4e21825bd51f57261223c15062ee65b23b3625b410136f35b75d6",
+    ("leibniz --n 2 --degree 3", "csv"): "b08257a099d480d19a0cce4789781e59f15bae2cb78e37e6671df805751ac36e",
+    ("leibniz --n 2 --w 1,1/2 --v -1/3,2", "text"): "ce434d9582d76f75429adff3573dab175642400badb96fc8695095fca8ab84df",
+    ("leibniz --n 2 --w 1,1/2 --v -1/3,2", "json"): "31e6aeed0a32abc07580201eb4c078ab86cfc5958b243943d2bf8c50871740f2",
+    ("leibniz --n 2 --w 1,1/2 --v -1/3,2", "csv"): "dc1062fe7448a851fdada57374284f52e7a53399bf30aa20dda96a9510720715",
+    ("basis-poly --n 2 --kmax 2", "text"): "8f52e7e7b5333c175f3608bdbd6cab19771680d4dcf1602ecada73ec6179ceb0",
+    ("basis-poly --n 2 --kmax 2", "json"): "3a8c16cc9493c07dc2652e1d713e378ab265701e4d244647be9fd46e11bb9e6a",
+    ("basis-poly --n 2 --kmax 2", "csv"): "238e713c0ea32c789fff16cd0f6691f50d4befc5df77b6af5cedaca64fbba851",
+    ("coherent --n 2 --v 1/2,-1", "text"): "8e29f376c3694bdcf0f6c51eae58f05cbac30017022b7badc3b53e45cb0e2bcf",
+    ("coherent --n 2 --v 1/2,-1", "json"): "6528a4db97d715c6680b8111eba89f8c06f734608add645cb4ccbb42d58b2b39",
+    ("coherent --n 2 --v 1/2,-1", "csv"): "820e39af3e58d3c7881c88a43edb88beaffe3ca29899c7d9e4fa29e41164b8b5",
+    ("coherent --n 1", "text"): "7a7927ce863201b31c63ce73f2c562c5f099d8baa1964216ab256df48ad9c6ff",
+    ("coherent --n 1", "json"): "63288dbc5d2e139bd0ffda5c22b28e6be080aeb65df639cdc34c15d47718041d",
+    ("coherent --n 1", "csv"): "584eedab38d6e6c9ceacb8bc6eff75268a351bbb742f580877e815ec56a296dd",
+    ("coords --n 2 --z 1/2,1/3", "text"): "b807a4be1e90256e2517fdc6468265ded14d8e8e5c302c3f35f27cffee955879",
+    ("coords --n 2 --z 1/2,1/3", "json"): "967958cd7c24a913336e967cd8536fce95bd1634a01ef16d6050d0d61b0b10de",
+    ("coords --n 2 --z 1/2,1/3", "csv"): "ba58ff0c8ea7df126f8f573e58ff2c1877db9cb44e8cd1fb532344d124a91f53",
+    ("coords --n 2 --v 1,-1/2", "text"): "9b27c58fa5b82e87f61eb8a2fa97faba08f2335529dd9b42fe202d889300a8f2",
+    ("coords --n 2 --v 1,-1/2", "json"): "02304c6edd4165f44e27f0c917fb484343e8c937b56e52c17b75f0e1d8163d70",
+    ("coords --n 2 --v 1,-1/2", "csv"): "7a86a9f310ba80ae2f904c8213ac8a4341b5367ab4746aa6bb9c048483ba0c60",
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(TABLE_DIGESTS))
+def test_table_matches_recorded_digest(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == TABLE_DIGESTS[command, fmt]
+
+
+def _refuse(*_args):
+    raise RuntimeError("rendered a format that is not printed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--n", "2", "--degree", "2"],
+        ["gram", "--n", "2", "--degree", "2", "--tau", "5/2"],
+        ["transform", "--n", "2", "--degree", "2"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_rows_skip_the_json_work(capsys, monkeypatch, argv, fmt):
+    monkeypatch.setattr(jsonio, "scalar_to_json", _refuse)
+    monkeypatch.setattr(jsonio, "dumps", _refuse)
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--n", "2", "--degree", "2"],
+        ["gram", "--n", "2", "--degree", "2", "--tau", "5/2"],
+        ["moments", "--n", "2", "--degree", "3", "--tau", "3"],
+    ],
+)
+def test_json_skips_the_text_work(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_value_str", _refuse)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    json.loads(out)
+
+
 def test_env_override(capsys, monkeypatch):
     monkeypatch.setenv("SOCONE_FORMAT", "json")
     code, out, _ = run(capsys, "moments", "--n", "1", "--tau", "2", "--degree", "1")
@@ -238,3 +323,32 @@ def test_negative_values_parse_like_the_equals_spelling(capsys, argv, flag, valu
     joined = run(capsys, *argv, f"{flag}={value}")
     assert spaced == joined
     assert spaced[0] == 0
+
+
+def test_format_env_change_takes_effect_between_calls(capsys, monkeypatch):
+    # the parser is cached per set of SOCONE_* values, not built once
+    argv = ["moments", "--n", "1", "--tau", "2", "--degree", "1"]
+    monkeypatch.setenv("SOCONE_FORMAT", "csv")
+    assert run(capsys, *argv) == (0, "0,1\n1,2\n", "")
+    monkeypatch.setenv("SOCONE_FORMAT", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["tau"] == "2"
+    monkeypatch.delenv("SOCONE_FORMAT")
+    assert run(capsys, *argv) == (0, "0  1\n1  2\n", "")
+
+
+@pytest.mark.parametrize("suite", ["--coherent", "--observables"])
+@pytest.mark.parametrize("height", ["0", "-3"])
+def test_nonpositive_height_is_usage_error(capsys, suite, height):
+    code, out, err = run(capsys, "verify", suite, "--n", "1", "--height", height)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "height" in err
+
+
+def test_nonpositive_height_env_default_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SOCONE_HEIGHT", "0")
+    code, out, err = run(capsys, "verify", "--coherent", "--n", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1

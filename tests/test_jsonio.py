@@ -1,8 +1,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
 from socone.algebra import build_algebra
 from socone.jsonio import (
+    dumps,
     fraction_from_str,
     fraction_to_str,
     gaussian_from_json,
@@ -74,3 +78,38 @@ def test_algebra_export_order_and_stability():
     labels = [e["label"] for e in payload["basis"]]
     assert labels == ["R1", "R2", "R3", "L1", "L2", "L3", "rho0", "rho12", "rho13", "rho23"]
     assert json.dumps(payload) == json.dumps(algebra_to_json(build_algebra(3)))
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+@example([])
+@example({})
+@example({"a": [], "b": {}, "c": [[], {}]})
+@example({"exps": {"t": 1, "x1": 2}, "coeff": {"re": "-1/2", "im": "0"}})
+@example({"flag": True, "none": None, "big": -(10**40)})
+@example({"\u00e9\"\\\n\x00\x1f\u2028": "caf\u00e9 \"q\" \\ \t\x7f \U0001f600"})
+def test_dumps_matches_stdlib_indent_2(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [Fraction(1, 2), 1.5, {"re": 1.5}, [1, Fraction(3)], {1: "a"}, ("a", "b")],
+)
+def test_dumps_rejects_unsupported_values(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)
