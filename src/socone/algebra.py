@@ -29,8 +29,32 @@ from .scalars import GaussianRational, gr
 
 _I = gr(0, 1)
 
-# R_j, L_j, rho0 and rho_jk with single-digit spatial indices
-_LABEL_RE = re.compile(r"^[RL]\d+$|^rho0$|^rho(\d)(\d)$")
+_LADDER_RE = re.compile(r"^(?:[RL]\d+|rho0)$")
+_ROTATION_RE = re.compile(r"^rho(?:(\d)(\d)|(\d+)_(\d+))$")
+
+
+def rotation_label(j: int, k: int) -> str:
+    """The label of rho_jk: the indices run together while both are single
+    digits (rho12) and are split by an underscore otherwise (rho1_12), so
+    no two index pairs share a label."""
+    if j < 10 and k < 10:
+        return f"rho{j}{k}"
+    return f"rho{j}_{k}"
+
+
+def _rotation_indices(label: str):
+    """(j, k) when label is rotation_label(j, k), else None."""
+    m = _ROTATION_RE.match(label)
+    if m is None:
+        return None
+    j, k = (int(m[1]), int(m[2])) if m[1] else (int(m[3]), int(m[4]))
+    return (j, k) if rotation_label(j, k) == label else None
+
+
+def _check_label(label: str) -> None:
+    """Raise ValueError unless label is written as a generator label."""
+    if not _LADDER_RE.match(label) and _rotation_indices(label) is None:
+        raise ValueError(f"unknown generator label {label!r}")
 
 
 def build_rho(n: int, k: int, l: int) -> DenseMatrix:
@@ -59,7 +83,7 @@ def generator_table(n: int, raising, lowering, rho0, rotation) -> MappingProxyTy
     table.update((f"L{j}", lowering(j)) for j in range(1, n + 1))
     table["rho0"] = rho0
     for j, k in combinations(range(1, n + 1), 2):
-        table[f"rho{j}{k}"] = rotation(j, k)
+        table[rotation_label(j, k)] = rotation(j, k)
     return MappingProxyType(table)
 
 
@@ -76,9 +100,11 @@ class SoAlgebra:
         matrix = self.generators.get(label)
         if matrix is not None:
             return matrix
-        m = _LABEL_RE.match(label)
-        if m and m[1] and m[1] > m[2] and f"rho{m[2]}{m[1]}" in self.generators:
-            return -self.generators[f"rho{m[2]}{m[1]}"]
+        jk = _rotation_indices(label)
+        if jk is not None and jk[0] > jk[1]:
+            matrix = self.generators.get(rotation_label(jk[1], jk[0]))
+            if matrix is not None:
+                return -matrix
         raise ValueError(f"unknown generator label {label!r}")
 
     def R(self, j: int):
@@ -92,11 +118,10 @@ class SoAlgebra:
         return self.generator("rho0")
 
     def rho(self, j: int, k: int):
-        """Spatial rotation rho_jk; rho_kj resolves to -rho_jk by index, since
-        rotation labels run together from n = 10 on (rho112)."""
+        """Spatial rotation rho_jk; rho_kj resolves to -rho_jk."""
         if j > k:
             return -self.rho(k, j)
-        return self.generator(f"rho{j}{k}")
+        return self.generator(rotation_label(j, k))
 
     def labels(self):
         return list(self.generators)
@@ -178,7 +203,7 @@ def bracket_checks(family: SoAlgebra, suffix: str, same) -> list:
         return family.rho(*g) if isinstance(g, tuple) else family.generator(g)
 
     def label(g):
-        return (f"rho{g[0]}{g[1]}" if isinstance(g, tuple) else g) + suffix
+        return (rotation_label(*g) if isinstance(g, tuple) else g) + suffix
 
     zero = 0 * family.identity
     checks = []
@@ -259,8 +284,7 @@ class OperatorWord:
     @classmethod
     def of(cls, *labels, coeff=1):
         for label in labels:
-            if not _LABEL_RE.match(label):
-                raise ValueError(f"unknown generator label {label!r}")
+            _check_label(label)
         return cls(GaussianRational.coerce(coeff), tuple(labels))
 
     def __mul__(self, other):
@@ -270,8 +294,7 @@ class OperatorWord:
 
 
 def _adjoint_label(label: str):
-    if not _LABEL_RE.match(label):
-        raise ValueError(f"unknown generator label {label!r}")
+    _check_label(label)
     if label == "rho0":
         return label, 1
     if label[0] == "R":

@@ -18,7 +18,7 @@ from .fock import (
     multi_indices,
     pair,
 )
-from .matrices import DenseMatrix, exp_nilpotent_apply
+from .matrices import exp_nilpotent_apply, linear_combination
 from .poly import MultiPoly, TAU
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
@@ -81,11 +81,10 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
     if not den:
         raise PoleError("the pairing vanishes at this point")
     omega = vacuum(n)
-    lower = DenseMatrix.zeros(n + 2)
-    raiser = DenseMatrix.zeros(n + 2)
-    for j in range(1, n + 1):
-        lower = lower + GaussianRational.coerce(w[j - 1]) * alg.L(j)
-        raiser = raiser + GaussianRational.coerce(v[j - 1]) * alg.R(j)
+    wc = [GaussianRational.coerce(c) for c in w]
+    vc = [GaussianRational.coerce(c) for c in v]
+    lower = linear_combination(wc, [alg.L(j) for j in range(1, n + 1)])
+    raiser = linear_combination(vc, [alg.R(j) for j in range(1, n + 1)])
     moved = exp_nilpotent_apply(raiser, omega.entries)
     moved = _operator(words, alg).apply(moved)
     moved = exp_nilpotent_apply(lower, moved)
@@ -95,8 +94,8 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
         series = fock_pairing_series(words, n, bound).subs({"t": Fraction(-2)})
         point = {}
         for j in range(1, n + 1):
-            point[f"w{j}"] = GaussianRational.coerce(w[j - 1])
-            point[f"v{j}"] = GaussianRational.coerce(v[j - 1])
+            point[f"w{j}"] = wc[j - 1]
+            point[f"v{j}"] = vc[j - 1]
         via_fock = series.subs(point).as_gaussian()
         if via_fock != numerator:
             raise AssertionError("matrix and Fock numerators disagree at weight -2")
@@ -268,15 +267,24 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
     """Direct shift action on the coherent vector versus the ordering
     substitution, for every word up to the given length.
 
-    Both routes are compared on components of degree at most D minus the
-    word length budget, where the truncation cannot have leaked. The direct
-    route applies a word's first letter to the vector of the rest of the
-    word, so each word costs one shift; the substitution route shares each
-    derivative of the coherent vector between the words that need it.
+    Both routes act only on the components of the coherent vector of
+    degree at most safe = D - max_length, and are compared there. That is
+    exact. Component k is v^k/k!. In the direct route a term's v-degree is
+    the degree of its source component, and at most max_length raises
+    carry a source of degree <= safe to degree <= D, never past the
+    truncation boundary, so no other component reaches the compared block.
+    The substitution route keeps each component's index; it is compared
+    up to v-degree safe, because its lowers raise the v-degree.
+
+    The direct route applies a word's first letter to the vector of the
+    rest of the word, so each word costs one shift; the substitution route
+    shares each derivative of the coherent vector between the words that
+    need it.
     """
     hat = build_hat(n, degree_bound)
-    psi = coherent_vector(n, degree_bound, "v")
     safe = degree_bound - max_length
+    compared = multi_indices(n, safe)
+    psi = coherent_vector(n, safe, "v")
     alphabet = [("R", j) for j in range(1, n + 1)] + [
         ("V", j) for j in range(1, n + 1)
     ]
@@ -287,13 +295,10 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
         )
     checks = []
     mismatches = 0
-    compared = multi_indices(n, safe)
     # direct vectors of the words that are suffixes of longer ones
     suffixes = {(): psi}
     derivatives = {}
-
-    def low(value):
-        return MultiPoly.coerce(value).truncate({"v": safe}).terms
+    empty = MultiPoly.zero()
 
     for word in words:
         direct = psi
@@ -304,13 +309,11 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
             if len(word) < max_length:
                 suffixes[word] = direct
         subst = _diffop_apply(normal_order(word), psi, derivatives)
-        ok = True
         for k in compared:
-            if low(direct.get(k, 0)) != low(subst.get(k, 0)):
-                ok = False
+            low = subst.get(k, empty).truncate({"v": safe}).terms
+            if direct.get(k, empty).terms != low:
+                mismatches += 1
                 break
-        if not ok:
-            mismatches += 1
     checks.append(
         CheckResult(
             f"all {len(words)} words of length <= {max_length} agree",

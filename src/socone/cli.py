@@ -254,17 +254,20 @@ def cmd_gram(args) -> int:
     labels = [jsonio.multi_index_label(k) for k in basis]
     if cfg.tau is None:
         entries = [[gram.entry(k, m) for m in basis] for k in basis]
+        as_text, as_json = _value_str, jsonio.scalar_to_json
     else:
-        entries = [[MultiPoly.const(v) for v in row] for row in gram.eval_at(cfg.tau)]
+        # constants, written in the polynomial form of the symbolic table
+        entries = [[GaussianRational(v) for v in row] for row in gram.eval_at(cfg.tau)]
+        as_text, as_json = MultiPoly.coeff_str, jsonio.constant_to_json
     if cfg.fmt == "json":
         return _write_json({
             "n": cfg.n,
             "degree": cfg.degree,
             "tau": _tau_json(cfg),
             "basis": labels,
-            "matrix": [[jsonio.scalar_to_json(v) for v in row] for row in entries],
+            "matrix": [[as_json(v) for v in row] for row in entries],
         })
-    rows = [[lab] + [_value_str(v) for v in row] for lab, row in zip(labels, entries)]
+    rows = [[lab] + [as_text(v) for v in row] for lab, row in zip(labels, entries)]
     return _write_rows(cfg, [""] + labels, rows)
 
 

@@ -21,7 +21,7 @@ from functools import cache
 from math import factorial, gcd
 from types import MappingProxyType
 
-from .algebra import SoAlgebra, bracket_checks, generator_table
+from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
 from .matrices import commutator, is_positive_definite
 from .poly import MultiPoly, TAU, TAU_NAME
 from .report import CheckResult, Report
@@ -192,11 +192,10 @@ class FockMatrix:
 
     def restrict(self, max_degree: int) -> "FockMatrix":
         """Drop every entry whose row or column exceeds the given degree."""
+        # the basis is graded, so the states of degree <= max_degree are a prefix
+        size = sum(1 for k in self.basis if mi_degree(k) <= max_degree)
         entries = {
-            (r, c): v
-            for (r, c), v in self.entries.items()
-            if mi_degree(self.basis[r]) <= max_degree
-            and mi_degree(self.basis[c]) <= max_degree
+            (r, c): v for (r, c), v in self.entries.items() if r < size and c < size
         }
         return self._like(entries)
 
@@ -278,7 +277,9 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     """Ladder and rotation operators as polynomials in the shift operators.
 
     L_j is t V_j + 2 (R_l V_l) V_j - R_j V.V; the equivalent form
-    rho0 V_j - R_j V.V is built as well and the equality is asserted.
+    rho0 V_j - R_j V.V is built as well and the equality is asserted, and
+    so is the grading: every entry of R_j raises the degree by exactly 1,
+    of L_j lowers it by exactly 1, and of rho0 and rho_jk keeps it.
     Built and checked once per (n, D) and shared: the family is immutable.
     """
     if degree_bound < 2:
@@ -314,7 +315,29 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
         rho0,
         lambda j, k: raising[j - 1] * lowering[k - 1] - raising[k - 1] * lowering[j - 1],
     )
+    degree = [mi_degree(k) for k in identity.basis]
+    for label, matrix in generators.items():
+        grade = {"R": 1, "L": -1}.get(label[0], 0)
+        if any(degree[r] - degree[c] != grade for r, c in matrix.entries):
+            raise AssertionError(f"{label}^ does not move the degree by {grade}")
     return HatFamily(n, generators, identity, degree_bound, lowering)
+
+
+def restricted_family(hat: HatFamily, max_degree: int) -> SoAlgebra:
+    """The generators and identity of the family with every entry whose row
+    or column exceeds max_degree dropped.
+
+    Every generator moves the degree by exactly its grade (asserted by
+    build_hat), so an entry of a product of generators between states of
+    degree <= max_degree - 1 sums only over intermediate states of degree
+    <= max_degree: there the restricted product equals the full one.
+    """
+    generators = {
+        label: matrix.restrict(max_degree) for label, matrix in hat.generators.items()
+    }
+    return SoAlgebra(
+        hat.n, MappingProxyType(generators), hat.identity.restrict(max_degree)
+    )
 
 
 def vacuum_vector(n: int) -> dict:
@@ -325,14 +348,20 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
     """Every bracket identity of the realization, exactly, on interior blocks.
 
     Interior means rows and columns of degree at most D-2, where a single
-    raising step can never have touched the truncation boundary.
+    raising step can never have touched the truncation boundary. The
+    brackets are formed from the generators restricted to degree <= D-1:
+    each generator moves the degree by exactly its grade, so a product's
+    entry on the interior block only sums over states of degree <= D-1,
+    and there the restricted brackets equal the full ones.
     """
     if degree_bound < 3:
         raise ValueError("need truncation degree at least 3")
     hat = build_hat(n, degree_bound)
     interior = degree_bound - 2
     checks = bracket_checks(
-        hat, "^", lambda a, b: a.restrict(interior) == b.restrict(interior)
+        restricted_family(hat, degree_bound - 1),
+        "^",
+        lambda a, b: a.restrict(interior) == b.restrict(interior),
     )
     # interior shift-operator commutator
     for j in range(1, n + 1):
@@ -458,27 +487,30 @@ def pair(gram: GramMatrix, left: dict, right: dict):
 
 def verify_adjointness(n: int, degree_bound: int) -> Report:
     """transpose(L^) G = G R^, and the symmetric/skew statements for the
-    rotations, as polynomial identities on degrees <= D-1."""
+    rotations, as polynomial identities on degrees <= D-1.
+
+    Both sides are computed from the generators and the Gram table
+    restricted to degree <= D-1. The table is block-diagonal by degree
+    (asserted by gram_matrix), so an entry of either product between states
+    of degree <= D-1 sums only over states of degree <= D-1: there the
+    restricted products equal the full ones.
+    """
     if degree_bound < 2:
         raise ValueError("need truncation degree at least 2")
-    hat = build_hat(n, degree_bound)
-    g = gram_matrix(n, degree_bound).to_fock_matrix()
     cut = degree_bound - 1
+    hat = restricted_family(build_hat(n, degree_bound), cut)
+    g = gram_matrix(n, degree_bound).to_fock_matrix().restrict(cut)
     checks = []
     for j in range(1, n + 1):
-        lhs = (hat.L(j).transpose() * g).restrict(cut)
-        rhs = (g * hat.R(j)).restrict(cut)
+        lhs, rhs = hat.L(j).transpose() * g, g * hat.R(j)
         checks.append(CheckResult(f"L{j}^* pairs as R{j}^", lhs == rhs))
-    lhs = (hat.rho0.transpose() * g).restrict(cut)
-    rhs = (g * hat.rho0).restrict(cut)
+    lhs, rhs = hat.rho0.transpose() * g, g * hat.rho0
     checks.append(CheckResult("rho0^ is symmetric for the pairing", lhs == rhs))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            lhs = (hat.rho(j, k).transpose() * g).restrict(cut)
-            rhs = (-(g * hat.rho(j, k))).restrict(cut)
-            checks.append(
-                CheckResult(f"rho{j}{k}^ is skew for the pairing", lhs == rhs)
-            )
+            lhs, rhs = hat.rho(j, k).transpose() * g, -(g * hat.rho(j, k))
+            name = f"{rotation_label(j, k)}^ is skew for the pairing"
+            checks.append(CheckResult(name, lhs == rhs))
     return Report(f"pairing adjointness (n={n}, D={degree_bound})", checks)
 
 

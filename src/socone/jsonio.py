@@ -55,6 +55,11 @@ def poly_to_json(poly: MultiPoly) -> list:
     return out
 
 
+def constant_to_json(value: GaussianRational) -> list:
+    """poly_to_json(MultiPoly.const(value)), without building the polynomial."""
+    return [{"exps": {}, "coeff": gaussian_to_json(value)}] if value else []
+
+
 def poly_from_json(terms: list) -> MultiPoly:
     acc = MultiPoly.zero()
     for term in terms:

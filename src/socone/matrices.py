@@ -194,6 +194,30 @@ def _dot(row, col):
     return ZERO if acc is None else acc
 
 
+def linear_combination(coeffs, matrices) -> DenseMatrix:
+    """sum_k coeffs[k] * matrices[k] for matrices of one shape, in one pass.
+
+    Each entry is _dot of the coefficients with the matrices' entries at
+    that position, so it equals the entry of the running sum
+    zeros + c_1 M_1 + ... + c_m M_m: a zero GaussianRational product is
+    skipped and a MultiPoly coefficient is always multiplied, so its
+    truncation reaches every entry.
+    """
+    coeffs = [_coerce_entry(c) for c in coeffs]
+    matrices = list(matrices)
+    if not matrices or len(coeffs) != len(matrices):
+        raise ValueError("need one coefficient per matrix, and at least one matrix")
+    shape = (matrices[0].rows, matrices[0].cols)
+    if any((m.rows, m.cols) != shape for m in matrices):
+        raise ValueError("dimension mismatch in linear combination")
+    return DenseMatrix._make(
+        tuple(
+            tuple(_dot(coeffs, entries) for entries in zip(*rows))
+            for rows in zip(*(m.data for m in matrices))
+        )
+    )
+
+
 def commutator(a, b):
     """[a, b] = a b - b a for two dense or two Fock matrices; the products
     and the difference raise ValueError when the shapes disagree."""

@@ -603,7 +603,9 @@ class MultiPoly:
         return out
 
     @staticmethod
-    def _coeff_str(c: GaussianRational) -> str:
+    def coeff_str(c: GaussianRational) -> str:
+        """A coefficient as printed in a term; for every c this is also
+        str(MultiPoly.const(c))."""
         s = str(c)
         if c.re != 0 and c.im != 0:
             return f"({s})"
@@ -611,7 +613,7 @@ class MultiPoly:
 
     def __str__(self):
         return self._render(
-            lambda v, e: f"{v}^{e}", lambda n: n, self._coeff_str, "*"
+            lambda v, e: f"{v}^{e}", lambda n: n, self.coeff_str, "*"
         )
 
     def latex(self) -> str:
@@ -622,7 +624,7 @@ class MultiPoly:
             return f"{group}_{{{index}}}" if index else group
 
         return self._render(
-            lambda v, e: f"{v}^{{{e}}}", name_fmt, self._coeff_str, r" \, "
+            lambda v, e: f"{v}^{{{e}}}", name_fmt, self.coeff_str, r" \, "
         )
 
     def __repr__(self):

@@ -26,7 +26,7 @@ from .fock import (
     probe_blocks,
     vacuum_vector,
 )
-from .matrices import DenseMatrix, _coerce_entry, exp_nilpotent_apply
+from .matrices import _coerce_entry, exp_nilpotent_apply, linear_combination
 from .poly import MultiPoly, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import gr
@@ -80,9 +80,7 @@ def exp_zX_vacuum(z) -> StateVector:
     n = len(z)
     comps = [_coerce_entry(c) for c in z]
     obs = build_observables(n)
-    generator = DenseMatrix.zeros(n + 2)
-    for c, e in zip(comps, obs):
-        generator = generator + c * e.matrix
+    generator = linear_combination(comps, [e.matrix for e in obs])
     omega = vacuum(n)
     moved = StateVector(exp_nilpotent_apply(generator, omega.entries))
     zeta2 = zeta2_value(comps)

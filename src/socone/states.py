@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import build_algebra
-from .matrices import DenseMatrix, _coerce_entry, exp_nilpotent_apply
+from .algebra import build_algebra, rotation_label
+from .matrices import _coerce_entry, exp_nilpotent_apply, linear_combination
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import gr
@@ -92,7 +92,9 @@ def _vacuum(n: int) -> StateVector:
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             if any(alg.rho(j, k).apply(omega.entries)):
-                raise AssertionError(f"rho{j}{k} does not annihilate the vacuum")
+                raise AssertionError(
+                    f"{rotation_label(j, k)} does not annihilate the vacuum"
+                )
     if StateVector(alg.rho0.apply(omega.entries)) != (-2) * omega:
         raise AssertionError("rho0 does not act as -2 on the vacuum")
     return omega
@@ -114,9 +116,7 @@ def coherent_state(v) -> StateVector:
     n = len(v)
     alg = build_algebra(n)
     comps = [_coerce_entry(c) for c in v]
-    generator = DenseMatrix.zeros(n + 2)
-    for j, c in enumerate(comps, start=1):
-        generator = generator + c * alg.R(j)
+    generator = linear_combination(comps, [alg.R(j) for j in range(1, n + 1)])
     omega = vacuum(n)
     via_exp = StateVector(exp_nilpotent_apply(generator, omega.entries))
     closed = coherent_closed_form(comps)
@@ -196,11 +196,8 @@ def leibniz_from_matrices(w, v):
     alg = build_algebra(n)
     wc = [_coerce_entry(c) for c in w]
     vc = [_coerce_entry(c) for c in v]
-    lower = DenseMatrix.zeros(n + 2)
-    raiser = DenseMatrix.zeros(n + 2)
-    for j in range(1, n + 1):
-        lower = lower + wc[j - 1] * alg.L(j)
-        raiser = raiser + vc[j - 1] * alg.R(j)
+    lower = linear_combination(wc, [alg.L(j) for j in range(1, n + 1)])
+    raiser = linear_combination(vc, [alg.R(j) for j in range(1, n + 1)])
     omega = vacuum(n)
     moved = exp_nilpotent_apply(lower, exp_nilpotent_apply(raiser, omega.entries))
     state = StateVector(moved)

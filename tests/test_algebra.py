@@ -4,12 +4,15 @@ import pytest
 
 from socone.algebra import (
     OperatorWord,
+    SoAlgebra,
     build_algebra,
     build_observables,
     build_rho,
     conjugation_check,
     formal_adjoint,
+    generator_table,
     reference_check_n3,
+    rotation_label,
     verify_relations,
     word_to_matrix,
 )
@@ -224,3 +227,41 @@ def test_exp_inverse_on_nilpotent_orbit_elements(rng):
             for g in wing:
                 m = m + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * g
             assert exp_nilpotent(m) * exp_nilpotent(-m) == DenseMatrix.identity(n + 2)
+
+
+def test_two_digit_rotation_labels_are_distinct_and_resolve():
+    alg = build_algebra(12)
+    labels = alg.labels()
+    assert len(set(labels)) == len(labels) == 2 * 12 + 1 + 12 * 11 // 2
+    assert all(alg.generator(label) is alg.generators[label] for label in labels)
+    assert "rho89" in labels and "rho1_12" in labels and "rho11_12" in labels
+    assert alg.generator("rho12_1") == -alg.rho(1, 12) == alg.rho(12, 1)
+    assert alg.generator("rho11_2") == alg.rho(11, 2) != alg.generator("rho1_12")
+
+
+def test_bracket_rows_at_n_12_name_two_different_rotations():
+    names = [ch.name for ch in verify_relations(build_algebra(12)).checks]
+    assert "[L12, R1] = 2 rho1_12" in names
+    assert "[L2, R11] = 2 rho11_2" in names
+
+
+def test_operator_words_accept_two_digit_rotations_only_in_canonical_form():
+    word = OperatorWord.of("rho1_12", "rho12_1", "R12")
+    assert formal_adjoint(word) == OperatorWord.of("L12", "rho12_1", "rho1_12")
+    for bad in ("rho112", "rho1_2", "rho01_12", "rho1_", "rho_12"):
+        with pytest.raises(ValueError):
+            OperatorWord.of(bad)
+
+
+def test_rotation_labels_stay_distinct_where_run_together_labels_collide():
+    # "rho1112" would be both rho_1,112 and rho_11,12; stand-in values
+    # instead of 114 x 114 matrices
+    n = 112
+    table = generator_table(n, lambda j: j, lambda j: -j, 0, lambda j, k: 1000 * j + k)
+    assert len(table) == 2 * n + 1 + n * (n - 1) // 2
+    assert table["rho1_112"] == 1112 and table["rho11_12"] == 11012
+    family = SoAlgebra(n, table, None)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            assert family.generator(rotation_label(j, k)) == 1000 * j + k
+            assert family.generator(rotation_label(k, j)) == -(1000 * j + k)

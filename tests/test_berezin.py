@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from socone.berezin import (
     verify_raising_identity,
     wick_recipe_check,
 )
+from socone.fock import build_hat, coherent_vector, multi_indices
 from socone.poly import MultiPoly, TAU
 from socone.states import leibniz_base
 
@@ -134,16 +136,66 @@ def test_wick_recipe_at_the_verify_size():
 
 
 def test_wick_recipe_catches_a_missing_contraction(monkeypatch):
-    def commuting_order(word):
-        # every lower moved right of every raise with no [V_j, R_j] = 1 terms
-        raises = tuple(sorted(j for kind, j in word if kind == "R"))
-        lowers = tuple(sorted(j for kind, j in word if kind == "V"))
-        return {(raises, lowers): 1}
-
     monkeypatch.setattr(berezin, "normal_order", commuting_order)
     report = wick_recipe_check(2, 5)
     assert not report.all_passed
     assert "mismatches" in report.checks[0].detail
+
+
+def full_vector_recipe(n, degree_bound, max_length=3):
+    """(words, mismatches) of the ordering-recipe comparison on the whole
+    truncated coherent vector: each word is applied letter by letter, and
+    both routes are cut to v-degree D - max_length afterwards."""
+    hat = build_hat(n, degree_bound)
+    psi = coherent_vector(n, degree_bound, "v")
+    safe = degree_bound - max_length
+    alphabet = [("R", j) for j in range(1, n + 1)] + [("V", j) for j in range(1, n + 1)]
+    words = [
+        w for size in range(max_length + 1) for w in product(alphabet, repeat=size)
+    ]
+    derivatives = {}
+
+    def low(value):
+        return MultiPoly.coerce(value).truncate({"v": safe}).terms
+
+    mismatches = 0
+    for word in words:
+        direct = psi
+        for kind, j in reversed(word):
+            direct = (hat.R(j) if kind == "R" else hat.shift_lower(j)).apply(direct)
+        subst = berezin._diffop_apply(berezin.normal_order(word), psi, derivatives)
+        compared = multi_indices(n, safe)
+        if any(low(direct.get(k, 0)) != low(subst.get(k, 0)) for k in compared):
+            mismatches += 1
+    return len(words), mismatches
+
+
+def commuting_order(word):
+    # every lower moved right of every raise with no [V_j, R_j] = 1 terms
+    raises = tuple(sorted(j for kind, j in word if kind == "R"))
+    lowers = tuple(sorted(j for kind, j in word if kind == "V"))
+    return {(raises, lowers): 1}
+
+
+def one_more_on_the_first_term(word):
+    terms = normal_order(word)
+    if len(word) >= 2:
+        first = next(iter(terms))
+        terms[first] += 1
+    return terms
+
+
+@pytest.mark.parametrize("mutant", [None, commuting_order, one_more_on_the_first_term])
+@pytest.mark.parametrize("n, d", [(1, 5), (2, 5), (3, 5), (2, 6)])
+def test_wick_recipe_agrees_with_the_full_vector_comparison(monkeypatch, n, d, mutant):
+    if mutant is not None:
+        monkeypatch.setattr(berezin, "normal_order", mutant)
+    words, mismatches = full_vector_recipe(n, d)
+    row = wick_recipe_check(n, d).checks[0]
+    assert row.name == f"all {words} words of length <= 3 agree"
+    assert row.passed == (mismatches == 0)
+    assert row.detail == ("" if not mismatches else f"{mismatches} mismatches")
+    assert (mismatches == 0) == (mutant is None)
 
 
 def test_fock_pairing_series_identity_word():

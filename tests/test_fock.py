@@ -1,14 +1,17 @@
 import re
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
+from types import MappingProxyType
 
 import pytest
 
-from socone import algebra
+from socone import algebra, fock
 from socone.algebra import OperatorWord, brackets, build_algebra, verify_relations
 from socone.berezin import fock_pairing_series
 from socone.fock import (
     FockMatrix,
+    GramMatrix,
     build_combinatorial,
     build_hat,
     coherent_vector,
@@ -18,6 +21,7 @@ from socone.fock import (
     number_grading_check,
     pair,
     positivity_probe,
+    restricted_family,
     series_duality_check,
     vacuum_vector,
     verify_adjointness,
@@ -324,7 +328,7 @@ def test_a_wrong_bracket_coefficient_fails_the_same_row_in_both(monkeypatch):
 
 
 def test_rotations_are_read_by_index_where_labels_run_together():
-    # from n = 12 on, "rho112" is both rho_1,12 and rho_11,2
+    # two-digit indices: rho_11,2 and rho_1,12 are different generators
     alg, hat = build_algebra(12), build_hat(12, 2)
     for family in (alg, hat):
         assert family.rho(11, 2) == -family.rho(2, 11)
@@ -337,3 +341,72 @@ def test_gram_matrix_leaves_the_leibniz_cache_alone():
     built = gram_matrix.__wrapped__(2, 3)
     assert leibniz_closed_form.cache_info() == before
     assert dict(built.entries) == dict(gram_matrix(2, 3).entries)
+
+
+# -- the compared-block restrictions against the full products -------------------
+
+
+def drop_above(matrix, max_degree):
+    # FockMatrix.restrict by the degree of each row and column state
+    basis = matrix.basis
+    return FockMatrix(
+        matrix.n,
+        matrix.degree_bound,
+        {
+            (r, c): v
+            for (r, c), v in matrix.entries.items()
+            if mi_degree(basis[r]) <= max_degree and mi_degree(basis[c]) <= max_degree
+        },
+        basis=basis,
+    )
+
+
+SIZES = [(n, d) for n in (1, 2, 3) for d in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("n, d", SIZES)
+def test_restricted_brackets_equal_the_full_ones_on_the_interior(n, d):
+    hat = build_hat(n, d)
+    small = restricted_family(hat, d - 1)
+    for a, b in combinations(hat.labels(), 2):
+        full = commutator(hat.generator(a), hat.generator(b))
+        got = commutator(small.generator(a), small.generator(b))
+        assert drop_above(got, d - 2) == drop_above(full, d - 2), (a, b)
+
+
+@pytest.mark.parametrize("n, d", SIZES)
+def test_restricted_adjointness_products_equal_the_full_ones(n, d):
+    hat = build_hat(n, d)
+    small = restricted_family(hat, d - 1)
+    g = gram_matrix(n, d).to_fock_matrix()
+    g_small = drop_above(g, d - 1)
+    for label in hat.labels():
+        full, got = hat.generator(label), small.generator(label)
+        assert got.transpose() * g_small == drop_above(full.transpose() * g, d - 1)
+        assert g_small * got == drop_above(g * full, d - 1)
+
+
+def test_a_generator_that_jumps_two_degrees_fails_the_grading_assertion(monkeypatch):
+    build = fock.generator_table
+
+    def with_a_jump(n, *args):
+        table = dict(build(n, *args))
+        proto = FockMatrix.zero(n, 4)
+        jump = {(proto.index[(2, 0)], proto.index[(0, 0)]): gr(1)}
+        table["R1"] = table["R1"] + FockMatrix(n, 4, jump, basis=proto.basis)
+        return MappingProxyType(table)
+
+    monkeypatch.setattr(fock, "generator_table", with_a_jump)
+    with pytest.raises(AssertionError, match="R1\\^ does not move the degree by 1"):
+        build_hat.__wrapped__(2, 4)
+
+
+@pytest.mark.parametrize("k", [(1, 0), (3, 0)])
+def test_a_wrong_gram_entry_fails_an_adjointness_row(monkeypatch, k):
+    good = gram_matrix(2, 4)
+    entries = dict(good.entries)
+    entries[k, k] = entries[k, k] + 1
+    bad = GramMatrix(2, 4, good.basis, MappingProxyType(entries))
+    monkeypatch.setattr(fock, "gram_matrix", lambda n, d: bad)
+    failed = [ch.name for ch in verify_adjointness(2, 4).failed()]
+    assert "L1^* pairs as R1^" in failed

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from socone.algebra import build_algebra
 from socone.jsonio import (
+    constant_to_json,
     dumps,
     fraction_from_str,
     fraction_to_str,
@@ -113,3 +114,17 @@ def test_dumps_matches_stdlib_indent_2(obj):
 def test_dumps_rejects_unsupported_values(obj):
     with pytest.raises(TypeError):
         dumps(obj)
+
+
+_parts = st.fractions(-5, 5, max_denominator=4)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.builds(gr, _parts, _parts))
+@example(gr(0))
+@example(gr(-3, 0))
+@example(gr(0, Fraction(-1, 2)))
+def test_a_constant_is_written_in_the_polynomial_form_without_building_it(c):
+    poly = MultiPoly.const(c)
+    assert MultiPoly.coeff_str(c) == str(poly)
+    assert constant_to_json(c) == poly_to_json(poly)

@@ -12,6 +12,7 @@ from socone.matrices import (
     exp_nilpotent,
     exp_nilpotent_apply,
     is_positive_definite,
+    linear_combination,
 )
 from socone.poly import MultiPoly
 from socone.scalars import GaussianRational, gr
@@ -379,3 +380,39 @@ def test_zero_operands_keep_the_truncation_of_series_entries():
     assert all(type(e) is MultiPoly and e.trunc == {"v": 2} for e in zeroed.data[0])
     with pytest.raises(ValueError):
         DenseMatrix.zeros(0)
+
+
+def running_sum(coeffs, mats):
+    # the zeros + c * M loop that linear_combination replaces
+    acc = DenseMatrix.zeros(mats[0].rows, mats[0].cols)
+    for c, m in zip(coeffs, mats):
+        acc = acc + c * m
+    return acc
+
+
+@st.composite
+def pencils(draw):
+    rows, cols, count = (draw(st.integers(1, 3)) for _ in range(3))
+    mats = [
+        DenseMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+        for _ in range(count)
+    ]
+    return [draw(entries) for _ in range(count)], mats
+
+
+@settings(derandomize=True, max_examples=100)
+@given(pencils())
+def test_linear_combination_matches_the_running_sum(pencil):
+    coeffs, mats = pencil
+    got, want = linear_combination(coeffs, mats), running_sum(coeffs, mats)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for got_row, want_row in zip(got.data, want.data):
+        for x, y in zip(got_row, want_row):
+            same_entry(x, y)
+
+
+def test_linear_combination_rejects_mismatched_input():
+    a, b = DenseMatrix.identity(2), DenseMatrix.zeros(2, 3)
+    for coeffs, mats in (([], []), ([1], [a, a]), ([1, 2], [a, b])):
+        with pytest.raises(ValueError):
+            linear_combination(coeffs, mats)
