@@ -7,14 +7,15 @@ observables through it and adds only the truncation degree and the
 lowering shifts V_j.
 
 Basis states are multi-indices (k_1..k_n) of total degree at most D in
-graded lexicographic order. Raising out of the truncated space lands in a
-flagged boundary sink (the write is dropped and the source column is
-recorded), and every relation check restricts to interior blocks where the
+graded lexicographic order; one basis, index and block layout serves every
+operator on a truncated space (n, D). A raise out of the truncated space is
+dropped, and every relation check compares interior blocks, where the
 truncation cannot leak, so each reported identity is exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -66,55 +67,52 @@ def _shift(k, j, delta):
     return tuple(out)
 
 
+@cache
+def _space(n: int, degree_bound: int) -> tuple:
+    """(basis, index, ends) of the truncated space (n, D): the graded basis,
+    the position of each state, and ends[d], the offset of the degree-d
+    block for d = 0..D+1 (ends[D+1] is the size). Built once per (n, D)
+    and shared by every operator on the space."""
+    basis = tuple(multi_indices(n, degree_bound))
+    index = MappingProxyType({k: i for i, k in enumerate(basis)})
+    degrees = [mi_degree(k) for k in basis]
+    ends = tuple(bisect_left(degrees, d) for d in range(degree_bound + 2))
+    return basis, index, ends
+
+
 class FockMatrix:
     """Sparse operator matrix on the truncated Fock basis.
 
-    Entries are exact scalars or polynomials in t. flagged records the
-    columns whose raising action fell off the truncation boundary anywhere
-    in the history of the matrix.
+    Entries are exact scalars or polynomials in t, keyed by (row, column)
+    positions in the shared basis of the space.
     """
 
-    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "flagged", "_columns")
+    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "_columns")
 
-    def __init__(self, n, degree_bound, entries=None, flagged=frozenset(), basis=None):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree_bound", degree_bound)
-        basis = basis if basis is not None else tuple(multi_indices(n, degree_bound))
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "index", {k: i for i, k in enumerate(basis)})
-        cleaned = {}
-        for pos, value in (entries or {}).items():
-            if value:
-                cleaned[pos] = value
-        object.__setattr__(self, "entries", cleaned)
-        object.__setattr__(self, "flagged", frozenset(flagged))
-        object.__setattr__(self, "_columns", None)
+    def __init__(self, n, degree_bound, entries=None):
+        basis, index, _ = _space(n, degree_bound)
+        cleaned = {pos: v for pos, v in (entries or {}).items() if v}
+        self._fill(n, degree_bound, basis, index, cleaned)
+
+    def _fill(self, *values):
+        # every slot but the lazily built _columns, in __slots__ order
+        for name, value in zip(FockMatrix.__slots__, values + (None,)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FockMatrix is immutable")
 
     @classmethod
-    def zero(cls, n, degree_bound):
-        return cls(n, degree_bound)
-
-    @classmethod
     def identity(cls, n, degree_bound):
-        m = cls(n, degree_bound)
-        return cls(
-            n,
-            degree_bound,
-            {(i, i): gr(1) for i in range(len(m.basis))},
-            basis=m.basis,
-        )
+        size = len(_space(n, degree_bound)[0])
+        return cls(n, degree_bound, {(i, i): gr(1) for i in range(size)})
 
-    def _like(self, entries, flagged=None):
-        return FockMatrix(
-            self.n,
-            self.degree_bound,
-            entries,
-            self.flagged if flagged is None else flagged,
-            basis=self.basis,
-        )
+    def _like(self, entries):
+        """A matrix on this space from entries that hold no zero, wrapped as
+        they are: the space is not looked up and nothing is re-filtered."""
+        out = object.__new__(FockMatrix)
+        out._fill(self.n, self.degree_bound, self.basis, self.index, entries)
+        return out
 
     def _check_space(self, other):
         if (self.n, self.degree_bound) != (other.n, other.degree_bound):
@@ -132,7 +130,7 @@ class FockMatrix:
                 entries[pos] = s
             elif acc is not None:
                 del entries[pos]
-        return self._like(entries, self.flagged | other.flagged)
+        return self._like(entries)
 
     def __sub__(self, other):
         if not isinstance(other, FockMatrix):
@@ -159,11 +157,12 @@ class FockMatrix:
                         entries[pos] = s
                     elif acc is not None:
                         del entries[pos]
-            return self._like(entries, self.flagged | other.flagged)
+            return self._like(entries)
         if isinstance(other, (int, Fraction, GaussianRational, MultiPoly)):
-            if not other:
-                return self._like({})
-            return self._like({p: v * other for p, v in self.entries.items()})
+            # a truncated polynomial factor can make a product vanish
+            return self._like(
+                {p: x for p, v in self.entries.items() if (x := v * other)}
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -193,7 +192,8 @@ class FockMatrix:
     def restrict(self, max_degree: int) -> "FockMatrix":
         """Drop every entry whose row or column exceeds the given degree."""
         # the basis is graded, so the states of degree <= max_degree are a prefix
-        size = sum(1 for k in self.basis if mi_degree(k) <= max_degree)
+        ends = _space(self.n, self.degree_bound)[2]
+        size = ends[min(max(max_degree + 1, 0), self.degree_bound + 1)]
         entries = {
             (r, c): v for (r, c), v in self.entries.items() if r < size and c < size
         }
@@ -223,15 +223,6 @@ class FockMatrix:
     def entry(self, row_mi, col_mi):
         return self.entries.get((self.index[row_mi], self.index[col_mi]), gr(0))
 
-    def subs(self, assignments) -> "FockMatrix":
-        out = {}
-        for pos, value in self.entries.items():
-            if isinstance(value, MultiPoly):
-                value = value.subs(assignments)
-            if value:
-                out[pos] = value
-        return self._like(out)
-
 
 def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMatrix:
     """The shift operators: kind "raise" appends to slot j with coefficient 1,
@@ -240,21 +231,18 @@ def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMat
         raise ValueError("the truncation degree must be at least 1")
     if not 1 <= j <= n:
         raise ValueError("slot index out of range")
-    proto = FockMatrix.zero(n, degree_bound)
+    basis, index, _ = _space(n, degree_bound)
     entries = {}
-    flagged = set()
-    for col, k in enumerate(proto.basis):
+    for col, k in enumerate(basis):
         if kind == "raise":
             if mi_degree(k) < degree_bound:
-                entries[(proto.index[_shift(k, j, 1)], col)] = gr(1)
-            else:
-                flagged.add(col)
+                entries[(index[_shift(k, j, 1)], col)] = gr(1)
         elif kind == "lower":
             if k[j - 1] > 0:
-                entries[(proto.index[_shift(k, j, -1)], col)] = gr(k[j - 1])
+                entries[(index[_shift(k, j, -1)], col)] = gr(k[j - 1])
         else:
             raise ValueError(f"unknown shift kind {kind!r}")
-    return FockMatrix(n, degree_bound, entries, flagged, basis=proto.basis)
+    return FockMatrix(n, degree_bound, entries)
 
 
 @dataclass(frozen=True)
@@ -417,7 +405,7 @@ class GramMatrix:
         integers over a common denominator that is reduced once per entry.
         """
         size = len(self.basis)
-        index = {k: i for i, k in enumerate(self.basis)}
+        index = _space(self.n, self.degree_bound)[1]
         out = [[Fraction(0)] * size for _ in range(size)]
         tau = Fraction(tau)
         # (numerator, denominator) of tau^e
@@ -437,14 +425,9 @@ class GramMatrix:
         return out
 
     def to_fock_matrix(self) -> FockMatrix:
-        proto = FockMatrix.zero(self.n, self.degree_bound)
-        entries = {
-            (proto.index[k], proto.index[m]): poly
-            for (k, m), poly in self.entries.items()
-        }
-        return FockMatrix(
-            self.n, self.degree_bound, entries, frozenset(), basis=proto.basis
-        )
+        index = _space(self.n, self.degree_bound)[1]
+        entries = {(index[k], index[m]): poly for (k, m), poly in self.entries.items()}
+        return FockMatrix(self.n, self.degree_bound, entries)
 
 
 @cache
@@ -457,7 +440,7 @@ def gram_matrix(n: int, degree_bound: int) -> GramMatrix:
         raise ValueError("degree bound must be non-negative")
     # uncached: the table is kept per key, its generating series is not
     series = LeibnizValue(leibniz_base(n)).series(degree_bound)
-    basis = tuple(multi_indices(n, degree_bound))
+    basis = _space(n, degree_bound)[0]
     entries = {}
     for k, cofactor in series.split_index("w", n).items():
         for m, poly in cofactor.split_index("v", n).items():
@@ -556,21 +539,18 @@ def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProb
     gram = gram_matrix(n, degree_bound)
     dense = gram.eval_at(tau)
     # the basis is graded, so each degree block is a contiguous diagonal slice
-    degrees = [mi_degree(k) for k in gram.basis]
-    ends = [degrees.index(d) for d in range(degree_bound + 1)] + [len(degrees)]
+    ends = _space(n, degree_bound)[2]
     blocks = [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
     return probe_blocks(blocks, by_degree=True)
 
 
 def coherent_vector(n: int, degree_bound: int, prefix: str) -> dict:
     """Truncated coherent state sum_k prefix^k / k! |k>, symbolic components."""
-    out = {}
-    for k in multi_indices(n, degree_bound):
-        mono = MultiPoly.const(Fraction(1, mi_factorial(k)))
-        for j, e in enumerate(k, start=1):
-            mono = mono * MultiPoly.var(f"{prefix}{j}") ** e
-        out[k] = mono
-    return out
+    names = [f"{prefix}{j}" for j in range(1, n + 1)]
+    return {
+        k: MultiPoly({tuple(zip(names, k)): Fraction(1, mi_factorial(k))})
+        for k in multi_indices(n, degree_bound)
+    }
 
 
 def series_duality_check(n: int, degree_bound: int) -> Report:

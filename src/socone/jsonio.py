@@ -14,20 +14,11 @@ would run its pure-Python generator encoder instead.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .matrices import DenseMatrix
 from .poly import MultiPoly
 from .scalars import GaussianRational
-
-
-def fraction_to_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
-def fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def gaussian_to_json(value: GaussianRational) -> dict:
@@ -36,16 +27,9 @@ def gaussian_to_json(value: GaussianRational) -> dict:
     return {"re": str(value.re), "im": str(value.im)}
 
 
-def gaussian_from_json(obj: dict) -> GaussianRational:
-    return GaussianRational(fraction_from_str(obj["re"]), fraction_from_str(obj["im"]))
-
-
+# no caller in the package; kept because the benchmark tracer wraps it by name
 def matrix_to_json(matrix: DenseMatrix) -> list:
     return [[scalar_to_json(e) for e in row] for row in matrix.data]
-
-
-def matrix_from_json(rows: list) -> DenseMatrix:
-    return DenseMatrix([[scalar_from_json(e) for e in row] for row in rows])
 
 
 def poly_to_json(poly: MultiPoly) -> list:
@@ -60,41 +44,14 @@ def constant_to_json(value: GaussianRational) -> list:
     return [{"exps": {}, "coeff": gaussian_to_json(value)}] if value else []
 
 
-def poly_from_json(terms: list) -> MultiPoly:
-    acc = MultiPoly.zero()
-    for term in terms:
-        mono = MultiPoly.const(gaussian_from_json(term["coeff"]))
-        for name, e in term["exps"].items():
-            mono = mono * MultiPoly.var(name) ** int(e)
-        acc = acc + mono
-    return acc
-
-
 def scalar_to_json(value):
     if isinstance(value, MultiPoly):
         return poly_to_json(value)
     return gaussian_to_json(value)
 
 
-def scalar_from_json(obj):
-    if isinstance(obj, list):
-        return poly_from_json(obj)
-    return gaussian_from_json(obj)
-
-
 def state_to_json(state) -> list:
     return [scalar_to_json(e) for e in state.entries]
-
-
-def algebra_to_json(algebra) -> dict:
-    """Basis labels and matrices in the canonical order R, L, rho0, rho_jk."""
-    return {
-        "n": algebra.n,
-        "basis": [
-            {"label": label, "matrix": matrix_to_json(matrix)}
-            for label, matrix in algebra.generators.items()
-        ],
-    }
 
 
 def multi_index_label(k) -> str:

@@ -142,24 +142,11 @@ class DenseMatrix:
     def transpose(self):
         return DenseMatrix._make(tuple(zip(*self.data)))
 
-    def conjugate_transpose(self):
-        return DenseMatrix._make(
-            tuple(tuple(e.conj() for e in row) for row in zip(*self.data))
-        )
-
     def apply(self, vector):
         """Matrix times a column vector given as a sequence; returns a tuple."""
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(_dot(row, vector) for row in self.data)
-
-    def subs(self, assignments):
-        return DenseMatrix(
-            [
-                [e.subs(assignments) if isinstance(e, MultiPoly) else e for e in row]
-                for row in self.data
-            ]
-        )
 
     def __str__(self):
         rendered = [[str(e) for e in row] for row in self.data]

@@ -185,11 +185,6 @@ class GaussianRational:
 
     # -- structure ----------------------------------------------------------
 
-    @property
-    def norm2(self) -> Fraction:
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
-
     def as_integer_ratio(self) -> tuple:
         """(numerator, denominator) of a real value, in lowest terms with a
         positive denominator, as for Fraction."""

@@ -105,6 +105,10 @@ def test_basis_inventory():
     assert alg.labels() == ["R1", "L1", "rho0"]
     alg4 = build_algebra(4)
     assert len(alg4.labels()) == 2 * 4 + 1 + 6
+    # the canonical order R, L, rho0, rho_jk
+    assert build_algebra(3).labels() == [
+        "R1", "R2", "R3", "L1", "L2", "L3", "rho0", "rho12", "rho13", "rho23"
+    ]
     with pytest.raises(ValueError):
         build_algebra(0)
 
@@ -200,7 +204,9 @@ def test_formal_adjoint_rejects_unknown_labels():
 def test_naive_hermitian_adjoint_is_wrong_for_the_ladder():
     # conjugate transpose sends R1 to -L1, so it cannot realize the pairing
     alg = build_algebra(2)
-    assert alg.R(1).conjugate_transpose() == -alg.L(1)
+    transposed = alg.R(1).transpose().data
+    hermitian = DenseMatrix([[e.conj() for e in row] for row in transposed])
+    assert hermitian == -alg.L(1)
 
 
 def test_conjugation_check_requires_two_dimensions():

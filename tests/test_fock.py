@@ -48,11 +48,8 @@ def test_combinatorial_actions():
     assert lower.apply({(2, 0): gr(1)}) == {(1, 0): gr(2)}
     raiser = build_combinatorial(2, 4, "raise", 2)
     assert raiser.apply({(1, 0): gr(1)}) == {(1, 1): gr(1)}
-    # raising out of the truncated space is flagged, not silently wrong
-    top = (4, 0)
-    assert raiser.apply({top: gr(1)}) == {}
-    proto = FockMatrix.zero(2, 4)
-    assert proto.index[top] in raiser.flagged
+    # raising the top state leaves the truncated space: the write is dropped
+    assert raiser.apply({(4, 0): gr(1)}) == {}
 
 
 def test_shift_commutator_is_identity_on_interior():
@@ -188,10 +185,19 @@ def test_duality_at_rational_points(rng):
         assert lhs == series.subs(point)
 
 
+def at_weight(matrix, tau):
+    # the matrix with the weight t set to tau in every polynomial entry
+    entries = {
+        pos: v.subs({"t": tau}) if isinstance(v, MultiPoly) else v
+        for pos, v in matrix.entries.items()
+    }
+    return FockMatrix(matrix.n, matrix.degree_bound, entries)
+
+
 def test_number_grading():
     assert number_grading_check(2, 4).all_passed
     hat = build_hat(1, 4)
-    specialized = hat.rho0.subs({"t": Fraction(-2)})
+    specialized = at_weight(hat.rho0, Fraction(-2))
     assert specialized.apply(vacuum_vector(1)) == {(0,): gr(-2)}
 
 
@@ -202,7 +208,7 @@ def test_hat_matches_matrix_realization_at_weight_minus_two():
 
     assert verify_relations(build_algebra(2)).all_passed
     hat = build_hat(2, 4)
-    rho0 = hat.rho0.subs({"t": Fraction(-2)})
+    rho0 = at_weight(hat.rho0, Fraction(-2))
     assert rho0.apply(vacuum_vector(2)) == {(0, 0): gr(-2)}
 
 
@@ -237,9 +243,7 @@ def test_shared_matrices_apply_like_fresh_copies():
     for shared in (hat.L(1), hat.rho0, hat.rho(1, 2), hat.shift_lower(2)):
         for _ in range(2):
             for vector in vectors:
-                fresh = FockMatrix(
-                    shared.n, shared.degree_bound, dict(shared.entries), shared.flagged
-                )
+                fresh = FockMatrix(shared.n, shared.degree_bound, dict(shared.entries))
                 assert shared.apply(vector) == fresh.apply(vector)
 
 
@@ -357,7 +361,6 @@ def drop_above(matrix, max_degree):
             for (r, c), v in matrix.entries.items()
             if mi_degree(basis[r]) <= max_degree and mi_degree(basis[c]) <= max_degree
         },
-        basis=basis,
     )
 
 
@@ -391,9 +394,9 @@ def test_a_generator_that_jumps_two_degrees_fails_the_grading_assertion(monkeypa
 
     def with_a_jump(n, *args):
         table = dict(build(n, *args))
-        proto = FockMatrix.zero(n, 4)
-        jump = {(proto.index[(2, 0)], proto.index[(0, 0)]): gr(1)}
-        table["R1"] = table["R1"] + FockMatrix(n, 4, jump, basis=proto.basis)
+        index = FockMatrix(n, 4).index
+        jump = {(index[(2, 0)], index[(0, 0)]): gr(1)}
+        table["R1"] = table["R1"] + FockMatrix(n, 4, jump)
         return MappingProxyType(table)
 
     monkeypatch.setattr(fock, "generator_table", with_a_jump)
@@ -410,3 +413,56 @@ def test_a_wrong_gram_entry_fails_an_adjointness_row(monkeypatch, k):
     monkeypatch.setattr(fock, "gram_matrix", lambda n, d: bad)
     failed = [ch.name for ch in verify_adjointness(2, 4).failed()]
     assert "L1^* pairs as R1^" in failed
+
+
+# -- one basis, index and block layout per truncated space ----------------------
+
+
+def test_every_operator_on_a_space_shares_one_basis_and_index():
+    hat = build_hat(2, 4)
+    r, lo = hat.R(1), hat.L(2)
+    identity = FockMatrix.identity(2, 4)
+    results = [
+        *hat.generators.values(),
+        *hat.lowering,
+        hat.identity,
+        identity,
+        r + lo,
+        r * lo,
+        r - lo,
+        -r,
+        TAU * r,
+        r.transpose(),
+        r.restrict(2),
+        gram_matrix(2, 4).to_fock_matrix(),
+    ]
+    for m in results:
+        assert m.basis is identity.basis and m.index is identity.index
+        assert all(m.entries.values())
+    assert gram_matrix(2, 4).basis is identity.basis
+    assert list(identity.basis) == multi_indices(2, 4)
+    assert all(identity.index[k] == i for i, k in enumerate(identity.basis))
+
+
+def test_a_product_that_vanishes_in_a_truncated_entry_is_dropped():
+    v1 = MultiPoly.var("v1", {"v": 1})
+    m = FockMatrix(1, 2, {(0, 0): v1})
+    assert (m * v1).entries == {} and (v1 * m).entries == {}
+
+
+def test_operators_on_different_spaces_do_not_mix():
+    a, b = build_hat(2, 3).R(1), build_hat(2, 4).R(1)
+    for op in (lambda: a * b, lambda: a + b, lambda: a == b):
+        with pytest.raises(ValueError, match="different truncated spaces"):
+            op()
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in range(6)])
+def test_restrict_drops_by_degree_at_every_cut(n, d):
+    size = len(multi_indices(n, d))
+    dense = {(r, c): gr(r, c + 1) for r in range(size) for c in range(size)}
+    full = FockMatrix(n, d, dense)
+    matrices = [full] + (list(build_hat(n, d).generators.values()) if d >= 2 else [])
+    for m in matrices:
+        for cut in range(-2, d + 3):
+            assert m.restrict(cut).entries == drop_above(m, cut).entries, cut

@@ -93,13 +93,6 @@ def test_exp_nilpotent_symbolic_entries():
     assert e * exp_nilpotent(-m) == DenseMatrix.identity(2)
 
 
-def test_conjugate_transpose():
-    m = DenseMatrix([[gr(0, 1), gr(1, 1)], [0, gr(2)]])
-    h = m.conjugate_transpose()
-    assert h[0, 0] == gr(0, -1)
-    assert h[1, 0] == gr(1, -1)
-
-
 def test_exact_ldl_matches_minor_oracle(rng):
     # random symmetric positive definite: A = B^T B + I
     for _ in range(10):
