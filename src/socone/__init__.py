@@ -26,7 +26,6 @@ from .berezin import (
 )
 from .fock import (
     FockMatrix,
-    GramMatrix,
     build_combinatorial,
     build_hat,
     gram_matrix,
@@ -48,7 +47,6 @@ from .spectral import (
     z_to_v,
 )
 from .states import (
-    LeibnizValue,
     StateVector,
     coherent_state,
     leibniz_closed_form,
@@ -63,8 +61,6 @@ __all__ = [
     "DenseMatrix",
     "FockMatrix",
     "GaussianRational",
-    "GramMatrix",
-    "LeibnizValue",
     "MultiPoly",
     "OperatorWord",
     "SoAlgebra",

@@ -54,14 +54,7 @@ def fock_pairing_series(words, n: int, degree_bound: int) -> MultiPoly:
     q = _operator(_words(words), build_hat(n, degree_bound))
     left = coherent_vector(n, degree_bound, "w")
     right = coherent_vector(n, degree_bound, "v")
-    moved = {}
-    for k, coeff in right.items():
-        for m, value in q.apply({k: gr(1)}).items():
-            acc = moved.get(m)
-            p = value * coeff
-            moved[m] = p if acc is None else acc + p
-    gram = gram_matrix(n, degree_bound)
-    return pair(gram, left, moved)
+    return pair(gram_matrix(n, degree_bound), left, q.apply(right))
 
 
 def berezin_transform(word_or_words, w, v, check_fock: bool = True):
@@ -105,7 +98,7 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
 def berezin_symbol_series(word_or_words, n: int, degree_bound: int):
     """(numerator series, denominator series) at symbolic weight."""
     num = fock_pairing_series(word_or_words, n, degree_bound)
-    _, den = leibniz_closed_form(n, degree_bound)
+    den = leibniz_closed_form(n, degree_bound)
     return num, den
 
 
@@ -137,7 +130,7 @@ def verify_raising_identity(n: int, degree_bound: int = 4) -> Report:
                 dv.subs({f"w{i}": 0 for i in range(1, n + 1)}).is_zero,
             )
         )
-    _, series = leibniz_closed_form(n, degree_bound)
+    series = leibniz_closed_form(n, degree_bound)
     for j in range(1, n + 1):
         fock_num = fock_pairing_series(OperatorWord.of(f"R{j}"), n, degree_bound)
         checks.append(

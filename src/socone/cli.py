@@ -5,7 +5,8 @@ check failed or an input hit a singular point, 2 means a usage error.
 Identical invocations produce byte-identical output; randomized suites
 draw their exact rational points from the seed. Defaults can be overridden
 with SOCONE_* environment variables (SOCONE_N, SOCONE_TAU, SOCONE_DEGREE,
-SOCONE_KMAX, SOCONE_SEED, SOCONE_HEIGHT, SOCONE_FORMAT).
+SOCONE_KMAX, SOCONE_SEED, SOCONE_HEIGHT, SOCONE_FORMAT); each command takes
+only the options it reads, and a SOCONE_* value sets only those.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import io
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra, berezin, fock, jsonio, spectral, states
@@ -51,8 +51,8 @@ def _parse_tau(text: str):
 
 
 def _parse_tuple(text: str, n: int) -> list:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
+    parts = text.split(",")
+    if len(parts) != n or not all(p.strip() for p in parts):
         raise UsageError(f"expected {n} comma-separated rationals, got {text!r}")
     return [_parse_exact(p) for p in parts]
 
@@ -77,35 +77,18 @@ def _format(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    n: int
-    tau: Fraction | None
-    degree: int
-    kmax: int
-    seed: int
-    height: int
-    fmt: str
-
-
-def _config(args) -> RunConfig:
+def _checked(args) -> argparse.Namespace:
+    """The parsed options, range-checked, with --tau read as an exact weight
+    (None for symbolic); a command has only the options it reads."""
     if args.n < 1:
         raise UsageError("the spatial dimension must be at least 1")
     if getattr(args, "degree", 0) < 0 or getattr(args, "kmax", 0) < 0:
         raise UsageError("degree bounds must be non-negative")
-    if args.height < 1:
+    if getattr(args, "height", 1) < 1:
         raise UsageError("the height of random rationals must be at least 1")
-    return RunConfig(
-        command=args.command,
-        n=args.n,
-        tau=_parse_tau(args.tau),
-        degree=args.degree,
-        kmax=args.kmax,
-        seed=args.seed,
-        height=args.height,
-        fmt=args.format,
-    )
+    if hasattr(args, "tau"):
+        args.tau = _parse_tau(args.tau)
+    return args
 
 
 def _value_str(value) -> str:
@@ -114,8 +97,8 @@ def _value_str(value) -> str:
     return str(GaussianRational.coerce(value))
 
 
-def _tau_json(cfg: RunConfig) -> str:
-    return "symbolic" if cfg.tau is None else str(cfg.tau)
+def _tau_json(args) -> str:
+    return "symbolic" if args.tau is None else str(args.tau)
 
 
 def _write_json(payload) -> int:
@@ -123,9 +106,9 @@ def _write_json(payload) -> int:
     return 0
 
 
-def _write_rows(cfg: RunConfig, headers: list, rows: list) -> int:
+def _write_rows(args, headers: list, rows: list) -> int:
     """A table of str cells: csv with a header row, or text without one."""
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
@@ -139,64 +122,64 @@ def _write_rows(cfg: RunConfig, headers: list, rows: list) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _suite_lie(cfg: RunConfig) -> list:
+def _suite_lie(args) -> list:
     reports = [
-        algebra.verify_relations(algebra.build_algebra(cfg.n)),
-        algebra.verify_observables(cfg.n),
+        algebra.verify_relations(algebra.build_algebra(args.n)),
+        algebra.verify_observables(args.n),
     ]
-    if cfg.n >= 2:
-        reports.append(algebra.conjugation_check(cfg.n))
-    if cfg.n == 3:
+    if args.n >= 2:
+        reports.append(algebra.conjugation_check(args.n))
+    if args.n == 3:
         reports.append(algebra.reference_check_n3())
     return reports
 
 
-def _suite_coherent(cfg: RunConfig) -> list:
-    return [states.coherent_suite(cfg.n, count=50, seed=cfg.seed, height=cfg.height)]
+def _suite_coherent(args) -> list:
+    return [states.coherent_suite(args.n, count=50, seed=args.seed, height=args.height)]
 
 
-def _suite_fock(cfg: RunConfig) -> list:
-    d = max(cfg.degree, 3)
+def _suite_fock(args) -> list:
+    d = max(args.degree, 3)
     return [
-        fock.verify_hat_relations(cfg.n, d),
-        fock.verify_adjointness(cfg.n, d),
-        fock.series_duality_check(cfg.n, min(d, 4)),
-        fock.number_grading_check(cfg.n, d),
+        fock.verify_hat_relations(args.n, d),
+        fock.verify_adjointness(args.n, d),
+        fock.series_duality_check(args.n, min(d, 4)),
+        fock.number_grading_check(args.n, d),
     ]
 
 
-def _suite_berezin(cfg: RunConfig) -> list:
-    d = max(cfg.degree, 4)
+def _suite_berezin(args) -> list:
+    d = max(args.degree, 4)
     return [
-        berezin.verify_raising_identity(cfg.n, min(d, 4)),
-        berezin.verify_pde_system(cfg.n),
-        berezin.bessel_form_check(cfg.n, d),
-        berezin.hat_from_pde_check(cfg.n, d),
-        berezin.wick_recipe_check(cfg.n, max(d, 5)),
-        berezin.vacuum_symbol_check(cfg.n),
+        berezin.verify_raising_identity(args.n, min(d, 4)),
+        berezin.verify_pde_system(args.n),
+        berezin.bessel_form_check(args.n, d),
+        berezin.hat_from_pde_check(args.n, d),
+        berezin.wick_recipe_check(args.n, max(d, 5)),
+        berezin.vacuum_symbol_check(args.n),
     ]
 
 
-def _suite_observables(cfg: RunConfig) -> list:
-    d = max(cfg.degree, 2)
+def _suite_observables(args) -> list:
+    d = max(args.degree, 2)
     reports = [
-        spectral.roundtrip_check(cfg.n, 20, seed=cfg.seed, height=cfg.height),
-        spectral.moment_consistency_check(cfg.n, min(d, 4)),
-        spectral.vacuum_orthogonality_check(cfg.n, min(d, 4)),
+        spectral.roundtrip_check(args.n, 20, seed=args.seed, height=args.height),
+        spectral.moment_consistency_check(args.n, min(d, 4)),
+        spectral.vacuum_orthogonality_check(args.n, min(d, 4)),
     ]
-    if cfg.n <= 3:
-        reports.append(spectral.verify_coordinate_duality(cfg.n))
-    if cfg.n == 1:
-        reports.append(spectral.orthogonality_check(Fraction(3), min(cfg.kmax, 5)))
+    if args.n <= 3:
+        reports.append(spectral.verify_coordinate_duality(args.n))
+    if args.n == 1:
+        reports.append(spectral.orthogonality_check(Fraction(3), min(args.kmax, 5)))
     return reports
 
 
-def _latex_identities(cfg: RunConfig) -> list:
-    base = states.leibniz_base(cfg.n)
+def _latex_identities(args) -> list:
+    base = states.leibniz_base(args.n)
     lines = [
         r"\Upsilon_{wv} = \left(" + base.latex() + r"\right)^{-\tau/2}",
     ]
-    for j in range(1, cfg.n + 1):
+    for j in range(1, args.n + 1):
         lhs = base.diff(f"w{j}")
         lines.append(
             rf"-\tfrac{{\tau}}{{2}} \left({lhs.latex()}\right) "
@@ -207,7 +190,6 @@ def _latex_identities(cfg: RunConfig) -> list:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     suites = {
         "lie": args.lie,
         "coherent": args.coherent,
@@ -219,23 +201,23 @@ def cmd_verify(args) -> int:
         suites = {k: True for k in suites}
     reports: list[Report] = []
     if suites["lie"]:
-        reports.extend(_suite_lie(cfg))
+        reports.extend(_suite_lie(args))
     if suites["coherent"]:
-        reports.extend(_suite_coherent(cfg))
+        reports.extend(_suite_coherent(args))
     if suites["fock"]:
-        reports.extend(_suite_fock(cfg))
+        reports.extend(_suite_fock(args))
     if suites["berezin"]:
-        reports.extend(_suite_berezin(cfg))
+        reports.extend(_suite_berezin(args))
     if suites["observables"]:
-        reports.extend(_suite_observables(cfg))
-    if cfg.fmt == "json":
+        reports.extend(_suite_observables(args))
+    if args.format == "json":
         print(jsonio.dumps([r.to_json() for r in reports]))
     else:
         for report in reports:
             for line in report.lines():
                 print(line)
     if args.emit_latex:
-        for line in _latex_identities(cfg):
+        for line in _latex_identities(args):
             print(line)
     failures = [c for r in reports for c in r.failed()]
     if failures:
@@ -248,64 +230,61 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    cfg = _config(args)
-    gram = fock.gram_matrix(cfg.n, cfg.degree)
+    gram = fock.gram_matrix(args.n, args.degree)
     basis = gram.basis
     labels = [jsonio.multi_index_label(k) for k in basis]
-    if cfg.tau is None:
+    if args.tau is None:
         entries = [[gram.entry(k, m) for m in basis] for k in basis]
         as_text, as_json = _value_str, jsonio.scalar_to_json
     else:
         # constants, written in the polynomial form of the symbolic table
-        entries = [[GaussianRational(v) for v in row] for row in gram.eval_at(cfg.tau)]
+        entries = [[GaussianRational(v) for v in row] for row in gram.eval_at(args.tau)]
         as_text, as_json = MultiPoly.coeff_str, jsonio.constant_to_json
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _write_json({
-            "n": cfg.n,
-            "degree": cfg.degree,
-            "tau": _tau_json(cfg),
+            "n": args.n,
+            "degree": args.degree,
+            "tau": _tau_json(args),
             "basis": labels,
             "matrix": [[as_json(v) for v in row] for row in entries],
         })
     rows = [[lab] + [as_text(v) for v in row] for lab, row in zip(labels, entries)]
-    return _write_rows(cfg, [""] + labels, rows)
+    return _write_rows(args, [""] + labels, rows)
 
 
-def _emit_indexed(cfg: RunConfig, basis: list, values: list, key: str) -> int:
+def _emit_indexed(args, basis: list, values: list, key: str) -> int:
     """One value per multi-index: a single csv row, or index/value rows."""
     labels = [jsonio.multi_index_label(k) for k in basis]
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _write_json({
-            "n": cfg.n,
-            "degree": cfg.degree,
-            "tau": _tau_json(cfg),
+            "n": args.n,
+            "degree": args.degree,
+            "tau": _tau_json(args),
             key: [
                 {"index": lab, "value": jsonio.scalar_to_json(v)}
                 for lab, v in zip(labels, values)
             ],
         })
     cells = [_value_str(v) for v in values]
-    if cfg.fmt == "csv":
-        return _write_rows(cfg, labels, [cells])
-    return _write_rows(cfg, [], list(zip(labels, cells)))
+    if args.format == "csv":
+        return _write_rows(args, labels, [cells])
+    return _write_rows(args, [], list(zip(labels, cells)))
 
 
 def cmd_moments(args) -> int:
-    cfg = _config(args)
-    table = spectral.moments(cfg.n, cfg.degree, tau=cfg.tau, check_hat=False)
-    basis = fock.multi_indices(cfg.n, cfg.degree)
-    return _emit_indexed(cfg, basis, [table.moment(k) for k in basis], "moments")
+    table = spectral.moments(args.n, args.degree, tau=args.tau, check_hat=False)
+    basis = fock.multi_indices(args.n, args.degree)
+    return _emit_indexed(args, basis, [table.moment(k) for k in basis], "moments")
 
 
 def cmd_basis_poly(args) -> int:
-    cfg = _config(args)
-    polys = spectral.basis_polynomials(cfg.n, cfg.kmax, tau=cfg.tau)
+    polys = spectral.basis_polynomials(args.n, args.kmax, tau=args.tau)
     labels = [jsonio.multi_index_label(bp.index) for bp in polys]
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _write_json({
-            "n": cfg.n,
-            "kmax": cfg.kmax,
-            "tau": _tau_json(cfg),
+            "n": args.n,
+            "kmax": args.kmax,
+            "tau": _tau_json(args),
             "polynomials": [
                 {
                     "index": lab,
@@ -316,81 +295,77 @@ def cmd_basis_poly(args) -> int:
             ],
         })
     rows = [[lab, str(bp.poly)] for lab, bp in zip(labels, polys)]
-    return _write_rows(cfg, ["index", "polynomial"], rows)
+    return _write_rows(args, ["index", "polynomial"], rows)
 
 
 def cmd_transform(args) -> int:
-    cfg = _config(args)
-    series = spectral.spectral_transform(cfg.n, cfg.degree, tau=cfg.tau)
-    buckets = series.split_index("z", cfg.n)
-    basis = fock.multi_indices(cfg.n, cfg.degree)
+    series = spectral.spectral_transform(args.n, args.degree, tau=args.tau)
+    buckets = series.split_index("z", args.n)
+    basis = fock.multi_indices(args.n, args.degree)
     values = [buckets.get(k, MultiPoly.zero()) for k in basis]
-    return _emit_indexed(cfg, basis, values, "coefficients")
+    return _emit_indexed(args, basis, values, "coefficients")
 
 
 def cmd_leibniz(args) -> int:
-    cfg = _config(args)
     if args.w is not None or args.v is not None:
         if args.w is None or args.v is None:
             raise UsageError("provide both --w and --v, or neither")
-        w = _parse_tuple(args.w, cfg.n)
-        v = _parse_tuple(args.v, cfg.n)
+        w = _parse_tuple(args.w, args.n)
+        v = _parse_tuple(args.v, args.n)
         value = states.leibniz_from_matrices(w, v)
-        if cfg.fmt == "json":
+        if args.format == "json":
             return _write_json({
-                "n": cfg.n,
+                "n": args.n,
                 "w": [str(c) for c in w],
                 "v": [str(c) for c in v],
                 "value": jsonio.scalar_to_json(value),
             })
-        return _write_rows(cfg, ["value"], [[_value_str(value)]])
-    _, series = states.leibniz_closed_form(cfg.n, cfg.degree, tau=cfg.tau)
-    if cfg.fmt == "json":
+        return _write_rows(args, ["value"], [[_value_str(value)]])
+    series = states.leibniz_closed_form(args.n, args.degree, tau=args.tau)
+    if args.format == "json":
         return _write_json({
-            "n": cfg.n,
-            "degree": cfg.degree,
-            "tau": _tau_json(cfg),
+            "n": args.n,
+            "degree": args.degree,
+            "tau": _tau_json(args),
             "series": jsonio.poly_to_json(series),
         })
-    return _write_rows(cfg, ["series"], [[str(series)]])
+    return _write_rows(args, ["series"], [[str(series)]])
 
 
 def cmd_coords(args) -> int:
-    cfg = _config(args)
     if (args.z is None) == (args.v is None):
         raise UsageError("provide exactly one of --z or --v")
     if args.z is not None:
-        given, name, other = _parse_tuple(args.z, cfg.n), "z", "v"
+        given, name, other = _parse_tuple(args.z, args.n), "z", "v"
         image, h2 = spectral.z_to_v(given)
     else:
-        given, name, other = _parse_tuple(args.v, cfg.n), "v", "z"
+        given, name, other = _parse_tuple(args.v, args.n), "v", "z"
         image, h2 = spectral.v_to_z(given)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _write_json({
-            "n": cfg.n,
+            "n": args.n,
             name: [str(c) for c in given],
             other: [jsonio.scalar_to_json(c) for c in image],
             "h2": jsonio.scalar_to_json(h2),
         })
     rows = [[other] + [_value_str(c) for c in image], ["h2", _value_str(h2)]]
-    return _write_rows(cfg, ["name", "value"], rows)
+    return _write_rows(args, ["name", "value"], rows)
 
 
 def cmd_coherent(args) -> int:
-    cfg = _config(args)
     symbolic = args.v == "symbolic"
     if symbolic:
-        v = [MultiPoly.var(f"v{j}") for j in range(1, cfg.n + 1)]
+        v = [MultiPoly.var(f"v{j}") for j in range(1, args.n + 1)]
     else:
-        v = _parse_tuple(args.v, cfg.n)
+        v = _parse_tuple(args.v, args.n)
     state = states.coherent_state(v)
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _write_json({
-            "n": cfg.n,
+            "n": args.n,
             "v": "symbolic" if symbolic else [str(Fraction(c)) for c in v],
             "state": jsonio.state_to_json(state),
         })
-    return _write_rows(cfg, ["component"], [[_value_str(e)] for e in state.entries])
+    return _write_rows(args, ["component"], [[_value_str(e)] for e in state.entries])
 
 
 # -- entry point -------------------------------------------------------------------
@@ -414,54 +389,58 @@ def _build_parser(env: tuple) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree_default="4"):
+    def common(p, names, degree_default="4"):
+        # only the options the command reads, in one order on every command
         p._negative_number_matcher = _NEGATIVE_VALUE_RE
-        p.add_argument("--n", type=int, default=default("N", "2"))
-        p.add_argument("--tau", default=default("TAU", "symbolic"))
-        p.add_argument("--degree", type=int, default=default("DEGREE", degree_default))
-        p.add_argument("--kmax", type=int, default=default("KMAX", "4"))
-        p.add_argument("--seed", type=int, default=default("SEED", "0"))
-        p.add_argument("--height", type=int, default=default("HEIGHT", "5"))
-        p.add_argument(
-            "--format", type=_format, choices=_FORMATS, default=default("FORMAT", "text")
-        )
+        specs = {
+            "n": dict(type=int, default=default("N", "2")),
+            "tau": dict(default=default("TAU", "symbolic")),
+            "degree": dict(type=int, default=default("DEGREE", degree_default)),
+            "kmax": dict(type=int, default=default("KMAX", "4")),
+            "seed": dict(type=int, default=default("SEED", "0")),
+            "height": dict(type=int, default=default("HEIGHT", "5")),
+            "format": dict(type=_format, choices=_FORMATS, default=default("FORMAT", "text")),
+        }
+        for name, spec in specs.items():
+            if name in names.split():
+                p.add_argument(f"--{name}", **spec)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    common(p, "n degree kmax seed height format")
     for flag in ("lie", "coherent", "fock", "berezin", "observables", "all"):
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--emit-latex", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gram", help="pairing table of the basis states")
-    common(p, degree_default="3")
+    common(p, "n degree tau format", degree_default="3")
     p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("moments", help="joint spectral moments")
-    common(p)
+    common(p, "n degree tau format")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("basis-poly", help="basis states in spectral variables")
-    common(p)
+    common(p, "n kmax tau format")
     p.set_defaults(func=cmd_basis_poly)
 
     p = sub.add_parser("transform", help="cone transform series")
-    common(p)
+    common(p, "n degree tau format")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("leibniz", help="pairing values and series")
-    common(p)
+    common(p, "n degree tau format")
     p.add_argument("--w")
     p.add_argument("--v")
     p.set_defaults(func=cmd_leibniz)
 
     p = sub.add_parser("coherent", help="coherent state vectors")
-    common(p)
+    common(p, "n format")
     p.add_argument("--v", default="symbolic")
     p.set_defaults(func=cmd_coherent)
 
     p = sub.add_parser("coords", help="coordinate changes between z and v")
-    common(p)
+    common(p, "n format")
     p.add_argument("--z")
     p.add_argument("--v")
     p.set_defaults(func=cmd_coords)
@@ -472,7 +451,7 @@ def _build_parser(env: tuple) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser(_env_defaults()).parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_checked(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

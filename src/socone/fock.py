@@ -16,7 +16,7 @@ truncation cannot leak, so each reported identity is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, gcd
@@ -24,10 +24,10 @@ from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
 from .matrices import commutator, is_positive_definite
-from .poly import MultiPoly, TAU, TAU_NAME
+from .poly import MultiPoly, TAU, TAU_NAME, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
-from .states import LeibnizValue, leibniz_base, leibniz_closed_form
+from .states import leibniz_base, leibniz_closed_form
 
 
 def multi_indices(n: int, max_degree: int) -> list:
@@ -78,6 +78,10 @@ def _space(n: int, degree_bound: int) -> tuple:
     degrees = [mi_degree(k) for k in basis]
     ends = tuple(bisect_left(degrees, d) for d in range(degree_bound + 2))
     return basis, index, ends
+
+
+# one shared zero for absent entries: a dense read of a table is mostly zeros
+_ZERO = MultiPoly.zero()
 
 
 class FockMatrix:
@@ -221,7 +225,35 @@ class FockMatrix:
         return out
 
     def entry(self, row_mi, col_mi):
-        return self.entries.get((self.index[row_mi], self.index[col_mi]), gr(0))
+        """The entry between two basis states; an absent one reads as the
+        zero polynomial, as in the Gram table."""
+        return self.entries.get((self.index[row_mi], self.index[col_mi]), _ZERO)
+
+    def eval_at(self, tau: Fraction) -> list:
+        """Dense Fraction matrix in basis order at an exact weight.
+
+        Each entry is a polynomial in t alone; its t-coefficients are summed
+        against the powers of the weight, computed once per matrix, in
+        integers over a common denominator that is reduced once per entry.
+        """
+        size = len(self.basis)
+        out = [[Fraction(0)] * size for _ in range(size)]
+        tau = Fraction(tau)
+        # (numerator, denominator) of tau^e
+        powers = [(1, 1)]
+        for (r, c), poly in self.entries.items():
+            num, den = 0, 1
+            for e, coeff in poly.powers_of(TAU_NAME):
+                while len(powers) <= e:
+                    p, q = powers[-1]
+                    powers.append((p * tau.numerator, q * tau.denominator))
+                a, d = coeff.as_integer_ratio()
+                p, q = powers[e]
+                a, d = a * p, d * q
+                g = gcd(den, d)
+                num, den = num * (d // g) + a * (den // g), den // g * d
+            out[r][c] = Fraction(num, den)
+        return out
 
 
 def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMatrix:
@@ -380,89 +412,47 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
     return Report(f"hat realization relations (n={n}, D={degree_bound})", checks)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Pairings of basis states, entries polynomial in t.
-
-    G[k][m] = k! m! [w^k v^m] of the Leibniz series; the entries vanish
-    between different degrees, the vacuum entry is 1, and the table is
-    symmetric. All three facts are asserted on build, once per (n, D).
-    """
-
-    n: int
-    degree_bound: int
-    basis: tuple
-    entries: MappingProxyType = field(hash=False)
-
-    def entry(self, k, m) -> MultiPoly:
-        return self.entries.get((k, m), MultiPoly.zero())
-
-    def eval_at(self, tau: Fraction) -> list:
-        """Dense Fraction matrix in basis order at an exact weight.
-
-        Each entry is a polynomial in t alone; its t-coefficients are summed
-        against the powers of the weight, computed once per table, in
-        integers over a common denominator that is reduced once per entry.
-        """
-        size = len(self.basis)
-        index = _space(self.n, self.degree_bound)[1]
-        out = [[Fraction(0)] * size for _ in range(size)]
-        tau = Fraction(tau)
-        # (numerator, denominator) of tau^e
-        powers = [(1, 1)]
-        for (k, m), poly in self.entries.items():
-            num, den = 0, 1
-            for e, coeff in poly.powers_of(TAU_NAME):
-                while len(powers) <= e:
-                    p, q = powers[-1]
-                    powers.append((p * tau.numerator, q * tau.denominator))
-                a, d = coeff.as_integer_ratio()
-                p, q = powers[e]
-                a, d = a * p, d * q
-                g = gcd(den, d)
-                num, den = num * (d // g) + a * (den // g), den // g * d
-            out[index[k]][index[m]] = Fraction(num, den)
-        return out
-
-    def to_fock_matrix(self) -> FockMatrix:
-        index = _space(self.n, self.degree_bound)[1]
-        entries = {(index[k], index[m]): poly for (k, m), poly in self.entries.items()}
-        return FockMatrix(self.n, self.degree_bound, entries)
-
-
 @cache
-def gram_matrix(n: int, degree_bound: int) -> GramMatrix:
-    """Extract all pairings of degree <= D from the Leibniz series.
+def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
+    """Pairings of basis states of degree <= D, entries polynomial in t.
 
-    Built once per (n, D) and shared: the table is immutable.
+    G[k][m] = k! m! [w^k v^m] of the Leibniz series, held as a FockMatrix
+    on the shared space whose entries are a read-only mapping. The entries
+    vanish between different degrees, the vacuum entry is 1, and the table
+    is symmetric: all three are asserted on build. Built once per (n, D)
+    and shared: the table is immutable.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     # uncached: the table is kept per key, its generating series is not
-    series = LeibnizValue(leibniz_base(n)).series(degree_bound)
-    basis = _space(n, degree_bound)[0]
+    series = series_power(leibniz_base(n), weight_exponent(None), degree_bound)
+    basis, index, _ = _space(n, degree_bound)
     entries = {}
     for k, cofactor in series.split_index("w", n).items():
         for m, poly in cofactor.split_index("v", n).items():
             if mi_degree(k) <= degree_bound and mi_degree(m) <= degree_bound:
-                entries[(k, m)] = mi_factorial(k) * mi_factorial(m) * poly
-    gram = GramMatrix(n, degree_bound, basis, MappingProxyType(entries))
-    if gram.entry((0,) * n, (0,) * n) != 1:
+                entries[(index[k], index[m])] = mi_factorial(k) * mi_factorial(m) * poly
+    # the vacuum is the first basis state
+    if entries.get((0, 0)) != 1:
         raise AssertionError("vacuum pairing is not 1")
-    for (k, m), poly in entries.items():
-        if mi_degree(k) != mi_degree(m) and poly:
+    for (r, c), poly in entries.items():
+        if mi_degree(basis[r]) != mi_degree(basis[c]):
             raise AssertionError("pairing connects different degrees")
-        if gram.entry(m, k) != poly:
+        if entries.get((c, r)) != poly:
             raise AssertionError("pairing table is not symmetric")
-    return gram
+    # every entry is nonzero, so the table is wrapped as built, read-only
+    return FockMatrix(n, degree_bound)._like(MappingProxyType(entries))
 
 
-def pair(gram: GramMatrix, left: dict, right: dict):
+def pair(gram: FockMatrix, left: dict, right: dict):
     """Bilinear pairing sum_{k,m} left_k G[k][m] right_m (no conjugation)."""
+    index, entries = gram.index, gram.entries
+    right_at = [(index[m], b) for m, b in right.items()]
     acc = MultiPoly.zero()
     for k, a in left.items():
-        for m, b in right.items():
-            g = gram.entries.get((k, m))
+        i = index[k]
+        for j, b in right_at:
+            g = entries.get((i, j))
             if g is not None:
                 acc = acc + a * g * b
     return acc
@@ -482,7 +472,7 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
         raise ValueError("need truncation degree at least 2")
     cut = degree_bound - 1
     hat = restricted_family(build_hat(n, degree_bound), cut)
-    g = gram_matrix(n, degree_bound).to_fock_matrix().restrict(cut)
+    g = gram_matrix(n, degree_bound).restrict(cut)
     checks = []
     for j in range(1, n + 1):
         lhs, rhs = hat.L(j).transpose() * g, g * hat.R(j)
@@ -559,7 +549,7 @@ def series_duality_check(n: int, degree_bound: int) -> Report:
     left = coherent_vector(n, degree_bound, "w")
     right = coherent_vector(n, degree_bound, "v")
     got = pair(gram, left, right)
-    _, expected = leibniz_closed_form(n, degree_bound)
+    expected = leibniz_closed_form(n, degree_bound)
     passed = got == expected
     return Report(
         f"series/operator duality (n={n}, D={degree_bound})",

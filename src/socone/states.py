@@ -213,48 +213,17 @@ def leibniz_from_matrices(w, v):
     return lam
 
 
-@dataclass(frozen=True)
-class LeibnizValue:
-    """Base polynomial of the pairing together with its weight exponent.
-
-    tau_value None means the symbolic weight; otherwise the exponent is
-    -tau_value/2 exactly.
-    """
-
-    base: MultiPoly
-    tau_value: Fraction | None = None
-
-    def __post_init__(self):
-        if self.base.constant_term != 1:
-            raise ValueError("the base must have constant term 1")
-        n = max(
-            (int(name[1:]) for name in self.base.variables() if name[0] == "w"),
-            default=0,
-        )
-        swap = {f"w{j}": MultiPoly.var(f"v{j}") for j in range(1, n + 1)}
-        swap.update({f"v{j}": MultiPoly.var(f"w{j}") for j in range(1, n + 1)})
-        if self.base.subs(swap) != self.base:
-            raise ValueError("the base must be symmetric under swapping w and v")
-
-    def exponent(self):
-        return weight_exponent(self.tau_value)
-
-    def series(self, bound: int) -> MultiPoly:
-        return series_power(self.base, self.exponent(), bound)
-
-
 @cache
 def leibniz_closed_form(
     n: int, truncation: int, tau: Fraction | None = None
-) -> tuple:
-    """The pairing as a truncated double series in w and v.
+) -> MultiPoly:
+    """The pairing (1 - 2 w.v + (w.w)(v.v))^(-tau/2) as a truncated double
+    series in w and v; with tau None the coefficients are polynomials in t.
 
-    Returns (LeibnizValue, series); with tau None the coefficients are
-    polynomials in t. Built and validated once per key and shared: both
-    are immutable. A failed build raises every time.
+    Built once per key and shared: the series is immutable. A failed build
+    raises every time.
     """
-    value = LeibnizValue(leibniz_base(n), tau)
-    return value, value.series(truncation)
+    return series_power(leibniz_base(n), weight_exponent(tau), truncation)
 
 
 def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> Report:

@@ -204,5 +204,5 @@ def test_fock_pairing_series_identity_word():
 
     n, bound = 2, 3
     got = fock_pairing_series(OperatorWord.identity(), n, bound)
-    _, expected = leibniz_closed_form(n, bound)
+    expected = leibniz_closed_form(n, bound)
     assert got == expected

@@ -356,3 +356,42 @@ def test_nonpositive_height_env_default_is_usage_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--coherent", "--n", "1")
     assert (code, out) == (2, "")
     assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coherent", "--n", "2", "--v", "1,,2"],
+        ["coherent", "--n", "2", "--v", ",1,2,"],
+        ["coords", "--n", "1", "--z", ",1/2"],
+    ],
+    ids=["inner empty field", "outer empty fields", "leading empty field"],
+)
+def test_empty_tuple_fields_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lie", "--n", "1", "--tau", "3"],
+        ["coords", "--n", "1", "--z", "1/2", "--degree", "3"],
+        ["coherent", "--n", "1", "--seed", "4"],
+        ["gram", "--n", "1", "--kmax", "2"],
+        ["basis-poly", "--n", "1", "--height", "2"],
+    ],
+)
+def test_an_option_the_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_an_env_default_sets_only_the_commands_that_read_it(capsys, monkeypatch):
+    # verify takes no --tau, so a bad SOCONE_TAU does not reach it
+    monkeypatch.setenv("SOCONE_TAU", "1/0")
+    code, _, err = run(capsys, "verify", "--lie", "--n", "1")
+    assert (code, err) == (0, "")

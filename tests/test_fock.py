@@ -1,7 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 
 import pytest
@@ -11,7 +11,6 @@ from socone.algebra import OperatorWord, brackets, build_algebra, verify_relatio
 from socone.berezin import fock_pairing_series
 from socone.fock import (
     FockMatrix,
-    GramMatrix,
     build_combinatorial,
     build_hat,
     coherent_vector,
@@ -171,7 +170,7 @@ def test_duality_at_rational_points(rng):
     right = coherent_vector(n, d, "v")
     from socone.states import leibniz_closed_form
 
-    _, series = leibniz_closed_form(n, d)
+    series = leibniz_closed_form(n, d)
     for _ in range(5):
         point = {}
         for j in range(1, n + 1):
@@ -254,7 +253,7 @@ def test_hat_and_gram_are_built_once_per_key():
 
 def test_shared_tables_are_read_only():
     with pytest.raises(TypeError):
-        gram_matrix(2, 3).entries[(0, 0), (0, 0)] = MultiPoly.zero()
+        gram_matrix(2, 3).entries[0, 0] = MultiPoly.zero()
     with pytest.raises(TypeError):
         build_hat(2, 3).generators["rho12"] = None
 
@@ -381,7 +380,7 @@ def test_restricted_brackets_equal_the_full_ones_on_the_interior(n, d):
 def test_restricted_adjointness_products_equal_the_full_ones(n, d):
     hat = build_hat(n, d)
     small = restricted_family(hat, d - 1)
-    g = gram_matrix(n, d).to_fock_matrix()
+    g = gram_matrix(n, d)
     g_small = drop_above(g, d - 1)
     for label in hat.labels():
         full, got = hat.generator(label), small.generator(label)
@@ -408,8 +407,9 @@ def test_a_generator_that_jumps_two_degrees_fails_the_grading_assertion(monkeypa
 def test_a_wrong_gram_entry_fails_an_adjointness_row(monkeypatch, k):
     good = gram_matrix(2, 4)
     entries = dict(good.entries)
-    entries[k, k] = entries[k, k] + 1
-    bad = GramMatrix(2, 4, good.basis, MappingProxyType(entries))
+    i = good.index[k]
+    entries[i, i] = entries[i, i] + 1
+    bad = FockMatrix(2, 4, entries)
     monkeypatch.setattr(fock, "gram_matrix", lambda n, d: bad)
     failed = [ch.name for ch in verify_adjointness(2, 4).failed()]
     assert "L1^* pairs as R1^" in failed
@@ -434,7 +434,7 @@ def test_every_operator_on_a_space_shares_one_basis_and_index():
         TAU * r,
         r.transpose(),
         r.restrict(2),
-        gram_matrix(2, 4).to_fock_matrix(),
+        gram_matrix(2, 4),
     ]
     for m in results:
         assert m.basis is identity.basis and m.index is identity.index
@@ -466,3 +466,45 @@ def test_restrict_drops_by_degree_at_every_cut(n, d):
     for m in matrices:
         for cut in range(-2, d + 3):
             assert m.restrict(cut).entries == drop_above(m, cut).entries, cut
+
+
+# -- the Gram table is a FockMatrix on the shared space ---------------------------
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 3), (3, 3)])
+def test_gram_table_is_a_fock_matrix_on_the_shared_space(n, d):
+    gram, hat = gram_matrix(n, d), build_hat(n, d)
+    assert type(gram) is FockMatrix
+    assert gram.basis is hat.identity.basis and gram.index is hat.identity.index
+    # keyed by basis positions, read-only
+    assert all(isinstance(r, int) and isinstance(c, int) for r, c in gram.entries)
+    assert gram.entries[0, 0] == 1
+    with pytest.raises(TypeError):
+        gram.entries[0, 0] = MultiPoly.const(2)
+    for k in gram.basis:
+        for m in gram.basis:
+            i, j = gram.index[k], gram.index[m]
+            assert gram.entry(k, m) == gram.entries.get((i, j), 0)
+            if mi_degree(k) != mi_degree(m):
+                assert gram.entry(k, m) == MultiPoly.zero()
+                assert type(gram.entry(k, m)) is MultiPoly
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 3), (3, 3)])
+def test_pair_is_the_double_sum_over_multi_indices(n, d):
+    gram = gram_matrix(n, d)
+    series = leibniz_closed_form(n, d)
+    # the pairing table read off the series, keyed by multi-indices
+    table = {}
+    for k, cofactor in series.split_index("w", n).items():
+        for m, poly in cofactor.split_index("v", n).items():
+            table[k, m] = prod(map(factorial, k + m)) * poly
+    left = {k: gr(i + 1, i % 3 - 1) for i, k in enumerate(gram.basis)}
+    right = coherent_vector(n, d, "v")
+    want = MultiPoly.zero()
+    for k, a in left.items():
+        for m, b in right.items():
+            if (k, m) in table:
+                want = want + a * table[k, m] * b
+    assert pair(gram, left, right) == want
+    assert pair(gram, right, left) == want
