@@ -1,7 +1,8 @@
 """Command-line front end: verification suites and exact table generators.
 
 Exit codes: 0 means every requested check passed, 1 means a mathematical
-check failed or an input hit a singular point, 2 means a usage error.
+check failed or an input hit a singular point, 2 means a usage error, 141
+(128 + SIGPIPE, as a shell reports) means stdout was closed early.
 Identical invocations produce byte-identical output; randomized suites
 draw their exact rational points from the seed. Defaults can be overridden
 with SOCONE_* environment variables (SOCONE_N, SOCONE_TAU, SOCONE_DEGREE,
@@ -22,7 +23,6 @@ from fractions import Fraction
 
 from . import algebra, berezin, fock, jsonio, spectral, states
 from .poly import MultiPoly
-from .report import Report
 from .scalars import GaussianRational
 
 _EXACT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -37,6 +37,10 @@ class UsageError(ValueError):
 
 def _parse_exact(text: str) -> Fraction:
     if not _EXACT_RE.match(text.strip()):
+        try:
+            float(text)
+        except ValueError:
+            raise UsageError(f"not an exact rational: {text!r}") from None
         raise UsageError(f"not an exact rational: {text!r} (floats are rejected)")
     try:
         return Fraction(text.strip())
@@ -68,11 +72,11 @@ def _env_defaults() -> tuple:
     return tuple(os.environ.get(f"SOCONE_{name}") for name in _ENV_NAMES)
 
 
-def _format(text: str) -> str:
+def _format(choices: tuple, text: str) -> str:
     # argparse checks `choices` only on the command line, not on defaults
-    if text not in _FORMATS:
+    if text not in choices:
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(map(repr, _FORMATS))})"
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
         )
     return text
 
@@ -190,26 +194,17 @@ def _latex_identities(args) -> list:
 
 
 def cmd_verify(args) -> int:
+    if args.emit_latex and args.format == "json":
+        raise UsageError("--emit-latex writes text lines, not JSON")
     suites = {
-        "lie": args.lie,
-        "coherent": args.coherent,
-        "fock": args.fock,
-        "berezin": args.berezin,
-        "observables": args.observables,
+        "lie": _suite_lie,
+        "coherent": _suite_coherent,
+        "fock": _suite_fock,
+        "berezin": _suite_berezin,
+        "observables": _suite_observables,
     }
-    if args.all or not any(suites.values()):
-        suites = {k: True for k in suites}
-    reports: list[Report] = []
-    if suites["lie"]:
-        reports.extend(_suite_lie(args))
-    if suites["coherent"]:
-        reports.extend(_suite_coherent(args))
-    if suites["fock"]:
-        reports.extend(_suite_fock(args))
-    if suites["berezin"]:
-        reports.extend(_suite_berezin(args))
-    if suites["observables"]:
-        reports.extend(_suite_observables(args))
+    chosen = [suite for name, suite in suites.items() if args.all or getattr(args, name)]
+    reports = [r for suite in chosen or suites.values() for r in suite(args)]
     if args.format == "json":
         print(jsonio.dumps([r.to_json() for r in reports]))
     else:
@@ -389,9 +384,10 @@ def _build_parser(env: tuple) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, names, degree_default="4"):
+    def common(p, names, degree_default="4", formats=_FORMATS):
         # only the options the command reads, in one order on every command
         p._negative_number_matcher = _NEGATIVE_VALUE_RE
+        fmt = functools.partial(_format, formats)
         specs = {
             "n": dict(type=int, default=default("N", "2")),
             "tau": dict(default=default("TAU", "symbolic")),
@@ -399,14 +395,14 @@ def _build_parser(env: tuple) -> argparse.ArgumentParser:
             "kmax": dict(type=int, default=default("KMAX", "4")),
             "seed": dict(type=int, default=default("SEED", "0")),
             "height": dict(type=int, default=default("HEIGHT", "5")),
-            "format": dict(type=_format, choices=_FORMATS, default=default("FORMAT", "text")),
+            "format": dict(type=fmt, choices=formats, default=default("FORMAT", "text")),
         }
         for name, spec in specs.items():
             if name in names.split():
                 p.add_argument(f"--{name}", **spec)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p, "n degree kmax seed height format")
+    common(p, "n degree kmax seed height format", formats=("text", "json"))
     for flag in ("lie", "coherent", "fock", "berezin", "observables", "all"):
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--emit-latex", action="store_true")
@@ -451,7 +447,13 @@ def _build_parser(env: tuple) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser(_env_defaults()).parse_args(argv)
     try:
-        return args.func(_checked(args))
+        code = args.func(_checked(args))
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # the `signal` docs' recipe: the exit flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -16,10 +16,10 @@ truncation cannot leak, so each reported identity is exact.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from math import factorial, gcd
+from functools import cache, cached_property
+from math import factorial, gcd, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
@@ -489,35 +489,56 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Exact verdict with pivots; the float eigenvalue is display only.
+    """Exact verdict with pivots, and the Fraction blocks it was read from.
 
     A Gram probe lists (degree, pivot) pairs, a moment probe plain pivots.
+    The float view is display only: a certified lower bound computed on read.
     """
 
     positive_definite: bool
     pivots: tuple
     completed: bool
-    float_min_eigenvalue: float
+    blocks: tuple = field(repr=False)
+
+    @cached_property
+    def float_min_eigenvalue(self) -> float:
+        """A float f with f <= lam <= f + 2**-39 * r, where lam is the least
+        eigenvalue of the blocks and r their largest absolute row sum.
+
+        lam > x exactly when each block - x I is positive definite (Sylvester's
+        law of inertia), so 40 halvings of a bracket at most r wide, [0, least
+        diagonal entry] for a positive-definite verdict and [Gershgorin bound,
+        min(0, least diagonal entry)] otherwise, close in on lam from below.
+        """
+        rows = [(i, row) for b in self.blocks for i, row in enumerate(b)]
+        hi = min(row[i] for i, row in rows)
+        gershgorin = min(row[i] + abs(row[i]) - sum(map(abs, row)) for i, row in rows)
+        lo, hi = (Fraction(0), hi) if self.positive_definite else (gershgorin, min(hi, 0))
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            shifted = (
+                [row[:i] + (row[i] - mid,) + row[i + 1 :] for i, row in enumerate(b)]
+                for b in self.blocks
+            )
+            positive = all(is_positive_definite(m)[0] for m in shifted)
+            lo, hi = (mid, hi) if positive else (lo, mid)
+        value = float(lo)
+        return value if Fraction(value) <= lo else nextafter(value, -inf)
 
 
 def probe_blocks(blocks, by_degree: bool) -> PositivityProbe:
     """Exact verdict over the diagonal blocks of a symmetric Fraction
     matrix; with by_degree each pivot is paired with its block's index."""
-    import numpy as np
-
     verdict = completed = True
     pivots = []
-    worst = float("inf")
     for d, block in enumerate(blocks):
         ok, piv = is_positive_definite(block)
         verdict = verdict and ok
         # exact_ldl stops short of a full pivot list only when it fails
         completed = completed and len(piv) == len(block)
         pivots.extend([(d, p) for p in piv] if by_degree else piv)
-        if block:
-            arr = np.array([[float(x) for x in row] for row in block], dtype=float)
-            worst = min(worst, float(np.linalg.eigvalsh(arr).min()))
-    return PositivityProbe(verdict, tuple(pivots), completed, worst)
+    kept = tuple(tuple(map(tuple, block)) for block in blocks)
+    return PositivityProbe(verdict, tuple(pivots), completed, kept)
 
 
 def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProbe:

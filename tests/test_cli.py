@@ -1,10 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import socone
 from socone import cli, jsonio
 from socone.cli import main
+
+_SRC = str(Path(socone.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -45,6 +52,31 @@ def test_float_tau_rejected(capsys):
     code, _, err = run(capsys, "moments", "--n", "1", "--tau", "2.5", "--degree", "2")
     assert code == 2
     assert "floats are rejected" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "--1"])
+def test_a_value_that_is_no_number_gets_no_float_note(capsys, value):
+    code, out, err = run(capsys, "coords", "--n", "1", f"--z={value}")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: not an exact rational: {value!r}\n"
+
+
+def test_verify_rejects_csv(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lie", "--n", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+    monkeypatch.setenv("SOCONE_FORMAT", "csv")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--lie", "--n", "1"])
+    assert exc.value.code == 2
+
+
+def test_verify_json_with_latex_is_usage_error(capsys):
+    argv = ["verify", "--berezin", "--n", "1", "--format", "json", "--emit-latex"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "--emit-latex" in err
 
 
 def test_gram_symbolic_diagonal(capsys):
@@ -395,3 +427,62 @@ def test_an_env_default_sets_only_the_commands_that_read_it(capsys, monkeypatch)
     monkeypatch.setenv("SOCONE_TAU", "1/0")
     code, _, err = run(capsys, "verify", "--lie", "--n", "1")
     assert (code, err) == (0, "")
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from fractions import Fraction
+from socone import cli
+from socone.fock import positivity_probe
+from socone.spectral import moment_positivity_probe
+code = cli.main(["verify", "--all", "--n", "2", "--degree", "4"])
+probes = [positivity_probe(2, 3, Fraction(3)), moment_positivity_probe(2, Fraction(3), 2)]
+print(code, [p.float_min_eigenvalue > 0 for p in probes])
+"""
+
+
+def test_runs_without_numpy():
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        capture_output=True,
+        env={"PYTHONPATH": _SRC},
+        timeout=300,
+    )
+    assert result.stderr == b""
+    assert result.stdout.decode().splitlines()[-1] == "0 [True, True]"
+
+
+def test_a_closed_stdout_ends_without_a_traceback():
+    # PYTHONUNBUFFERED is left out of the environment: an unbuffered stdout
+    # drops the rest of a partial write to a closed pipe without an error
+    env = {"PYTHONPATH": _SRC}
+    argv = [sys.executable, "-m", "socone.cli"]
+    # about 200 kB of rows, more than a pipe holds, so the writer meets the
+    # pipe closed after the first line
+    proc = subprocess.Popen(
+        argv + ["gram", "--n", "4", "--degree", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=300), err) == (141, b"")
+    assert first.startswith(b"0,0,0,0  1")
+    # a short output meets a pipe closed before it is written in main's flush
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            argv + ["verify", "--lie", "--n", "1"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -6,7 +6,7 @@ from types import MappingProxyType
 
 import pytest
 
-from socone import algebra, fock
+from socone import algebra, fock, matrices
 from socone.algebra import OperatorWord, brackets, build_algebra, verify_relations
 from socone.berezin import fock_pairing_series
 from socone.fock import (
@@ -27,6 +27,7 @@ from socone.fock import (
     verify_hat_relations,
 )
 from socone.matrices import commutator
+from socone.spectral import moment_positivity_probe
 from socone.poly import MultiPoly, TAU
 from socone.report import CheckResult
 from socone.scalars import gr
@@ -148,6 +149,25 @@ def test_positivity_probe_cases():
 
     probe = positivity_probe(2, 3, Fraction(3))
     assert probe.positive_definite is True
+
+
+def test_probes_compute_the_float_view_only_when_it_is_read(monkeypatch):
+    # a probe runs one exact LDL per block; the bisection behind the float
+    # view runs only on the first read, and once
+    calls = []
+    ldl = matrices.exact_ldl
+    monkeypatch.setattr(matrices, "exact_ldl", lambda m: calls.append(m) or ldl(m))
+    for make, args in (
+        (positivity_probe, (3, 5, Fraction(1, 3))),
+        (moment_positivity_probe, (2, Fraction(3), 2)),
+    ):
+        probe = make(*args)
+        assert len(calls) == len(probe.blocks)
+        value = probe.float_min_eigenvalue
+        read = len(calls)
+        assert read > len(probe.blocks)
+        assert probe.float_min_eigenvalue == value and len(calls) == read
+        calls.clear()
 
 
 def test_positivity_probe_matches_minor_oracle():

@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from socone.fock import positivity_probe
 from socone.poly import TAU, MultiPoly, exp_series, group_of, series_power
 from socone.scalars import GaussianRational
+from socone.spectral import moment_positivity_probe
 
 sp = pytest.importorskip("sympy")
 
@@ -125,3 +127,31 @@ def test_exact_divide_matches_sympy(a, b, r, perturb):
     else:
         with pytest.raises(ValueError):
             dividend.exact_divide(b)
+
+
+@pytest.mark.parametrize(
+    "probe, args",
+    [
+        (positivity_probe, (2, 3, Fraction(3))),
+        (positivity_probe, (2, 6, Fraction(-1, 2))),
+        (positivity_probe, (3, 5, Fraction(1, 3))),
+        (moment_positivity_probe, (2, Fraction(3), 2)),
+        (moment_positivity_probe, (3, Fraction(1, 2), 3)),
+    ],
+    ids=["gram (2,3,3)", "gram (2,6,-1/2)", "gram (3,5,1/3)", "moment (2,3,2)", "moment (3,1/2,3)"],
+)
+def test_float_min_eigenvalue_is_a_lower_bound_within_its_tolerance(probe, args):
+    # each block's real eigenvalues are counted exactly by sympy (Sturm
+    # sequences of the characteristic polynomial): none lies below the
+    # float, and one lies within the docstring's tolerance above it
+    result = probe(*args)
+    lower = rational(result.float_min_eigenvalue)
+    r = max(sum(map(abs, row)) for block in result.blocks for row in block)
+    upper = lower + rational(r) / 2**39
+    x = sp.Symbol("x")
+    charpolys = [
+        sp.Matrix([[rational(v) for v in row] for row in block]).charpoly(x)
+        for block in result.blocks
+    ]
+    assert all(p.count_roots(None, lower) == (p.eval(lower) == 0) for p in charpolys)
+    assert any(p.count_roots(lower, upper) for p in charpolys)
