@@ -105,9 +105,28 @@ def _tau_json(args) -> str:
     return "symbolic" if args.tau is None else str(args.tau)
 
 
-def _write_json(payload) -> int:
-    sys.stdout.write(jsonio.dumps(payload) + "\n")
+def _write(text: str) -> int:
+    """Write text to stdout and return 0.
+
+    Under PYTHONUNBUFFERED the stdout buffer is a raw FileIO: a pipe write
+    that the reader abandons takes only part of the bytes, and the text layer
+    ignores the short count. So the bytes go to a raw buffer in a loop until
+    all are written, and the retry on a closed pipe raises BrokenPipeError.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if not isinstance(buffer, io.RawIOBase):
+        sys.stdout.write(text)
+        return 0
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        written = buffer.write(data)
+        data = data[written:]
     return 0
+
+
+def _write_json(payload) -> int:
+    return _write(jsonio.dumps(payload) + "\n")
 
 
 def _write_rows(args, headers: list, rows: list) -> int:
@@ -117,10 +136,8 @@ def _write_rows(args, headers: list, rows: list) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
-    else:
-        sys.stdout.write("\n".join("  ".join(row) for row in rows) + "\n")
-    return 0
+        return _write(buf.getvalue())
+    return _write("\n".join("  ".join(row) for row in rows) + "\n")
 
 
 # -- verify ---------------------------------------------------------------------
@@ -206,14 +223,12 @@ def cmd_verify(args) -> int:
     chosen = [suite for name, suite in suites.items() if args.all or getattr(args, name)]
     reports = [r for suite in chosen or suites.values() for r in suite(args)]
     if args.format == "json":
-        print(jsonio.dumps([r.to_json() for r in reports]))
+        lines = [jsonio.dumps([r.to_json() for r in reports])]
     else:
-        for report in reports:
-            for line in report.lines():
-                print(line)
+        lines = [line for report in reports for line in report.lines()]
     if args.emit_latex:
-        for line in _latex_identities(args):
-            print(line)
+        lines.extend(_latex_identities(args))
+    _write("".join(line + "\n" for line in lines))
     failures = [c for r in reports for c in r.failed()]
     if failures:
         print(f"FAILED: {failures[0].name}", file=sys.stderr)

@@ -23,10 +23,10 @@ from math import factorial, gcd, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
-from .matrices import commutator, is_positive_definite
+from .matrices import SparseMatrix, _sum_into, commutator, is_positive_definite
 from .poly import MultiPoly, TAU, TAU_NAME, series_power, weight_exponent
 from .report import CheckResult, Report
-from .scalars import GaussianRational, gr
+from .scalars import gr
 from .states import leibniz_base, leibniz_closed_form
 
 
@@ -84,7 +84,7 @@ def _space(n: int, degree_bound: int) -> tuple:
 _ZERO = MultiPoly.zero()
 
 
-class FockMatrix:
+class FockMatrix(SparseMatrix):
     """Sparse operator matrix on the truncated Fock basis.
 
     Entries are exact scalars or polynomials in t, keyed by (row, column)
@@ -96,102 +96,29 @@ class FockMatrix:
     def __init__(self, n, degree_bound, entries=None):
         basis, index, _ = _space(n, degree_bound)
         cleaned = {pos: v for pos, v in (entries or {}).items() if v}
-        self._fill(n, degree_bound, basis, index, cleaned)
-
-    def _fill(self, *values):
-        # every slot but the lazily built _columns, in __slots__ order
-        for name, value in zip(FockMatrix.__slots__, values + (None,)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockMatrix is immutable")
+        self._fill(n, degree_bound, basis, index, cleaned, None)
 
     @classmethod
     def identity(cls, n, degree_bound):
         size = len(_space(n, degree_bound)[0])
         return cls(n, degree_bound, {(i, i): gr(1) for i in range(size)})
 
-    def _like(self, entries):
+    @property
+    def shape(self):
+        return len(self.basis), len(self.basis)
+
+    def _like(self, entries, shape=None):
         """A matrix on this space from entries that hold no zero, wrapped as
-        they are: the space is not looked up and nothing is re-filtered."""
+        they are: the space is not looked up and nothing is re-filtered. Every
+        operator on the space is square, so the shape adds nothing."""
         out = object.__new__(FockMatrix)
-        out._fill(self.n, self.degree_bound, self.basis, self.index, entries)
+        out._fill(self.n, self.degree_bound, self.basis, self.index, entries, None)
         return out
 
-    def _check_space(self, other):
+    def _check(self, other, op):
         if (self.n, self.degree_bound) != (other.n, other.degree_bound):
             raise ValueError("operators live on different truncated spaces")
-
-    def __add__(self, other):
-        if not isinstance(other, FockMatrix):
-            return NotImplemented
-        self._check_space(other)
-        entries = dict(self.entries)
-        for pos, value in other.entries.items():
-            acc = entries.get(pos)
-            s = value if acc is None else acc + value
-            if s:
-                entries[pos] = s
-            elif acc is not None:
-                del entries[pos]
-        return self._like(entries)
-
-    def __sub__(self, other):
-        if not isinstance(other, FockMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return self._like({p: -v for p, v in self.entries.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, FockMatrix):
-            self._check_space(other)
-            by_row = {}
-            for (r, c), value in other.entries.items():
-                by_row.setdefault(r, []).append((c, value))
-            entries = {}
-            for (i, j), a in self.entries.items():
-                for c, b in by_row.get(j, ()):  # noqa: B905
-                    pos = (i, c)
-                    p = a * b
-                    acc = entries.get(pos)
-                    s = p if acc is None else acc + p
-                    if s:
-                        entries[pos] = s
-                    elif acc is not None:
-                        del entries[pos]
-            return self._like(entries)
-        if isinstance(other, (int, Fraction, GaussianRational, MultiPoly)):
-            # a truncated polynomial factor can make a product vanish
-            return self._like(
-                {p: x for p, v in self.entries.items() if (x := v * other)}
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, MultiPoly)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, FockMatrix):
-            return NotImplemented
-        self._check_space(other)
-        keys = set(self.entries) | set(other.entries)
-        zero = gr(0)
-        return all(
-            self.entries.get(k, zero) == other.entries.get(k, zero) for k in keys
-        )
-
-    __hash__ = None
-
-    @property
-    def is_zero(self):
-        return not self.entries
-
-    def transpose(self):
-        return self._like({(c, r): v for (r, c), v in self.entries.items()})
+        return True
 
     def restrict(self, max_degree: int) -> "FockMatrix":
         """Drop every entry whose row or column exceeds the given degree."""
@@ -212,17 +139,15 @@ class FockMatrix:
             for (r, c), value in self.entries.items():
                 cols.setdefault(c, []).append((self.basis[r], value))
             object.__setattr__(self, "_columns", cols)
-        out = {}
-        for k, coeff in vector.items():
-            for mi, value in cols.get(self.index[k], ()):  # noqa: B905
-                p = value * coeff
-                acc = out.get(mi)
-                s = p if acc is None else acc + p
-                if s:
-                    out[mi] = s
-                elif acc is not None:
-                    del out[mi]
-        return out
+        index = self.index
+        return _sum_into(
+            {},
+            (
+                (mi, value * coeff)
+                for k, coeff in vector.items()
+                for mi, value in cols.get(index[k], ())
+            ),
+        )
 
     def entry(self, row_mi, col_mi):
         """The entry between two basis states; an absent one reads as the

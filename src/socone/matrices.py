@@ -1,7 +1,12 @@
-"""Small dense matrices over exact scalars, plus the exact helpers built on them.
+"""Exact matrices that keep only their nonzero entries, plus the exact helpers
+built on them.
 
-Entries are GaussianRational or MultiPoly; the two mix freely. Matrices are
-immutable after construction.
+SparseMatrix is the ring both realizations share: DenseMatrix, the
+(n+2) x (n+2) matrices, and fock.FockMatrix, the truncated Fock operators.
+Entries are GaussianRational or MultiPoly; the two mix freely. An absent
+entry is an exact zero and carries no truncation bound, and no operation
+stores a zero. Products index the right operand by row (Gustavson, ACM TOMS
+4 (1978)). Matrices are immutable after construction.
 """
 
 from __future__ import annotations
@@ -25,128 +30,162 @@ def _coerce_entry(value):
     return GaussianRational.coerce(value)
 
 
-class DenseMatrix:
-    __slots__ = ("rows", "cols", "data")
+def _sum_into(acc: dict, items) -> dict:
+    """Add each (key, value) of items into acc and return acc; a sum that
+    vanishes is deleted, so acc never holds a zero."""
+    for key, value in items:
+        old = acc.get(key)
+        s = value if old is None else old + value
+        if s:
+            acc[key] = s
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+class SparseMatrix:
+    """The ring on matrices whose `entries` map (row, column) to a nonzero value.
+
+    A subclass supplies its space: `shape` as (rows, cols), `_like(entries,
+    shape)` to wrap entries that hold no zero on that space (shape None keeps
+    its own), and `_check(other, op)`, which is True when the operands fit
+    and otherwise raises ValueError or, for an equality it can answer, is
+    False.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other, "addition")
+        return self._like(_sum_into(dict(self.entries), other.entries.items()))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({p: -v for p, v in self.entries.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check(other, "product")
+            by_row = {}
+            for (r, c), value in other.entries.items():
+                by_row.setdefault(r, []).append((c, value))
+            entries = _sum_into(
+                {},
+                (
+                    ((i, c), a * b)
+                    for (i, j), a in self.entries.items()
+                    for c, b in by_row.get(j, ())
+                ),
+            )
+            return self._like(entries, (self.shape[0], other.shape[1]))
+        if isinstance(other, _SCALARS):
+            # a zero or a truncated polynomial factor can make a product vanish
+            entries = {p: x for p, v in self.entries.items() if (x := v * other)}
+            return self._like(entries)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, _SCALARS):
+            return self.__mul__(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        # neither side stores a zero, so equal matrices have equal keys
+        return self._check(other, "equality") and self.entries == other.entries
+
+    __hash__ = None
+
+    @property
+    def is_zero(self):
+        return not self.entries
+
+    def transpose(self):
+        entries = {(c, r): v for (r, c), v in self.entries.items()}
+        return self._like(entries, self.shape[::-1])
+
+
+class DenseMatrix(SparseMatrix):
+    """A rows x cols matrix, built from and read as dense rows."""
+
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, data):
-        data = tuple(tuple(_coerce_entry(e) for e in row) for row in data)
+        data = [[_coerce_entry(e) for e in row] for row in data]
         if not data or not data[0]:
             raise ValueError("matrices must have at least one row and column")
         if any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
-        object.__setattr__(self, "data", data)
+        entries = {
+            (i, j): e for i, row in enumerate(data) for j, e in enumerate(row) if e
+        }
+        self._fill(len(data), len(data[0]), entries)
 
-    @classmethod
-    def _make(cls, data: tuple) -> "DenseMatrix":
-        """Wrap a non-empty rectangular tuple of tuples of GaussianRational or
-        MultiPoly entries, unchecked: the ring operations build every result
-        through here, since their entries are already of those types."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]))
-        object.__setattr__(self, "data", data)
-        return self
+    def _like(self, entries, shape=None):
+        out = object.__new__(DenseMatrix)
+        out._fill(*(shape or self.shape), entries)
+        return out
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DenseMatrix is immutable")
+    def _check(self, other, op):
+        if op == "product":
+            fits = self.cols == other.rows
+        else:
+            fits = self.shape == other.shape
+        if not fits and op != "equality":
+            raise ValueError(f"dimension mismatch in matrix {op}")
+        return fits
 
     @classmethod
     def zeros(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        if rows < 1 or cols < 1:
-            raise ValueError("matrices must have at least one row and column")
-        return cls._make(((ZERO,) * cols,) * rows)
+        return cls([[0] * (rows if cols is None else cols)] * rows)
 
     @classmethod
     def identity(cls, size):
         return cls([[1 if i == j else 0 for j in range(size)] for i in range(size)])
 
     @property
+    def shape(self):
+        return self.rows, self.cols
+
+    @property
     def is_square(self):
         return self.rows == self.cols
 
+    @property
+    def data(self):
+        """The rows as tuples, with the exact ZERO at every absent entry."""
+        get = self.entries.get
+        return tuple(
+            tuple(get((i, j), ZERO) for j in range(self.cols)) for i in range(self.rows)
+        )
+
     def __getitem__(self, key):
         i, j = key
-        return self.data[i][j]
-
-    def __add__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix addition")
-        return DenseMatrix._make(
-            tuple(
-                tuple(map(_add_entry, r1, r2)) for r1, r2 in zip(self.data, other.data)
-            )
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return DenseMatrix._make(tuple(tuple(-e for e in row) for row in self.data))
-
-    def __mul__(self, other):
-        if isinstance(other, DenseMatrix):
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch in matrix product")
-            cols = list(zip(*other.data))
-            return DenseMatrix._make(
-                tuple(tuple(_dot(row, col) for col in cols) for row in self.data)
-            )
-        if isinstance(other, _SCALARS):
-            return self._scale(other, lambda e: e * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self._scale(other, lambda e: other * e)
-        return NotImplemented
-
-    def _scale(self, scalar, product):
-        # A GaussianRational entry times a rational or GaussianRational scalar
-        # is an exact zero when either factor is 0, so that product is
-        # skipped. A MultiPoly factor is always multiplied: the product is a
-        # MultiPoly that carries its truncation.
-        skip = not isinstance(scalar, MultiPoly)
-        zero = skip and not scalar
-        return DenseMatrix._make(
-            tuple(
-                tuple(
-                    (e if not e else ZERO if zero else product(e))
-                    if skip and type(e) is GaussianRational
-                    else product(e)
-                    for e in row
-                )
-                for row in self.data
-            )
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2)
-        )
-
-    __hash__ = None
-
-    @property
-    def is_zero(self):
-        return all(not e for row in self.data for e in row)
-
-    def transpose(self):
-        return DenseMatrix._make(tuple(zip(*self.data)))
+        # indexing a range checks the bounds and resolves negative indices
+        return self.entries.get((range(self.rows)[i], range(self.cols)[j]), ZERO)
 
     def apply(self, vector):
         """Matrix times a column vector given as a sequence; returns a tuple."""
         if len(vector) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(_dot(row, vector) for row in self.data)
+        out = _sum_into(
+            {}, ((i, a * b) for (i, j), a in self.entries.items() if (b := vector[j]))
+        )
+        return tuple(out.get(i, ZERO) for i in range(self.rows))
 
     def __str__(self):
         rendered = [[str(e) for e in row] for row in self.data]
@@ -159,55 +198,25 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-def _add_entry(a, b):
-    # Adding an exact-zero GaussianRational to a GaussianRational gives the
-    # other operand. A MultiPoly operand is always added: its truncation
-    # bounds merge into the sum.
-    if type(a) is type(b) is GaussianRational and not (a and b):
-        return b if not a else a
-    return a + b
-
-
-def _dot(row, col):
-    # A product of two GaussianRationals with a zero factor adds nothing, so
-    # it is skipped. A MultiPoly operand is always multiplied: its truncation
-    # bounds merge into the sum even when its terms vanish.
-    acc = None
-    for a, b in zip(row, col):
-        if type(a) is type(b) is GaussianRational and not (a and b):
-            continue
-        p = a * b
-        acc = p if acc is None else acc + p
-    return ZERO if acc is None else acc
-
-
 def linear_combination(coeffs, matrices) -> DenseMatrix:
-    """sum_k coeffs[k] * matrices[k] for matrices of one shape, in one pass.
-
-    Each entry is _dot of the coefficients with the matrices' entries at
-    that position, so it equals the entry of the running sum
-    zeros + c_1 M_1 + ... + c_m M_m: a zero GaussianRational product is
-    skipped and a MultiPoly coefficient is always multiplied, so its
-    truncation reaches every entry.
-    """
+    """sum_k coeffs[k] * matrices[k] for dense matrices of one shape, in one
+    pass over their nonzero entries."""
     coeffs = [_coerce_entry(c) for c in coeffs]
     matrices = list(matrices)
     if not matrices or len(coeffs) != len(matrices):
         raise ValueError("need one coefficient per matrix, and at least one matrix")
-    shape = (matrices[0].rows, matrices[0].cols)
-    if any((m.rows, m.cols) != shape for m in matrices):
+    first = matrices[0]
+    if any(m.shape != first.shape for m in matrices):
         raise ValueError("dimension mismatch in linear combination")
-    return DenseMatrix._make(
-        tuple(
-            tuple(_dot(coeffs, entries) for entries in zip(*rows))
-            for rows in zip(*(m.data for m in matrices))
-        )
+    terms = (
+        (p, c * v) for c, m in zip(coeffs, matrices) if c for p, v in m.entries.items()
     )
+    return first._like(_sum_into({}, terms))
 
 
 def commutator(a, b):
-    """[a, b] = a b - b a for two dense or two Fock matrices; the products
-    and the difference raise ValueError when the shapes disagree."""
+    """[a, b] = a b - b a for two matrices of one kind, dense or Fock; the
+    products and the difference raise ValueError when the operands do not fit."""
     return a * b - b * a
 
 
@@ -250,12 +259,7 @@ def exp_nilpotent_apply(m: DenseMatrix, vector) -> tuple:
         if k == m.rows:
             raise NotNilpotentError("matrix is not nilpotent")
         scale = Fraction(1, factorial(k))
-        # as in _dot: a zero GaussianRational term adds nothing to a
-        # GaussianRational, while a MultiPoly sum always merges truncations
-        acc = tuple(
-            a if type(a) is type(t) is GaussianRational and not t else a + t * scale
-            for a, t in zip(acc, term)
-        )
+        acc = tuple(a + t * scale if t else a for a, t in zip(acc, term))
     return acc
 
 

@@ -24,9 +24,6 @@ class Report:
     def failed(self) -> list:
         return [c for c in self.checks if not c.passed]
 
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
-
     def lines(self) -> list:
         out = [f"== {self.title}"]
         for c in self.checks:

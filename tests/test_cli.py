@@ -454,8 +454,7 @@ def test_runs_without_numpy():
 
 
 def test_a_closed_stdout_ends_without_a_traceback():
-    # PYTHONUNBUFFERED is left out of the environment: an unbuffered stdout
-    # drops the rest of a partial write to a closed pipe without an error
+    # a buffered stdout; the unbuffered one has its own test below
     env = {"PYTHONPATH": _SRC}
     argv = [sys.executable, "-m", "socone.cli"]
     # about 200 kB of rows, more than a pipe holds, so the writer meets the
@@ -486,3 +485,21 @@ def test_a_closed_stdout_ends_without_a_traceback():
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (141, b"")
+
+
+def test_an_unbuffered_stdout_closed_early_exits_141():
+    # under PYTHONUNBUFFERED a pipe write that the reader abandons is short;
+    # it must be retried so the closed pipe raises, not cut silently
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "socone.cli", "gram", "--n", "4", "--degree", "6"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": _SRC, "PYTHONUNBUFFERED": "1"},
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert b"Traceback" not in err
+    assert head.startswith(b"0,0,0,0  1")

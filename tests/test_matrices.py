@@ -7,7 +7,6 @@ from socone.matrices import (
     DenseMatrix,
     NotNilpotentError,
     commutator,
-    _dot,
     exact_ldl,
     exp_nilpotent,
     exp_nilpotent_apply,
@@ -247,10 +246,11 @@ entries = st.one_of(gaussians, truncated_polys())
 
 
 def naive_dot(row, col):
-    acc = None
+    # a zero entry is an exact zero: it carries no truncation bound into the sum
+    acc = gr(0)
     for a, b in zip(row, col):
-        p = a * b
-        acc = p if acc is None else acc + p
+        if a and b:
+            acc = acc + a * b
     return acc
 
 
@@ -261,22 +261,6 @@ def same_entry(x, y):
         assert x.terms == y.terms
     else:
         assert x == y
-
-
-@settings(derandomize=True, max_examples=100)
-@given(st.lists(st.tuples(entries, entries), min_size=1, max_size=4))
-def test_dot_skips_only_scalar_zero_products(pairs):
-    row, col = zip(*pairs)
-    same_entry(_dot(row, col), naive_dot(row, col))
-
-
-def test_dot_keeps_truncation_of_a_zero_times_series():
-    series = (MultiPoly.var("v1") ** 3 + 1).truncate({"v": 2})
-    for row, col in (([gr(0)], [series]), ([series, gr(0)], [gr(0), gr(5)])):
-        got = _dot(row, col)
-        same_entry(got, naive_dot(row, col))
-        assert got.trunc == {"v": 2}
-    assert type(_dot([gr(0), gr(0)], [gr(1), gr(0, 2)])) is GaussianRational
 
 
 @st.composite
@@ -355,22 +339,58 @@ def test_sum_and_scaling_skip_only_scalar_zero_operations(pair, scalar):
         (scalar * a, [[scalar * x for x in row] for row in left]),
     ]
     for got, want in cases:
-        assert (got.rows, got.cols) == (len(want), len(want[0]))
-        for got_row, want_row in zip(got.data, want):
-            for x, y in zip(got_row, want_row):
-                same_entry(x, y)
+        assert got == DenseMatrix(want)
 
 
-def test_zero_operands_keep_the_truncation_of_series_entries():
-    series = (MultiPoly.var("v1") ** 3 + 1).truncate({"v": 2})
-    m = DenseMatrix([[gr(0), series]])
-    for got in (m * 0, gr(0) * m):
-        same_entry(got[0, 0], gr(0))
-        same_entry(got[0, 1], series * 0)
-        assert got[0, 1].trunc == {"v": 2}
-    same_entry((m + DenseMatrix.zeros(1, 2))[0, 1], series + gr(0))
-    zeroed = DenseMatrix.zeros(1, 2) * series
-    assert all(type(e) is MultiPoly and e.trunc == {"v": 2} for e in zeroed.data[0])
+@st.composite
+def dense_operands(draw):
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def grid(r, c):
+        return [[draw(entries) for _ in range(c)] for _ in range(r)]
+
+    vector = [draw(entries) for _ in range(inner)]
+    return grid(rows, inner), grid(rows, inner), grid(inner, cols), vector
+
+
+@settings(derandomize=True, max_examples=100)
+@given(dense_operands(), scalars, scalars)
+def test_sparse_ring_matches_the_dense_formulas(operands, s, t):
+    a, b, c = (DenseMatrix(grid) for grid in operands[:3])
+    # the formulas read each matrix as it stores its entries: a zero drawn as
+    # a truncated polynomial is stored as an absent, exact zero
+    left, right, other, vector = a.data, b.data, c.data, operands[3]
+    pairs = list(zip(left, right))
+    cases = [
+        (a * c, [[naive_dot(row, col) for col in zip(*other)] for row in left]),
+        (a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in pairs]),
+        (a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in pairs]),
+        (a * s, [[x * s for x in row] for row in left]),
+        (s * a, [[s * x for x in row] for row in left]),
+        (a.transpose(), list(zip(*left))),
+        (
+            linear_combination([s, t], [a, b]),
+            [[naive_dot((s, t), xy) for xy in zip(r1, r2)] for r1, r2 in pairs],
+        ),
+    ]
+    for got, want in cases:
+        assert got == DenseMatrix(want)
+        assert all(got.entries.values())
+    assert list(a.apply(vector)) == [naive_dot(row, vector) for row in left]
+
+
+def test_dense_operands_must_fit():
+    a, b = DenseMatrix.identity(2), DenseMatrix.zeros(2, 3)
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(ValueError, match="dimension mismatch in matrix addition"):
+            op()
+    with pytest.raises(ValueError, match="dimension mismatch in matrix product"):
+        b * a
+    with pytest.raises(ValueError, match="dimension mismatch in matrix-vector product"):
+        a.apply([1])
+    assert a * b == b
+    assert (a == DenseMatrix.identity(3)) is False
+    assert (b == b.transpose()) is False
     with pytest.raises(ValueError):
         DenseMatrix.zeros(0)
 
