@@ -3,10 +3,11 @@ built on them.
 
 SparseMatrix is the ring both realizations share: DenseMatrix, the
 (n+2) x (n+2) matrices, and fock.FockMatrix, the truncated Fock operators.
-Entries are GaussianRational or MultiPoly; the two mix freely. An absent
-entry is an exact zero and carries no truncation bound, and no operation
-stores a zero. Products index the right operand by row (Gustavson, ACM TOMS
-4 (1978)). Matrices are immutable after construction.
+Entries are GaussianRational or MultiPoly; the two mix freely. Both lie
+in an integral domain, so a product of nonzero values is nonzero. An
+absent entry is an exact zero, and no operation stores a zero. Products
+index the right operand by row (Gustavson, ACM TOMS 4 (1978)). Matrices
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -92,9 +93,11 @@ class SparseMatrix:
             )
             return self._like(entries, (self.shape[0], other.shape[1]))
         if isinstance(other, _SCALARS):
-            # a zero or a truncated polynomial factor can make a product vanish
-            entries = {p: x for p, v in self.entries.items() if (x := v * other)}
-            return self._like(entries)
+            # entries and scalars lie in an integral domain: only a zero
+            # factor makes a product vanish
+            if not other:
+                return self._like({})
+            return self._like({p: v * other for p, v in self.entries.items()})
         return NotImplemented
 
     def __rmul__(self, other):

@@ -1,12 +1,16 @@
-"""Sparse multivariate polynomials with per-group degree truncation.
+"""Sparse multivariate polynomials and their truncated series.
 
 A variable name is an alphabetic group prefix plus an optional integer
 index: "v1", "w2", "z3", "x1", "t". The group is the unit of truncation.
-A bound of d on group "v" means every retained term has total v-degree
-at most d, and ring operations stay exact through every retained degree:
-the coefficient of any kept monomial equals the coefficient in the
-untruncated result. The weight parameter "t" is never truncated; series
-with symbolic exponents expand Pochhammer factors into polynomials in t.
+A MultiPoly is a polynomial and carries no bound. Truncation belongs to
+two operations only: truncate, the projection onto the terms whose total
+degree in each bounded group is at most its bound, and mul_truncated, the
+product projected the same way, which never forms a dropped term. Group
+degrees only add in a product, so every kept coefficient is exact: it
+equals the coefficient in the untruncated result. series_power and
+exp_series run their loops on mul_truncated. The weight parameter "t" is
+never truncated; series with symbolic exponents expand Pochhammer factors
+into polynomials in t.
 
 Coefficients are GaussianRational, so all arithmetic is exact.
 
@@ -29,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import factorial
-from operator import ge, itemgetter, mul, or_
+from operator import ge, itemgetter, or_
 from sys import byteorder
 from threading import Lock
 
@@ -184,8 +188,8 @@ def _group_mask(groups) -> int:
     return mask
 
 
-def _offsets(trunc: dict) -> tuple:
-    """(offset, guards, heads) of a truncation, cached per bound items.
+def _offsets(bounds: dict) -> tuple:
+    """(offset, guards, heads) of truncation bounds, cached per bound items.
 
     offset holds guard - 1 - bound in each bounded group's degree field and
     _LIMIT in every other one, so a word w lies within the bounds and its
@@ -194,13 +198,13 @@ def _offsets(trunc: dict) -> tuple:
     words, which may reach past _LIMIT, w & heads tells an out-of-range
     unbounded degree from a bound exceeded.
     """
-    key = tuple(trunc.items())
+    key = tuple(bounds.items())
     hit = _OFFSETS.get(key)
     if hit is not None:
         return hit
     with _LAYOUT_LOCK:
         bounded = {
-            _group_field(g): max(b, -1) for g, b in trunc.items() if b < _LIMIT
+            _group_field(g): max(b, -1) for g, b in bounds.items() if b < _LIMIT
         }
         offset = guards = heads = 0
         for shift in _GROUP_SHIFT.values():
@@ -217,31 +221,12 @@ def _offsets(trunc: dict) -> tuple:
     return hit
 
 
-def _merge_trunc(a: dict, b: dict) -> dict:
-    # bound dicts are never mutated, so a result may share an operand's
-    if a is b or not b:
-        return a
-    if not a:
-        return b
-    merged = dict(a)
-    for g, bound in b.items():
-        merged[g] = min(merged.get(g, bound), bound)
-    return merged
-
-
-def _clip(terms: dict, trunc: dict) -> dict:
-    if not trunc:
-        return terms
-    offset, guards, _ = _offsets(trunc)
-    return {m: c for m, c in terms.items() if not (m + offset) & guards}
-
-
 class MultiPoly:
-    """Immutable sparse polynomial / truncated series over GaussianRational."""
+    """Immutable sparse polynomial over GaussianRational."""
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, trunc=None):
+    def __init__(self, terms=None):
         """terms maps monomials, given as (name, exponent) pairs in any
         order, to coefficients; monomials equal after sorting, dropping
         zero exponents and summing repeated names are added together.
@@ -252,45 +237,35 @@ class MultiPoly:
             key = _pack(mono)
             c = GaussianRational.coerce(coeff)
             summed[key] = summed[key] + c if key in summed else c
-        t = dict(trunc) if trunc else {}
-        cleaned = {m: c for m, c in summed.items() if c}
-        _set_terms(self, _clip(cleaned, t))
-        _set_trunc(self, t)
-
-    @classmethod
-    def _clipped(cls, terms: dict, trunc=None) -> "MultiPoly":
-        """Wrap canonical terms with nonzero GaussianRational coefficients,
-        dropping those beyond trunc."""
-        t = dict(trunc) if trunc else {}
-        return _make(_clip(terms, t), t)
+        _set_terms(self, {m: c for m, c in summed.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     def __reduce__(self):
         # field positions differ between processes, so monomials travel decoded
-        return MultiPoly, (self.decoded_terms(), self.trunc)
+        return MultiPoly, (self.decoded_terms(),)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, trunc=None):
-        return cls._clipped({}, trunc)
+    def zero(cls):
+        return _make({})
 
     @classmethod
-    def const(cls, value, trunc=None):
+    def const(cls, value):
         c = GaussianRational.coerce(value)
-        return cls._clipped({0: c} if c else {}, trunc)
+        return _make({0: c} if c else {})
 
     @classmethod
-    def var(cls, name: str, trunc=None):
-        return cls._clipped({_name_info(name)[3]: GaussianRational(1)}, trunc)
+    def var(cls, name: str):
+        return _make({_name_info(name)[3]: GaussianRational(1)})
 
     @staticmethod
-    def coerce(value, trunc=None) -> "MultiPoly":
+    def coerce(value) -> "MultiPoly":
         if isinstance(value, MultiPoly):
             return value
-        return MultiPoly.const(GaussianRational.coerce(value), trunc)
+        return MultiPoly.const(value)
 
     # -- ring operations ------------------------------------------------------
 
@@ -299,7 +274,6 @@ class MultiPoly:
             if not isinstance(other, (int, Fraction, GaussianRational)):
                 return NotImplemented
             other = MultiPoly.const(other)
-        trunc = _merge_trunc(self.trunc, other.trunc)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = terms.get(mono)
@@ -311,14 +285,12 @@ class MultiPoly:
                     terms[mono] = s
                 else:
                     del terms[mono]
-        if trunc != self.trunc or trunc != other.trunc:
-            terms = _clip(terms, trunc)
-        return _make(terms, trunc)
+        return _make(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make({m: -c for m, c in self.terms.items()}, self.trunc)
+        return _make({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -336,11 +308,18 @@ class MultiPoly:
                 return NotImplemented
             c = GaussianRational.coerce(other)
             if not c:
-                return MultiPoly.zero(self.trunc)
-            terms = {m: k * c for m, k in self.terms.items()}
-            return _make(terms, self.trunc)
-        trunc = _merge_trunc(self.trunc, other.trunc)
-        offset, guards, heads = _offsets(trunc)
+                return MultiPoly.zero()
+            return _make({m: k * c for m, k in self.terms.items()})
+        return self.mul_truncated(other, {})
+
+    __rmul__ = __mul__
+
+    def mul_truncated(self, other: "MultiPoly", bounds: dict) -> "MultiPoly":
+        """(self * other).truncate(bounds), forming no term beyond a bound.
+
+        An exponent or unbounded group degree that reaches 2**14 raises
+        ValueError, as in every product."""
+        offset, guards, heads = _offsets(bounds)
         right = list(other.terms.items())
         out = {}
         for m1, c1 in self.terms.items():
@@ -363,14 +342,12 @@ class MultiPoly:
                         out[mono] = s
                     else:
                         del out[mono]
-        return _make(out, trunc)
-
-    __rmul__ = __mul__
+        return _make(out)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take non-negative integers")
-        result = MultiPoly.const(1, self.trunc)
+        result = MultiPoly.const(1)
         base = self
         e = exponent
         while e:
@@ -456,10 +433,10 @@ class MultiPoly:
     # -- calculus and rewriting -------------------------------------------------
 
     def truncate(self, bounds: dict) -> "MultiPoly":
-        return MultiPoly._clipped(self.terms, _merge_trunc(self.trunc, bounds))
-
-    def drop_truncation(self) -> "MultiPoly":
-        return _make(self.terms, {})
+        """The terms whose total degree in each group named in bounds is at
+        most the group's bound; a negative bound keeps no term."""
+        offset, guards, _ = _offsets(bounds)
+        return _make({m: c for m, c in self.terms.items() if not (m + offset) & guards})
 
     def diff(self, name: str) -> "MultiPoly":
         _, _, _, unit, shift = _name_info(name)
@@ -468,54 +445,39 @@ class MultiPoly:
             e = (mono >> shift) & _FIELD
             if e:
                 out[mono - unit] = coeff * e
-        return _make(out, self.trunc)
+        return _make(out)
 
     def subs(self, assignments: dict) -> "MultiPoly":
-        """Substitute variables by scalars or polynomials.
-
-        A scalar value multiplies straight into the coefficient; polynomial
-        products are formed only for the terms that meet a polynomial value,
-        whose truncation merges into the result's.
-        """
-        items = assignments.items()
-        polys = {n: v for n, v in items if isinstance(v, MultiPoly)}
-        scalars = {n: GaussianRational.coerce(v) for n, v in items if n not in polys}
+        """Substitute exact scalars for variables; each value multiplies
+        straight into the coefficient. A value that is not an exact scalar,
+        a MultiPoly included, raises TypeError."""
+        scalars = {n: GaussianRational.coerce(v) for n, v in assignments.items()}
         # the exponent fields of the assigned names; other terms pass through
         touched = 0
-        for name in assignments:
+        for name in scalars:
             if name in _INFO:
                 touched |= _FIELD << _INFO[name][4]
         terms = {}
-        products = MultiPoly.zero(self.trunc)
         for mono, coeff in self.terms.items():
-            rest, pieces = mono, []
+            rest = mono
             if mono & touched:
                 for name, e in _decode(mono):
-                    if name in polys:
-                        pieces.append(polys[name] ** e)
-                        rest -= e * _INFO[name][3]
-                    elif name in scalars:
+                    if name in scalars:
                         for _ in range(e):
                             coeff = coeff * scalars[name]
                         rest -= e * _INFO[name][3]
-            if pieces:
-                factor = _make({rest: coeff} if coeff else {}, self.trunc)
-                products = products + reduce(mul, pieces, factor)
-            else:
-                # the untouched variables stay in bounds
-                terms[rest] = terms[rest] + coeff if rest in terms else coeff
-        terms = {m: c for m, c in terms.items() if c}
-        return _make(terms, self.trunc) + products
+            terms[rest] = terms[rest] + coeff if rest in terms else coeff
+        return _make({m: c for m, c in terms.items() if c})
 
     def conj(self) -> "MultiPoly":
         """Conjugate the coefficients; the indeterminates are treated as real."""
-        return _make({m: c.conj() for m, c in self.terms.items()}, self.trunc)
+        return _make({m: c.conj() for m, c in self.terms.items()})
 
     def split_groups(self, groups) -> dict:
         """Group terms by their monomial part in the given variable groups.
 
         Returns a map from that monomial part to the polynomial cofactor in
-        the remaining variables (truncation metadata is dropped on pieces).
+        the remaining variables.
         """
         return {_decode(key): cofactor for key, cofactor in self._split(groups)}
 
@@ -537,15 +499,10 @@ class MultiPoly:
         for mono, coeff in self.terms.items():
             key = mono & mask
             buckets.setdefault(key, {})[mono - key] = coeff
-        return [(key, _make(terms, {})) for key, terms in buckets.items()]
+        return [(key, _make(terms)) for key, terms in buckets.items()]
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises ValueError if it does not divide.
-
-        Only meaningful on untruncated polynomials.
-        """
-        if self.trunc or divisor.trunc:
-            raise ValueError("exact_divide requires untruncated polynomials")
+        """Exact polynomial division; raises ValueError if it does not divide."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         decoder = _decoder
@@ -561,8 +518,8 @@ class MultiPoly:
             q_mono = rm - lead
             q_coeff = remainder.terms[rm] / lead_coeff
             quotient[q_mono] = quotient.get(q_mono, GaussianRational(0)) + q_coeff
-            remainder = remainder - _make({q_mono: q_coeff}, {}) * divisor
-        return _make({m: c for m, c in quotient.items() if c}, {})
+            remainder = remainder - _make({q_mono: q_coeff}) * divisor
+        return _make({m: c for m, c in quotient.items() if c})
 
     # -- display -------------------------------------------------------------------
 
@@ -633,15 +590,13 @@ class MultiPoly:
 
 _new = object.__new__
 _set_terms = MultiPoly.terms.__set__
-_set_trunc = MultiPoly.trunc.__set__
 
 
-def _make(terms: dict, trunc: dict) -> MultiPoly:
-    """Wrap terms that already have nonzero GaussianRational coefficients
-    and lie within trunc, unchecked. Neither dict may be mutated later."""
+def _make(terms: dict) -> MultiPoly:
+    """Wrap terms that already have nonzero GaussianRational coefficients,
+    unchecked. The dict may not be mutated later."""
     self = _new(MultiPoly)
     _set_terms(self, terms)
-    _set_trunc(self, trunc)
     return self
 
 
@@ -659,7 +614,7 @@ def _exponent_poly(exponent) -> MultiPoly:
     if isinstance(exponent, MultiPoly):
         if not exponent.variables() <= {TAU_NAME}:
             raise TypeError("symbolic exponents may involve the weight t only")
-        return exponent.drop_truncation()
+        return exponent
     raise TypeError(f"unsupported series exponent {exponent!r}")
 
 
@@ -684,17 +639,15 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
         raise ValueError("series_power requires constant term 1")
     minus_e = -_exponent_poly(exponent)
     groups = {_name_info(n)[0] for n in base.variables()} - {TAU_NAME}
-    work = base.truncate({g: bound for g in groups})
-    u = MultiPoly.const(1, work.trunc) - work
+    bounds = {g: bound for g in groups}
+    u = MultiPoly.const(1) - base.truncate(bounds)
     if _has_pure_t_term(u):
         raise ValueError("series does not terminate: base has a pure-t term")
-    acc = MultiPoly.const(1, work.trunc)
-    upow = MultiPoly.const(1, work.trunc)
-    poch = MultiPoly.const(1)
+    acc = upow = poch = MultiPoly.const(1)
     m = 0
     while True:
         m += 1
-        upow = upow * u
+        upow = upow.mul_truncated(u, bounds)
         if upow.is_zero:
             return acc
         poch = poch * (minus_e + (m - 1))
@@ -714,15 +667,15 @@ def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
     if argument.constant_term != 0:
         raise ValueError("exp_series requires zero constant term")
     groups = {_name_info(n)[0] for n in argument.variables()} - {TAU_NAME}
-    work = argument.truncate({g: bound for g in groups})
+    bounds = {g: bound for g in groups}
+    work = argument.truncate(bounds)
     if _has_pure_t_term(work):
         raise ValueError("series does not terminate: argument has a pure-t term")
-    acc = MultiPoly.const(1, work.trunc)
-    pw = MultiPoly.const(1, work.trunc)
+    acc = pw = MultiPoly.const(1)
     m = 0
     while True:
         m += 1
-        pw = pw * work
+        pw = pw.mul_truncated(work, bounds)
         if pw.is_zero:
             return acc
         acc = acc + pw * Fraction(1, factorial(m))

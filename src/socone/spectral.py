@@ -141,7 +141,7 @@ def verify_coordinate_duality(n: int) -> Report:
     for c in num:
         sq = sq + MultiPoly.coerce(c) * c
     try:
-        scaled_v2 = sq.drop_truncation().exact_divide(coords.h2)
+        scaled_v2 = sq.exact_divide(coords.h2)
         checks.append(CheckResult("(h^2 v).(h^2 v) is divisible by h^2", True))
     except ValueError:
         return Report(
@@ -292,10 +292,10 @@ def basis_polynomials(
     inv_q = series_power(q, Fraction(-1), kmax)
     cross = sum((a * b for a, b in zip(x, v)), MultiPoly.zero())
     numerator = x[0] * (v[0] + v2) + _I * (cross - x[0] * v[0])
-    exponent_arg = numerator * inv_q
+    exponent_arg = numerator.mul_truncated(inv_q, {"v": kmax})
     exp_part = exp_series(exponent_arg, kmax)
     weight_part = series_power(q, weight_exponent(tau), kmax)
-    gf = exp_part * weight_part
+    gf = exp_part.mul_truncated(weight_part, {"v": kmax})
     buckets = gf.split_index("v", n)
     return [
         BasisPolynomial(k, mi_factorial(k) * buckets.get(k, MultiPoly.zero()))

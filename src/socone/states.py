@@ -151,11 +151,8 @@ def recover_coordinates(state: StateVector):
     if isinstance(denom, MultiPoly) or any(
         isinstance(c, MultiPoly) for c in state.v0
     ):
-        denom_poly = MultiPoly.coerce(denom).drop_truncation()
-        v = tuple(
-            MultiPoly.coerce(c).drop_truncation().exact_divide(denom_poly)
-            for c in state.v0
-        )
+        denom_poly = MultiPoly.coerce(denom)
+        v = tuple(MultiPoly.coerce(c).exact_divide(denom_poly) for c in state.v0)
     else:
         if not denom:
             raise NotInOrbitError("b + i a vanishes: spatial part not recoverable")

@@ -464,10 +464,12 @@ def test_every_operator_on_a_space_shares_one_basis_and_index():
     assert all(identity.index[k] == i for i, k in enumerate(identity.basis))
 
 
-def test_a_product_that_vanishes_in_a_truncated_entry_is_dropped():
-    v1 = MultiPoly.var("v1", {"v": 1})
-    m = FockMatrix(1, 2, {(0, 0): v1})
-    assert (m * v1).entries == {} and (v1 * m).entries == {}
+def test_a_zero_scalar_product_stores_nothing():
+    dense = matrices.DenseMatrix([[1, MultiPoly.var("v1")], [0, gr(0, 2)]])
+    for m in (dense, build_hat(2, 3).R(1), gram_matrix(1, 3)):
+        for zero in (0, Fraction(0), gr(0), MultiPoly.zero()):
+            assert (zero * m).entries == {} and (m * zero).entries == {}
+            assert (zero * m).shape == m.shape
 
 
 def test_operators_on_different_spaces_do_not_mix():

@@ -257,7 +257,6 @@ def naive_dot(row, col):
 def same_entry(x, y):
     assert type(x) is type(y)
     if isinstance(x, MultiPoly):
-        assert x.trunc == y.trunc
         assert x.terms == y.terms
     else:
         assert x == y

@@ -73,7 +73,6 @@ _SUBS_VALUES = st.one_of(
     st.integers(-2, 2),
     _SMALL_FRACTIONS,
     st.builds(gr, _SMALL_FRACTIONS, _SMALL_FRACTIONS),
-    truncated(small_polys(max_exponent=1, max_terms=2)),
 )
 
 
@@ -82,22 +81,26 @@ _SUBS_VALUES = st.one_of(
     truncated(small_polys()),
     st.dictionaries(st.sampled_from(["v1", "v2", "w1", "x1", "t"]), _SUBS_VALUES),
 )
-# a zero scalar meets a truncated polynomial value: its bound still merges
-@example(V1 * W1, {"w1": 0, "v1": V1.truncate({"v": 0})})
+# a zero scalar cancels every term it meets
+@example(V1 * W1 + V1, {"w1": 0, "v1": 2})
 def test_subs_matches_the_polynomial_route(p, assignments):
     # reference: every value as a polynomial, const(coeff) * value ** e per term
     values = {name: MultiPoly.coerce(v) for name, v in assignments.items()}
-    want = MultiPoly.zero(p.trunc)
+    want = MultiPoly.zero()
     for mono, coeff in p.decoded_terms().items():
-        factor = MultiPoly.const(coeff, p.trunc)
+        factor = MultiPoly.const(coeff)
         for name, e in mono:
             factor = factor * values.get(name, MultiPoly.var(name)) ** e
         want = want + factor
     got = p.subs(assignments)
     assert type(got) is MultiPoly
     assert got.terms == want.terms
-    assert got.trunc == want.trunc
     assert all(type(c) is GaussianRational and c for c in got.terms.values())
+
+
+def test_subs_takes_exact_scalars_only():
+    with pytest.raises(TypeError):
+        (V1 * W1).subs({"w1": V1})
 
 
 def test_no_stored_zero_coefficients():
@@ -106,9 +109,22 @@ def test_no_stored_zero_coefficients():
     assert p.is_zero
 
 
+@settings(derandomize=True, max_examples=100)
+@given(
+    small_polys(),
+    small_polys(),
+    st.dictionaries(st.sampled_from(["v", "w", "x", "t"]), st.integers(-3, 3), max_size=3),
+)
+def test_truncated_product_is_the_truncated_full_product(a, b, bounds):
+    assert a.mul_truncated(b, bounds) == (a * b).truncate(bounds)
+
+
 def test_truncation_is_exact_through_the_bound():
     full = (1 + V1) ** 6
-    cut = (1 + V1).truncate({"v": 4}) ** 6
+    cut = MultiPoly.const(1)
+    for _ in range(6):
+        cut = cut.mul_truncated(1 + V1, {"v": 4})
+    assert cut == full.truncate({"v": 4})
     for k in range(5):
         assert cut.coefficient([("v1", k)]) == full.coefficient([("v1", k)])
     assert cut.degree("v") <= 4
@@ -156,16 +172,16 @@ def test_series_power_square_identity():
 )
 def test_series_power_exponent_additivity(a, b):
     base = 1 - 2 * V1 + V1 * W1
-    product = series_power(base, a, 4) * series_power(base, b, 4)
+    bounds = {"v": 4, "w": 4}
+    product = series_power(base, a, 4).mul_truncated(series_power(base, b, 4), bounds)
     assert product == series_power(base, a + b, 4)
 
 
 def test_series_power_symbolic_exponent_additivity():
     base = 1 - V1 * W1
     half = TAU * Fraction(-1, 2)
-    assert series_power(base, half, 4) * series_power(base, half, 4) == series_power(
-        base, -TAU, 4
-    )
+    root = series_power(base, half, 4)
+    assert root.mul_truncated(root, {"v": 4, "w": 4}) == series_power(base, -TAU, 4)
 
 
 def test_exp_series_matches_scalar_expansion():
@@ -240,17 +256,6 @@ def test_name_lookups_after_the_cache_is_warm():
                 MultiPoly.var(bad)
 
 
-def test_sum_with_a_tighter_bound_is_clipped():
-    # the merged bound is tighter than the left operand's, so its terms
-    # must be clipped again
-    p = MultiPoly.var("v1") ** 3 + MultiPoly.var("w1")
-    q = MultiPoly.zero({"v": 1})
-    assert (p + q).decoded_terms() == {(("w1", 1),): gr(1)}
-    assert (q + p).terms == (p + q).terms
-    assert (p + q).trunc == {"v": 1}
-    assert (p * q.truncate({"w": 0}) + 1).decoded_terms() == {(): gr(1)}
-
-
 def test_constructor_canonicalises_monomials():
     p = MultiPoly({(("w1", 1), ("v1", 1)): 1})
     assert p == MultiPoly.var("v1") * MultiPoly.var("w1")
@@ -261,8 +266,8 @@ def test_constructor_canonicalises_monomials():
     assert q.decoded_terms() == {(("v1", 2),): gr(5), (): gr(5)}
     assert q.coefficient([("v1", 1), ("v1", 1)]) == 5
     # terms that cancel after canonicalisation leave nothing
-    r = MultiPoly({(("v1", 1), ("w1", 1)): 1, (("w1", 1), ("v1", 1)): -1}, {"v": 3})
-    assert r.is_zero and r.trunc == {"v": 3}
+    r = MultiPoly({(("v1", 1), ("w1", 1)): 1, (("w1", 1), ("v1", 1)): -1})
+    assert r.is_zero and r.terms == {}
 
 
 # -- packed monomials against the tuple-monomial arithmetic --------------------
@@ -286,19 +291,12 @@ def ref_group_degree(mono, group):
     return sum(e for name, e in mono if group_of(name) == group)
 
 
-def ref_clip(terms, trunc):
-    return {
-        m: c
-        for m, c in terms.items()
-        if all(ref_group_degree(m, g) <= b for g, b in trunc.items())
-    }
+def ref_within(mono, bounds):
+    return all(ref_group_degree(mono, g) <= b for g, b in bounds.items())
 
 
-def ref_merge(a, b):
-    merged = dict(a)
-    for g, bound in b.items():
-        merged[g] = min(merged.get(g, bound), bound)
-    return merged
+def ref_clip(terms, bounds):
+    return {m: c for m, c in terms.items() if ref_within(m, bounds)}
 
 
 def ref_accumulate(out, mono, c):
@@ -310,47 +308,45 @@ def ref_accumulate(out, mono, c):
         del out[mono]
 
 
-def ref_build(raw, trunc):
+def ref_build(raw):
     summed = {}
     for items, c in raw.items():
         key = ref_mono(items)
         summed[key] = summed[key] + c if key in summed else c
-    return ref_clip({m: c for m, c in summed.items() if c}, trunc), dict(trunc)
+    return {m: c for m, c in summed.items() if c}
 
 
 def ref_add(a, b):
-    trunc = ref_merge(a[1], b[1])
-    out = dict(a[0])
-    for m, c in b[0].items():
+    out = dict(a)
+    for m, c in b.items():
         ref_accumulate(out, m, c)
-    return ref_clip(out, trunc), trunc
+    return out
 
 
-def ref_mul(a, b):
-    trunc = ref_merge(a[1], b[1])
+def ref_mul(a, b, bounds):
     out = {}
-    for m1, c1 in a[0].items():
-        for m2, c2 in b[0].items():
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
             mono = ref_mono(m1 + m2)
-            if all(ref_group_degree(mono, g) <= bd for g, bd in trunc.items()):
+            if ref_within(mono, bounds):
                 ref_accumulate(out, mono, c1 * c2)
-    return out, trunc
+    return out
 
 
 def ref_diff(a, name):
     out = {}
-    for m, c in a[0].items():
+    for m, c in a.items():
         exps = dict(m)
         e = exps.get(name, 0)
         if e:
             exps[name] = e - 1
             out[ref_mono(exps.items())] = c * e
-    return out, a[1]
+    return out
 
 
 def ref_subs(a, values):
     terms = {}
-    for m, c in a[0].items():
+    for m, c in a.items():
         rest = []
         for name, e in m:
             if name in values:
@@ -360,12 +356,12 @@ def ref_subs(a, values):
                 rest.append((name, e))
         key = tuple(rest)
         terms[key] = terms[key] + c if key in terms else c
-    return {m: c for m, c in terms.items() if c}, a[1]
+    return {m: c for m, c in terms.items() if c}
 
 
 def ref_split(a, groups):
     buckets = {}
-    for m, c in a[0].items():
+    for m, c in a.items():
         key = tuple(it for it in m if group_of(it[0]) in groups)
         rest = tuple(it for it in m if group_of(it[0]) not in groups)
         buckets.setdefault(key, {})[rest] = c
@@ -395,9 +391,8 @@ def ref_exact_divide(a, b):
 
 
 def same(p, ref):
-    # the same terms in the same insertion order, and the same bounds
-    assert list(p.decoded_terms().items()) == list(ref[0].items())
-    assert p.trunc == ref[1]
+    # the same terms in the same insertion order
+    assert list(p.decoded_terms().items()) == list(ref.items())
 
 
 _ref_coeffs = st.builds(
@@ -410,8 +405,8 @@ _ref_raw = st.dictionaries(
     _ref_coeffs,
     max_size=5,
 )
-_ref_truncs = st.one_of(
-    st.just({}), st.dictionaries(st.sampled_from(POOL_GROUPS), st.integers(0, 3), max_size=3)
+_ref_bounds = st.one_of(
+    st.just({}), st.dictionaries(st.sampled_from(POOL_GROUPS), st.integers(-1, 3), max_size=3)
 )
 
 
@@ -419,38 +414,37 @@ _ref_truncs = st.one_of(
 @given(
     st.permutations(POOL),
     _ref_raw,
-    _ref_truncs,
     _ref_raw,
-    _ref_truncs,
+    _ref_bounds,
     st.sampled_from(POOL),
     st.sets(st.sampled_from(POOL_GROUPS + ["t"]), max_size=3),
     st.dictionaries(st.sampled_from(POOL), st.one_of(st.integers(-2, 2), _ref_coeffs)),
 )
 def test_packed_monomials_match_tuple_monomials(
-    order, raw_a, trunc_a, raw_b, trunc_b, name, groups, values
+    order, raw_a, raw_b, bounds, name, groups, values
 ):
     for n in order:  # names first seen in a drawn order
         var_key(n)
-    a, b = MultiPoly(raw_a, trunc_a), MultiPoly(raw_b, trunc_b)
-    ra, rb = ref_build(raw_a, trunc_a), ref_build(raw_b, trunc_b)
+    a, b = MultiPoly(raw_a), MultiPoly(raw_b)
+    ra, rb = ref_build(raw_a), ref_build(raw_b)
     same(a, ra)
     same(a + b, ref_add(ra, rb))
-    same(a * b, ref_mul(ra, rb))
-    same(b * a, ref_mul(rb, ra))
+    same(a * b, ref_mul(ra, rb, {}))
+    same(b * a, ref_mul(rb, ra, {}))
+    same(a.mul_truncated(b, bounds), ref_mul(ra, rb, bounds))
     same(a.diff(name), ref_diff(ra, name))
-    bounds = dict(trunc_b)
-    same(a.truncate(bounds), (ref_clip(ra[0], ref_merge(ra[1], bounds)), ref_merge(ra[1], bounds)))
+    same(a.truncate(bounds), ref_clip(ra, bounds))
     scalars = {n: gr(v) if isinstance(v, int) else v for n, v in values.items()}
     same(a.subs(values), ref_subs(ra, scalars))
     got = a.split_groups(groups)
     want = ref_split(ra, groups)
     assert list(got) == list(want)
     for key, cofactor in got.items():
-        same(cofactor, (want[key], {}))
+        same(cofactor, want[key])
     for group in POOL_GROUPS + ["t"]:
-        want_degree = max((ref_group_degree(m, group) for m in ra[0]), default=-1)
+        want_degree = max((ref_group_degree(m, group) for m in ra), default=-1)
         assert a.degree(group) == want_degree
-        assert a.degrees(group) == {ref_group_degree(m, group) for m in ra[0]}
+        assert a.degrees(group) == {ref_group_degree(m, group) for m in ra}
     for group in POOL_GROUPS:
         by_index = a.split_index(group, 3)
         want = ref_split(ra, {group})
@@ -458,11 +452,11 @@ def test_packed_monomials_match_tuple_monomials(
         for k, cofactor in by_index.items():
             mono = tuple((f"{group}{i}", e) for i, e in enumerate(k, start=1) if e)
             assert cofactor.decoded_terms() == want[mono]
-    assert a.degree() == max((sum(e for _, e in m) for m in ra[0]), default=-1)
-    assert a.variables() == {n for m in ra[0] for n, _ in m}
-    assert [m for m, _ in a.canonical_items()] == sorted(ra[0], key=ref_grlex)
-    # division of untruncated polynomials, exact and not
-    p, q = a.drop_truncation(), b.drop_truncation()
+    assert a.degree() == max((sum(e for _, e in m) for m in ra), default=-1)
+    assert a.variables() == {n for m in ra for n, _ in m}
+    assert [m for m, _ in a.canonical_items()] == sorted(ra, key=ref_grlex)
+    # division, exact and not
+    p, q = a, b
     if not q.is_zero:
         for dividend in (p * q, p):
             want = ref_exact_divide(dividend.decoded_terms(), q.decoded_terms())
@@ -488,7 +482,7 @@ def test_exponent_and_degree_limits_raise():
     # the neighbouring fields are untouched by a product at the limit
     assert (top * W1 * TAU).decoded_terms() == {(("v1", limit - 1), ("w1", 1), ("t", 1)): gr(1)}
     # beyond a bound the product is dropped, not an error
-    assert (top.truncate({"v": limit - 1}) * V1).is_zero
+    assert top.mul_truncated(V1, {"v": limit - 1}).is_zero
     # a negative bound keeps nothing, however far below zero it is
     assert (W1 + 1).truncate({"v": -1}).is_zero
     assert top.truncate({"v": -(limit + 5000)}).is_zero
@@ -507,10 +501,10 @@ def test_copy_deepcopy_and_pickle_round_trip():
     import copy
     import pickle
 
-    p = (gr(1, 2) * V1 * TAU - Fraction(3, 4) * W1 ** 2 + 7).truncate({"v": 3})
+    p = gr(1, 2) * V1 * TAU - Fraction(3, 4) * W1 ** 2 + 7
     for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert type(q) is MultiPoly
-        assert q == p and q.trunc == p.trunc
+        assert q == p and q.terms.keys() == p.terms.keys()
         assert list(q.decoded_terms().items()) == list(p.decoded_terms().items())
         assert str(q) == str(p) and q.latex() == p.latex()
 
@@ -521,9 +515,9 @@ def test_pickle_loads_in_a_process_that_saw_names_in_another_order():
 
     from socone.jsonio import poly_to_json
 
-    p = (3 * V2 * W1 * MultiPoly.var("z2") - Fraction(1, 3) * TAU ** 2 * V1).truncate(
-        {"w": 2}
-    ) + gr(0, 1) * MultiPoly.var("x3")
+    p = 3 * V2 * W1 * MultiPoly.var("z2") - Fraction(1, 3) * TAU ** 2 * V1 + gr(
+        0, 1
+    ) * MultiPoly.var("x3")
     script = (
         "import json, pickle, sys\n"
         "from socone.poly import MultiPoly\n"
@@ -532,7 +526,7 @@ def test_pickle_loads_in_a_process_that_saw_names_in_another_order():
         "    MultiPoly.var(n)\n"
         "p = pickle.loads(sys.stdin.buffer.read())\n"
         "print(str(p)); print(p.latex()); print(json.dumps(poly_to_json(p)))\n"
-        "print(p.trunc); print(p == pickle.loads(pickle.dumps(p)))\n"
+        "print(p == pickle.loads(pickle.dumps(p)))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -542,7 +536,7 @@ def test_pickle_loads_in_a_process_that_saw_names_in_another_order():
         check=True,
         timeout=120,
     )
-    want = f"{p}\n{p.latex()}\n{json.dumps(poly_to_json(p))}\n{p.trunc}\nTrue\n"
+    want = f"{p}\n{p.latex()}\n{json.dumps(poly_to_json(p))}\nTrue\n"
     assert result.stdout.decode() == want
 
 
