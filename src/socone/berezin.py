@@ -57,13 +57,13 @@ def fock_pairing_series(words, n: int, degree_bound: int) -> MultiPoly:
     return pair(gram_matrix(n, degree_bound), left, q.apply(right))
 
 
-def berezin_transform(word_or_words, w, v, check_fock: bool = True):
+def berezin_transform(word_or_words, w, v):
     """Normalized coherent matrix element of an operator word, exact.
 
     In the matrix realization the weight is -2, the pairing denominator is
     the Leibniz value at (w, v), and the numerator is the vacuum functional
-    of exp(w.L) Q exp(v.R) vacuum. With check_fock the same number is
-    recomputed through the Fock pairing at weight -2 and asserted equal.
+    of exp(w.L) Q exp(v.R) vacuum. The same number is recomputed through
+    the Fock pairing at weight -2 and asserted equal.
     """
     words = _words(word_or_words)
     n = len(w)
@@ -82,16 +82,15 @@ def berezin_transform(word_or_words, w, v, check_fock: bool = True):
     moved = _operator(words, alg).apply(moved)
     moved = exp_nilpotent_apply(lower, moved)
     numerator = lambda_factor(StateVector(moved))
-    if check_fock:
-        bound = 3 + max((len(x.factors) for x in words), default=0)
-        series = fock_pairing_series(words, n, bound).subs({"t": Fraction(-2)})
-        point = {}
-        for j in range(1, n + 1):
-            point[f"w{j}"] = wc[j - 1]
-            point[f"v{j}"] = vc[j - 1]
-        via_fock = series.subs(point).as_gaussian()
-        if via_fock != numerator:
-            raise AssertionError("matrix and Fock numerators disagree at weight -2")
+    bound = 3 + max((len(x.factors) for x in words), default=0)
+    series = fock_pairing_series(words, n, bound).subs({"t": Fraction(-2)})
+    point = {}
+    for j in range(1, n + 1):
+        point[f"w{j}"] = wc[j - 1]
+        point[f"v{j}"] = vc[j - 1]
+    via_fock = series.subs(point).as_gaussian()
+    if via_fock != numerator:
+        raise AssertionError("matrix and Fock numerators disagree at weight -2")
     return numerator / den
 
 
@@ -267,13 +266,16 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
     carry a source of degree <= safe to degree <= D, never past the
     truncation boundary, so no other component reaches the compared block.
     The substitution route keeps each component's index; it is compared
-    up to v-degree safe, because its lowers raise the v-degree.
+    up to v-degree safe, because its lowers raise the v-degree. Below
+    D = max_length there is nothing to compare, and ValueError is raised.
 
     The direct route applies a word's first letter to the vector of the
     rest of the word, so each word costs one shift; the substitution route
     shares each derivative of the coherent vector between the words that
     need it.
     """
+    if degree_bound < max_length:
+        raise ValueError(f"need truncation degree at least {max_length}")
     hat = build_hat(n, degree_bound)
     safe = degree_bound - max_length
     compared = multi_indices(n, safe)

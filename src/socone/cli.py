@@ -21,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import algebra, berezin, fock, jsonio, spectral, states
+from . import algebra, berezin, fock, jsonio, matrices, spectral, states
 from .poly import MultiPoly
 from .scalars import GaussianRational
 
@@ -479,7 +479,7 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"singular input: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except (AssertionError, matrices.NotNilpotentError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

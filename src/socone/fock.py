@@ -221,10 +221,10 @@ class HatFamily(SoAlgebra):
 def build_hat(n: int, degree_bound: int) -> HatFamily:
     """Ladder and rotation operators as polynomials in the shift operators.
 
-    L_j is t V_j + 2 (R_l V_l) V_j - R_j V.V; the equivalent form
-    rho0 V_j - R_j V.V is built as well and the equality is asserted, and
-    so is the grading: every entry of R_j raises the degree by exactly 1,
-    of L_j lowers it by exactly 1, and of rho0 and rho_jk keeps it.
+    L_j is t V_j + 2 (R_l V_l) V_j - R_j V.V; berezin.bessel_form_check
+    reports whether it equals rho0 V_j - R_j V.V. Only the grading is
+    asserted: every entry of R_j raises the degree by exactly 1, of L_j
+    lowers it by exactly 1, and of rho0 and rho_jk keeps it.
     Built and checked once per (n, D) and shared: the family is immutable.
     """
     if degree_bound < 2:
@@ -247,11 +247,7 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
 
     def ladder(j):
         vj = lowering[j - 1]
-        lj = TAU * vj + 2 * (number * vj) - raising[j - 1] * vsq
-        bessel = rho0 * vj - raising[j - 1] * vsq
-        if lj != bessel:
-            raise AssertionError("the two lowering forms disagree")
-        return lj
+        return TAU * vj + 2 * (number * vj) - raising[j - 1] * vsq
 
     generators = generator_table(
         n,
@@ -414,15 +410,14 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Exact verdict with pivots, and the Fraction blocks it was read from.
-
-    A Gram probe lists (degree, pivot) pairs, a moment probe plain pivots.
+    """Exact verdict with (block, pivot) pairs, and the Fraction blocks it was
+    read from. A Gram probe's blocks are its degree blocks; a moment probe
+    has one block, block 0.
     The float view is display only: a certified lower bound computed on read.
     """
 
     positive_definite: bool
     pivots: tuple
-    completed: bool
     blocks: tuple = field(repr=False)
 
     @cached_property
@@ -451,19 +446,17 @@ class PositivityProbe:
         return value if Fraction(value) <= lo else nextafter(value, -inf)
 
 
-def probe_blocks(blocks, by_degree: bool) -> PositivityProbe:
+def probe_blocks(blocks) -> PositivityProbe:
     """Exact verdict over the diagonal blocks of a symmetric Fraction
-    matrix; with by_degree each pivot is paired with its block's index."""
-    verdict = completed = True
+    matrix, each pivot paired with its block's index."""
+    verdict = True
     pivots = []
     for d, block in enumerate(blocks):
         ok, piv = is_positive_definite(block)
         verdict = verdict and ok
-        # exact_ldl stops short of a full pivot list only when it fails
-        completed = completed and len(piv) == len(block)
-        pivots.extend([(d, p) for p in piv] if by_degree else piv)
+        pivots.extend((d, p) for p in piv)
     kept = tuple(tuple(map(tuple, block)) for block in blocks)
-    return PositivityProbe(verdict, tuple(pivots), completed, kept)
+    return PositivityProbe(verdict, tuple(pivots), kept)
 
 
 def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProbe:
@@ -477,7 +470,7 @@ def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProb
     # the basis is graded, so each degree block is a contiguous diagonal slice
     ends = _space(n, degree_bound)[2]
     blocks = [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
-    return probe_blocks(blocks, by_degree=True)
+    return probe_blocks(blocks)
 
 
 def coherent_vector(n: int, degree_bound: int, prefix: str) -> dict:

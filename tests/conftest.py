@@ -9,6 +9,11 @@ computed along a route the implementation under test never touches.
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+
+# exact arithmetic runs long under load; no test here is about speed
+settings.register_profile("socone", deadline=None)
+settings.load_profile("socone")
 
 
 def c(re=0, im=0):

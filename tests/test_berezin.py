@@ -51,7 +51,7 @@ def test_transform_pole_error():
 @pytest.mark.parametrize("w, v", [([1], [0, 5]), ([1, 0], [0])])
 def test_transform_rejects_mismatched_lengths(w, v):
     with pytest.raises(ValueError, match="same length"):
-        berezin_transform(OperatorWord.of("rho0"), w, v, check_fock=False)
+        berezin_transform(OperatorWord.of("rho0"), w, v)
 
 
 def test_word_products_and_sums():
@@ -133,6 +133,12 @@ def test_wick_recipe():
 
 def test_wick_recipe_at_the_verify_size():
     assert wick_recipe_check(3, 5).all_passed
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (2, 1)])
+def test_wick_recipe_refuses_a_size_with_nothing_to_compare(n, d):
+    with pytest.raises(ValueError, match="at least 3"):
+        wick_recipe_check(n, d)
 
 
 def test_wick_recipe_catches_a_missing_contraction(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import socone
-from socone import cli, jsonio
+from socone import cli, jsonio, matrices, states
 from socone.cli import main
 
 _SRC = str(Path(socone.__file__).resolve().parent.parent)
@@ -309,6 +309,22 @@ def test_singular_input_exit_code(capsys):
     assert "singular" in err
     code, _, err = run(capsys, "coords", "--n", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["coherent", "--n", "1", "--v", "1"], ["leibniz", "--n", "1", "--w", "1", "--v", "1"]],
+)
+def test_a_generator_that_is_not_nilpotent_is_a_verification_failure(
+    capsys, monkeypatch, argv
+):
+    def refuse(matrix, vector):
+        raise matrices.NotNilpotentError("matrix is not nilpotent")
+
+    monkeypatch.setattr(states, "exp_nilpotent_apply", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "verification failure: matrix is not nilpotent\n"
 
 
 def test_zero_denominator_tau_is_usage_error(capsys):

@@ -104,7 +104,7 @@ _json_values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_json_values)
 @example([])
 @example({})

@@ -188,7 +188,7 @@ def symmetric_matrices(draw):
     return m
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200)
 @given(symmetric_matrices())
 def test_exact_ldl_matches_the_fraction_elimination(m):
     pivots, completed = exact_ldl(m)

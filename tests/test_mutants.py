@@ -1,0 +1,37 @@
+"""Source mutants applied by monkeypatch: each must turn report rows into
+FAIL rows, not abort the suite with an exception."""
+
+from socone import spectral, states
+from socone.spectral import roundtrip_check
+from socone.states import coherent_suite
+
+
+def test_a_wrong_inverse_coordinate_change_fails_the_round_trip_rows(monkeypatch):
+    z_to_v = spectral.z_to_v
+
+    def perturbed(z):
+        v, h2 = z_to_v(z)
+        return (v[0] + 1,) + v[1:], h2
+
+    monkeypatch.setattr(spectral, "z_to_v", perturbed)
+    report = roundtrip_check(2, 5, seed=0)
+    assert [c.name for c in report.checks] == [
+        f"round trip at point {i}" for i in range(1, 6)
+    ]
+    assert not any(c.passed for c in report.checks)
+    assert {c.detail for c in report.checks} == {
+        "round trip through the coordinate change fails"
+    }
+
+
+def test_a_wrong_pairing_base_at_w_zero_fails_the_closed_form_row(monkeypatch):
+    base = states.leibniz_base_value
+
+    def off_by_one_at_zero(w, v):
+        value = base(w, v)
+        return value + 1 if all(c == 0 for c in w) else value
+
+    monkeypatch.setattr(states, "leibniz_base_value", off_by_one_at_zero)
+    report = coherent_suite(2, 5)
+    failed = [c.name for c in report.failed()]
+    assert failed == ["matrix pairing equals closed form (5 points)"]

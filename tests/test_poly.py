@@ -410,7 +410,7 @@ _ref_bounds = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=150)
 @given(
     st.permutations(POOL),
     _ref_raw,

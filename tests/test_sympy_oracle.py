@@ -86,7 +86,7 @@ exponents = st.one_of(
 )
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@settings(derandomize=True, max_examples=12)
 @given(
     polys(("v1", "w1"), 1, 3),
     exponents,
@@ -99,7 +99,7 @@ def test_series_power_matches_sympy(u, exponent, bound):
     assert_same(result, reference)
 
 
-@settings(derandomize=True, max_examples=12, deadline=None)
+@settings(derandomize=True, max_examples=12)
 @given(polys(("v1", "v2", "w1"), 1, 3), st.integers(0, 3))
 def test_exp_series_matches_sympy(argument, bound):
     result = exp_series(argument, bound)
@@ -107,7 +107,7 @@ def test_exp_series_matches_sympy(argument, bound):
     assert_same(result, reference)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40)
 @given(
     polys(("v1", "v2"), 0, 3),
     polys(("v1", "v2"), 0, 3),
