@@ -410,9 +410,10 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Exact verdict with (block, pivot) pairs, and the Fraction blocks it was
-    read from. A Gram probe's blocks are its degree blocks; a moment probe
-    has one block, block 0.
+    """Exact verdict with (block, pivot) pairs, and the Fraction matrices it
+    was read from. A Gram probe's blocks are its degree blocks, indexed by
+    degree; a moment probe has one block, block 0. `blocks` holds the
+    components of each block's nonzero pattern (see probe_blocks).
     The float view is display only: a certified lower bound computed on read.
     """
 
@@ -446,17 +447,56 @@ class PositivityProbe:
         return value if Fraction(value) <= lo else nextafter(value, -inf)
 
 
+def _pattern_components(block) -> list:
+    """The connected components of a square matrix's nonzero pattern: each a
+    list of row positions in increasing order, listed by their first row.
+    Every nonzero entry, in either triangle, joins its row and column."""
+    parent = list(range(len(block)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, row in enumerate(block):
+        for j, x in enumerate(row):
+            if x and j != i:
+                a, b = root(i), root(j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(block)):
+        groups.setdefault(root(i), []).append(i)
+    return list(groups.values())
+
+
 def probe_blocks(blocks) -> PositivityProbe:
     """Exact verdict over the diagonal blocks of a symmetric Fraction
-    matrix, each pivot paired with its block's index."""
+    matrix, each pivot paired with its block's index.
+
+    Each block is split into the components of its nonzero pattern, read off
+    the actual zeros, and each component gets its own exact LDL: a block is
+    positive definite exactly when every component is. Within a block the
+    r-th pivot of a component stands at the basis position of the
+    component's r-th row. When the elimination of the whole block would take
+    its rows in basis order (no leading minor vanishes), this is its pivot
+    tuple, since the leading minors factor over the components.
+    """
     verdict = True
     pivots = []
+    kept = []
     for d, block in enumerate(blocks):
-        ok, piv = is_positive_definite(block)
-        verdict = verdict and ok
-        pivots.extend((d, p) for p in piv)
-    kept = tuple(tuple(map(tuple, block)) for block in blocks)
-    return PositivityProbe(verdict, tuple(pivots), kept)
+        placed = []
+        for rows in _pattern_components(block):
+            part = tuple(tuple(block[i][j] for j in rows) for i in rows)
+            ok, piv = is_positive_definite(part)
+            verdict = verdict and ok
+            placed.extend(zip(rows, piv))
+            kept.append(part)
+        placed.sort(key=lambda item: item[0])
+        pivots.extend((d, p) for _, p in placed)
+    return PositivityProbe(verdict, tuple(pivots), tuple(kept))
 
 
 def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProbe:

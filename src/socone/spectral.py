@@ -31,6 +31,7 @@ from .poly import MultiPoly, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import gr
 from .states import (
+    NotInOrbitError,
     StateVector,
     recover_coordinates,
     vacuum,
@@ -150,8 +151,9 @@ def verify_coordinate_duality(n: int) -> Report:
 def roundtrip_check(n: int, count: int, seed: int, height: int = 5) -> Report:
     """v -> z -> v on random exact points with nonzero denominators.
 
-    v_to_z asserts the round trip; a point where it fails is a FAIL row
-    with the assertion's message as its detail.
+    v_to_z asserts the round trip and recovers the coordinates of the moved
+    vacuum; a point where either fails is a FAIL row with the message as
+    its detail.
     """
     import random
 
@@ -168,7 +170,7 @@ def roundtrip_check(n: int, count: int, seed: int, height: int = 5) -> Report:
             v_to_z(v)
         except SingularCoordinateError:
             continue
-        except AssertionError as exc:
+        except (AssertionError, NotInOrbitError) as exc:
             checks.append(CheckResult(name, False, str(exc)))
         else:
             checks.append(CheckResult(name, True))
@@ -251,14 +253,10 @@ def moment_positivity_probe(n: int, tau: Fraction, degree: int) -> PositivityPro
     An empirical probe of one weight, not a positivity proof.
     """
     table = moments(n, 2 * degree, tau=Fraction(tau), check_hat=False)
+    # every index of total degree <= 2 * degree is in the table
+    values = {k: v.as_gaussian().as_fraction() for k, v in table.entries.items()}
     basis = multi_indices(n, degree)
-    mat = []
-    for k in basis:
-        row = []
-        for m in basis:
-            s = tuple(a + b for a, b in zip(k, m))
-            row.append(table.moment(s).as_gaussian().as_fraction())
-        mat.append(row)
+    mat = [[values[tuple(a + b for a, b in zip(k, m))] for m in basis] for k in basis]
     return probe_blocks([mat])
 
 

@@ -245,7 +245,9 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
         checks.append(CheckResult("vacuum axioms", True))
     except AssertionError as exc:
         checks.append(CheckResult("vacuum axioms", False, str(exc)))
+    # a failed pipeline or orbit check ends its loop as a FAIL row
     agree = symmetric = reproducing = True
+    failure = ""
     for _ in range(count):
         w, v = rand_tuple(), rand_tuple()
         try:
@@ -254,23 +256,30 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
                 symmetric = False
             if leibniz_from_matrices([0] * n, v) != 1:
                 reproducing = False
-        except AssertionError:
-            agree = False
+        except (AssertionError, NotInOrbitError) as exc:
+            agree, failure = False, str(exc)
             break
     checks.append(
-        CheckResult(f"matrix pairing equals closed form ({count} points)", agree)
+        CheckResult(
+            f"matrix pairing equals closed form ({count} points)", agree, failure
+        )
     )
     checks.append(CheckResult("pairing is symmetric under swapping w, v", symmetric))
     checks.append(CheckResult("pairing at w = 0 is 1", reproducing))
     recovered = True
+    failure = ""
     for _ in range(max(count // 2, 1)):
         v = rand_tuple()
         lam = Fraction(rng.randint(1, height), rng.randint(1, height))
-        got_v, got_lam = recover_coordinates(lam * coherent_state(v))
+        try:
+            got_v, got_lam = recover_coordinates(lam * coherent_state(v))
+        except (AssertionError, NotInOrbitError) as exc:
+            recovered, failure = False, str(exc)
+            break
         if got_lam != lam or any(a != b for a, b in zip(got_v, v)):
             recovered = False
             break
-    checks.append(CheckResult("scaled-state recovery", recovered))
+    checks.append(CheckResult("scaled-state recovery", recovered, failure))
     if n <= 2:
         w = [MultiPoly.var(f"w{j}") for j in range(1, n + 1)]
         v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]

@@ -27,7 +27,7 @@ from socone.fock import (
     verify_hat_relations,
 )
 from socone.matrices import commutator
-from socone.spectral import moment_positivity_probe
+from socone.spectral import moment_positivity_probe, moments
 from socone.poly import MultiPoly, TAU
 from socone.report import CheckResult
 from socone.scalars import gr
@@ -175,6 +175,121 @@ def test_positivity_probe_matches_minor_oracle():
     dense = gram.eval_at(Fraction(3))
     assert leading_minors_positive(dense)
     assert positivity_probe(2, 2, Fraction(3)).positive_definite
+
+
+def degree_blocks(n, d, tau):
+    dense = gram_matrix(n, d).eval_at(tau)
+    ends = fock._space(n, d)[2]
+    return [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
+
+
+def moment_matrix(n, d, tau):
+    table = moments(n, 2 * d, tau=tau, check_hat=False)
+    basis = multi_indices(n, d)
+    return [
+        [
+            table.moment(tuple(a + b for a, b in zip(k, m))).as_gaussian().as_fraction()
+            for m in basis
+        ]
+        for k in basis
+    ]
+
+
+def classes(states, slots):
+    """Positions of the states grouped by the parity of the given slots."""
+    out = {}
+    for i, k in enumerate(states):
+        out.setdefault(tuple(k[s] % 2 for s in slots), []).append(i)
+    return sorted(out.values())
+
+
+def pivots_in_basis_order(block):
+    """Gaussian elimination without pivoting: the pivots when no leading
+    minor vanishes, otherwise None."""
+    a = [list(row) for row in block]
+    pivots = []
+    for k in range(len(a)):
+        p = a[k][k]
+        if not p:
+            return None
+        pivots.append(p)
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / p
+            if f:
+                for j in range(k + 1, len(a)):
+                    a[i][j] -= f * a[k][j]
+    return pivots
+
+
+@pytest.mark.parametrize("n, d, m", [(2, 6, 4), (3, 5, 3), (4, 4, 2)])
+def test_splitting_each_block_changes_no_verdict_and_no_pivot(n, d, m):
+    # the weights straddle the Wallach boundary max(n - 2, 0)
+    boundary = max(n - 2, 0)
+    compared = 0
+    for offset in (-1, Fraction(-1, 3), 0, Fraction(1, 5), 1):
+        tau = boundary + offset
+        for probe, blocks in (
+            (positivity_probe(n, d, tau), degree_blocks(n, d, tau)),
+            (moment_positivity_probe(n, tau, m), [moment_matrix(n, m, tau)]),
+        ):
+            verdicts = [matrices.is_positive_definite(b)[0] for b in blocks]
+            assert probe.positive_definite == all(verdicts)
+            for b, block in enumerate(blocks):
+                pivots = pivots_in_basis_order(block)
+                if pivots is not None:
+                    assert [p for c, p in probe.pivots if c == b] == pivots
+                    assert matrices.is_positive_definite(block)[1] == pivots
+                    compared += 1
+    assert compared > 0
+
+
+def test_the_float_view_reads_the_same_from_the_components():
+    for tau in (Fraction(-1, 2), Fraction(7, 3)):
+        probe = positivity_probe(2, 6, tau)
+        blocks = tuple(tuple(map(tuple, b)) for b in degree_blocks(2, 6, tau))
+        unsplit = fock.PositivityProbe(probe.positive_definite, probe.pivots, blocks)
+        assert len(probe.blocks) > len(blocks)
+        assert probe.float_min_eigenvalue == unsplit.float_min_eigenvalue
+
+
+@pytest.mark.parametrize("n, d", [(2, 8), (3, 6), (4, 5), (5, 4)])
+def test_gram_components_are_the_parity_classes_of_every_slot(n, d):
+    basis = gram_matrix(n, d).basis
+    ends = fock._space(n, d)[2]
+    for a, block in zip(ends, degree_blocks(n, d, Fraction(7, 3))):
+        states = basis[a : a + len(block)]
+        assert sorted(fock._pattern_components(block)) == classes(states, range(n))
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (4, 2)])
+def test_moment_components_are_the_parity_classes_of_slots_2_to_n(n, m):
+    block = moment_matrix(n, m, Fraction(7, 3))
+    expected = classes(multi_indices(n, m), range(1, n))
+    assert sorted(fock._pattern_components(block)) == expected
+
+
+def test_the_split_reads_the_zeros_and_assumes_no_symmetry():
+    # the degree-2 block at n = 3 has the parity classes {x1^2, x2^2, x3^2}
+    # and one class for each of x1 x2, x1 x3, x2 x3
+    block = [list(row) for row in degree_blocks(3, 2, Fraction(7, 3))[2]]
+    assert len(fock._pattern_components(block)) == 4
+    # an entry planted between x1^2 and x1 x2 joins their classes
+    for planted, verdict in ((Fraction(1, 2), True), (Fraction(100), False)):
+        joined = [row[:] for row in block]
+        joined[0][1] = joined[1][0] = planted
+        probe = fock.probe_blocks([joined])
+        assert len(probe.blocks) == 3
+        pivots = [p for _, p in probe.pivots]
+        assert matrices.is_positive_definite(joined) == (verdict, pivots)
+        assert probe.positive_definite == verdict
+    one_sided = [row[:] for row in block]
+    one_sided[0][1] = Fraction(1)
+    with pytest.raises(ValueError, match="symmetric"):
+        fock.probe_blocks([one_sided])
+    # a component whose diagonal is zero but whose remainder is not
+    probe = fock.probe_blocks([[[1, 0, 0], [0, 0, 1], [0, 1, 0]]])
+    assert probe.blocks == (((1,),), ((0, 1), (1, 0)))
+    assert probe.positive_definite is False
 
 
 def test_series_duality():

@@ -2,8 +2,10 @@
 FAIL rows, not abort the suite with an exception."""
 
 from socone import spectral, states
+from socone.cli import main
+from socone.scalars import gr
 from socone.spectral import roundtrip_check
-from socone.states import coherent_suite
+from socone.states import StateVector, coherent_suite
 
 
 def test_a_wrong_inverse_coordinate_change_fails_the_round_trip_rows(monkeypatch):
@@ -35,3 +37,28 @@ def test_a_wrong_pairing_base_at_w_zero_fails_the_closed_form_row(monkeypatch):
     report = coherent_suite(2, 5)
     failed = [c.name for c in report.failed()]
     assert failed == ["matrix pairing equals closed form (5 points)"]
+
+
+def test_an_off_orbit_coherent_closed_form_fails_rows_without_aborting(
+    monkeypatch, capsys
+):
+    closed_form = states.coherent_closed_form
+
+    def last_slot_off(v):
+        # i (1 - 2 v.v) in the last slot in place of i (1 - v.v)
+        s = closed_form(v)
+        return StateVector(s.entries[:-1] + (s.b - gr(0, 1) * (s.a - 1),))
+
+    monkeypatch.setattr(states, "coherent_closed_form", last_slot_off)
+    report = coherent_suite(2, 5)
+    assert {c.name: c.detail for c in report.failed()} == {
+        "matrix pairing equals closed form (5 points)": (
+            "vector is not a scaled coherent state"
+        ),
+        "scaled-state recovery": "exponential and closed-form coherent states differ",
+    }
+    assert main(["verify", "--all", "--n", "2", "--degree", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL  scaled-state recovery" in out
+    assert "FAIL  round trip at point 1  (vector is not a scaled coherent state)" in out
+    assert err == "FAILED: matrix pairing equals closed form (50 points)\n"
