@@ -245,20 +245,22 @@ def cmd_gram(args) -> int:
     labels = [jsonio.multi_index_label(k) for k in basis]
     if args.tau is None:
         entries = [[gram.entry(k, m) for m in basis] for k in basis]
-        as_text, as_json = _value_str, jsonio.scalar_to_json
     else:
-        # constants, written in the polynomial form of the symbolic table
-        entries = [[GaussianRational(v) for v in row] for row in gram.eval_at(args.tau)]
-        as_text, as_json = MultiPoly.coeff_str, jsonio.constant_to_json
+        # the polynomials' values at the weight, as dense rationals
+        entries = gram.eval_at(args.tau)
     if args.format == "json":
+        if args.tau is not None:
+            # constants, in the form of the symbolic table: most cells are
+            # zero, and the zero polynomial is []
+            entries = [[MultiPoly.const(v) if v else [] for v in row] for row in entries]
         return _write_json({
             "n": args.n,
             "degree": args.degree,
             "tau": _tau_json(args),
             "basis": labels,
-            "matrix": [[as_json(v) for v in row] for row in entries],
+            "matrix": entries,
         })
-    rows = [[lab] + [as_text(v) for v in row] for lab, row in zip(labels, entries)]
+    rows = [[lab] + [str(v) for v in row] for lab, row in zip(labels, entries)]
     return _write_rows(args, [""] + labels, rows)
 
 
@@ -271,7 +273,7 @@ def _emit_indexed(args, basis: list, values: list, key: str) -> int:
             "degree": args.degree,
             "tau": _tau_json(args),
             key: [
-                {"index": lab, "value": jsonio.scalar_to_json(v)}
+                {"index": lab, "value": v}
                 for lab, v in zip(labels, values)
             ],
         })
@@ -299,7 +301,7 @@ def cmd_basis_poly(args) -> int:
                 {
                     "index": lab,
                     "text": str(bp.poly),
-                    "terms": jsonio.poly_to_json(bp.poly),
+                    "terms": bp.poly,
                 }
                 for lab, bp in zip(labels, polys)
             ],
@@ -328,7 +330,7 @@ def cmd_leibniz(args) -> int:
                 "n": args.n,
                 "w": [str(c) for c in w],
                 "v": [str(c) for c in v],
-                "value": jsonio.scalar_to_json(value),
+                "value": value,
             })
         return _write_rows(args, ["value"], [[_value_str(value)]])
     series = states.leibniz_closed_form(args.n, args.degree, tau=args.tau)
@@ -337,7 +339,7 @@ def cmd_leibniz(args) -> int:
             "n": args.n,
             "degree": args.degree,
             "tau": _tau_json(args),
-            "series": jsonio.poly_to_json(series),
+            "series": series,
         })
     return _write_rows(args, ["series"], [[str(series)]])
 
@@ -355,8 +357,8 @@ def cmd_coords(args) -> int:
         return _write_json({
             "n": args.n,
             name: [str(c) for c in given],
-            other: [jsonio.scalar_to_json(c) for c in image],
-            "h2": jsonio.scalar_to_json(h2),
+            other: list(image),
+            "h2": h2,
         })
     rows = [[other] + [_value_str(c) for c in image], ["h2", _value_str(h2)]]
     return _write_rows(args, ["name", "value"], rows)
@@ -373,7 +375,7 @@ def cmd_coherent(args) -> int:
         return _write_json({
             "n": args.n,
             "v": "symbolic" if symbolic else [str(Fraction(c)) for c in v],
-            "state": jsonio.state_to_json(state),
+            "state": list(state.entries),
         })
     return _write_rows(args, ["component"], [[_value_str(e)] for e in state.entries])
 

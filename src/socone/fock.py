@@ -31,23 +31,9 @@ from .states import leibniz_base, leibniz_closed_form
 
 
 def multi_indices(n: int, max_degree: int) -> list:
-    """All multi-indices of length n with total degree <= max_degree."""
-    out = []
-    for total in range(max_degree + 1):
-        block = []
-
-        def fill(prefix, left, slots):
-            if slots == 0:
-                if left == 0:
-                    block.append(prefix)
-                return
-            for d in range(left + 1):
-                fill(prefix + (d,), left - d, slots - 1)
-
-        fill((), total, n)
-        block.sort(key=lambda k: tuple(-x for x in k))
-        out.extend(block)
-    return out
+    """All multi-indices of length n with total degree <= max_degree, in
+    graded lexicographic order: a fresh list of the cached basis of (n, D)."""
+    return list(_space(n, max_degree)[0])
 
 
 def mi_degree(k) -> int:
@@ -72,8 +58,23 @@ def _space(n: int, degree_bound: int) -> tuple:
     """(basis, index, ends) of the truncated space (n, D): the graded basis,
     the position of each state, and ends[d], the offset of the degree-d
     block for d = 0..D+1 (ends[D+1] is the size). Built once per (n, D)
-    and shared by every operator on the space."""
-    basis = tuple(multi_indices(n, degree_bound))
+    and shared by every operator on the space and by multi_indices."""
+    basis = []
+    for total in range(degree_bound + 1):
+        block = []
+
+        def fill(prefix, left, slots):
+            if slots == 0:
+                if left == 0:
+                    block.append(prefix)
+                return
+            for d in range(left + 1):
+                fill(prefix + (d,), left - d, slots - 1)
+
+        fill((), total, n)
+        block.sort(key=lambda k: tuple(-x for x in k))
+        basis.extend(block)
+    basis = tuple(basis)
     index = MappingProxyType({k: i for i, k in enumerate(basis)})
     degrees = [mi_degree(k) for k in basis]
     ends = tuple(bisect_left(degrees, d) for d in range(degree_bound + 2))

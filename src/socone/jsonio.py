@@ -9,7 +9,11 @@ values always serialize to identical bytes.
 `dumps` is the one encoder: every JSON document socone prints goes through
 it, and its output is byte-identical to `json.dumps(obj, indent=2)`. The
 standard library's C encoder does not support `indent`, so the stdlib call
-would run its pure-Python generator encoder instead.
+would run its pure-Python generator encoder instead. A MultiPoly or a
+GaussianRational met as a value is written in place, straight from its
+terms and reduced triples, byte-identical to `json.dumps` of its reference
+tree (`poly_to_json`, `gaussian_to_json`) at the same indent, so a payload
+carries the values themselves.
 """
 
 from __future__ import annotations
@@ -18,21 +22,28 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .matrices import DenseMatrix
 from .poly import MultiPoly
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _part_str
+
+
+# -- reference trees ---------------------------------------------------------------
+# The form the tests compare dumps with. No command calls them; the benchmark
+# tracer wraps them by name, so they stay until it stops.
 
 
 def gaussian_to_json(value: GaussianRational) -> dict:
+    """The reference tree of a complex scalar."""
     # the parts are an int or a Fraction in lowest terms already
     value = GaussianRational.coerce(value)
     return {"re": str(value.re), "im": str(value.im)}
 
 
-# no caller in the package; kept because the benchmark tracer wraps it by name
 def matrix_to_json(matrix: DenseMatrix) -> list:
+    """The reference tree of a matrix: rows of scalar trees."""
     return [[scalar_to_json(e) for e in row] for row in matrix.data]
 
 
 def poly_to_json(poly: MultiPoly) -> list:
+    """The reference tree of a polynomial: its terms in canonical order."""
     out = []
     for mono, coeff in poly.canonical_items():
         out.append({"exps": dict(mono), "coeff": gaussian_to_json(coeff)})
@@ -40,17 +51,19 @@ def poly_to_json(poly: MultiPoly) -> list:
 
 
 def constant_to_json(value: GaussianRational) -> list:
-    """poly_to_json(MultiPoly.const(value)), without building the polynomial."""
+    """The reference tree of MultiPoly.const(value), without building it."""
     return [{"exps": {}, "coeff": gaussian_to_json(value)}] if value else []
 
 
 def scalar_to_json(value):
+    """The reference tree of a polynomial or a complex scalar."""
     if isinstance(value, MultiPoly):
         return poly_to_json(value)
     return gaussian_to_json(value)
 
 
 def state_to_json(state) -> list:
+    """The reference tree of a state vector: its entries' trees."""
     return [scalar_to_json(e) for e in state.entries]
 
 
@@ -58,9 +71,13 @@ def multi_index_label(k) -> str:
     return ",".join(str(x) for x in k)
 
 
+# -- the encoder -----------------------------------------------------------------
+
+
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, for the values socone
-    emits: dicts with str keys, lists, str, int, bool and None. Anything
+    emits: dicts with str keys, lists, str, int, bool and None, with each
+    MultiPoly or GaussianRational standing for its reference tree. Anything
     else raises TypeError."""
     out = []
     _write(obj, out, "\n")
@@ -115,5 +132,54 @@ def _write(obj, out: list, newline: str) -> None:
         out.append(repr(obj))
     elif kind is bool or obj is None:
         out.append(_CONSTANTS[obj])
+    elif kind is MultiPoly or kind is GaussianRational:
+        _write_exact(obj, out, newline)
     else:
         raise TypeError(f"cannot encode {kind.__name__} as JSON")
+
+
+def _coeff(c: GaussianRational, newline: str) -> str:
+    """gaussian_to_json(c) written at the level of newline."""
+    d = c._d
+    key = newline + '  "'
+    return (
+        "{" + key + 're": "' + _part_str(c._a, d) + '",'
+        + key + 'im": "' + _part_str(c._b, d) + '"' + newline + "}"
+    )
+
+
+def _write_exact(value, out: list, newline: str) -> None:
+    """Write poly_to_json(value) or gaussian_to_json(value) in place.
+
+    A variable name is letters and digits, and a rational part digits, "-"
+    and "/", so no string needs escaping.
+    """
+    if type(value) is GaussianRational:
+        out.append(_coeff(value, newline))
+        return
+    if not value.terms:
+        out.append("[]")
+        return
+    term = newline + "  "  # the level of each term's dict
+    field = term + "  "  # the level of "exps" and "coeff"
+    key = field + '  "'  # an exponent's key, at the level below
+    open_exps = "{" + field + '"exps": '
+    open_coeff = "," + field + '"coeff": '
+    close_exps = field + "}"
+    close = term + "}"
+    pieces = {}  # (name, exponent) -> its "name": e line
+    sep = "[" + term
+    for mono, coeff in value.canonical_items():
+        if mono:
+            lines = []
+            for item in mono:
+                line = pieces.get(item)
+                if line is None:
+                    line = pieces[item] = key + item[0] + '": ' + str(item[1])
+                lines.append(line)
+            exps = "{" + ",".join(lines) + close_exps
+        else:
+            exps = "{}"
+        out.append(sep + open_exps + exps + open_coeff + _coeff(coeff, field) + close)
+        sep = "," + term
+    out.append(newline + "]")

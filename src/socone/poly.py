@@ -37,7 +37,7 @@ from operator import ge, itemgetter, or_
 from sys import byteorder
 from threading import Lock
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _part_str
 
 _GROUP_ORDER = {"v": 0, "w": 1, "z": 2, "x": 3}
 
@@ -531,58 +531,54 @@ class MultiPoly:
         rows = sorted(((decoder.grlex(m), m) for m in terms), reverse=True)
         return [(decoder.monomial(exps), terms[m]) for (_, exps), m in rows]
 
-    def _render(self, power_fmt, name_fmt, coeff_fmt, sep):
+    def _render(self, latex: bool) -> str:
+        """The printed form: terms in canonical order, a ±1 coefficient
+        left out before variables, and a coefficient with nonzero real and
+        imaginary parts in parentheses."""
         if not self.terms:
             return "0"
-        pieces = []
-        for mono, coeff in self.canonical_items():
-            vars_part = sep.join(
-                name_fmt(n) if e == 1 else power_fmt(name_fmt(n), e) for n, e in mono
-            )
-            if not vars_part:
-                body = coeff_fmt(coeff)
-                negative = body.startswith("-")
-                body = body.lstrip("-")
+        if latex:
+            sep, power = r" \, ", "{}^{{{}}}"
+        else:
+            sep, power = "*", "{}^{}"
+        pieces = {}  # (name, exponent) -> its rendered factor
+        out = []
+        for mono, c in self.canonical_items():
+            factors = []
+            for item in mono:
+                piece = pieces.get(item)
+                if piece is None:
+                    name, e = item
+                    piece = _latex_name(name) if latex else name
+                    if e != 1:
+                        piece = power.format(piece, e)
+                    pieces[item] = piece
+                factors.append(piece)
+            a, b, d = c._a, c._b, c._d
+            if a and b:
+                negative, body = False, f"({c})"
+            elif b:
+                negative = b < 0
+                body = "i" if b == d or b == -d else _part_str(abs(b), d) + "i"
             else:
-                if coeff == 1:
-                    body, negative = vars_part, False
-                elif coeff == -1:
-                    body, negative = vars_part, True
-                else:
-                    body = coeff_fmt(coeff)
-                    negative = body.startswith("-")
-                    body = body.lstrip("-") + sep + vars_part
-            pieces.append((negative, body))
-        first_neg, first = pieces[0]
-        out = ("-" if first_neg else "") + first
-        for negative, body in pieces[1:]:
-            out += (" - " if negative else " + ") + body
-        return out
-
-    @staticmethod
-    def coeff_str(c: GaussianRational) -> str:
-        """A coefficient as printed in a term; for every c this is also
-        str(MultiPoly.const(c))."""
-        s = str(c)
-        if c.re != 0 and c.im != 0:
-            return f"({s})"
-        return s
+                negative = a < 0
+                one = factors and d == 1 and (a == 1 or a == -1)
+                body = "" if one else _part_str(abs(a), d)
+            if factors:
+                vars_part = sep.join(factors)
+                body = body + sep + vars_part if body else vars_part
+            if out:
+                out.append(" - " if negative else " + ")
+            elif negative:
+                out.append("-")
+            out.append(body)
+        return "".join(out)
 
     def __str__(self):
-        return self._render(
-            lambda v, e: f"{v}^{e}", lambda n: n, self.coeff_str, "*"
-        )
+        return self._render(False)
 
     def latex(self) -> str:
-        def name_fmt(n):
-            group, index = _name_info(n)[:2]
-            if group == TAU_NAME and not index:
-                return r"\tau"
-            return f"{group}_{{{index}}}" if index else group
-
-        return self._render(
-            lambda v, e: f"{v}^{{{e}}}", name_fmt, self.coeff_str, r" \, "
-        )
+        return self._render(True)
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -590,6 +586,13 @@ class MultiPoly:
 
 _new = object.__new__
 _set_terms = MultiPoly.terms.__set__
+
+
+def _latex_name(name: str) -> str:
+    group, index = _name_info(name)[:2]
+    if group == TAU_NAME and not index:
+        return r"\tau"
+    return f"{group}_{{{index}}}" if index else group
 
 
 def _make(terms: dict) -> MultiPoly:

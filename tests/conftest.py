@@ -9,7 +9,7 @@ computed along a route the implementation under test never touches.
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 # exact arithmetic runs long under load; no test here is about speed
 settings.register_profile("socone", deadline=None)
@@ -127,3 +127,19 @@ def rand_fraction(rng, height=5, allow_zero=True):
         f = Fraction(rng.randint(-height, height), rng.randint(1, height))
         if allow_zero or f:
             return f
+
+
+def printed_polys():
+    """Polynomials that reach every branch of the printed and JSON forms:
+    zero, constants, coefficients 1, -1, i, -i, complex and negative ones,
+    over the names t, v1, w2, x1 and z3."""
+    from socone.poly import MultiPoly
+    from socone.scalars import gr
+
+    parts = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    coeffs = st.sampled_from([gr(1), gr(-1), gr(0, 1), gr(0, -1)]) | st.builds(
+        gr, parts, parts
+    )
+    names = st.sampled_from(["t", "v1", "w2", "x1", "z3"])
+    monos = st.lists(st.tuples(names, st.integers(0, 3)), max_size=3).map(tuple)
+    return st.dictionaries(monos, coeffs, max_size=5).map(MultiPoly)

@@ -260,8 +260,8 @@ def _refuse(*_args):
 )
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_rows_skip_the_json_work(capsys, monkeypatch, argv, fmt):
-    monkeypatch.setattr(jsonio, "scalar_to_json", _refuse)
     monkeypatch.setattr(jsonio, "dumps", _refuse)
+    monkeypatch.setattr(jsonio, "_write_exact", _refuse)
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out

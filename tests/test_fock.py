@@ -42,6 +42,14 @@ def test_multi_index_enumeration():
     assert len(multi_indices(3, 6)) == 84
 
 
+def test_multi_indices_is_a_fresh_list_of_the_cached_basis():
+    first = multi_indices(2, 3)
+    first.clear()
+    again = multi_indices(2, 3)
+    assert again is not first
+    assert again == list(fock._space(2, 3)[0]) and len(again) == 10
+
+
 def test_combinatorial_actions():
     lower = build_combinatorial(2, 4, "lower", 1)
     assert lower.apply(vacuum_vector(2)) == {}

@@ -19,6 +19,8 @@ from socone.poly import MultiPoly, TAU
 from socone.scalars import gr
 from socone.states import coherent_state
 
+from conftest import printed_polys
+
 
 # -- a reader of the encoded values, so that round trips check the encoder ------
 
@@ -126,14 +128,57 @@ def test_dumps_rejects_unsupported_values(obj):
 
 
 _parts = st.fractions(-5, 5, max_denominator=4)
+_gaussians = st.builds(gr, _parts, _parts)
 
 
 @settings(derandomize=True, max_examples=100)
-@given(st.builds(gr, _parts, _parts))
+@given(_gaussians)
 @example(gr(0))
 @example(gr(-3, 0))
 @example(gr(0, Fraction(-1, 2)))
 def test_a_constant_is_written_in_the_polynomial_form_without_building_it(c):
     poly = MultiPoly.const(c)
-    assert MultiPoly.coeff_str(c) == str(poly)
     assert constant_to_json(c) == poly_to_json(poly)
+    assert dumps(poly) == json.dumps(constant_to_json(c), indent=2)
+    if not c.im:
+        # a numeric Gram cell is printed as its rational
+        assert str(c.as_fraction()) == str(poly)
+
+
+# -- exact values written in place by dumps ---------------------------------------
+
+# (value, reference tree) pairs: a leaf of the payload and what it stands for
+_exact_pairs = printed_polys().map(lambda p: (p, poly_to_json(p))) | _gaussians.map(
+    lambda g: (g, gaussian_to_json(g))
+)
+_plain_pairs = (
+    st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.text(max_size=4)
+).map(lambda x: (x, x))
+
+
+@st.composite
+def _payloads(draw):
+    """(payload, reference payload): an exact value at depth 0 to 3, in
+    lists and dicts among other exact and plain leaves."""
+    value, ref = draw(_exact_pairs)
+    for _ in range(draw(st.integers(0, 3))):
+        items = draw(st.lists(_exact_pairs | _plain_pairs, max_size=2))
+        items.insert(draw(st.integers(0, len(items))), (value, ref))
+        values = [v for v, _ in items]
+        refs = [r for _, r in items]
+        if draw(st.booleans()):
+            value, ref = values, refs
+        else:
+            size = len(items)
+            keys = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
+            value, ref = dict(zip(keys, values)), dict(zip(keys, refs))
+    return value, ref
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_payloads())
+@example((MultiPoly.zero(), []))
+@example(({"c": [gr(0, -1)]}, {"c": [gaussian_to_json(gr(0, -1))]}))
+def test_dumps_writes_exact_values_as_their_reference_trees(pair):
+    value, ref = pair
+    assert dumps(value) == json.dumps(ref, indent=2)

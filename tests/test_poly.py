@@ -10,7 +10,7 @@ import socone
 from socone.poly import MultiPoly, TAU, exp_series, group_of, series_power, var_key
 from socone.scalars import GaussianRational, gr
 
-from conftest import poch
+from conftest import poch, printed_polys
 
 # the source tree of the socone under test, for fresh interpreters
 _SRC = str(Path(socone.__file__).resolve().parent.parent)
@@ -222,6 +222,61 @@ def test_canonical_rendering():
 
 def test_latex_rendering():
     assert (MultiPoly.var("x1") - TAU).latex() == r"x_{1} - \tau"
+
+
+def ref_render(p, power_fmt, name_fmt, coeff_fmt, sep):
+    """The printed form as it was written before it read the coefficient
+    triples: one formatter call per factor and per coefficient."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for mono, coeff in p.canonical_items():
+        vars_part = sep.join(
+            name_fmt(n) if e == 1 else power_fmt(name_fmt(n), e) for n, e in mono
+        )
+        if not vars_part:
+            body = coeff_fmt(coeff)
+            negative = body.startswith("-")
+            body = body.lstrip("-")
+        else:
+            if coeff == 1:
+                body, negative = vars_part, False
+            elif coeff == -1:
+                body, negative = vars_part, True
+            else:
+                body = coeff_fmt(coeff)
+                negative = body.startswith("-")
+                body = body.lstrip("-") + sep + vars_part
+        pieces.append((negative, body))
+    first_neg, first = pieces[0]
+    out = ("-" if first_neg else "") + first
+    for negative, body in pieces[1:]:
+        out += (" - " if negative else " + ") + body
+    return out
+
+
+def ref_coeff_str(c):
+    s = str(c)
+    return f"({s})" if c.re != 0 and c.im != 0 else s
+
+
+def ref_latex_name(name):
+    group = name.rstrip("0123456789")
+    index = int(name[len(group):] or 0)
+    if group == "t" and not index:
+        return r"\tau"
+    return f"{group}_{{{index}}}" if index else group
+
+
+@settings(derandomize=True, max_examples=300)
+@given(printed_polys())
+@example(MultiPoly.zero())
+@example(MultiPoly.const(gr(0, -1)) + V1 * gr(-1) + W1 * gr(0, 1))
+@example(MultiPoly.const(gr(Fraction(-3, 2), 1)) * TAU ** 2 - 1)
+def test_text_and_latex_match_the_reference_renderer(p):
+    assert str(p) == ref_render(p, lambda v, e: f"{v}^{e}", str, ref_coeff_str, "*")
+    latex = ref_render(p, lambda v, e: f"{v}^{{{e}}}", ref_latex_name, ref_coeff_str, r" \, ")
+    assert p.latex() == latex
 
 
 def test_split_groups():
