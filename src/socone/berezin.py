@@ -18,7 +18,7 @@ from .fock import (
     multi_indices,
     pair,
 )
-from .matrices import exp_nilpotent_apply, linear_combination
+from .matrices import dot
 from .poly import MultiPoly, TAU
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
@@ -27,11 +27,8 @@ from .states import (
     leibniz_base,
     leibniz_base_value,
     leibniz_closed_form,
-    StateVector,
-    vacuum,
+    moved_vacuum,
 )
-
-_I = gr(0, 1)
 
 
 class PoleError(ZeroDivisionError):
@@ -73,15 +70,9 @@ def berezin_transform(word_or_words, w, v):
     den = leibniz_base_value(w, v)
     if not den:
         raise PoleError("the pairing vanishes at this point")
-    omega = vacuum(n)
     wc = [GaussianRational.coerce(c) for c in w]
     vc = [GaussianRational.coerce(c) for c in v]
-    lower = linear_combination(wc, [alg.L(j) for j in range(1, n + 1)])
-    raiser = linear_combination(vc, [alg.R(j) for j in range(1, n + 1)])
-    moved = exp_nilpotent_apply(raiser, omega.entries)
-    moved = _operator(words, alg).apply(moved)
-    moved = exp_nilpotent_apply(lower, moved)
-    numerator = lambda_factor(StateVector(moved))
+    numerator = lambda_factor(moved_vacuum(wc, vc, _operator(words, alg)))
     bound = 3 + max((len(x.factors) for x in words), default=0)
     series = fock_pairing_series(words, n, bound).subs({"t": Fraction(-2)})
     point = {}
@@ -109,15 +100,12 @@ def verify_raising_identity(n: int, degree_bound: int = 4) -> Report:
     the v_j-derivative of the pairing series.
     """
     base = leibniz_base(n)
-    w2 = MultiPoly.zero()
-    for j in range(1, n + 1):
-        wj = MultiPoly.var(f"w{j}")
-        w2 = w2 + wj * wj
+    w = [MultiPoly.var(f"w{j}") for j in range(1, n + 1)]
+    w2 = dot(w, w)
     checks = []
     for j in range(1, n + 1):
-        wj = MultiPoly.var(f"w{j}")
         vj = MultiPoly.var(f"v{j}")
-        lhs = TAU * (wj - vj * w2)
+        lhs = TAU * (w[j - 1] - vj * w2)
         rhs = Fraction(-1, 2) * TAU * base.diff(f"v{j}")
         checks.append(
             CheckResult(f"cleared raising symbol for j={j}", lhs == rhs)
@@ -148,13 +136,12 @@ def verify_pde_system(n: int) -> Report:
     """
     base = leibniz_base(n)
     v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
-    v2 = sum((c * c for c in v), MultiPoly.zero())
+    v2 = dot(v, v)
+    # v_l dP/dv_l, summed over l, is the same for every j
+    sum_term = dot(v, [base.diff(f"v{l}") for l in range(1, n + 1)])
     checks = []
     for j in range(1, n + 1):
         lhs = Fraction(-1, 2) * TAU * base.diff(f"w{j}")
-        sum_term = MultiPoly.zero()
-        for l in range(1, n + 1):
-            sum_term = sum_term + v[l - 1] * base.diff(f"v{l}")
         rhs = (
             TAU * v[j - 1] * base
             - TAU * v[j - 1] * sum_term
@@ -171,10 +158,7 @@ def verify_pde_system(n: int) -> Report:
 def bessel_form_check(n: int, degree_bound: int) -> Report:
     """The lowering operator agrees with rho0 V_j - R_j V.V, everywhere."""
     hat = build_hat(n, degree_bound)
-    vsq = None
-    for j in range(1, n + 1):
-        term = hat.shift_lower(j) * hat.shift_lower(j)
-        vsq = term if vsq is None else vsq + term
+    vsq = dot(hat.lowering, hat.lowering)
     checks = []
     omega = {(0,) * n: gr(1)}
     for j in range(1, n + 1):

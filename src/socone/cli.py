@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import algebra, berezin, fock, jsonio, matrices, spectral, states
 from .poly import MultiPoly
-from .scalars import GaussianRational
 
 _EXACT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # argparse reads "-5/2" or "-1/2,0" as an option unless it matches the
@@ -93,12 +92,6 @@ def _checked(args) -> argparse.Namespace:
     if hasattr(args, "tau"):
         args.tau = _parse_tau(args.tau)
     return args
-
-
-def _value_str(value) -> str:
-    if isinstance(value, MultiPoly):
-        return str(value)
-    return str(GaussianRational.coerce(value))
 
 
 def _tau_json(args) -> str:
@@ -277,7 +270,7 @@ def _emit_indexed(args, basis: list, values: list, key: str) -> int:
                 for lab, v in zip(labels, values)
             ],
         })
-    cells = [_value_str(v) for v in values]
+    cells = [str(v) for v in values]
     if args.format == "csv":
         return _write_rows(args, labels, [cells])
     return _write_rows(args, [], list(zip(labels, cells)))
@@ -332,7 +325,7 @@ def cmd_leibniz(args) -> int:
                 "v": [str(c) for c in v],
                 "value": value,
             })
-        return _write_rows(args, ["value"], [[_value_str(value)]])
+        return _write_rows(args, ["value"], [[str(value)]])
     series = states.leibniz_closed_form(args.n, args.degree, tau=args.tau)
     if args.format == "json":
         return _write_json({
@@ -360,7 +353,7 @@ def cmd_coords(args) -> int:
             other: list(image),
             "h2": h2,
         })
-    rows = [[other] + [_value_str(c) for c in image], ["h2", _value_str(h2)]]
+    rows = [[other] + [str(c) for c in image], ["h2", str(h2)]]
     return _write_rows(args, ["name", "value"], rows)
 
 
@@ -377,7 +370,7 @@ def cmd_coherent(args) -> int:
             "v": "symbolic" if symbolic else [str(Fraction(c)) for c in v],
             "state": list(state.entries),
         })
-    return _write_rows(args, ["component"], [[_value_str(e)] for e in state.entries])
+    return _write_rows(args, ["component"], [[str(e)] for e in state.entries])
 
 
 # -- entry point -------------------------------------------------------------------

@@ -23,7 +23,7 @@ from math import factorial, gcd, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
-from .matrices import SparseMatrix, _sum_into, commutator, is_positive_definite
+from .matrices import SparseMatrix, _sum_into, commutator, dot, is_positive_definite
 from .poly import MultiPoly, TAU, TAU_NAME, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import gr
@@ -236,13 +236,8 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     lowering = tuple(
         build_combinatorial(n, degree_bound, "lower", j) for j in range(1, n + 1)
     )
-    number = None
-    vsq = None
-    for rj, vj in zip(raising, lowering):
-        nterm = rj * vj
-        vterm = vj * vj
-        number = nterm if number is None else number + nterm
-        vsq = vterm if vsq is None else vsq + vterm
+    number = dot(raising, lowering)
+    vsq = dot(lowering, lowering)
     identity = FockMatrix.identity(n, degree_bound)
     rho0 = TAU * identity + 2 * number
 
@@ -539,14 +534,10 @@ def series_duality_check(n: int, degree_bound: int) -> Report:
 
 def number_grading_check(n: int, degree_bound: int) -> Report:
     """rho0^ is t plus twice the degree, exactly, on every basis state."""
-    hat = build_hat(n, degree_bound)
-    checks = []
-    ok = True
-    for k in hat.rho0.basis:
-        vec = hat.rho0.apply({k: gr(1)})
-        expected = {k: TAU + 2 * mi_degree(k)}
-        if vec != expected:
-            ok = False
-            break
-    checks.append(CheckResult("rho0^ eigenvalue on degree d is t + 2d", ok))
-    return Report(f"number grading (n={n}, D={degree_bound})", checks)
+    rho0 = build_hat(n, degree_bound).rho0
+    diagonal = {(i, i): TAU + 2 * mi_degree(k) for i, k in enumerate(rho0.basis)}
+    ok = rho0 == FockMatrix(n, degree_bound, diagonal)
+    return Report(
+        f"number grading (n={n}, D={degree_bound})",
+        [CheckResult("rho0^ eigenvalue on degree d is t + 2d", ok)],
+    )

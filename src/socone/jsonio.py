@@ -98,19 +98,6 @@ def _write(obj, out: list, newline: str) -> None:
             return
         # _quote raises TypeError for a key that is not a str
         inner = newline + "  "
-        if all(type(v) is str or type(v) is int for v in obj.values()):
-            # a leaf dict (exponents, a complex coefficient) as one string
-            out.append(
-                "{"
-                + inner
-                + ("," + inner).join(
-                    _quote(k) + ": " + (_quote(v) if type(v) is str else repr(v))
-                    for k, v in obj.items()
-                )
-                + newline
-                + "}"
-            )
-            return
         sep = "{" + inner
         for key, value in obj.items():
             out.append(sep + _quote(key) + ": ")

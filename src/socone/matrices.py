@@ -13,7 +13,9 @@ are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm
+from operator import add, mul
 
 from .poly import MultiPoly
 from .scalars import ZERO, GaussianRational
@@ -215,6 +217,14 @@ def linear_combination(coeffs, matrices) -> DenseMatrix:
         (p, c * v) for c, m in zip(coeffs, matrices) if c for p, v in m.entries.items()
     )
     return first._like(_sum_into({}, terms))
+
+
+def dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., summed left to right, for two nonempty
+    sequences whose items multiply and add: exact scalars, polynomials or
+    matrices of one kind. The sum starts from the first product, not from a
+    zero, so it stays in the products' own type."""
+    return reduce(add, map(mul, a, b))
 
 
 def commutator(a, b):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import sub
 
 from .algebra import build_observables
 from .fock import (
@@ -26,7 +28,7 @@ from .fock import (
     probe_blocks,
     vacuum_vector,
 )
-from .matrices import _coerce_entry, exp_nilpotent_apply, linear_combination
+from .matrices import _coerce_entry, dot, exp_nilpotent_apply, linear_combination
 from .poly import MultiPoly, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import gr
@@ -45,19 +47,14 @@ class SingularCoordinateError(ValueError):
 
 
 def zeta2_value(z):
+    """The Lorentz form z1^2 - z2^2 - ... - zn^2."""
     comps = [_coerce_entry(c) for c in z]
-    acc = comps[0] * comps[0]
-    for c in comps[1:]:
-        acc = acc - c * c
-    return acc
+    return reduce(sub, (c * c for c in comps[1:]), comps[0] * comps[0])
 
 
 def h2_value(z):
-    comps = [_coerce_entry(c) for c in z]
-    acc = (1 - comps[0]) * (1 - comps[0])
-    for c in comps[1:]:
-        acc = acc - c * c
-    return acc
+    """(1 - z1)^2 - z2^2 - ... - zn^2: the Lorentz form at (1 - z1, z2, ..)."""
+    return zeta2_value((1 - z[0], *z[1:]))
 
 
 def _symbolic_z(n: int) -> tuple:
@@ -104,8 +101,7 @@ def z_to_v(z):
 def v_to_z(v):
     """(z, h^2) with h^2 = (1 + 2 v1 + v.v)^(-1); inverse of z_to_v."""
     comps = [_coerce_entry(c) for c in v]
-    v2 = sum((c * c for c in comps), gr(0))
-    denom = 1 + 2 * comps[0] + v2
+    denom = 1 + 2 * comps[0] + dot(comps, comps)
     if not denom:
         raise SingularCoordinateError("1 + 2 v1 + v.v vanishes at this point")
     h2 = 1 / denom
@@ -128,11 +124,8 @@ def verify_coordinate_duality(n: int) -> Report:
     state = exp_zX_vacuum(z)
     checks = []
     num = (1 - z[0] - h2,) + tuple((-_I) * c for c in z[1:])
-    sq = MultiPoly.zero()
-    for c in num:
-        sq = sq + MultiPoly.coerce(c) * c
     try:
-        scaled_v2 = sq.exact_divide(h2)
+        scaled_v2 = dot(num, num).exact_divide(h2)
         checks.append(CheckResult("(h^2 v).(h^2 v) is divisible by h^2", True))
     except ValueError:
         return Report(
@@ -280,11 +273,10 @@ def basis_polynomials(
         raise ValueError("degree must be non-negative")
     v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
     x = [MultiPoly.var(f"x{j}") for j in range(1, n + 1)]
-    v2 = sum((c * c for c in v), MultiPoly.zero())
+    v2 = dot(v, v)
     q = 1 + 2 * v[0] + v2
     inv_q = series_power(q, Fraction(-1), kmax)
-    cross = sum((a * b for a, b in zip(x, v)), MultiPoly.zero())
-    numerator = x[0] * (v[0] + v2) + _I * (cross - x[0] * v[0])
+    numerator = x[0] * (v[0] + v2) + _I * (dot(x, v) - x[0] * v[0])
     exponent_arg = numerator.mul_truncated(inv_q, {"v": kmax})
     exp_part = exp_series(exponent_arg, kmax)
     weight_part = series_power(q, weight_exponent(tau), kmax)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import build_algebra, rotation_label
-from .matrices import _coerce_entry, exp_nilpotent_apply, linear_combination
+from .matrices import _coerce_entry, dot, exp_nilpotent_apply, linear_combination
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import gr
@@ -75,15 +75,11 @@ class StateVector:
     __hash__ = None
 
 
+@cache
 def vacuum(n: int) -> StateVector:
     """The vacuum (0,..,0,1,i); its annihilation properties are asserted
-    once per n.
+    once per n. Built once per n and shared: a StateVector is immutable.
     """
-    return _vacuum(n)
-
-
-@cache
-def _vacuum(n: int) -> StateVector:
     alg = build_algebra(n)
     omega = StateVector((gr(0),) * n + (gr(1), _I))
     for j in range(1, n + 1):
@@ -103,10 +99,7 @@ def _vacuum(n: int) -> StateVector:
 def coherent_closed_form(v) -> StateVector:
     """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v."""
     comps = [_coerce_entry(c) for c in v]
-    v2 = None
-    for c in comps:
-        p = c * c
-        v2 = p if v2 is None else v2 + p
+    v2 = dot(comps, comps)
     spatial = tuple(gr(0, 2) * c for c in comps)
     return StateVector(spatial + (1 + v2, _I * (1 - v2)))
 
@@ -140,12 +133,8 @@ def recover_coordinates(state: StateVector):
     lam = lambda_factor(state)
     if not lam:
         raise NotInOrbitError("a - i b vanishes: vector is not in the orbit")
-    v0sq = None
-    for c in state.v0:
-        p = c * c
-        v0sq = p if v0sq is None else v0sq + p
     # cleared form of lam = -(1/2) v0.v0 / (a + i b)
-    if -_HALF * v0sq != lam * (state.a + _I * state.b):
+    if -_HALF * dot(state.v0, state.v0) != lam * (state.a + _I * state.b):
         raise NotInOrbitError("quotient identity for the scale factor fails")
     denom = state.b + _I * state.a
     if isinstance(denom, MultiPoly) or any(
@@ -174,30 +163,36 @@ def leibniz_base_value(w, v):
     """1 - 2 w.v + (w.w)(v.v) at tuples of exact numbers or polynomials."""
     wc = [_coerce_entry(c) for c in w]
     vc = [_coerce_entry(c) for c in v]
-    wv = sum((a * b for a, b in zip(wc, vc)), gr(0))
-    w2 = sum((a * a for a in wc), gr(0))
-    v2 = sum((a * a for a in vc), gr(0))
-    return 1 - 2 * wv + w2 * v2
+    return 1 - 2 * dot(wc, vc) + dot(wc, wc) * dot(vc, vc)
+
+
+def moved_vacuum(w, v, q) -> StateVector:
+    """exp(w.L) q exp(v.R) vacuum, the coherent matrix element of an
+    (n+2)-square matrix q between spatial tuples w and v of exact numbers or
+    polynomials, computed by matrix-vector products only.
+    """
+    n = len(w)
+    alg = build_algebra(n)
+    lower = linear_combination(w, [alg.L(j) for j in range(1, n + 1)])
+    raiser = linear_combination(v, [alg.R(j) for j in range(1, n + 1)])
+    moved = q.apply(exp_nilpotent_apply(raiser, vacuum(n).entries))
+    return StateVector(exp_nilpotent_apply(lower, moved))
 
 
 def leibniz_from_matrices(w, v):
     """Pairing of two coherent states through the matrix pipeline.
 
-    Applies exp(w.L) to exp(v.R) vacuum, reads off the scale factor, and
-    asserts it equals 1 - 2 w.v + (w.w)(v.v). Works on exact numbers and on
-    symbolic components alike.
+    Reads the scale factor off exp(w.L) exp(v.R) vacuum and asserts it
+    equals 1 - 2 w.v + (w.w)(v.v). Works on exact numbers and on symbolic
+    components alike.
     """
     n = len(w)
     if len(v) != n:
         raise ValueError("w and v must have the same length")
-    alg = build_algebra(n)
+    identity = build_algebra(n).identity
     wc = [_coerce_entry(c) for c in w]
     vc = [_coerce_entry(c) for c in v]
-    lower = linear_combination(wc, [alg.L(j) for j in range(1, n + 1)])
-    raiser = linear_combination(vc, [alg.R(j) for j in range(1, n + 1)])
-    omega = vacuum(n)
-    moved = exp_nilpotent_apply(lower, exp_nilpotent_apply(raiser, omega.entries))
-    state = StateVector(moved)
+    state = moved_vacuum(wc, vc, identity)
     symbolic = any(isinstance(c, MultiPoly) for c in wc + vc)
     lam = lambda_factor(state)
     if not symbolic and lam:

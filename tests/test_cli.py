@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import socone
-from socone import cli, jsonio, matrices, states
+from socone import jsonio, matrices, states
 from socone.cli import main
+from socone.poly import MultiPoly
+from socone.scalars import GaussianRational
 
 _SRC = str(Path(socone.__file__).resolve().parent.parent)
 
@@ -276,7 +278,9 @@ def test_rows_skip_the_json_work(capsys, monkeypatch, argv, fmt):
     ],
 )
 def test_json_skips_the_text_work(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "_value_str", _refuse)
+    # JSON reads the exact parts through scalars._part_str, never the text
+    monkeypatch.setattr(MultiPoly, "_render", _refuse)
+    monkeypatch.setattr(GaussianRational, "__str__", _refuse)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     json.loads(out)

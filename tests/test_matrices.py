@@ -7,12 +7,14 @@ from socone.matrices import (
     DenseMatrix,
     NotNilpotentError,
     commutator,
+    dot,
     exact_ldl,
     exp_nilpotent,
     exp_nilpotent_apply,
     is_positive_definite,
     linear_combination,
 )
+from socone.fock import build_combinatorial
 from socone.poly import MultiPoly
 from socone.scalars import GaussianRational, gr
 
@@ -260,6 +262,35 @@ def same_entry(x, y):
         assert x.terms == y.terms
     else:
         assert x == y
+
+
+@st.composite
+def shift_operators(draw):
+    kind = draw(st.sampled_from(["raise", "lower"]))
+    return build_combinatorial(2, 3, kind, draw(st.integers(1, 2))) * draw(gaussians)
+
+
+def operand_pairs(items):
+    return st.integers(1, 4).flatmap(
+        lambda size: st.tuples(
+            st.lists(items, min_size=size, max_size=size),
+            st.lists(items, min_size=size, max_size=size),
+        )
+    )
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.one_of(
+        operand_pairs(gaussians), operand_pairs(entries), operand_pairs(shift_operators())
+    )
+)
+def test_dot_is_the_left_to_right_sum_of_products(pair):
+    a, b = pair
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc = acc + x * y
+    same_entry(dot(a, b), acc)
 
 
 @st.composite

@@ -1,7 +1,10 @@
 """Source mutants applied by monkeypatch: each must turn report rows into
 FAIL rows, not abort the suite with an exception."""
 
-from socone import spectral, states
+from types import MappingProxyType
+
+from socone import algebra, spectral, states
+from socone.algebra import SoAlgebra, build_rho
 from socone.cli import main
 from socone.scalars import gr
 from socone.spectral import roundtrip_check
@@ -62,3 +65,34 @@ def test_an_off_orbit_coherent_closed_form_fails_rows_without_aborting(
     assert "FAIL  scaled-state recovery" in out
     assert "FAIL  round trip at point 1  (vector is not a scaled coherent state)" in out
     assert err == "FAILED: matrix pairing equals closed form (50 points)\n"
+
+
+def test_a_doubled_i_part_in_the_raising_generators_fails_the_observable_rows(
+    monkeypatch, capsys
+):
+    built = algebra.build_algebra
+
+    def doubled_i(n):
+        # R_j = rho_{j,n+2} + 2i rho_{j,n+1} in place of i rho_{j,n+1}
+        alg = built(n)
+        generators = dict(alg.generators)
+        for j in range(1, n + 1):
+            generators[f"R{j}"] = build_rho(n, j, n + 2) + gr(0, 2) * build_rho(
+                n, j, n + 1
+            )
+        return SoAlgebra(n, MappingProxyType(generators), alg.identity)
+
+    algebra._observables.cache_clear()
+    states.vacuum.cache_clear()
+    monkeypatch.setattr(algebra, "build_algebra", doubled_i)
+    try:
+        code = main(["verify", "--lie", "--n", "2"])
+    finally:
+        monkeypatch.undo()
+        algebra._observables.cache_clear()
+        states.vacuum.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "FAIL  [X1, X2] = 0" in out.splitlines()
+    assert "FAIL  X1^3 = 0" in out.splitlines()
+    assert err.startswith("FAILED: ")

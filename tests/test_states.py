@@ -15,6 +15,7 @@ from socone.states import (
     leibniz_base_value,
     leibniz_closed_form,
     leibniz_from_matrices,
+    moved_vacuum,
     recover_coordinates,
     vacuum,
 )
@@ -122,6 +123,20 @@ def test_moved_vacuum_closed_form_n2():
     assert moved[1] == eye * 2 * (v[1] - v2 * w[1])
     assert moved[2] == -2 * wv + 1 + v2 + w2 * v2
     assert moved[3] == eye * (-2) * wv + eye * (1 - v2 + w2 * v2)
+
+
+def test_moved_vacuum_matches_the_matrix_exponentials(rng):
+    # exp(w.L) as a whole matrix, applied to the closed-form coherent state
+    from socone.matrices import exp_nilpotent, linear_combination
+
+    for n in (1, 2, 3):
+        alg = build_algebra(n)
+        for _ in range(4):
+            w = [rand_fraction(rng) for _ in range(n)]
+            v = [rand_fraction(rng) for _ in range(n)]
+            lower = exp_nilpotent(linear_combination(w, [alg.L(j) for j in range(1, n + 1)]))
+            expected = StateVector(lower.apply(coherent_state(v).entries))
+            assert moved_vacuum(w, v, alg.identity) == expected
 
 
 def test_leibniz_series_coefficients():
