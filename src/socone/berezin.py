@@ -17,11 +17,12 @@ from .fock import (
     gram_matrix,
     multi_indices,
     pair,
+    vacuum_vector,
 )
 from .matrices import dot
 from .poly import MultiPoly, TAU
 from .report import CheckResult, Report
-from .scalars import GaussianRational, gr
+from .scalars import GaussianRational
 from .states import (
     lambda_factor,
     leibniz_base,
@@ -160,7 +161,7 @@ def bessel_form_check(n: int, degree_bound: int) -> Report:
     hat = build_hat(n, degree_bound)
     vsq = dot(hat.lowering, hat.lowering)
     checks = []
-    omega = {(0,) * n: gr(1)}
+    omega = vacuum_vector(n)
     for j in range(1, n + 1):
         alt = hat.rho0 * hat.shift_lower(j) - hat.R(j) * vsq
         checks.append(CheckResult(f"lowering form for j={j}", alt == hat.L(j)))
@@ -239,36 +240,40 @@ def _diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
     return {k: v for k, v in out.items() if v}
 
 
-def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
+# the longest word wick_recipe_check compares
+MAX_WORD_LENGTH = 3
+
+
+def wick_recipe_check(n: int, degree_bound: int) -> Report:
     """Direct shift action on the coherent vector versus the ordering
-    substitution, for every word up to the given length.
+    substitution, for every word of at most MAX_WORD_LENGTH letters.
 
     Both routes act only on the components of the coherent vector of
-    degree at most safe = D - max_length, and are compared there. That is
-    exact. Component k is v^k/k!. In the direct route a term's v-degree is
-    the degree of its source component, and at most max_length raises
+    degree at most safe = D - MAX_WORD_LENGTH, and are compared there. That
+    is exact. Component k is v^k/k!. In the direct route a term's v-degree
+    is the degree of its source component, and at most MAX_WORD_LENGTH raises
     carry a source of degree <= safe to degree <= D, never past the
     truncation boundary, so no other component reaches the compared block.
     The substitution route keeps each component's index; it is compared
     up to v-degree safe, because its lowers raise the v-degree. Below
-    D = max_length there is nothing to compare, and ValueError is raised.
+    D = MAX_WORD_LENGTH there is nothing to compare, and ValueError is raised.
 
     The direct route applies a word's first letter to the vector of the
     rest of the word, so each word costs one shift; the substitution route
     shares each derivative of the coherent vector between the words that
     need it.
     """
-    if degree_bound < max_length:
-        raise ValueError(f"need truncation degree at least {max_length}")
+    if degree_bound < MAX_WORD_LENGTH:
+        raise ValueError(f"need truncation degree at least {MAX_WORD_LENGTH}")
     hat = build_hat(n, degree_bound)
-    safe = degree_bound - max_length
+    safe = degree_bound - MAX_WORD_LENGTH
     compared = multi_indices(n, safe)
     psi = coherent_vector(n, safe, "v")
     alphabet = [("R", j) for j in range(1, n + 1)] + [
         ("V", j) for j in range(1, n + 1)
     ]
     words = [()]
-    for length in range(max_length):
+    for length in range(MAX_WORD_LENGTH):
         words.extend(
             w + (a,) for w in list(words) if len(w) == length for a in alphabet
         )
@@ -285,7 +290,7 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
             kind, j = word[0]
             op = hat.R(j) if kind == "R" else hat.shift_lower(j)
             direct = op.apply(suffixes[word[1:]])
-            if len(word) < max_length:
+            if len(word) < MAX_WORD_LENGTH:
                 suffixes[word] = direct
         subst = _diffop_apply(normal_order(word), psi, derivatives)
         for k in compared:
@@ -295,7 +300,7 @@ def wick_recipe_check(n: int, degree_bound: int, max_length: int = 3) -> Report:
                 break
     checks.append(
         CheckResult(
-            f"all {len(words)} words of length <= {max_length} agree",
+            f"all {len(words)} words of length <= {MAX_WORD_LENGTH} agree",
             mismatches == 0,
             detail="" if not mismatches else f"{mismatches} mismatches",
         )

@@ -192,13 +192,6 @@ class DenseMatrix(SparseMatrix):
         )
         return tuple(out.get(i, ZERO) for i in range(self.rows))
 
-    def __str__(self):
-        rendered = [[str(e) for e in row] for row in self.data]
-        width = max(len(s) for row in rendered for s in row)
-        return "\n".join(
-            "[" + "  ".join(s.rjust(width) for s in row) + "]" for row in rendered
-        )
-
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
 

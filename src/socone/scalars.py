@@ -81,6 +81,7 @@ class GaussianRational:
     # Each operation is a few int products on the triples and at most one
     # gcd, skipped when the result's denominator is 1. Zero parts skip their
     # products; every result is the same exact value as the textbook formula.
+    # Subtraction adds the negation: the canonical triple is the same.
 
     def __add__(self, other):
         a, b, d = self._a, self._b, self._d
@@ -102,28 +103,13 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, GaussianRational):
-            c, e, f = other._a, other._b, other._d
-        elif isinstance(other, int):
-            return _make(a - other * d, b, d)
-        elif isinstance(other, Fraction):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
-            return NotImplemented
-        if d == f:
-            if d == 1:
-                return _make(a - c, b - e, 1)
-            return _reduced(a - c, b - e, d)
-        return _reduced(a * f - c * d, b * f - e * d if e else b * f, d * f)
+        if isinstance(other, (GaussianRational, int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, int):
-            return _make(other * d - a, -b, d)
-        if isinstance(other, Fraction):
-            f = other.denominator
-            return _reduced(other.numerator * d - a * f, -b * f, d * f)
+        if isinstance(other, (GaussianRational, int, Fraction)):
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):

@@ -3,6 +3,8 @@ FAIL rows, not abort the suite with an exception."""
 
 from types import MappingProxyType
 
+import pytest
+
 from socone import algebra, spectral, states
 from socone.algebra import SoAlgebra, build_rho
 from socone.cli import main
@@ -67,13 +69,14 @@ def test_an_off_orbit_coherent_closed_form_fails_rows_without_aborting(
     assert err == "FAILED: matrix pairing equals closed form (50 points)\n"
 
 
-def test_a_doubled_i_part_in_the_raising_generators_fails_the_observable_rows(
-    monkeypatch, capsys
-):
+@pytest.fixture
+def doubled_i(monkeypatch):
+    """R_j = rho_{j,n+2} + 2i rho_{j,n+1} in place of i rho_{j,n+1}, seen by
+    the observables and by the coherent-state pipeline. z.X and v.R are then
+    not nilpotent."""
     built = algebra.build_algebra
 
-    def doubled_i(n):
-        # R_j = rho_{j,n+2} + 2i rho_{j,n+1} in place of i rho_{j,n+1}
+    def mutant(n):
         alg = built(n)
         generators = dict(alg.generators)
         for j in range(1, n + 1):
@@ -84,15 +87,42 @@ def test_a_doubled_i_part_in_the_raising_generators_fails_the_observable_rows(
 
     algebra._observables.cache_clear()
     states.vacuum.cache_clear()
-    monkeypatch.setattr(algebra, "build_algebra", doubled_i)
-    try:
-        code = main(["verify", "--lie", "--n", "2"])
-    finally:
-        monkeypatch.undo()
-        algebra._observables.cache_clear()
-        states.vacuum.cache_clear()
+    monkeypatch.setattr(algebra, "build_algebra", mutant)
+    monkeypatch.setattr(states, "build_algebra", mutant)
+    yield
+    monkeypatch.undo()
+    algebra._observables.cache_clear()
+    states.vacuum.cache_clear()
+
+
+def test_a_doubled_i_part_in_the_raising_generators_fails_the_observable_rows(
+    doubled_i, capsys
+):
+    code = main(["verify", "--lie", "--n", "2"])
     out, err = capsys.readouterr()
     assert code == 1
     assert "FAIL  [X1, X2] = 0" in out.splitlines()
     assert "FAIL  X1^3 = 0" in out.splitlines()
+    assert err.startswith("FAILED: ")
+
+
+def test_a_doubled_i_part_fails_rows_of_every_suite_of_verify_all(doubled_i, capsys):
+    code = main(["verify", "--all", "--n", "2", "--degree", "4"])
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert code == 1
+    # the full report: every report of the five suites, the last one included
+    titles = [line for line in lines if line.startswith("== ")]
+    assert len(titles) == 18
+    assert titles[-1] == "== coordinate duality (n=2)"
+    failed = "  (matrix is not nilpotent)"
+    for row in [
+        "FAIL  [X1, X2] = 0",
+        "FAIL  matrix pairing equals closed form (50 points)" + failed,
+        "FAIL  scaled-state recovery" + failed,
+        "FAIL  symbolic pairing identity" + failed,
+        "FAIL  round trip at point 1" + failed,
+        "FAIL  exp(z.X) vacuum equals its closed form" + failed,
+    ]:
+        assert row in lines
     assert err.startswith("FAILED: ")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from socone.algebra import build_algebra
 from socone.poly import MultiPoly, TAU
@@ -66,6 +67,49 @@ def test_recover_coordinates_orbit_invariant():
     state = Fraction(7, 3) * coherent_state([Fraction(1, 2), 2])
     lam = lambda_factor(state)
     assert state.a - gr(0, 1) * state.b == 2 * lam
+
+
+@st.composite
+def exact_states(draw):
+    """(state, (v, lam) or None) for n = 1..3: a plain state, or lam times
+    coherent(v), with or without one entry moved."""
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    scalar = st.builds(gr, part, part)
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["plain", "coherent", "perturbed"]))
+    if kind == "plain":
+        entries = draw(st.lists(scalar, min_size=n + 2, max_size=n + 2))
+        return StateVector(entries), None
+    v = draw(st.lists(scalar, min_size=n, max_size=n))
+    lam = draw(scalar.filter(bool))
+    state = lam * coherent_state(v)
+    if kind == "coherent":
+        return state, (tuple(v), lam)
+    entries = list(state.entries)
+    entries[draw(st.integers(0, n + 1))] += draw(scalar.filter(bool))
+    return StateVector(entries), None
+
+
+@settings(derandomize=True, max_examples=300)
+@given(exact_states())
+def test_recover_coordinates_recovers_or_refuses_and_never_divides_by_zero(case):
+    state, expected = case
+    try:
+        v, lam = recover_coordinates(state)
+    except NotInOrbitError:
+        assert expected is None
+        return
+    assert lam * coherent_state(v) == state
+    if expected is not None:
+        assert (v, lam) == expected
+
+
+def test_state_vectors_compare_by_entries_and_are_unhashable():
+    assert StateVector((0, 1, 2)) == StateVector((gr(0), gr(1), gr(2)))
+    assert StateVector((0, 1, 2)) != StateVector((0, 1, 2, 0))
+    assert StateVector((0, 1, 2)) != (gr(0), gr(1), gr(2))
+    with pytest.raises(TypeError):
+        hash(vacuum(1))
 
 
 def test_recover_coordinates_errors():
