@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra, berezin, fock, jsonio, matrices, spectral, states
-from .poly import MultiPoly
+from .poly import MultiPoly, render_items
 
 _EXACT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 # argparse reads "-5/2" or "-1/2,0" as an option unless it matches the
@@ -290,17 +290,20 @@ def cmd_basis_poly(args) -> int:
             "n": args.n,
             "kmax": args.kmax,
             "tau": _tau_json(args),
-            "polynomials": [
-                {
-                    "index": lab,
-                    "text": str(bp.poly),
-                    "terms": bp.poly,
-                }
+            # made one at a time as they are written, so one polynomial's
+            # decoded terms are held at a time
+            "polynomials": (
+                _basis_poly_json(lab, bp.poly.canonical_items())
                 for lab, bp in zip(labels, polys)
-            ],
+            ),
         })
     rows = [[lab, str(bp.poly)] for lab, bp in zip(labels, polys)]
     return _write_rows(args, ["index", "polynomial"], rows)
+
+
+def _basis_poly_json(label: str, items: list) -> dict:
+    # the text and the terms are written from one sort and decode
+    return {"index": label, "text": render_items(items), "terms": jsonio.Terms(items)}
 
 
 def cmd_transform(args) -> int:

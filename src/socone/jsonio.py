@@ -19,6 +19,7 @@ carries the values themselves.
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from .matrices import DenseMatrix
 from .poly import MultiPoly
@@ -67,6 +68,17 @@ def state_to_json(state) -> list:
     return [scalar_to_json(e) for e in state.entries]
 
 
+class Terms:
+    """A polynomial given by its canonical_items(), which dumps writes as
+    the polynomial: a payload that also prints the polynomial's text sorts
+    and decodes its terms once for both."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: list):
+        self.items = items
+
+
 def multi_index_label(k) -> str:
     return ",".join(str(x) for x in k)
 
@@ -77,8 +89,9 @@ def multi_index_label(k) -> str:
 def dumps(obj) -> str:
     """`json.dumps(obj, indent=2)`, byte for byte, for the values socone
     emits: dicts with str keys, lists, str, int, bool and None, with each
-    MultiPoly or GaussianRational standing for its reference tree. Anything
-    else raises TypeError."""
+    MultiPoly or GaussianRational, and the polynomial of each Terms,
+    standing for its reference tree, and a generator for the list of what
+    it yields, made while it is written. Anything else raises TypeError."""
     out = []
     _write(obj, out, "\n")
     return "".join(out)
@@ -104,23 +117,22 @@ def _write(obj, out: list, newline: str) -> None:
             _write(value, out, inner)
             sep = "," + inner
         out.append(newline + "}")
-    elif kind is list:
-        if not obj:
-            out.append("[]")
-            return
+    elif kind is list or kind is GeneratorType:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
             out.append(sep)
             _write(item, out, inner)
             sep = "," + inner
-        out.append(newline + "]")
+        out.append(newline + "]" if sep[0] == "," else "[]")
     elif kind is int:
         out.append(repr(obj))
     elif kind is bool or obj is None:
         out.append(_CONSTANTS[obj])
     elif kind is MultiPoly or kind is GaussianRational:
         _write_exact(obj, out, newline)
+    elif kind is Terms:
+        _write_terms(obj.items, out, newline)
     else:
         raise TypeError(f"cannot encode {kind.__name__} as JSON")
 
@@ -143,8 +155,17 @@ def _write_exact(value, out: list, newline: str) -> None:
     """
     if type(value) is GaussianRational:
         out.append(_coeff(value, newline))
-        return
-    if not value.terms:
+    elif value.terms:
+        _write_terms(value.canonical_items(), out, newline)
+    else:
+        # most Gram table entries are zero: skip the empty sort
+        out.append("[]")
+
+
+def _write_terms(items: list, out: list, newline: str) -> None:
+    """Write the reference tree of the polynomial with these
+    canonical_items() in place."""
+    if not items:
         out.append("[]")
         return
     term = newline + "  "  # the level of each term's dict
@@ -156,7 +177,7 @@ def _write_exact(value, out: list, newline: str) -> None:
     close = term + "}"
     pieces = {}  # (name, exponent) -> its "name": e line
     sep = "[" + term
-    for mono, coeff in value.canonical_items():
+    for mono, coeff in items:
         if mono:
             lines = []
             for item in mono:

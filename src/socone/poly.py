@@ -7,12 +7,18 @@ two operations only: truncate, the projection onto the terms whose total
 degree in each bounded group is at most its bound, and mul_truncated, the
 product projected the same way, which never forms a dropped term. Group
 degrees only add in a product, so every kept coefficient is exact: it
-equals the coefficient in the untruncated result. series_power and
-exp_series run their loops on mul_truncated. The weight parameter "t" is
-never truncated; series with symbolic exponents expand Pochhammer factors
-into polynomials in t.
+equals the coefficient in the untruncated result. The weight parameter
+"t" is never truncated; series with symbolic exponents expand Pochhammer
+factors into polynomials in t.
 
-Coefficients are GaussianRational, so all arithmetic is exact.
+Coefficients are GaussianRational, so all arithmetic is exact. The
+truncated series (series_power, exp_series) are the one place that
+computes on plain Python ints instead: their shared kernel, _series,
+scales its operands to integer numerators, holds each power and the
+running sum as maps from words to ints (a real map and an imaginary one,
+empty for real coefficients) over one common denominator fixed before
+its loop, truncates with the same word test as mul_truncated, and makes
+one GaussianRational per output term at the end.
 
 A monomial is one int, a packed exponent word (Monagan and Pearce, CASC
 2007): a 16-bit field per variable holds its exponent, and a 16-bit field
@@ -32,12 +38,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import factorial
+from math import factorial, lcm
 from operator import ge, itemgetter, or_
 from sys import byteorder
 from threading import Lock
 
-from .scalars import GaussianRational, _part_str
+from .scalars import GaussianRational, _part_str, _reduced
 
 _GROUP_ORDER = {"v": 0, "w": 1, "z": 2, "x": 3}
 
@@ -531,54 +537,11 @@ class MultiPoly:
         rows = sorted(((decoder.grlex(m), m) for m in terms), reverse=True)
         return [(decoder.monomial(exps), terms[m]) for (_, exps), m in rows]
 
-    def _render(self, latex: bool) -> str:
-        """The printed form: terms in canonical order, a ±1 coefficient
-        left out before variables, and a coefficient with nonzero real and
-        imaginary parts in parentheses."""
-        if not self.terms:
-            return "0"
-        if latex:
-            sep, power = r" \, ", "{}^{{{}}}"
-        else:
-            sep, power = "*", "{}^{}"
-        pieces = {}  # (name, exponent) -> its rendered factor
-        out = []
-        for mono, c in self.canonical_items():
-            factors = []
-            for item in mono:
-                piece = pieces.get(item)
-                if piece is None:
-                    name, e = item
-                    piece = _latex_name(name) if latex else name
-                    if e != 1:
-                        piece = power.format(piece, e)
-                    pieces[item] = piece
-                factors.append(piece)
-            a, b, d = c._a, c._b, c._d
-            if a and b:
-                negative, body = False, f"({c})"
-            elif b:
-                negative = b < 0
-                body = "i" if b == d or b == -d else _part_str(abs(b), d) + "i"
-            else:
-                negative = a < 0
-                one = factors and d == 1 and (a == 1 or a == -1)
-                body = "" if one else _part_str(abs(a), d)
-            if factors:
-                vars_part = sep.join(factors)
-                body = body + sep + vars_part if body else vars_part
-            if out:
-                out.append(" - " if negative else " + ")
-            elif negative:
-                out.append("-")
-            out.append(body)
-        return "".join(out)
-
     def __str__(self):
-        return self._render(False)
+        return render_items(self.canonical_items())
 
     def latex(self) -> str:
-        return self._render(True)
+        return render_items(self.canonical_items(), latex=True)
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -586,6 +549,50 @@ class MultiPoly:
 
 _new = object.__new__
 _set_terms = MultiPoly.terms.__set__
+
+
+def render_items(items: list, latex: bool = False) -> str:
+    """The printed form of a polynomial from its canonical_items(): terms
+    in canonical order, a ±1 coefficient left out before variables, and a
+    coefficient with nonzero real and imaginary parts in parentheses."""
+    if not items:
+        return "0"
+    if latex:
+        sep, power = r" \, ", "{}^{{{}}}"
+    else:
+        sep, power = "*", "{}^{}"
+    pieces = {}  # (name, exponent) -> its rendered factor
+    out = []
+    for mono, c in items:
+        factors = []
+        for item in mono:
+            piece = pieces.get(item)
+            if piece is None:
+                name, e = item
+                piece = _latex_name(name) if latex else name
+                if e != 1:
+                    piece = power.format(piece, e)
+                pieces[item] = piece
+            factors.append(piece)
+        a, b, d = c._a, c._b, c._d
+        if a and b:
+            negative, body = False, f"({c})"
+        elif b:
+            negative = b < 0
+            body = "i" if b == d or b == -d else _part_str(abs(b), d) + "i"
+        else:
+            negative = a < 0
+            one = factors and d == 1 and (a == 1 or a == -1)
+            body = "" if one else _part_str(abs(a), d)
+        if factors:
+            vars_part = sep.join(factors)
+            body = body + sep + vars_part if body else vars_part
+        if out:
+            out.append(" - " if negative else " + ")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out)
 
 
 def _latex_name(name: str) -> str:
@@ -621,12 +628,6 @@ def _exponent_poly(exponent) -> MultiPoly:
     raise TypeError(f"unsupported series exponent {exponent!r}")
 
 
-def _has_pure_t_term(p: MultiPoly) -> bool:
-    """Whether a term of p, the constant included, lies in group t alone."""
-    t_fields = _group_mask({TAU_NAME})
-    return any(not m & ~t_fields for m in p.terms)
-
-
 def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     """Truncated binomial series for base**exponent.
 
@@ -634,6 +635,10 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     polynomial in t alone (for example -t/2); in the symbolic case the
     Pochhammer factors expand into polynomials in t. Every non-t variable
     group of base is truncated at total degree bound.
+
+    With u = 1 - base this is the sum over m of (-exponent)_m / m! u^m,
+    which _series adds up in Python ints: integer numerators over one
+    common denominator, with one GaussianRational made per output term.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
@@ -641,20 +646,7 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     if base.constant_term != 1:
         raise ValueError("series_power requires constant term 1")
     minus_e = -_exponent_poly(exponent)
-    groups = {_name_info(n)[0] for n in base.variables()} - {TAU_NAME}
-    bounds = {g: bound for g in groups}
-    u = MultiPoly.const(1) - base.truncate(bounds)
-    if _has_pure_t_term(u):
-        raise ValueError("series does not terminate: base has a pure-t term")
-    acc = upow = poch = MultiPoly.const(1)
-    m = 0
-    while True:
-        m += 1
-        upow = upow.mul_truncated(u, bounds)
-        if upow.is_zero:
-            return acc
-        poch = poch * (minus_e + (m - 1))
-        acc = acc + (poch * Fraction(1, factorial(m))) * upow
+    return _series(MultiPoly.const(1) - base, bound, minus_e, 1, "base")
 
 
 def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
@@ -662,23 +654,142 @@ def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
 
     Every non-t variable group of the argument is truncated at total degree
     bound; each term of the argument must involve a truncated group so the
-    series terminates.
+    series terminates. The sum of argument^m / m! is added up by _series
+    in integer numerators over one common denominator, as in series_power.
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
     argument = MultiPoly.coerce(argument)
     if argument.constant_term != 0:
         raise ValueError("exp_series requires zero constant term")
-    groups = {_name_info(n)[0] for n in argument.variables()} - {TAU_NAME}
-    bounds = {g: bound for g in groups}
-    work = argument.truncate(bounds)
-    if _has_pure_t_term(work):
-        raise ValueError("series does not terminate: argument has a pure-t term")
-    acc = pw = MultiPoly.const(1)
+    return _series(argument, bound, MultiPoly.const(1), 0, "argument")
+
+
+# -- the integer series kernel ---------------------------------------------------
+# A Gaussian-integer polynomial is a pair (re, im) of maps from monomial
+# words to ints; im is empty when every coefficient is real, so real
+# arithmetic runs the same loops over an empty map.
+
+
+def _numerators(p: MultiPoly) -> tuple:
+    """(re, im, d) with p = (re + i im) / d, where d is the lcm of the
+    denominators of p's coefficients."""
+    d = 1
+    for c in p.terms.values():
+        d = lcm(d, c._d)
+    re, im = {}, {}
+    for m, c in p.terms.items():
+        k = d // c._d
+        if c._a:
+            re[m] = c._a * k
+        if c._b:
+            im[m] = c._b * k
+    return re, im, d
+
+
+def _add_product(out: tuple, left: tuple, right: tuple, offsets: tuple) -> None:
+    """Add left * right into out, forming no product beyond the bounds of
+    offsets (see _offsets); out may be left holding zeros. An exponent or
+    unbounded group degree that reaches 2**14 raises ValueError, as in
+    mul_truncated.
+
+    The truncation test reads only the group degree fields of a product,
+    and those are the sums of its factors' degree fields. So the terms of
+    right are taken in classes of equal degree fields, and each term of
+    left is tested once per class rather than once per pair.
+    """
+    offset, guards, heads = offsets
+    # guards holds the top bit of every degree field
+    degrees = (guards >> (_BITS - 1)) * _FIELD
+    (out_re, out_im), (left_re, left_im), (right_re, right_im) = out, left, right
+    for dest, a, b, sign in (
+        (out_re, left_re, right_re, 1),
+        (out_re, left_im, right_im, -1),
+        (out_im, left_re, right_im, 1),
+        (out_im, left_im, right_re, 1),
+    ):
+        if not (a and b):
+            continue
+        classes = {}
+        for m, c in b.items():
+            classes.setdefault(m & degrees, []).append((m, c * sign))
+        classes = tuple(classes.items())
+        get = dest.get
+        for m1, c1 in a.items():
+            shifted = m1 + offset
+            for key, terms in classes:
+                if (shifted + key) & guards:
+                    if (m1 + key) & heads:
+                        raise ValueError(_OVERFLOW)
+                    continue
+                for m2, c2 in terms:
+                    mono = m1 + m2
+                    dest[mono] = get(mono, 0) + c1 * c2
+
+
+def _product(left: tuple, right: tuple, offsets: tuple) -> tuple:
+    """left * right truncated by offsets, with no zero entries."""
+    out = {}, {}
+    _add_product(out, left, right, offsets)
+    for part in out:
+        for m in [m for m, c in part.items() if not c]:
+            del part[m]
+    return out
+
+
+def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> MultiPoly:
+    """The sum over m >= 0 of (a)(a + step)...(a + (m - 1) step) / m! u^m,
+    with every non-t variable group of u truncated at total degree bound;
+    u has no constant term and a is a constant or a polynomial in t alone.
+    A term of u in t alone, which never lets the series end, raises
+    ValueError.
+
+    With u = U / du and a = A / da in integer numerators, the m-th term is
+    P_m U^m / (m! (da du)^m), where P_m = A (A + step da) ... (A + (m - 1)
+    step da). A term of U^m has total degree at least m * least in the
+    bounded groups, where least is the least such degree of a term of u,
+    and at most the sum of the bounds (no degree reaches 2**14 without a
+    ValueError). So no term survives past m = M, the quotient of the two,
+    and every term is summed in integers over the one denominator
+    L = M! (da du)^M: the m-th term's numerator is P_m U^m times
+    M! / m! (da du)^(M - m). Each power U^m is formed from the last and
+    added in at once, so only one is kept, and each output coefficient is
+    reduced once, at the end.
+    """
+    bounds = {_name_info(n)[0]: bound for n in u.variables()}
+    bounds.pop(TAU_NAME, None)
+    u = u.truncate(bounds)
+    offsets = _offsets(bounds)
+    shifts = [_GROUP_SHIFT[g] for g in bounds]
+    least = min((sum((m >> s) & _FIELD for s in shifts) for m in u.terms), default=1)
+    if not least:
+        raise ValueError(f"series does not terminate: {role} has a pure-t term")
+    top = len(bounds) * min(bound, _LIMIT - 1) // least
+    u_re, u_im, du = _numerators(u)
+    a_re, a_im, da = _numerators(a)
+    unit = da * du
+    weight = denominator = factorial(top) * unit**top
+    acc = ({0: denominator}, {})
+    power = poch = ({0: 1}, {})
     m = 0
     while True:
         m += 1
-        pw = pw.mul_truncated(work, bounds)
-        if pw.is_zero:
-            return acc
-        acc = acc + pw * Fraction(1, factorial(m))
+        power = _product(power, (u_re, u_im), offsets)
+        if not (power[0] or power[1]):
+            break
+        factor = dict(a_re)
+        factor[0] = factor.get(0, 0) + (m - 1) * step * da
+        poch = _product(poch, (factor, a_im), offsets)
+        weight //= m * unit
+        scaled = tuple({w: c * weight for w, c in part.items()} for part in poch)
+        _add_product(acc, scaled, power, offsets)
+    re, im = acc
+    terms = {}
+    for w, c in re.items():
+        b = im.pop(w, 0)
+        if c or b:
+            terms[w] = _reduced(c, b, denominator)
+    for w, b in im.items():
+        if b:
+            terms[w] = _reduced(0, b, denominator)
+    return _make(terms)

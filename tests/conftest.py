@@ -83,6 +83,17 @@ def poch(tau, k):
     return acc
 
 
+def poly_poch(a, k):
+    """Rising factorial a (a + 1) ... (a + k - 1) of a polynomial or an
+    exact number, as a MultiPoly, by its defining product."""
+    from socone.poly import MultiPoly
+
+    acc = MultiPoly.const(1)
+    for i in range(k):
+        acc = acc * (a + i)
+    return acc
+
+
 def fraction_det(matrix):
     """Determinant by fraction-exact Gaussian elimination."""
     a = [list(map(Fraction, row)) for row in matrix]

@@ -8,9 +8,8 @@ from pathlib import Path
 import pytest
 
 import socone
-from socone import jsonio, matrices, states
+from socone import jsonio, matrices, poly, states
 from socone.cli import main
-from socone.poly import MultiPoly
 from socone.scalars import GaussianRational
 
 _SRC = str(Path(socone.__file__).resolve().parent.parent)
@@ -282,7 +281,7 @@ def test_rows_skip_the_json_work(capsys, monkeypatch, argv, fmt):
 )
 def test_json_skips_the_text_work(capsys, monkeypatch, argv):
     # JSON reads the exact parts through scalars._part_str, never the text
-    monkeypatch.setattr(MultiPoly, "_render", _refuse)
+    monkeypatch.setattr(poly, "render_items", _refuse)
     monkeypatch.setattr(GaussianRational, "__str__", _refuse)
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0

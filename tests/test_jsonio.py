@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from socone.algebra import build_algebra
 from socone.jsonio import (
+    Terms,
     constant_to_json,
     dumps,
     gaussian_to_json,
@@ -148,8 +149,10 @@ def test_a_constant_is_written_in_the_polynomial_form_without_building_it(c):
 # -- exact values written in place by dumps ---------------------------------------
 
 # (value, reference tree) pairs: a leaf of the payload and what it stands for
-_exact_pairs = printed_polys().map(lambda p: (p, poly_to_json(p))) | _gaussians.map(
-    lambda g: (g, gaussian_to_json(g))
+_exact_pairs = (
+    printed_polys().map(lambda p: (p, poly_to_json(p)))
+    | printed_polys().map(lambda p: (Terms(p.canonical_items()), poly_to_json(p)))
+    | _gaussians.map(lambda g: (g, gaussian_to_json(g)))
 )
 _plain_pairs = (
     st.none() | st.booleans() | st.integers(-(10**6), 10**6) | st.text(max_size=4)
@@ -159,15 +162,18 @@ _plain_pairs = (
 @st.composite
 def _payloads(draw):
     """(payload, reference payload): an exact value at depth 0 to 3, in
-    lists and dicts among other exact and plain leaves."""
+    lists, generators and dicts among other exact and plain leaves."""
     value, ref = draw(_exact_pairs)
     for _ in range(draw(st.integers(0, 3))):
         items = draw(st.lists(_exact_pairs | _plain_pairs, max_size=2))
         items.insert(draw(st.integers(0, len(items))), (value, ref))
         values = [v for v, _ in items]
         refs = [r for _, r in items]
-        if draw(st.booleans()):
+        container = draw(st.sampled_from(["list", "generator", "dict"]))
+        if container == "list":
             value, ref = values, refs
+        elif container == "generator":
+            value, ref = (v for v in values), refs
         else:
             size = len(items)
             keys = draw(st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True))
@@ -178,6 +184,8 @@ def _payloads(draw):
 @settings(derandomize=True, max_examples=300)
 @given(_payloads())
 @example((MultiPoly.zero(), []))
+@example((Terms([]), []))
+@example(({"g": (x for x in [])}, {"g": []}))
 @example(({"c": [gr(0, -1)]}, {"c": [gaussian_to_json(gr(0, -1))]}))
 def test_dumps_writes_exact_values_as_their_reference_trees(pair):
     value, ref = pair

@@ -40,8 +40,14 @@ def test_a_wrong_pairing_base_at_w_zero_fails_the_closed_form_row(monkeypatch):
 
     monkeypatch.setattr(states, "leibniz_base_value", off_by_one_at_zero)
     report = coherent_suite(2, 5)
-    failed = [c.name for c in report.failed()]
-    assert failed == ["matrix pairing equals closed form (5 points)"]
+    # the first point's w = 0 pairing raises: its symmetry was compared,
+    # but no point's w = 0 row was
+    assert {c.name: c.detail for c in report.failed()} == {
+        "matrix pairing equals closed form (5 points)": (
+            "matrix pipeline disagrees with the closed form"
+        ),
+        "pairing at w = 0 is 1": "no point compared",
+    }
 
 
 def test_an_off_orbit_coherent_closed_form_fails_rows_without_aborting(
@@ -60,6 +66,8 @@ def test_an_off_orbit_coherent_closed_form_fails_rows_without_aborting(
         "matrix pairing equals closed form (5 points)": (
             "vector is not a scaled coherent state"
         ),
+        "pairing is symmetric under swapping w, v": "no point compared",
+        "pairing at w = 0 is 1": "no point compared",
         "scaled-state recovery": "exponential and closed-form coherent states differ",
     }
     assert main(["verify", "--all", "--n", "2", "--degree", "4"]) == 1
@@ -119,6 +127,8 @@ def test_a_doubled_i_part_fails_rows_of_every_suite_of_verify_all(doubled_i, cap
     for row in [
         "FAIL  [X1, X2] = 0",
         "FAIL  matrix pairing equals closed form (50 points)" + failed,
+        "FAIL  pairing is symmetric under swapping w, v  (no point compared)",
+        "FAIL  pairing at w = 0 is 1  (no point compared)",
         "FAIL  scaled-state recovery" + failed,
         "FAIL  symbolic pairing identity" + failed,
         "FAIL  round trip at point 1" + failed,

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -146,8 +147,6 @@ def test_series_power_pochhammer_coefficients():
     # (1 - u)^(-tau) with u = w1 v1; the coefficient of u^k is (tau)_k / k!
     base = 1 - W1 * V1
     series = series_power(base, -TAU, 6)
-    from math import factorial
-
     buckets = series.split_groups({"w", "v"})
     for k in range(7):
         mono = (("v1", k), ("w1", k)) if k else ()
@@ -186,14 +185,128 @@ def test_series_power_symbolic_exponent_additivity():
 
 def test_exp_series_matches_scalar_expansion():
     e = exp_series(V1, 5)
-    from math import factorial
-
     for k in range(6):
         assert e.coefficient([("v1", k)]) == gr(Fraction(1, factorial(k)))
     with pytest.raises(ValueError):
         exp_series(1 + V1, 3)
     with pytest.raises(ValueError):
         exp_series(TAU, 3)
+
+
+# -- the integer series kernel against the binomial loop it replaced ----------------
+
+
+def _reference_u(base, bounds, role):
+    u = MultiPoly.const(1) - base.truncate(bounds)
+    # a key () collects the terms with no variable of a truncated group
+    if () in u.split_groups(bounds):
+        raise ValueError(f"series does not terminate: {role} has a pure-t term")
+    return u
+
+
+def reference_series_power(base, exponent, bound):
+    """The binomial loop series_power ran before its integer kernel: one
+    GaussianRational product per kept pair, through mul_truncated."""
+    if base.constant_term != 1:
+        raise ValueError("series_power requires constant term 1")
+    minus_e = -MultiPoly.coerce(exponent)
+    bounds = {group_of(n): bound for n in base.variables()}
+    bounds.pop("t", None)
+    u = _reference_u(base, bounds, "base")
+    acc = upow = rising = MultiPoly.const(1)
+    m = 0
+    while True:
+        m += 1
+        upow = upow.mul_truncated(u, bounds)
+        if upow.is_zero:
+            return acc
+        rising = rising * (minus_e + (m - 1))
+        acc = acc + (rising * Fraction(1, factorial(m))) * upow
+
+
+def reference_exp_series(argument, bound):
+    """The loop exp_series ran before its integer kernel."""
+    if argument.constant_term != 0:
+        raise ValueError("exp_series requires zero constant term")
+    bounds = {group_of(n): bound for n in argument.variables()}
+    bounds.pop("t", None)
+    work = _reference_u(1 - argument, bounds, "argument")
+    acc = pw = MultiPoly.const(1)
+    m = 0
+    while True:
+        m += 1
+        pw = pw.mul_truncated(work, bounds)
+        if pw.is_zero:
+            return acc
+        acc = acc + pw * Fraction(1, factorial(m))
+
+
+def gaussians():
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.builds(gr, part, part).filter(bool)
+
+
+def series_terms():
+    """Gaussian-coefficient polynomials with no constant and no pure-t
+    term; t rides on some terms."""
+    names = st.sampled_from(["v1", "v2", "w1"])
+    monomial = st.lists(st.tuples(names, st.integers(1, 2)), min_size=1, max_size=2)
+    term = st.builds(
+        lambda items, k, c: MultiPoly({tuple(items) + (("t", k),): c}),
+        monomial,
+        st.integers(0, 2),
+        gaussians(),
+    )
+    return st.lists(term, max_size=3).map(lambda ts: sum(ts, MultiPoly.zero()))
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SERIES_EXPONENTS = st.one_of(
+    _RATIONALS,
+    gaussians(),
+    st.builds(lambda a, b: a * TAU + b, _RATIONALS, _RATIONALS),
+    st.builds(lambda a, b: a * TAU + b, gaussians(), _RATIONALS),
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(series_terms(), SERIES_EXPONENTS, st.integers(0, 5))
+def test_series_power_matches_the_binomial_reference_loop(u, exponent, bound):
+    base = 1 - u
+    assert series_power(base, exponent, bound) == reference_series_power(
+        base, exponent, bound
+    )
+
+
+@settings(derandomize=True, max_examples=200)
+@given(series_terms(), st.integers(0, 5))
+def test_exp_series_matches_the_reference_loop(argument, bound):
+    assert exp_series(argument, bound) == reference_exp_series(argument, bound)
+
+
+_HIGH_T = TAU ** (2 ** 13)
+
+
+@pytest.mark.parametrize(
+    "kernel, reference, args",
+    [
+        (series_power, reference_series_power, (2 + V1, Fraction(1, 2), 3)),
+        (series_power, reference_series_power, (1 - TAU * V1 - TAU, -TAU, 3)),
+        # u^2 reaches t^(2^14) within the bound, then only beyond it
+        (series_power, reference_series_power, (1 - _HIGH_T * V1, Fraction(1, 2), 2)),
+        (series_power, reference_series_power, (1 - _HIGH_T * V1, Fraction(1, 2), 1)),
+        (exp_series, reference_exp_series, (1 + V1, 3)),
+        (exp_series, reference_exp_series, (TAU * W1 + TAU, 3)),
+        (exp_series, reference_exp_series, (_HIGH_T * V1, 2)),
+        (exp_series, reference_exp_series, (_HIGH_T * V1, 1)),
+    ],
+)
+def test_series_errors_match_the_reference_loop(kernel, reference, args):
+    with pytest.raises(ValueError) as want:
+        reference(*args)
+    with pytest.raises(ValueError) as got:
+        kernel(*args)
+    assert str(got.value) == str(want.value)
 
 
 def test_exact_divide():

@@ -27,7 +27,7 @@ from socone.spectral import (
 )
 from socone.states import vacuum
 
-from conftest import leading_minors_positive, poch, rand_fraction
+from conftest import leading_minors_positive, poch, poly_poch, rand_fraction
 
 
 def test_quadratic_companions():
@@ -96,6 +96,23 @@ def test_transform_coefficients():
             assert coeff.subs({"t": tau}).as_gaussian() == poch(tau, k) / factorial(k)
     series2 = spectral_transform(2, 2)
     assert series2.split_groups({"z"})[(("z2", 2),)] == TAU * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 8), (2, 6), (3, 5)])
+@pytest.mark.parametrize("tau", [None, Fraction(7, 3)])
+def test_transform_is_the_double_pochhammer_sum(n, degree, tau):
+    # ((1 - z1)^2 - p)^(-t/2) with p = z2^2 + ... + zn^2 is
+    # sum_m (t/2)_m / m! p^m (1 - z1)^(-t-2m), and (1 - z1)^(-a) is
+    # sum_j (a)_j / j! z1^j
+    z = [MultiPoly.var(f"z{j}") for j in range(1, n + 1)]
+    p = sum((a * a for a in z[1:]), MultiPoly.zero())
+    weight = TAU if tau is None else MultiPoly.const(tau)
+    want = MultiPoly.zero()
+    for m in range(degree // 2 + 1):
+        for j in range(degree - 2 * m + 1):
+            coeff = poly_poch(weight * Fraction(1, 2), m) * poly_poch(weight + 2 * m, j)
+            want = want + coeff * Fraction(1, factorial(m) * factorial(j)) * z[0] ** j * p ** m
+    assert spectral_transform(n, degree, tau) == want
 
 
 def test_moments_n1_are_rising_factorials():

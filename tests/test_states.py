@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from socone.states import (
     vacuum,
 )
 
-from conftest import poch, rand_fraction
+from conftest import poch, poly_poch, rand_fraction
 
 
 def test_vacuum_annihilation():
@@ -186,8 +187,6 @@ def test_moved_vacuum_matches_the_matrix_exponentials(rng):
 def test_leibniz_series_coefficients():
     series = leibniz_closed_form(1, 5)
     buckets = series.split_groups({"w", "v"})
-    from math import factorial
-
     assert buckets[()] == 1
     for k in range(1, 6):
         coeff = buckets[(("v1", k), ("w1", k))]
@@ -196,6 +195,26 @@ def test_leibniz_series_coefficients():
     # n=2: the coefficient of w1^2 v2^2 is -t/2
     series2 = leibniz_closed_form(2, 2)
     assert series2.split_groups({"w", "v"})[(("v2", 2), ("w1", 2))] == TAU * Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("n, degree", [(1, 8), (2, 6), (3, 5)])
+@pytest.mark.parametrize("tau", [None, Fraction(7, 3)])
+def test_leibniz_series_is_the_gegenbauer_sum(n, degree, tau):
+    # (1 - 2 x s + s^2)^(-l) = sum_k C_k^l(x) s^k with l = t/2, x s = w.v and
+    # s^2 = (w.w)(v.v); C_k^l(x) = sum_m (-1)^m (l)_(k-m) (2x)^(k-2m) / (m! (k-2m)!)
+    w = [MultiPoly.var(f"w{j}") for j in range(1, n + 1)]
+    v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
+    wv = sum((a * b for a, b in zip(w, v)), MultiPoly.zero())
+    s2 = sum((a * a for a in w), MultiPoly.zero()) * sum(
+        (b * b for b in v), MultiPoly.zero()
+    )
+    half = TAU * Fraction(1, 2) if tau is None else Fraction(tau, 2)
+    want = MultiPoly.zero()
+    for k in range(degree + 1):
+        for m in range(k // 2 + 1):
+            scale = Fraction((-1) ** m * 2 ** (k - 2 * m), factorial(m) * factorial(k - 2 * m))
+            want = want + poly_poch(half, k - m) * scale * wv ** (k - 2 * m) * s2 ** m
+    assert leibniz_closed_form(n, degree, tau) == want
 
 
 def test_leibniz_series_evaluated_weight():
