@@ -234,26 +234,25 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     gram = fock.gram_matrix(args.n, args.degree)
-    basis = gram.basis
-    labels = [jsonio.multi_index_label(k) for k in basis]
-    if args.tau is None:
-        entries = [[gram.entry(k, m) for m in basis] for k in basis]
-    else:
-        # the polynomials' values at the weight, as dense rationals
-        entries = gram.eval_at(args.tau)
+    labels = [jsonio.multi_index_label(k) for k in gram.basis]
+    values = gram.entries
+    if args.tau is not None:
+        # the nonzero values at the weight, as constants in the form of the
+        # symbolic table
+        values = {pos: MultiPoly.const(v) for pos, v in gram.eval_at(args.tau).items()}
+    positions = range(len(labels))
     if args.format == "json":
-        if args.tau is not None:
-            # constants, in the form of the symbolic table: most cells are
-            # zero, and the zero polynomial is []
-            entries = [[MultiPoly.const(v) if v else [] for v in row] for row in entries]
+        # most cells are absent: each is one shared zero polynomial, []
+        zero = []
         return _write_json({
             "n": args.n,
             "degree": args.degree,
             "tau": _tau_json(args),
             "basis": labels,
-            "matrix": entries,
+            "matrix": [[values.get((r, c), zero) for c in positions] for r in positions],
         })
-    rows = [[lab] + [str(v) for v in row] for lab, row in zip(labels, entries)]
+    cells = {pos: str(v) for pos, v in values.items()}
+    rows = [[lab] + [cells.get((r, c), "0") for c in positions] for r, lab in enumerate(labels)]
     return _write_rows(args, [""] + labels, rows)
 
 

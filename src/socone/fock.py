@@ -155,19 +155,20 @@ class FockMatrix(SparseMatrix):
         zero polynomial, as in the Gram table."""
         return self.entries.get((self.index[row_mi], self.index[col_mi]), _ZERO)
 
-    def eval_at(self, tau: Fraction) -> list:
-        """Dense Fraction matrix in basis order at an exact weight.
+    def eval_at(self, tau) -> dict:
+        """The nonzero values of the entries at an exact weight, an int or a
+        Fraction (anything else raises TypeError), as {(row, col): Fraction}.
 
         Each entry is a polynomial in t alone; its t-coefficients are summed
         against the powers of the weight, computed once per matrix, in
         integers over a common denominator that is reduced once per entry.
         """
-        size = len(self.basis)
-        out = [[Fraction(0)] * size for _ in range(size)]
-        tau = Fraction(tau)
+        # the two-argument form takes exact rationals only, not a float
+        tau = Fraction(tau, 1)
+        out = {}
         # (numerator, denominator) of tau^e
         powers = [(1, 1)]
-        for (r, c), poly in self.entries.items():
+        for pos, poly in self.entries.items():
             num, den = 0, 1
             for e, coeff in poly.powers_of(TAU_NAME):
                 while len(powers) <= e:
@@ -178,7 +179,8 @@ class FockMatrix(SparseMatrix):
                 a, d = a * p, d * q
                 g = gcd(den, d)
                 num, den = num * (d // g) + a * (den // g), den // g * d
-            out[r][c] = Fraction(num, den)
+            if num:
+                out[pos] = Fraction(num, den)
         return out
 
 
@@ -406,10 +408,10 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
 
 @dataclass(frozen=True)
 class PositivityProbe:
-    """Exact verdict with (block, pivot) pairs, and the Fraction matrices it
-    was read from. A Gram probe's blocks are its degree blocks, indexed by
-    degree; a moment probe has one block, block 0. `blocks` holds the
-    components of each block's nonzero pattern (see probe_blocks).
+    """Exact verdict with (label, pivot) pairs, and the Fraction matrices it
+    was read from: `blocks` holds the components of the table's nonzero
+    pattern at the weight (see probe_components). A Gram probe labels each
+    pivot with its row's degree; a moment probe labels every pivot 0.
     The float view is display only: a certified lower bound computed on read.
     """
 
@@ -443,11 +445,19 @@ class PositivityProbe:
         return value if Fraction(value) <= lo else nextafter(value, -inf)
 
 
-def _pattern_components(block) -> list:
-    """The connected components of a square matrix's nonzero pattern: each a
-    list of row positions in increasing order, listed by their first row.
-    Every nonzero entry, in either triangle, joins its row and column."""
-    parent = list(range(len(block)))
+def probe_components(values: dict, labels) -> PositivityProbe:
+    """Exact verdict of a symmetric Fraction matrix given by its nonzero
+    entries {(row, col): value}, each pivot paired with its row's label.
+
+    Every stored entry joins its row and column; each connected component,
+    listed by its first row, gets its own exact LDL on its rows, with
+    Fraction(0) in every absent cell, and the matrix is positive definite
+    exactly when every component is. The r-th pivot of a component stands
+    at the position of its r-th row. Where the elimination of a block of
+    rows would take them in order (no leading minor vanishes), these are the
+    block's pivots, since the leading minors factor over the components.
+    """
+    parent = list(range(len(labels)))
 
     def root(i):
         while parent[i] != i:
@@ -455,58 +465,40 @@ def _pattern_components(block) -> list:
             i = parent[i]
         return i
 
-    for i, row in enumerate(block):
-        for j, x in enumerate(row):
-            if x and j != i:
-                a, b = root(i), root(j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    groups = {}
-    for i in range(len(block)):
-        groups.setdefault(root(i), []).append(i)
-    return list(groups.values())
-
-
-def probe_blocks(blocks) -> PositivityProbe:
-    """Exact verdict over the diagonal blocks of a symmetric Fraction
-    matrix, each pivot paired with its block's index.
-
-    Each block is split into the components of its nonzero pattern, read off
-    the actual zeros, and each component gets its own exact LDL: a block is
-    positive definite exactly when every component is. Within a block the
-    r-th pivot of a component stands at the basis position of the
-    component's r-th row. When the elimination of the whole block would take
-    its rows in basis order (no leading minor vanishes), this is its pivot
-    tuple, since the leading minors factor over the components.
-    """
+    for r, c in values:
+        a, b = root(r), root(c)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    # a root is its component's first row
+    components = {}
+    for i in range(len(parent)):
+        components.setdefault(root(i), []).append(i)
+    zero = Fraction(0)
     verdict = True
-    pivots = []
+    placed = []
     kept = []
-    for d, block in enumerate(blocks):
-        placed = []
-        for rows in _pattern_components(block):
-            part = tuple(tuple(block[i][j] for j in rows) for i in rows)
-            ok, piv = is_positive_definite(part)
-            verdict = verdict and ok
-            placed.extend(zip(rows, piv))
-            kept.append(part)
-        placed.sort(key=lambda item: item[0])
-        pivots.extend((d, p) for _, p in placed)
-    return PositivityProbe(verdict, tuple(pivots), tuple(kept))
+    for rows in components.values():
+        part = tuple(tuple(values.get((i, j), zero) for j in rows) for i in rows)
+        ok, piv = is_positive_definite(part)
+        verdict = verdict and ok
+        placed.extend(zip(rows, piv))
+        kept.append(part)
+    # rows are distinct, so the sort never compares pivots
+    pivots = tuple((labels[i], p) for i, p in sorted(placed))
+    return PositivityProbe(verdict, pivots, tuple(kept))
 
 
-def positivity_probe(n: int, degree_bound: int, tau: Fraction) -> PositivityProbe:
-    """Exact block LDL of the pairing table at an exact weight.
+def positivity_probe(n: int, degree_bound: int, tau) -> PositivityProbe:
+    """Exact LDL of the pairing table's nonzero values at an exact weight
+    (eval_at), one per component (probe_components), each pivot labeled
+    with its row's degree.
 
     This is an empirical probe of the given weight only; it makes no claim
     about the set of weights with a positive pairing.
     """
     gram = gram_matrix(n, degree_bound)
-    dense = gram.eval_at(tau)
-    # the basis is graded, so each degree block is a contiguous diagonal slice
-    ends = _space(n, degree_bound)[2]
-    blocks = [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
-    return probe_blocks(blocks)
+    labels = [mi_degree(k) for k in gram.basis]
+    return probe_components(gram.eval_at(tau), labels)
 
 
 def coherent_vector(n: int, degree_bound: int, prefix: str) -> dict:

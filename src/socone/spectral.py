@@ -24,7 +24,7 @@ from .fock import (
     mi_factorial,
     multi_indices,
     positivity_probe,
-    probe_blocks,
+    probe_components,
     vacuum_vector,
 )
 from .matrices import _coerce_entry, dot, exp_nilpotent_apply, linear_combination
@@ -238,16 +238,22 @@ def moments(
 
 
 def moment_positivity_probe(n: int, tau: Fraction, degree: int) -> PositivityProbe:
-    """Exact LDL of the moment matrix M[k][m] = E[x^(k+m)].
+    """Exact LDL of the moment matrix M[k][m] = E[x^(k+m)] at an exact
+    weight, one per component of its nonzero values, every pivot labeled 0.
 
     An empirical probe of one weight, not a positivity proof.
     """
-    table = moments(n, 2 * degree, tau=Fraction(tau), check_hat=False)
-    # every index of total degree <= 2 * degree is in the table
-    values = {k: v.as_gaussian().as_fraction() for k, v in table.entries.items()}
+    # the two-argument form takes exact rationals only, not a float
+    table = moments(n, 2 * degree, tau=Fraction(tau, 1), check_hat=False)
+    nonzero = {k: v.as_gaussian().as_fraction() for k, v in table.entries.items() if v}
     basis = multi_indices(n, degree)
-    mat = [[values[tuple(a + b for a, b in zip(k, m))] for m in basis] for k in basis]
-    return probe_blocks([mat])
+    values = {
+        (i, j): nonzero[s]
+        for i, k in enumerate(basis)
+        for j, m in enumerate(basis)
+        if (s := tuple(a + b for a, b in zip(k, m))) in nonzero
+    }
+    return probe_components(values, [0] * len(basis))
 
 
 @dataclass(frozen=True)
@@ -312,8 +318,8 @@ def orthogonality_check(tau: Fraction, kmax: int) -> Report:
     (a) the Gram table from the Leibniz series, (b) the moment functional
     applied to p_k p_m, (c) the closed form delta_km k! (tau)_k.
     """
-    tau = Fraction(tau)
-    dense = gram_matrix(1, kmax).eval_at(tau)
+    tau = Fraction(tau, 1)
+    values = gram_matrix(1, kmax).eval_at(tau)
     table = moments(1, 2 * kmax, tau=tau, check_hat=False)
     polys = {bp.index: bp.poly for bp in basis_polynomials(1, kmax, tau=tau)}
     checks = [
@@ -324,7 +330,7 @@ def orthogonality_check(tau: Fraction, kmax: int) -> Report:
     ]
     for k in range(kmax + 1):
         for m in range(k, kmax + 1):
-            a = dense[k][m]
+            a = values.get((k, m), 0)
             b = _apply_moment_functional(polys[(k,)] * polys[(m,)], table).as_gaussian()
             if k == m:
                 c = Fraction(mi_factorial((k,)))

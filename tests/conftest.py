@@ -116,6 +116,12 @@ def fraction_det(matrix):
     return det
 
 
+def dense_table(values, size):
+    """The size x size nested list of a sparse table {(row, col): value},
+    with Fraction(0) in every absent cell."""
+    return [[values.get((i, j), Fraction(0)) for j in range(size)] for i in range(size)]
+
+
 def leading_minors_positive(matrix):
     """Sylvester criterion oracle: every leading principal minor positive."""
     n = len(matrix)

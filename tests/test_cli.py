@@ -212,6 +212,12 @@ TABLE_DIGESTS = {
     ("gram --n 1 --degree 3", "text"): "5d59861c0332347f8ca8f3bbd1b8981e7b5402b500a1bc44d6c22dde9def0ce7",
     ("gram --n 1 --degree 3", "json"): "f36838a445a6cbaea3de3062a3fb68929f198460eee9cb22c745156b30360de8",
     ("gram --n 1 --degree 3", "csv"): "3091ae0e864c13bc7a7736f092e03bf67a1fc1a50059aa2075fa8157059aaa7d",
+    ("gram --n 3 --degree 3", "text"): "d469b177fbd9c8969ca7b3fa5ed770b0e992cf99ad108685dfb6a8cd886a2d64",
+    ("gram --n 3 --degree 3", "json"): "d8ecba1ee173cedf49b2e4f38f8d07ac230fda9de0a6678ceb275005881ad188",
+    ("gram --n 3 --degree 3", "csv"): "c8875c54747cd0be2492928c69ca016b4349785559c540de1fb6efb4aecf0765",
+    ("gram --n 2 --degree 3 --tau 0", "text"): "59a5ac0ce09bac9e99271b24d5179d815b7655d6271690a31479069f250c717c",
+    ("gram --n 2 --degree 3 --tau 0", "json"): "334fb0053438543d28b3416bc3914544e00ac88e3df2b25d8e4c3c0979066a4f",
+    ("gram --n 2 --degree 3 --tau 0", "csv"): "95f2da3a15c4341a0ae557d34543461b0f51c3012bca9ccc23b9dee1c4e1bfa8",
     ("moments --n 2 --degree 3 --tau 3", "text"): "53a2c6de9d3150e204d372e73f4e6b5eb89c8f966c0fc08fe88553c43f7547a6",
     ("moments --n 2 --degree 3 --tau 3", "json"): "370b71cf4e717ba7d494a5e4e7a74e5bf8baaebb437c6c250fcd3c9fd502250c",
     ("moments --n 2 --degree 3 --tau 3", "csv"): "f97beb73f9e45641db9925a64560811c386ef68ed2da927a6af22178b00e7665",

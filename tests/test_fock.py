@@ -1,4 +1,6 @@
+import hashlib
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -27,13 +29,13 @@ from socone.fock import (
     verify_hat_relations,
 )
 from socone.matrices import commutator
-from socone.spectral import moment_positivity_probe, moments
+from socone.spectral import moment_positivity_probe, moments, orthogonality_check
 from socone.poly import MultiPoly, TAU
 from socone.report import CheckResult
 from socone.scalars import gr
 from socone.states import leibniz_closed_form
 
-from conftest import leading_minors_positive, poch
+from conftest import dense_table, leading_minors_positive, poch
 
 
 def test_multi_index_enumeration():
@@ -159,6 +161,57 @@ def test_positivity_probe_cases():
     assert probe.positive_definite is True
 
 
+# sha256 (first 16 hex digits) of repr((positive_definite, pivots, blocks))
+# for positivity_probe(n, PROBE_GRAM_DEGREE[n], t) and
+# moment_positivity_probe(n, t, PROBE_MOMENT_DEGREE[n]), recorded from the
+# dense evaluation of each table. The weights straddle the Wallach boundary
+# max(n - 2, 0) and include it; the repr spells the type of every entry, so
+# an int 0 where a Fraction(0) stood changes the digest.
+PROBE_GRAM_DEGREE = {1: 8, 2: 6, 3: 5, 4: 4, 5: 3}
+PROBE_MOMENT_DEGREE = {1: 5, 2: 4, 3: 3, 4: 2, 5: 2}
+PROBE_RECORD = {
+    (1, -1): ("cf8af7ddadb44aee", "8de08616fed14639"),
+    (1, Fraction(-1, 3)): ("f679bc82366ce6cb", "83bbc02c70777806"),
+    (1, 0): ("acaec6b7a9349e10", "fc298b4864394949"),
+    (1, Fraction(1, 5)): ("719c36a3405ee461", "9e420e7ec9b486ac"),
+    (1, 1): ("979e695e03adf9d9", "409bc1ef8d454329"),
+    (2, -1): ("bb3823103ef0b754", "e8a64eb094590fa7"),
+    (2, Fraction(-1, 3)): ("6e570b1d8a0c516e", "cbcbf7fe1e61f253"),
+    (2, 0): ("d61b29b892c47b29", "d71d3fd014e65b26"),
+    (2, Fraction(1, 5)): ("7f42073b8693db02", "a31c9b22efd9a455"),
+    (2, 1): ("3898990b3cd442c4", "0da807f82f6551e8"),
+    (3, 0): ("1f2f1b3fabecb73d", "a549ec7c570c6b2d"),
+    (3, Fraction(2, 3)): ("2123316ee24dcea4", "b78584bd7e31b8bd"),
+    (3, 1): ("c3f7c42455402cef", "87d1d3c47327e72f"),
+    (3, Fraction(6, 5)): ("3b193eb2720d028f", "7ec647681b1a63d2"),
+    (3, 2): ("a1d16c541f8eb4c6", "a90a5b4e3293df6e"),
+    (4, 1): ("d797e1676b9e0ee4", "266ee144a823b793"),
+    (4, Fraction(5, 3)): ("90281adda389d13e", "a51b13254c8ccd06"),
+    (4, 2): ("6725d6f67b57942d", "00bdbe529ecd3e02"),
+    (4, Fraction(11, 5)): ("15c0027340874a48", "9d59db07a01887a9"),
+    (4, 3): ("971b9b5225c660fe", "7cb786b684ba6964"),
+    (5, 2): ("318d0837ceb4dfce", "bd37de6c4de6c8a6"),
+    (5, Fraction(8, 3)): ("3740582f3a86e77b", "c86285a19dc81392"),
+    (5, 3): ("18ff875a762f047d", "b227735a51e8db62"),
+    (5, Fraction(16, 5)): ("811c9ccffb0e5e8a", "bf26cf18c0689075"),
+    (5, 4): ("d7e1e0a5dbbd98f1", "b150f60c2734a954"),
+}
+
+
+@pytest.mark.parametrize("n, tau", sorted(PROBE_RECORD))
+def test_probes_match_their_recorded_verdicts_pivots_and_blocks(n, tau):
+    def digest(probe):
+        record = repr((probe.positive_definite, probe.pivots, probe.blocks))
+        return hashlib.sha256(record.encode()).hexdigest()[:16]
+
+    gram = positivity_probe(n, PROBE_GRAM_DEGREE[n], tau)
+    moment = moment_positivity_probe(n, tau, PROBE_MOMENT_DEGREE[n])
+    assert (digest(gram), digest(moment)) == PROBE_RECORD[n, tau]
+    for probe in (gram, moment):
+        assert all(type(p) is Fraction for _, p in probe.pivots)
+        assert all(type(x) is Fraction for b in probe.blocks for row in b for x in row)
+
+
 def test_probes_compute_the_float_view_only_when_it_is_read(monkeypatch):
     # a probe runs one exact LDL per block; the bisection behind the float
     # view runs only on the first read, and once
@@ -180,13 +233,14 @@ def test_probes_compute_the_float_view_only_when_it_is_read(monkeypatch):
 
 def test_positivity_probe_matches_minor_oracle():
     gram = gram_matrix(2, 2)
-    dense = gram.eval_at(Fraction(3))
+    dense = dense_table(gram.eval_at(Fraction(3)), len(gram.basis))
     assert leading_minors_positive(dense)
     assert positivity_probe(2, 2, Fraction(3)).positive_definite
 
 
 def degree_blocks(n, d, tau):
-    dense = gram_matrix(n, d).eval_at(tau)
+    gram = gram_matrix(n, d)
+    dense = dense_table(gram.eval_at(tau), len(gram.basis))
     ends = fock._space(n, d)[2]
     return [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
 
@@ -201,6 +255,16 @@ def moment_matrix(n, d, tau):
         ]
         for k in basis
     ]
+
+
+def submatrices(matrix, components):
+    """The square submatrix on each component's rows, as nested tuples."""
+    return tuple(tuple(tuple(matrix[i][j] for j in rows) for i in rows) for rows in components)
+
+
+def as_values(matrix):
+    """The nonzero entries of a square nested list, keyed by position."""
+    return {(i, j): x for i, row in enumerate(matrix) for j, x in enumerate(row) if x}
 
 
 def classes(states, slots):
@@ -262,30 +326,39 @@ def test_the_float_view_reads_the_same_from_the_components():
 
 @pytest.mark.parametrize("n, d", [(2, 8), (3, 6), (4, 5), (5, 4)])
 def test_gram_components_are_the_parity_classes_of_every_slot(n, d):
-    basis = gram_matrix(n, d).basis
+    # the probe's components, listed by their first row, are the parity
+    # classes of each degree block
+    tau = Fraction(7, 3)
+    gram = gram_matrix(n, d)
+    dense = dense_table(gram.eval_at(tau), len(gram.basis))
     ends = fock._space(n, d)[2]
-    for a, block in zip(ends, degree_blocks(n, d, Fraction(7, 3))):
-        states = basis[a : a + len(block)]
-        assert sorted(fock._pattern_components(block)) == classes(states, range(n))
+    expected = [
+        [a + i for i in rows]
+        for a, b in zip(ends, ends[1:])
+        for rows in classes(gram.basis[a:b], range(n))
+    ]
+    assert positivity_probe(n, d, tau).blocks == submatrices(dense, expected)
 
 
 @pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (4, 2)])
 def test_moment_components_are_the_parity_classes_of_slots_2_to_n(n, m):
     block = moment_matrix(n, m, Fraction(7, 3))
     expected = classes(multi_indices(n, m), range(1, n))
-    assert sorted(fock._pattern_components(block)) == expected
+    probe = moment_positivity_probe(n, Fraction(7, 3), m)
+    assert probe.blocks == submatrices(block, expected)
 
 
 def test_the_split_reads_the_zeros_and_assumes_no_symmetry():
     # the degree-2 block at n = 3 has the parity classes {x1^2, x2^2, x3^2}
     # and one class for each of x1 x2, x1 x3, x2 x3
     block = [list(row) for row in degree_blocks(3, 2, Fraction(7, 3))[2]]
-    assert len(fock._pattern_components(block)) == 4
+    labels = [0] * len(block)
+    assert len(fock.probe_components(as_values(block), labels).blocks) == 4
     # an entry planted between x1^2 and x1 x2 joins their classes
     for planted, verdict in ((Fraction(1, 2), True), (Fraction(100), False)):
         joined = [row[:] for row in block]
         joined[0][1] = joined[1][0] = planted
-        probe = fock.probe_blocks([joined])
+        probe = fock.probe_components(as_values(joined), labels)
         assert len(probe.blocks) == 3
         pivots = [p for _, p in probe.pivots]
         assert matrices.is_positive_definite(joined) == (verdict, pivots)
@@ -293,11 +366,13 @@ def test_the_split_reads_the_zeros_and_assumes_no_symmetry():
     one_sided = [row[:] for row in block]
     one_sided[0][1] = Fraction(1)
     with pytest.raises(ValueError, match="symmetric"):
-        fock.probe_blocks([one_sided])
+        fock.probe_components(as_values(one_sided), labels)
     # a component whose diagonal is zero but whose remainder is not
-    probe = fock.probe_blocks([[[1, 0, 0], [0, 0, 1], [0, 1, 0]]])
+    probe = fock.probe_components(as_values([[1, 0, 0], [0, 0, 1], [0, 1, 0]]), [0] * 3)
     assert probe.blocks == (((1,),), ((0, 1), (1, 0)))
     assert probe.positive_definite is False
+    # an absent cell of a component is Fraction(0), whatever the stored type
+    assert type(probe.blocks[1][0][0]) is Fraction
 
 
 def test_series_duality():
@@ -365,14 +440,35 @@ def test_build_hat_validates_bound():
 def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
     gram = gram_matrix(n, d)
     for tau in (Fraction(-5, 2), Fraction(0), Fraction(1, 3), Fraction(4)):
-        dense = gram.eval_at(tau)
+        values = gram.eval_at(tau)
         point = {"t": tau}
-        want = [
-            [gram.entry(k, m).subs(point).as_gaussian().as_fraction() for m in gram.basis]
-            for k in gram.basis
-        ]
-        assert dense == want
-        assert all(type(x) is Fraction for row in dense for x in row)
+        want = {
+            (i, j): x
+            for i, k in enumerate(gram.basis)
+            for j, m in enumerate(gram.basis)
+            if (x := gram.entry(k, m).subs(point).as_gaussian().as_fraction())
+        }
+        assert values == want
+        assert all(type(x) is Fraction and x for x in values.values())
+
+
+
+def test_weights_are_exact_ints_or_fractions():
+    # a float is refused, not probed at its binary expansion
+    gram = gram_matrix(2, 3)
+    for weight in (0.1, 2.0, "1/2", gr(1), None, Decimal(3)):
+        for call in (
+            lambda: gram.eval_at(weight),
+            lambda: positivity_probe(2, 3, weight),
+            lambda: moment_positivity_probe(2, weight, 2),
+            lambda: orthogonality_check(weight, 2),
+        ):
+            with pytest.raises(TypeError):
+                call()
+    for weight in (3, Fraction(3)):
+        assert gram.eval_at(weight) == gram.eval_at(Fraction(3))
+    assert positivity_probe(2, 3, 3) == positivity_probe(2, 3, Fraction(3))
+    assert moment_positivity_probe(2, 3, 2) == moment_positivity_probe(2, Fraction(3), 2)
 
 
 def test_shared_matrices_apply_like_fresh_copies():

@@ -27,7 +27,7 @@ from socone.spectral import (
 )
 from socone.states import vacuum
 
-from conftest import leading_minors_positive, poch, poly_poch, rand_fraction
+from conftest import dense_table, leading_minors_positive, poch, poly_poch, rand_fraction
 
 
 def test_quadratic_companions():
@@ -202,7 +202,7 @@ def test_moment_positivity_probes():
 def test_gram_and_moment_probes_share_one_verdict(tau):
     # n = 2: the Wallach boundary is t = 0, so the two weights straddle it
     gram = gram_matrix(2, 3)
-    dense = gram.eval_at(tau)
+    dense = dense_table(gram.eval_at(tau), len(gram.basis))
     blocks = []
     for d in range(4):
         idx = [i for i, k in enumerate(gram.basis) if sum(k) == d]
