@@ -26,8 +26,7 @@ from types import MappingProxyType
 from .matrices import DenseMatrix, commutator, exp_nilpotent
 from .report import CheckResult, Report
 from .scalars import GaussianRational, gr
-
-_I = gr(0, 1)
+from .scalars import I as _I
 
 _LADDER_RE = re.compile(r"^(?:[RL]\d+|rho0)$")
 _ROTATION_RE = re.compile(r"^rho(?:(\d)(\d)|(\d+)_(\d+))$")
@@ -263,15 +262,11 @@ def conjugation_check(n: int) -> Report:
 class OperatorWord:
     """A scalar multiple of an ordered product of generator labels.
 
-    The empty word is the identity.
+    The empty word, OperatorWord.of(), is the identity.
     """
 
     coeff: GaussianRational
     factors: tuple
-
-    @classmethod
-    def identity(cls):
-        return cls(gr(1), ())
 
     @classmethod
     def of(cls, *labels, coeff=1):

@@ -51,11 +51,6 @@ def poly_to_json(poly: MultiPoly) -> list:
     return out
 
 
-def constant_to_json(value: GaussianRational) -> list:
-    """The reference tree of MultiPoly.const(value), without building it."""
-    return [{"exps": {}, "coeff": gaussian_to_json(value)}] if value else []
-
-
 def scalar_to_json(value):
     """The reference tree of a polynomial or a complex scalar."""
     if isinstance(value, MultiPoly):

@@ -178,11 +178,6 @@ class DenseMatrix(SparseMatrix):
             tuple(get((i, j), ZERO) for j in range(self.cols)) for i in range(self.rows)
         )
 
-    def __getitem__(self, key):
-        i, j = key
-        # indexing a range checks the bounds and resolves negative indices
-        return self.entries.get((range(self.rows)[i], range(self.cols)[j]), ZERO)
-
     def apply(self, vector):
         """Matrix times a column vector given as a sequence; returns a tuple."""
         if len(vector) != self.cols:

@@ -26,11 +26,10 @@ per group holds the group's total degree. A name takes its field the first
 time it is seen, above every field taken before, so words already built
 stay valid. A product of monomials is one int add, and a truncation test
 one more add and an AND. Words are decoded to (name, exponent) pairs in
-var_key order only where monomials meet the outside: the constructor,
-coefficient, subs, split_groups and split_index, the leading term of
-exact_divide, and the printed and JSON forms, which sort in graded
-lexicographic order. So the order in which names were first seen never
-reaches an output.
+var_key order only where monomials meet the outside: the constructor, subs,
+split_groups and split_index, the leading term of exact_divide, and the
+printed and JSON forms, which sort in graded lexicographic order. So the
+order in which names were first seen never reaches an output.
 """
 
 from __future__ import annotations
@@ -399,15 +398,6 @@ class MultiPoly:
         used = reduce(or_, self.terms, 0)
         return {n for n, info in tuple(_INFO.items()) if (used >> info[4]) & _FIELD}
 
-    def degree(self, group: str | None = None) -> int:
-        """Total degree, or total degree within one group. Zero poly gives -1."""
-        if not self.terms:
-            return -1
-        if group is None:
-            decoder = _decoder
-            return max(sum(decoder.exponents(m)) for m in self.terms)
-        return max(self.degrees(group))
-
     def degrees(self, group: str) -> set:
         """The total degrees within one group of the terms."""
         shift = _GROUP_SHIFT.get(group)
@@ -427,9 +417,6 @@ class MultiPoly:
                 raise ValueError(f"{self} is not a polynomial in {name} alone")
             out.append((e, c))
         return out
-
-    def coefficient(self, mono_items) -> GaussianRational:
-        return self.terms.get(_pack(mono_items), GaussianRational(0))
 
     def decoded_terms(self) -> dict:
         """terms keyed by monomials as (name, exponent) pairs in var_key

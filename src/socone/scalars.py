@@ -258,5 +258,4 @@ def gr(re=0, im=0) -> GaussianRational:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

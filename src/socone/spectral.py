@@ -30,10 +30,9 @@ from .fock import (
 from .matrices import _coerce_entry, dot, exp_nilpotent_apply, linear_combination
 from .poly import MultiPoly, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
+from .scalars import I as _I
 from .scalars import gr
 from .states import ROUTE_FAILURES, StateVector, recover_coordinates, vacuum
-
-_I = gr(0, 1)
 
 
 class SingularCoordinateError(ValueError):

@@ -26,9 +26,9 @@ from .matrices import (
 )
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
+from .scalars import I as _I
 from .scalars import gr
 
-_I = gr(0, 1)
 _HALF = Fraction(1, 2)
 
 

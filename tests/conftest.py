@@ -122,6 +122,12 @@ def dense_table(values, size):
     return [[values.get((i, j), Fraction(0)) for j in range(size)] for i in range(size)]
 
 
+def gram_entry(gram, row, col):
+    """The entry of a table between two basis states, read off its stored
+    entries through the shared index; 0 where none is stored."""
+    return gram.entries.get((gram.index[row], gram.index[col]), 0)
+
+
 def leading_minors_positive(matrix):
     """Sylvester criterion oracle: every leading principal minor positive."""
     n = len(matrix)

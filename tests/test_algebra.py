@@ -61,7 +61,7 @@ X3_TAB = [
 
 def test_build_rho_definition():
     m = build_rho(1, 1, 2)
-    assert m[0, 1] == 1 and m[1, 0] == -1
+    assert m.data[0][1] == 1 and m.data[1][0] == -1
     assert m.rows == 3
     assert (build_rho(2, 1, 3) + build_rho(2, 3, 1)).is_zero
     with pytest.raises(ValueError):

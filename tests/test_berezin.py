@@ -28,7 +28,7 @@ def test_identity_transform_is_one(rng):
         w = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))]
         v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))]
         try:
-            value = berezin_transform(OperatorWord.identity(), w, v)
+            value = berezin_transform(OperatorWord.of(), w, v)
         except PoleError:
             continue
         assert value == 1
@@ -45,7 +45,7 @@ def test_raising_transform_values():
 
 def test_transform_pole_error():
     with pytest.raises(PoleError):
-        berezin_transform(OperatorWord.identity(), [1], [1])
+        berezin_transform(OperatorWord.of(), [1], [1])
 
 
 @pytest.mark.parametrize("w, v", [([1], [0, 5]), ([1, 0], [0])])
@@ -209,6 +209,6 @@ def test_fock_pairing_series_identity_word():
     from socone.states import leibniz_closed_form
 
     n, bound = 2, 3
-    got = fock_pairing_series(OperatorWord.identity(), n, bound)
+    got = fock_pairing_series(OperatorWord.of(), n, bound)
     expected = leibniz_closed_form(n, bound)
     assert got == expected

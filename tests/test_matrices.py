@@ -90,7 +90,7 @@ def test_exp_nilpotent_symbolic_entries():
     v = MultiPoly.var("v1")
     m = DenseMatrix([[0, v], [0, 0]])
     e = exp_nilpotent(m)
-    assert e[0, 1] == v
+    assert e.data[0][1] == v
     assert e * exp_nilpotent(-m) == DenseMatrix.identity(2)
 
 

@@ -5,9 +5,11 @@ from types import MappingProxyType
 
 import pytest
 
-from socone import algebra, spectral, states
+from socone import algebra, berezin, spectral, states
 from socone.algebra import SoAlgebra, build_rho
+from socone.berezin import wick_recipe_check
 from socone.cli import main
+from socone.fock import FockMatrix, verify_hat_relations
 from socone.scalars import gr
 from socone.spectral import roundtrip_check
 from socone.states import StateVector, coherent_suite
@@ -136,3 +138,50 @@ def test_a_doubled_i_part_fails_rows_of_every_suite_of_verify_all(doubled_i, cap
     ]:
         assert row in lines
     assert err.startswith("FAILED: ")
+
+
+def test_an_empty_compared_block_fails_the_ordering_recipe_row(monkeypatch, capsys):
+    # no component of the coherent vector is compared, so no word is checked
+    monkeypatch.setattr(berezin, "multi_indices", lambda n, degree_bound: [])
+    report = wick_recipe_check(2, 5)
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("all 85 words of length <= 3 agree", False, "no component compared")
+    ]
+    assert main(["verify", "--berezin", "--n", "2", "--degree", "4"]) == 1
+    out, _ = capsys.readouterr()
+    assert "FAIL  all 85 words of length <= 3 agree  (no component compared)" in out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_empty_interior_block_fails_every_bracket_row(monkeypatch, capsys, n):
+    restrict = FockMatrix.restrict
+
+    def nothing_at_the_interior(self, max_degree):
+        if max_degree == self.degree_bound - 2:
+            return self._like({})
+        return restrict(self, max_degree)
+
+    monkeypatch.setattr(FockMatrix, "restrict", nothing_at_the_interior)
+    report = verify_hat_relations(n, 4)
+    # the bracket rows come first; the shift commutators and the vacuum
+    # axioms compare other blocks and still pass
+    brackets = report.checks[: len(algebra.brackets(n))]
+    assert report.failed() == brackets
+    assert {c.detail for c in brackets} == {"no basis state compared"}
+    assert main(["verify", "--fock", "--n", str(n), "--degree", "4"]) == 1
+    out, _ = capsys.readouterr()
+    assert "FAIL  [L1^, R1^] = rho0^  (no basis state compared)" in out.splitlines()
+
+
+def test_an_empty_degree_block_fails_the_shift_commutator_rows(monkeypatch):
+    restrict = FockMatrix.restrict
+
+    def nothing_below_the_boundary(self, max_degree):
+        if max_degree == self.degree_bound - 1:
+            return self._like({})
+        return restrict(self, max_degree)
+
+    monkeypatch.setattr(FockMatrix, "restrict", nothing_below_the_boundary)
+    failed = {c.name: c.detail for c in verify_hat_relations(2, 4).failed()}
+    for j in (1, 2):
+        assert failed[f"[V{j}, R{j}] = 1 (interior)"] == "no basis state compared"

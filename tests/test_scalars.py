@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from socone.scalars import GaussianRational, gr, I, ONE, ZERO
+from socone.scalars import GaussianRational, gr, I, ZERO
 
+ONE = gr(1)
 fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
