@@ -24,7 +24,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .matrices import DenseMatrix, commutator, exp_nilpotent
-from .report import CheckResult, Report
+from .report import CheckResult, Report, reading_check
 from .scalars import GaussianRational, gr
 from .scalars import I as _I
 
@@ -153,7 +153,7 @@ def build_observables(n: int) -> list:
     """The family X_1..X_n as a new list, built once per n.
 
     Nothing is asserted on build: verify_observables reports whether the
-    X_j commute and cube to zero, and exp_nilpotent_apply raises
+    X_j commute and cube to zero, and exp_combination_apply raises
     NotNilpotentError rather than truncate an exponential of them.
     """
     return list(_observables(n))
@@ -199,14 +199,16 @@ def bracket_checks(family: SoAlgebra, suffix: str, same) -> list:
     zero = 0 * family.identity
     checks = []
     for a, b, (coeff, c) in brackets(family.n):
-        lhs = commutator(matrix(a), matrix(b))
+        read = [matrix(g) for g in (a, b, c) if g is not None]
+        lhs = commutator(read[0], read[1])
         if not coeff:
             rhs, text = zero, "0"
         elif coeff == 1:
-            rhs, text = matrix(c), label(c)
+            rhs, text = read[2], label(c)
         else:
-            rhs, text = coeff * matrix(c), f"{coeff} {label(c)}"
-        checks.append(CheckResult(f"[{label(a)}, {label(b)}] = {text}", same(lhs, rhs)))
+            rhs, text = coeff * read[2], f"{coeff} {label(c)}"
+        name = f"[{label(a)}, {label(b)}] = {text}"
+        checks.append(reading_check(name, same(lhs, rhs), read))
     return checks
 
 

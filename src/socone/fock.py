@@ -25,7 +25,7 @@ from types import MappingProxyType
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
 from .matrices import SparseMatrix, _sum_into, commutator, dot, is_positive_definite
 from .poly import MultiPoly, TAU, TAU_NAME, series_power, weight_exponent
-from .report import CheckResult, Report
+from .report import CheckResult, Report, reading_check
 from .scalars import gr
 from .states import leibniz_base, leibniz_closed_form
 
@@ -388,15 +388,16 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
     g = gram_matrix(n, degree_bound).restrict(cut)
     checks = []
     for j in range(1, n + 1):
-        lhs, rhs = hat.L(j).transpose() * g, g * hat.R(j)
-        checks.append(CheckResult(f"L{j}^* pairs as R{j}^", lhs == rhs))
-    lhs, rhs = hat.rho0.transpose() * g, g * hat.rho0
-    checks.append(CheckResult("rho0^ is symmetric for the pairing", lhs == rhs))
+        lower, raising = hat.L(j), hat.R(j)
+        same = lower.transpose() * g == g * raising
+        checks.append(reading_check(f"L{j}^* pairs as R{j}^", same, [lower, raising]))
+    same = hat.rho0.transpose() * g == g * hat.rho0
+    checks.append(reading_check("rho0^ is symmetric for the pairing", same, [hat.rho0]))
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            lhs, rhs = hat.rho(j, k).transpose() * g, -(g * hat.rho(j, k))
+            rho = hat.rho(j, k)
             name = f"{rotation_label(j, k)}^ is skew for the pairing"
-            checks.append(CheckResult(name, lhs == rhs))
+            checks.append(reading_check(name, rho.transpose() * g == -(g * rho), [rho]))
     return Report(f"pairing adjointness (n={n}, D={degree_bound})", checks)
 
 

@@ -7,7 +7,8 @@ Entries are GaussianRational or MultiPoly; the two mix freely. Both lie
 in an integral domain, so a product of nonzero values is nonzero. An
 absent entry is an exact zero, and no operation stores a zero. Products
 index the right operand by row (Gustavson, ACM TOMS 4 (1978)). Matrices
-are immutable after construction.
+are immutable after construction. exp_combination_apply forms exp(A) x for
+a combination A of matrices in integer numerators, without forming A.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import factorial, lcm
 from operator import add, mul
 
 from .poly import MultiPoly
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, I, _reduced
 
 _SCALARS = (int, Fraction, GaussianRational, MultiPoly)
 
@@ -191,22 +192,6 @@ class DenseMatrix(SparseMatrix):
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
-def linear_combination(coeffs, matrices) -> DenseMatrix:
-    """sum_k coeffs[k] * matrices[k] for dense matrices of one shape, in one
-    pass over their nonzero entries."""
-    coeffs = [_coerce_entry(c) for c in coeffs]
-    matrices = list(matrices)
-    if not matrices or len(coeffs) != len(matrices):
-        raise ValueError("need one coefficient per matrix, and at least one matrix")
-    first = matrices[0]
-    if any(m.shape != first.shape for m in matrices):
-        raise ValueError("dimension mismatch in linear combination")
-    terms = (
-        (p, c * v) for c, m in zip(coeffs, matrices) if c for p, v in m.entries.items()
-    )
-    return first._like(_sum_into({}, terms))
-
-
 def dot(a, b):
     """a[0] b[0] + a[1] b[1] + ..., summed left to right, for two nonempty
     sequences whose items multiply and add: exact scalars, polynomials or
@@ -242,26 +227,73 @@ def exp_nilpotent(m: DenseMatrix) -> DenseMatrix:
     return acc
 
 
-def exp_nilpotent_apply(m: DenseMatrix, vector) -> tuple:
-    """exp(m) applied to a column vector, by matrix-vector products only.
+def _numerators(value) -> tuple:
+    """(re, im, d) with value = (re + i im) / d: the Gaussian-integer
+    numerators of an exact number, and (value, 0, 1) for a polynomial."""
+    if isinstance(value, MultiPoly):
+        return value, 0, 1
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    value = GaussianRational.coerce(value)
+    return value._a, value._b, value._d
 
-    Sums m**k v / k! while the iterates are nonzero and raises
-    NotNilpotentError if m**rows v is not exactly zero, so no truncation can
-    ever happen silently. Equals exp_nilpotent(m).apply(vector).
+
+def exp_combination_apply(coeffs, matrices, vector) -> tuple:
+    """exp(A) x for A = sum_k coeffs[k] matrices[k], square matrices of one
+    size K; equals exp_nilpotent(A).apply(vector) and raises NotNilpotentError
+    if A^K x is not exactly zero. Every input is cleared to Gaussian-integer
+    numerators (re, im); with s the common denominator of A, A^m x / m! is
+    (s A)^m x weighed by (K!/m!) s^(K-m) over K! s^K, so the loop makes
+    integer multiply-adds, skipping zero parts, and one GaussianRational per
+    output entry. A polynomial p is (p, 0) over 1: the loop uses only +, *
+    and truth tests, so symbolic inputs run it unchanged.
     """
-    if not m.is_square:
-        raise ValueError("exp_nilpotent_apply needs a square matrix")
-    acc = tuple(_coerce_entry(e) for e in vector)
-    term = acc
-    for k in range(1, m.rows + 1):
-        term = m.apply(term)
-        if not any(term):
-            return acc
-        if k == m.rows:
+    matrices, size = list(matrices), len(vector)
+    if len(coeffs) != len(matrices) or {m.shape for m in matrices} != {(size, size)}:
+        raise ValueError("need a coefficient per matrix, each K x K for a K-vector")
+    rows = [[] for _ in range(size)]  # (column, d (c_k M_k)_ij as re, im, d)
+    for c, m in zip(coeffs, matrices):
+        a, b, d = _numerators(c)
+        if a or b:
+            for (i, j), entry in m.entries.items():
+                p, q, f = _numerators(entry)
+                re = (a * p if a and p else 0) - (b * q if b and q else 0)
+                im = (a * q if a and q else 0) + (b * p if b and p else 0)
+                rows[i].append((j, re, im, d * f))
+    s = lcm(1, *(d for row in rows for *_, d in row))
+    rows = [[(j, a * (s // d), b * (s // d)) for j, a, b, d in row] for row in rows]
+    cleared = [_numerators(x) for x in vector]
+    dx = lcm(1, *(d for *_, d in cleared))
+    term = [(a * (dx // d), b * (dx // d)) for a, b, d in cleared]
+    weight = denominator = factorial(size) * s**size
+    acc = [(a * weight, b * weight) for a, b in term]
+    for m in range(1, size + 1):
+        nxt = []
+        for row in rows:  # a row of s A times the term
+            re = im = 0
+            for j, a, b in row:
+                c, e = term[j]
+                if c:
+                    re, im = (re + a * c if a else re), (im + b * c if b else im)
+                if e:
+                    re, im = (re - b * e if b else re), (im + a * e if a else im)
+            nxt.append((re, im))
+        term = nxt
+        if not any(x or y for x, y in term):
+            break
+        if m == size:
             raise NotNilpotentError("matrix is not nilpotent")
-        scale = Fraction(1, factorial(k))
-        acc = tuple(a + t * scale if t else a for a, t in zip(acc, term))
-    return acc
+        weight //= m * s
+        acc = [
+            (p + x * weight if x else p, q + y * weight if y else q)
+            for (p, q), (x, y) in zip(acc, term)
+        ]
+    denominator *= dx
+    return tuple(
+        _reduced(p, q, denominator) if type(p) is type(q) is int
+        else (p + q * I) * Fraction(1, denominator)
+        for p, q in acc
+    )
 
 
 def exact_ldl(matrix):

@@ -12,6 +12,14 @@ class CheckResult:
     detail: str = ""
 
 
+def reading_check(name: str, passed: bool, read) -> CheckResult:
+    """The row of a comparison of sides built from the matrices in read: one
+    that reads a zero generator has shown nothing, so it fails."""
+    if any(m.is_zero for m in read):
+        return CheckResult(name, False, "a generator it reads is zero")
+    return CheckResult(name, passed)
+
+
 @dataclass
 class Report:
     title: str

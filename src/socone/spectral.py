@@ -27,7 +27,7 @@ from .fock import (
     probe_components,
     vacuum_vector,
 )
-from .matrices import _coerce_entry, dot, exp_nilpotent_apply, linear_combination
+from .matrices import _coerce_entry, dot, exp_combination_apply
 from .poly import MultiPoly, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import I as _I
@@ -55,14 +55,12 @@ def _symbolic_z(n: int) -> tuple:
 
 
 def exp_zX_vacuum(z) -> StateVector:
-    """exp(z.X) applied to the vacuum, via the nilpotent exponential, checked
+    """exp(z.X) applied to the vacuum by exp_combination_apply, checked
     against the closed quadratic form."""
     n = len(z)
     comps = [_coerce_entry(c) for c in z]
-    obs = build_observables(n)
-    generator = linear_combination(comps, [e.matrix for e in obs])
-    omega = vacuum(n)
-    moved = StateVector(exp_nilpotent_apply(generator, omega.entries))
+    observables = [e.matrix for e in build_observables(n)]
+    moved = StateVector(exp_combination_apply(comps, observables, vacuum(n).entries))
     zeta2 = zeta2_value(comps)
     closed = StateVector(
         (gr(0, 2) * (comps[0] - zeta2),)

@@ -17,13 +17,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import build_algebra, rotation_label
-from .matrices import (
-    NotNilpotentError,
-    _coerce_entry,
-    dot,
-    exp_nilpotent_apply,
-    linear_combination,
-)
+from .matrices import NotNilpotentError, _coerce_entry, dot, exp_combination_apply
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import I as _I
@@ -107,14 +101,13 @@ def coherent_closed_form(v) -> StateVector:
 
 
 def coherent_state(v) -> StateVector:
-    """exp(v.R) applied to the vacuum, computed two ways and asserted equal."""
+    """exp(v.R) applied to the vacuum, computed two ways and asserted equal:
+    by exp_combination_apply and in closed form."""
     n = len(v)
     alg = build_algebra(n)
-    comps = [_coerce_entry(c) for c in v]
-    generator = linear_combination(comps, [alg.R(j) for j in range(1, n + 1)])
-    omega = vacuum(n)
-    via_exp = StateVector(exp_nilpotent_apply(generator, omega.entries))
-    closed = coherent_closed_form(comps)
+    raising = [alg.R(j) for j in range(1, n + 1)]
+    via_exp = StateVector(exp_combination_apply(v, raising, vacuum(n).entries))
+    closed = coherent_closed_form(v)
     if via_exp != closed:
         raise AssertionError("exponential and closed-form coherent states differ")
     return closed
@@ -165,14 +158,14 @@ def leibniz_base_value(w, v):
 def moved_vacuum(w, v, q) -> StateVector:
     """exp(w.L) q exp(v.R) vacuum, the coherent matrix element of an
     (n+2)-square matrix q between spatial tuples w and v of exact numbers or
-    polynomials, computed by matrix-vector products only.
+    polynomials, each exponential by exp_combination_apply.
     """
     n = len(w)
     alg = build_algebra(n)
-    lower = linear_combination(w, [alg.L(j) for j in range(1, n + 1)])
-    raiser = linear_combination(v, [alg.R(j) for j in range(1, n + 1)])
-    moved = q.apply(exp_nilpotent_apply(raiser, vacuum(n).entries))
-    return StateVector(exp_nilpotent_apply(lower, moved))
+    ladder = range(1, n + 1)
+    raised = exp_combination_apply(v, [alg.R(j) for j in ladder], vacuum(n).entries)
+    moved = q.apply(raised)
+    return StateVector(exp_combination_apply(w, [alg.L(j) for j in ladder], moved))
 
 
 def leibniz_from_matrices(w, v):
@@ -186,16 +179,14 @@ def leibniz_from_matrices(w, v):
     if len(v) != n:
         raise ValueError("w and v must have the same length")
     identity = build_algebra(n).identity
-    wc = [_coerce_entry(c) for c in w]
-    vc = [_coerce_entry(c) for c in v]
-    state = moved_vacuum(wc, vc, identity)
-    symbolic = any(isinstance(c, MultiPoly) for c in wc + vc)
+    state = moved_vacuum(w, v, identity)
+    symbolic = any(isinstance(c, MultiPoly) for c in (*w, *v))
     lam = lambda_factor(state)
     if not symbolic and lam:
         # on the invertible part of the orbit the state must pass the
         # recovery's orbit checks
         recover_coordinates(state)
-    if lam != leibniz_base_value(wc, vc):
+    if lam != leibniz_base_value(w, v):
         raise AssertionError("matrix pipeline disagrees with the closed form")
     return lam
 

@@ -245,6 +245,19 @@ TABLE_DIGESTS = {
     ("coords --n 2 --v 1,-1/2", "text"): "9b27c58fa5b82e87f61eb8a2fa97faba08f2335529dd9b42fe202d889300a8f2",
     ("coords --n 2 --v 1,-1/2", "json"): "02304c6edd4165f44e27f0c917fb484343e8c937b56e52c17b75f0e1d8163d70",
     ("coords --n 2 --v 1,-1/2", "csv"): "7a86a9f310ba80ae2f904c8213ac8a4341b5367ab4746aa6bb9c048483ba0c60",
+    # points with two-digit denominators and a symbolic state at n = 3
+    ("coherent --n 3 --v 97/13,-5/89,2/7", "text"): "140c8f763023a6a92c31602dfe66a3baaae6a4a5d9fc5cb23f6b5021dcf15d03",
+    ("coherent --n 3 --v 97/13,-5/89,2/7", "json"): "6d0dae75cd9d16f3664ce76a0238668461146fac9a9ee15cfd5115d4cbd5f41f",
+    ("coherent --n 3 --v 97/13,-5/89,2/7", "csv"): "81fde89c49070b1256be0866944b958d4545d658f1d127c6c6d9d6b8e0de4ca9",
+    ("coords --n 3 --z 1/97,-2/3,5/11", "text"): "eada4f5e75ddfb97f5de3379e1bb4b7dcf12c57e975f0f5566ee36ccee2c2b1f",
+    ("coords --n 3 --z 1/97,-2/3,5/11", "json"): "f9d4431ad1b1a8dd79febf4500df909f77a548f413b93c170cdd472f6aae4165",
+    ("coords --n 3 --z 1/97,-2/3,5/11", "csv"): "95d1cb0c63a3e033f410715e4dea5ccddf2dbe3515fee435cf530b35a8bdfc90",
+    ("leibniz --n 3 --w 2/3,-1/5,4 --v 1/2,3/4,-2/5", "text"): "5cabee33971f9266ab2747cc6143f556b17d7f9c83801ae0402d2b06c44dd159",
+    ("leibniz --n 3 --w 2/3,-1/5,4 --v 1/2,3/4,-2/5", "json"): "a9910752e33ae7792d58b99abb397ed7f4e3d9e32b04054c68775ce098c736e6",
+    ("leibniz --n 3 --w 2/3,-1/5,4 --v 1/2,3/4,-2/5", "csv"): "5270bc5138f4bae4f2ab8788d21239c54c2e5ca5327ada7b349e856cbdbd355e",
+    ("coherent --n 3 --v symbolic", "text"): "608f15e8b27d1a528f3ec69218f95b2239d562fd989cce1d8251ffc4843cfc5f",
+    ("coherent --n 3 --v symbolic", "json"): "a52411f7839d44a6176016f20c89224fa035ed6131d32bfbf586ca69017e6b73",
+    ("coherent --n 3 --v symbolic", "csv"): "6210ab326028e5737d2e2377e8bfc2c642901c7f0bfacdc30fb49366296a4998",
 }
 
 
@@ -330,10 +343,10 @@ def test_singular_input_exit_code(capsys):
 def test_a_generator_that_is_not_nilpotent_is_a_verification_failure(
     capsys, monkeypatch, argv
 ):
-    def refuse(matrix, vector):
+    def refuse(coeffs, generators, vector):
         raise matrices.NotNilpotentError("matrix is not nilpotent")
 
-    monkeypatch.setattr(states, "exp_nilpotent_apply", refuse)
+    monkeypatch.setattr(states, "exp_combination_apply", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "verification failure: matrix is not nilpotent\n"

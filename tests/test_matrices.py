@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from socone.matrices import (
     DenseMatrix,
@@ -9,11 +9,11 @@ from socone.matrices import (
     commutator,
     dot,
     exact_ldl,
+    exp_combination_apply,
     exp_nilpotent,
-    exp_nilpotent_apply,
     is_positive_definite,
-    linear_combination,
 )
+from socone.algebra import build_algebra
 from socone.fock import build_combinatorial
 from socone.poly import MultiPoly
 from socone.scalars import GaussianRational, gr
@@ -293,38 +293,105 @@ def test_dot_is_the_left_to_right_sum_of_products(pair):
     same_entry(dot(a, b), acc)
 
 
+def running_sum(coeffs, mats):
+    # the zeros + c * M loop: exp_combination_apply never forms this matrix
+    acc = DenseMatrix.zeros(mats[0].rows, mats[0].cols)
+    for c, m in zip(coeffs, mats):
+        acc = acc + c * m
+    return acc
+
+
+def strictly_upper(draw, entries, size):
+    return DenseMatrix(
+        [[draw(entries) if j > i else 0 for j in range(size)] for i in range(size)]
+    )
+
+
 @st.composite
 def nilpotent_systems(draw, entries):
     size = draw(st.integers(1, 4))
-    m = DenseMatrix(
-        [
-            [draw(entries) if j > i else 0 for j in range(size)]
-            for i in range(size)
-        ]
-    )
+    m = strictly_upper(draw, entries, size)
     vector = tuple(draw(entries) for _ in range(size))
     return m, vector
 
 
 @settings(derandomize=True, max_examples=60)
 @given(nilpotent_systems(gaussians))
-def test_exp_nilpotent_apply_matches_matrix_exponential(system):
+def test_exp_combination_apply_matches_matrix_exponential(system):
     m, vector = system
     want = exp_nilpotent(m).apply(vector)
-    for got, expected in zip(exp_nilpotent_apply(m, vector), want):
+    for got, expected in zip(exp_combination_apply([1], [m], vector), want):
         same_entry(got, expected)
 
 
 @settings(derandomize=True, max_examples=30)
 @given(nilpotent_systems(entries))
-def test_exp_nilpotent_apply_matches_on_series_entries(system):
+def test_exp_combination_apply_matches_on_series_entries(system):
     m, vector = system
-    assert exp_nilpotent_apply(m, vector) == exp_nilpotent(m).apply(vector)
+    assert exp_combination_apply([1], [m], vector) == exp_nilpotent(m).apply(vector)
+
+
+# complex with both parts nonzero, so that every cross product of the
+# coefficients' parts with the entries' parts is formed
+nonzero_fracs = st.fractions(-3, 3, max_denominator=2).filter(bool)
+complex_gaussians = st.builds(gr, nonzero_fracs, nonzero_fracs)
+
+
+@st.composite
+def triangular_pencils(draw):
+    size, count = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    mats = [strictly_upper(draw, gaussians, size) for _ in range(count)]
+    coeffs = [draw(st.one_of(complex_gaussians, gaussians)) for _ in range(count)]
+    return coeffs, mats, tuple(draw(gaussians) for _ in range(size))
+
+
+@st.composite
+def symbolic_pencils(draw):
+    # w_j and v_j coefficients, alone or in Gaussian combinations, on the
+    # lowering or raising generators or on strictly triangular matrices
+    n = draw(st.integers(1, 3))
+    group = draw(st.sampled_from(["w", "v"]))
+    names = [MultiPoly.var(f"{group}{j}") for j in range(1, n + 1)]
+    coeffs = [
+        draw(st.sampled_from([x, x + draw(gaussians) * names[0], draw(gaussians) * x]))
+        for x in names
+    ]
+    kind = draw(st.sampled_from(["L", "R", "triangular"]))
+    if kind == "triangular":
+        mats = [strictly_upper(draw, gaussians, n + 2) for _ in range(n)]
+    else:
+        alg = build_algebra(n)
+        mats = [alg.generator(f"{kind}{j}") for j in range(1, n + 1)]
+    return coeffs, mats, tuple(draw(entries) for _ in range(n + 2))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.one_of(triangular_pencils(), symbolic_pencils()))
+@example(  # every part of coefficient, entry and vector nonzero
+    (
+        [gr(Fraction(1, 2), -2), gr(0, 3)],
+        [
+            DenseMatrix([[0, gr(1, 1), gr(2, -1)], [0, 0, gr(0, -1)], [0, 0, 0]]),
+            DenseMatrix([[0, 0, 0], [0, 0, gr(Fraction(-1, 3), 2)], [0, 0, 0]]),
+        ],
+        (gr(1, -1), gr(0, 1), gr(Fraction(3, 2), Fraction(1, 5))),
+    )
+)
+def test_linear_combination_matches_the_running_sum(pencil):
+    # exp of the linear combination, which the kernel never forms, applied
+    # to the vector: the oracle forms it as the running sum
+    coeffs, mats, vector = pencil
+    got = exp_combination_apply(coeffs, mats, vector)
+    want = exp_nilpotent(running_sum(coeffs, mats)).apply(vector)
+    assert got == want
+    if not any(isinstance(x, MultiPoly) for x in (*coeffs, *vector)):
+        for x, y in zip(got, want):
+            same_entry(x, y)
 
 
 @settings(derandomize=True, max_examples=30)
 @given(st.integers(1, 4), st.data())
-def test_exp_nilpotent_apply_rejects_non_nilpotent(size, data):
+def test_exp_combination_apply_rejects_non_nilpotent(size, data):
     # upper triangular with a nonzero diagonal is invertible: no iterate of
     # a nonzero vector can vanish
     diag = st.fractions(-3, 3, max_denominator=2).filter(bool)
@@ -340,7 +407,12 @@ def test_exp_nilpotent_apply_rejects_non_nilpotent(size, data):
     vector = [0] * size
     vector[data.draw(st.integers(0, size - 1))] = 1
     with pytest.raises(NotNilpotentError):
-        exp_nilpotent_apply(m, vector)
+        exp_nilpotent(m)
+    # the same generator as one matrix, and as c * (m / c) + 0 * m
+    c = data.draw(gaussians.filter(bool))
+    for coeffs, mats in (([1], [m]), ([c, 0], [m * (1 / c), m])):
+        with pytest.raises(NotNilpotentError, match="matrix is not nilpotent"):
+            exp_combination_apply(coeffs, mats, vector)
 
 
 scalars = st.one_of(
@@ -399,7 +471,7 @@ def test_sparse_ring_matches_the_dense_formulas(operands, s, t):
         (s * a, [[s * x for x in row] for row in left]),
         (a.transpose(), list(zip(*left))),
         (
-            linear_combination([s, t], [a, b]),
+            running_sum([s, t], [a, b]),
             [[naive_dot((s, t), xy) for xy in zip(r1, r2)] for r1, r2 in pairs],
         ),
     ]
@@ -425,37 +497,10 @@ def test_dense_operands_must_fit():
         DenseMatrix.zeros(0)
 
 
-def running_sum(coeffs, mats):
-    # the zeros + c * M loop that linear_combination replaces
-    acc = DenseMatrix.zeros(mats[0].rows, mats[0].cols)
-    for c, m in zip(coeffs, mats):
-        acc = acc + c * m
-    return acc
-
-
-@st.composite
-def pencils(draw):
-    rows, cols, count = (draw(st.integers(1, 3)) for _ in range(3))
-    mats = [
-        DenseMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)])
-        for _ in range(count)
-    ]
-    return [draw(entries) for _ in range(count)], mats
-
-
-@settings(derandomize=True, max_examples=100)
-@given(pencils())
-def test_linear_combination_matches_the_running_sum(pencil):
-    coeffs, mats = pencil
-    got, want = linear_combination(coeffs, mats), running_sum(coeffs, mats)
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    for got_row, want_row in zip(got.data, want.data):
-        for x, y in zip(got_row, want_row):
-            same_entry(x, y)
-
-
 def test_linear_combination_rejects_mismatched_input():
     a, b = DenseMatrix.identity(2), DenseMatrix.zeros(2, 3)
-    for coeffs, mats in (([], []), ([1], [a, a]), ([1, 2], [a, b])):
+    for coeffs, mats in (([], []), ([1], [a, a]), ([1, 2], [a, b]), ([1], [b])):
         with pytest.raises(ValueError):
-            linear_combination(coeffs, mats)
+            exp_combination_apply(coeffs, mats, [1, 0])
+    with pytest.raises(ValueError):
+        exp_combination_apply([1], [a], [1, 0, 0])

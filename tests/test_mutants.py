@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
-from socone import algebra, berezin, spectral, states
+from socone import algebra, berezin, fock, spectral, states
 from socone.algebra import SoAlgebra, build_rho
 from socone.berezin import wick_recipe_check
 from socone.cli import main
@@ -185,3 +185,25 @@ def test_an_empty_degree_block_fails_the_shift_commutator_rows(monkeypatch):
     failed = {c.name: c.detail for c in verify_hat_relations(2, 4).failed()}
     for j in (1, 2):
         assert failed[f"[V{j}, R{j}] = 1 (interior)"] == "no basis state compared"
+
+
+def test_empty_restricted_generators_fail_the_bracket_and_adjointness_rows(
+    monkeypatch, capsys
+):
+    # every generator of the restricted family is empty, so each bracket and
+    # each adjointness row would compare zero with zero
+    restricted = fock.restricted_family
+    monkeypatch.setattr(fock, "restricted_family", lambda hat, d: restricted(hat, -1))
+    relations = verify_hat_relations(2, 4)
+    brackets = relations.checks[: len(algebra.brackets(2))]
+    assert relations.failed() == brackets
+    adjointness = fock.verify_adjointness(2, 4)
+    assert len(adjointness.checks) == 4
+    assert adjointness.failed() == adjointness.checks
+    assert {c.detail for c in brackets + adjointness.checks} == {
+        "a generator it reads is zero"
+    }
+    assert main(["verify", "--fock", "--n", "2", "--degree", "4"]) == 1
+    out, _ = capsys.readouterr()
+    assert "FAIL  [L1^, R1^] = rho0^  (a generator it reads is zero)" in out
+    assert "FAIL  L1^* pairs as R1^  (a generator it reads is zero)" in out

@@ -172,14 +172,18 @@ def test_moved_vacuum_closed_form_n2():
 
 def test_moved_vacuum_matches_the_matrix_exponentials(rng):
     # exp(w.L) as a whole matrix, applied to the closed-form coherent state
-    from socone.matrices import exp_nilpotent, linear_combination
+    from socone.matrices import DenseMatrix, exp_nilpotent
 
     for n in (1, 2, 3):
         alg = build_algebra(n)
         for _ in range(4):
             w = [rand_fraction(rng) for _ in range(n)]
             v = [rand_fraction(rng) for _ in range(n)]
-            lower = exp_nilpotent(linear_combination(w, [alg.L(j) for j in range(1, n + 1)]))
+            # w.L as the running sum zeros + w_j L_j
+            generator = DenseMatrix.zeros(n + 2)
+            for j in range(1, n + 1):
+                generator = generator + w[j - 1] * alg.L(j)
+            lower = exp_nilpotent(generator)
             expected = StateVector(lower.apply(coherent_state(v).entries))
             assert moved_vacuum(w, v, alg.identity) == expected
 
