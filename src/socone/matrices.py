@@ -7,7 +7,7 @@ Entries are GaussianRational or MultiPoly; the two mix freely. Both lie
 in an integral domain, so a product of nonzero values is nonzero. An
 absent entry is an exact zero, and no operation stores a zero. Products
 index the right operand by row (Gustavson, ACM TOMS 4 (1978)). Matrices
-are immutable after construction. exp_combination_apply forms exp(A) x for
+are immutable after construction. exp_combination_cleared forms exp(A) x for
 a combination A of matrices in integer numerators, without forming A.
 """
 
@@ -230,6 +230,8 @@ def exp_nilpotent(m: DenseMatrix) -> DenseMatrix:
 def _numerators(value) -> tuple:
     """(re, im, d) with value = (re + i im) / d: the Gaussian-integer
     numerators of an exact number, and (value, 0, 1) for a polynomial."""
+    if type(value) is GaussianRational:
+        return value._a, value._b, value._d
     if isinstance(value, MultiPoly):
         return value, 0, 1
     if isinstance(value, (int, Fraction)):
@@ -238,17 +240,46 @@ def _numerators(value) -> tuple:
     return value._a, value._b, value._d
 
 
-def exp_combination_apply(coeffs, matrices, vector) -> tuple:
-    """exp(A) x for A = sum_k coeffs[k] matrices[k], square matrices of one
-    size K; equals exp_nilpotent(A).apply(vector) and raises NotNilpotentError
-    if A^K x is not exactly zero. Every input is cleared to Gaussian-integer
-    numerators (re, im); with s the common denominator of A, A^m x / m! is
-    (s A)^m x weighed by (K!/m!) s^(K-m) over K! s^K, so the loop makes
-    integer multiply-adds, skipping zero parts, and one GaussianRational per
-    output entry. A polynomial p is (p, 0) over 1: the loop uses only +, *
-    and truth tests, so symbolic inputs run it unchanged.
-    """
-    matrices, size = list(matrices), len(vector)
+def pair_product(x, y) -> tuple:
+    """(a + i b)(c + i e) as the pair (ac - be, ae + bc), forming no product
+    with a zero factor and adding no zero."""
+    (a, b), (c, e) = x, y
+    re = a * c if a and c else 0
+    im = a * e if a and e else 0
+    if b and e:
+        re = re - b * e if re else -(b * e)
+    if b and c:
+        im = im + b * c if im else b * c
+    return re, im
+
+
+def numerator_pairs(vector) -> tuple:
+    """(pairs, d) with vector[k] = (re_k + i im_k) / d over the lcm d of the
+    entries' denominators; a polynomial p is (p, 0) over 1."""
+    cleared = [_numerators(x) for x in vector]
+    d = lcm(1, *(f for *_, f in cleared))
+    pairs = [(a, b) if f == d else (a * (d // f), b * (d // f)) for a, b, f in cleared]
+    return pairs, d
+
+
+def exact_value(re, im, d):
+    """(re + i im) / d: one reduced GaussianRational for integer numerators,
+    a polynomial for polynomial ones."""
+    if type(re) is type(im) is int:
+        return _reduced(re, im, d)
+    value = re + im * I if im else MultiPoly.coerce(re)
+    return value if d == 1 else value * Fraction(1, d)
+
+
+def exact_vector(pairs, d) -> tuple:
+    """One exact_value per numerator pair over d."""
+    return tuple(exact_value(re, im, d) for re, im in pairs)
+
+
+def _cleared_rows(coeffs, matrices, size) -> tuple:
+    """(rows, s): row i of s A for A = sum_k coeffs[k] matrices[k] as
+    (column, re, im) numerators, s the lcm of their denominators."""
+    matrices = list(matrices)
     if len(coeffs) != len(matrices) or {m.shape for m in matrices} != {(size, size)}:
         raise ValueError("need a coefficient per matrix, each K x K for a K-vector")
     rows = [[] for _ in range(size)]  # (column, d (c_k M_k)_ij as re, im, d)
@@ -257,28 +288,48 @@ def exp_combination_apply(coeffs, matrices, vector) -> tuple:
         if a or b:
             for (i, j), entry in m.entries.items():
                 p, q, f = _numerators(entry)
-                re = (a * p if a and p else 0) - (b * q if b and q else 0)
-                im = (a * q if a and q else 0) + (b * p if b and p else 0)
-                rows[i].append((j, re, im, d * f))
+                rows[i].append((j, *pair_product((a, b), (p, q)), d * f))
     s = lcm(1, *(d for row in rows for *_, d in row))
-    rows = [[(j, a * (s // d), b * (s // d)) for j, a, b, d in row] for row in rows]
-    cleared = [_numerators(x) for x in vector]
-    dx = lcm(1, *(d for *_, d in cleared))
-    term = [(a * (dx // d), b * (dx // d)) for a, b, d in cleared]
+    return [[(j, a * (s // d), b * (s // d)) for j, a, b, d in row] for row in rows], s
+
+
+def _rows_times(rows, term) -> list:
+    """Cleared rows times a vector of numerator pairs, skipping zero parts."""
+    out = []
+    for row in rows:
+        re = im = 0
+        for j, a, b in row:
+            c, e = term[j]
+            if c:
+                re, im = (re + a * c if a else re), (im + b * c if b else im)
+            if e:
+                re, im = (re - b * e if b else re), (im + a * e if a else im)
+        out.append((re, im))
+    return out
+
+
+def cleared_apply(matrix, pairs, d) -> tuple:
+    """matrix times the vector pairs / d, as (pairs, denominator)."""
+    rows, s = _cleared_rows([1], [matrix], len(pairs))
+    return _rows_times(rows, pairs), d * s
+
+
+def exp_combination_cleared(coeffs, matrices, pairs, d) -> tuple:
+    """exp(A) x for A = sum_k coeffs[k] matrices[k], square matrices of one
+    size K, and x = pairs / d, returned as (pairs, denominator); raises
+    NotNilpotentError if A^K x is not exactly zero. With s the common
+    denominator of A, A^m x / m! is (s A)^m x weighed by (K!/m!) s^(K-m)
+    over K! s^K, so the loop makes integer multiply-adds that skip zero
+    parts. A polynomial p is (p, 0) over 1: the loop uses only +, * and
+    truth tests, so symbolic inputs run it unchanged.
+    """
+    size = len(pairs)
+    rows, s = _cleared_rows(coeffs, matrices, size)
+    term = pairs
     weight = denominator = factorial(size) * s**size
     acc = [(a * weight, b * weight) for a, b in term]
     for m in range(1, size + 1):
-        nxt = []
-        for row in rows:  # a row of s A times the term
-            re = im = 0
-            for j, a, b in row:
-                c, e = term[j]
-                if c:
-                    re, im = (re + a * c if a else re), (im + b * c if b else im)
-                if e:
-                    re, im = (re - b * e if b else re), (im + a * e if a else im)
-            nxt.append((re, im))
-        term = nxt
+        term = _rows_times(rows, term)
         if not any(x or y for x, y in term):
             break
         if m == size:
@@ -288,12 +339,14 @@ def exp_combination_apply(coeffs, matrices, vector) -> tuple:
             (p + x * weight if x else p, q + y * weight if y else q)
             for (p, q), (x, y) in zip(acc, term)
         ]
-    denominator *= dx
-    return tuple(
-        _reduced(p, q, denominator) if type(p) is type(q) is int
-        else (p + q * I) * Fraction(1, denominator)
-        for p, q in acc
-    )
+    return acc, denominator * d
+
+
+def exp_combination_apply(coeffs, matrices, vector) -> tuple:
+    """exp(A) x for A = sum_k coeffs[k] matrices[k]: exp_combination_cleared
+    on the vector's numerator pairs, equal to exp_nilpotent(A).apply(vector)."""
+    pairs, d = exp_combination_cleared(coeffs, matrices, *numerator_pairs(vector))
+    return exact_vector(pairs, d)
 
 
 def exact_ldl(matrix):

@@ -8,6 +8,10 @@ bilinear functional s -> (a - i b)/2, i.e. conj(vacuum) paired into s and
 halved; a naive conjugate-transpose pairing is NOT compatible with the
 ladder involution here (it sends R_j to -L_j), which is why all inner
 products go through this functional.
+
+From the raise through q and the lower to the orbit checks, a vector stays
+Gaussian-integer pairs (re, im) over one denominator (a polynomial p is
+(p, 0) over 1); only the values returned become exact numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import build_algebra, rotation_label
-from .matrices import NotNilpotentError, _coerce_entry, dot, exp_combination_apply
+from .matrices import NotNilpotentError, _coerce_entry, _numerators, cleared_apply, dot
+from .matrices import exact_value, exact_vector, exp_combination_cleared
+from .matrices import numerator_pairs, pair_product
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import I as _I
@@ -50,20 +56,12 @@ class StateVector:
             raise ValueError("state vectors need at least three components")
 
     @property
-    def n(self) -> int:
-        return len(self.entries) - 2
-
-    @property
-    def v0(self) -> tuple:
-        return self.entries[: self.n]
-
-    @property
     def a(self):
-        return self.entries[self.n]
+        return self.entries[-2]
 
     @property
     def b(self):
-        return self.entries[self.n + 1]
+        return self.entries[-1]
 
     def __rmul__(self, scalar):
         return StateVector(tuple(scalar * e for e in self.entries))
@@ -100,13 +98,16 @@ def coherent_closed_form(v) -> StateVector:
     return StateVector(spatial + (1 + v2, _I * (1 - v2)))
 
 
+def _raised(alg, v) -> tuple:
+    """exp(v.R) vacuum in the algebra alg, as (numerator pairs, denominator)."""
+    raising = [alg.R(j) for j in range(1, alg.n + 1)]
+    return exp_combination_cleared(v, raising, *numerator_pairs(vacuum(alg.n).entries))
+
+
 def coherent_state(v) -> StateVector:
     """exp(v.R) applied to the vacuum, computed two ways and asserted equal:
-    by exp_combination_apply and in closed form."""
-    n = len(v)
-    alg = build_algebra(n)
-    raising = [alg.R(j) for j in range(1, n + 1)]
-    via_exp = StateVector(exp_combination_apply(v, raising, vacuum(n).entries))
+    by exp_combination_cleared and in closed form."""
+    via_exp = StateVector(exact_vector(*_raised(build_algebra(len(v)), v)))
     closed = coherent_closed_form(v)
     if via_exp != closed:
         raise AssertionError("exponential and closed-form coherent states differ")
@@ -118,26 +119,51 @@ def lambda_factor(state: StateVector):
     return (state.a - _I * state.b) * _HALF
 
 
+def _pair_dot(xs, ys) -> tuple:
+    """sum_k xs[k] ys[k] over numerator pairs, adding no zero."""
+    re = im = 0
+    for p, q in map(pair_product, xs, ys):
+        if p:
+            re = re + p if re else p
+        if q:
+            im = im + q if im else q
+    return re, im
+
+
+def _orbit_coordinates(pairs, den):
+    """recover_coordinates on a state given as numerator pairs over den."""
+    *spatial, (ar, ai), (br, bi) = pairs
+    lr, li = scale = (ar + bi, ai - br)  # a - i b = 2 lam, over den
+    if not (lr or li):
+        raise NotInOrbitError("a - i b vanishes: vector is not in the orbit")
+    v2r, v2i = _pair_dot(spatial, spatial)
+    if (-v2r, -v2i) != pair_product(scale, (ar - bi, ai + br)):
+        raise NotInOrbitError("quotient identity for the scale factor fails")
+    # b + i a = i (a - i b) = -li + i lr, so v0 / (b + i a) is
+    # v0 (-li - i lr) over lr^2 + li^2
+    norm = lr * lr + li * li
+    v = tuple(exact_value(*pair_product(x, (-li, -lr)), norm) for x in spatial)
+    # lam (c + i e) / f = (x + i y) / den, times 2 den f
+    for (x, y), entry in zip(pairs, coherent_closed_form(v).entries):
+        c, e, f = _numerators(entry)
+        if pair_product(scale, (c, e)) != (2 * f * x, 2 * f * y):
+            raise NotInOrbitError("vector is not a scaled coherent state")
+    return v, exact_value(lr, li, 2 * den)
+
+
 def recover_coordinates(state: StateVector):
     """Invert s = lam * (2i v, 1 + v.v, i(1 - v.v)) to (v, lam) for a state
     of exact numbers.
 
-    The quotient form of lam is asserted through its cleared-denominator
-    identity, and the reconstruction is verified against the closed form;
-    anything off the orbit raises NotInOrbitError. The spatial part divides
-    by b + i a = 2i lam, which is nonzero once lam is.
+    The entries are cleared to Gaussian-integer numerators over one
+    denominator, and both orbit checks run as identities between them:
+    lam = -(1/2) v0.v0 / (a + i b) as -(v0.v0) = (a - i b)(a + i b), and
+    the reconstruction lam * coherent_closed_form(v) = s cross-multiplied.
+    Anything off the orbit raises NotInOrbitError. The spatial part divides
+    by b + i a = i (a - i b), which is nonzero once lam is; only v and lam
+    are made into exact values.
     """
-    lam = lambda_factor(state)
-    if not lam:
-        raise NotInOrbitError("a - i b vanishes: vector is not in the orbit")
-    # cleared form of lam = -(1/2) v0.v0 / (a + i b)
-    if -_HALF * dot(state.v0, state.v0) != lam * (state.a + _I * state.b):
-        raise NotInOrbitError("quotient identity for the scale factor fails")
-    denom = state.b + _I * state.a
-    v = tuple(c / denom for c in state.v0)
-    if StateVector(tuple(lam * e for e in coherent_closed_form(v).entries)) != state:
-        raise NotInOrbitError("vector is not a scaled coherent state")
-    return v, lam
+    return _orbit_coordinates(*numerator_pairs(state.entries))
 
 
 def leibniz_base(n: int) -> MultiPoly:
@@ -149,23 +175,36 @@ def leibniz_base(n: int) -> MultiPoly:
 
 
 def leibniz_base_value(w, v):
-    """1 - 2 w.v + (w.w)(v.v) at tuples of exact numbers or polynomials."""
-    wc = [_coerce_entry(c) for c in w]
-    vc = [_coerce_entry(c) for c in v]
-    return 1 - 2 * dot(wc, vc) + dot(wc, wc) * dot(vc, vc)
+    """1 - 2 w.v + (w.w)(v.v) at tuples of exact numbers or polynomials.
+
+    With w = W/dw and v = V/dv in numerator pairs and d = dw dv, the value
+    is d^2 - 2 d W.V + (W.W)(V.V) over d^2, made into one exact value.
+    """
+    (wp, dw), (vp, dv) = numerator_pairs(w), numerator_pairs(v)
+    d = dw * dv
+    wv = _pair_dot(wp, vp)
+    re, im = pair_product(_pair_dot(wp, wp), _pair_dot(vp, vp))
+    return exact_value(d * d - 2 * d * wv[0] + re, im - 2 * d * wv[1], d * d)
+
+
+def _moved(w, v, q) -> tuple:
+    """moved_vacuum(w, v, q) as (numerator pairs, denominator)."""
+    alg = build_algebra(len(w))
+    moved = _raised(alg, v)
+    if q is not alg.identity:  # the identity changes nothing
+        moved = cleared_apply(q, *moved)
+    lowering = [alg.L(j) for j in range(1, alg.n + 1)]
+    return exp_combination_cleared(w, lowering, *moved)
 
 
 def moved_vacuum(w, v, q) -> StateVector:
     """exp(w.L) q exp(v.R) vacuum, the coherent matrix element of an
     (n+2)-square matrix q between spatial tuples w and v of exact numbers or
-    polynomials, each exponential by exp_combination_apply.
+    polynomials, each exponential by exp_combination_cleared. q acts on the
+    raised numerator pairs, which go straight to the lowering; the entries
+    are made into exact values once, at the end.
     """
-    n = len(w)
-    alg = build_algebra(n)
-    ladder = range(1, n + 1)
-    raised = exp_combination_apply(v, [alg.R(j) for j in ladder], vacuum(n).entries)
-    moved = q.apply(raised)
-    return StateVector(exp_combination_apply(w, [alg.L(j) for j in ladder], moved))
+    return StateVector(exact_vector(*_moved(w, v, q)))
 
 
 def leibniz_from_matrices(w, v):
@@ -173,19 +212,20 @@ def leibniz_from_matrices(w, v):
 
     Reads the scale factor off exp(w.L) exp(v.R) vacuum and asserts it
     equals 1 - 2 w.v + (w.w)(v.v). Works on exact numbers and on symbolic
-    components alike.
+    components alike. The scale factor and, at exact points where it is
+    nonzero, the orbit checks of recover_coordinates are read off the
+    moved vacuum's numerator pairs.
     """
     n = len(w)
     if len(v) != n:
         raise ValueError("w and v must have the same length")
-    identity = build_algebra(n).identity
-    state = moved_vacuum(w, v, identity)
-    symbolic = any(isinstance(c, MultiPoly) for c in (*w, *v))
-    lam = lambda_factor(state)
-    if not symbolic and lam:
+    pairs, den = _moved(w, v, build_algebra(n).identity)
+    (ar, ai), (br, bi) = pairs[-2:]
+    lam = exact_value(ar + bi, ai - br, 2 * den)
+    if lam and not any(isinstance(c, MultiPoly) for c in (*w, *v)):
         # on the invertible part of the orbit the state must pass the
         # recovery's orbit checks
-        recover_coordinates(state)
+        _orbit_coordinates(pairs, den)
     if lam != leibniz_base_value(w, v):
         raise AssertionError("matrix pipeline disagrees with the closed form")
     return lam

@@ -258,6 +258,10 @@ TABLE_DIGESTS = {
     ("coherent --n 3 --v symbolic", "text"): "608f15e8b27d1a528f3ec69218f95b2239d562fd989cce1d8251ffc4843cfc5f",
     ("coherent --n 3 --v symbolic", "json"): "a52411f7839d44a6176016f20c89224fa035ed6131d32bfbf586ca69017e6b73",
     ("coherent --n 3 --v symbolic", "csv"): "6210ab326028e5737d2e2377e8bfc2c642901c7f0bfacdc30fb49366296a4998",
+    # the three suites that pair coherent states at exact points, at n = 4
+    # with two-digit denominators; recorded at e76e927
+    ("verify --coherent --observables --berezin --n 4 --height 97 --seed 11", "text"): "0c060b33534b0210ed783440f78be998a5da1daf7800e989d5dd2e9589931fbc",
+    ("verify --coherent --observables --berezin --n 4 --height 97 --seed 11", "json"): "91675df3a6eb9f9d7e554e8bc0897e52732ccd0a2fd7502084fdd17a1e96f465",
 }
 
 
@@ -343,10 +347,10 @@ def test_singular_input_exit_code(capsys):
 def test_a_generator_that_is_not_nilpotent_is_a_verification_failure(
     capsys, monkeypatch, argv
 ):
-    def refuse(coeffs, generators, vector):
+    def refuse(coeffs, generators, pairs, denominator):
         raise matrices.NotNilpotentError("matrix is not nilpotent")
 
-    monkeypatch.setattr(states, "exp_combination_apply", refuse)
+    monkeypatch.setattr(states, "exp_combination_cleared", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "verification failure: matrix is not nilpotent\n"

@@ -6,12 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 from socone.matrices import (
     DenseMatrix,
     NotNilpotentError,
+    cleared_apply,
     commutator,
     dot,
     exact_ldl,
+    exact_vector,
     exp_combination_apply,
     exp_nilpotent,
     is_positive_definite,
+    numerator_pairs,
 )
 from socone.algebra import build_algebra
 from socone.fock import build_combinatorial
@@ -329,6 +332,17 @@ def test_exp_combination_apply_matches_matrix_exponential(system):
 def test_exp_combination_apply_matches_on_series_entries(system):
     m, vector = system
     assert exp_combination_apply([1], [m], vector) == exp_nilpotent(m).apply(vector)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.integers(1, 4), st.data())
+def test_cleared_apply_matches_the_matrix_vector_product(size, data):
+    # numbers and polynomials, in the matrix and the vector alike
+    m = DenseMatrix([[data.draw(entries) for _ in range(size)] for _ in range(size)])
+    vector = [data.draw(entries) for _ in range(size)]
+    pairs, d = numerator_pairs(vector)
+    assert exact_vector(pairs, d) == tuple(vector)
+    assert exact_vector(*cleared_apply(m, pairs, d)) == m.apply(vector)
 
 
 # complex with both parts nonzero, so that every cross product of the

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socone.algebra import build_algebra
+from socone.matrices import DenseMatrix, dot, exp_nilpotent
 from socone.poly import MultiPoly, TAU
 from socone.scalars import gr
 from socone.states import (
@@ -97,8 +98,14 @@ def test_recover_coordinates_recovers_or_refuses_and_never_divides_by_zero(case)
     state, expected = case
     try:
         v, lam = recover_coordinates(state)
-    except NotInOrbitError:
+    except NotInOrbitError as exc:
         assert expected is None
+        # off the orbit with a - i b != 0 the quotient identity fails: it
+        # alone puts (v0, a, b) on the orbit
+        if state.a == gr(0, 1) * state.b:
+            assert str(exc) == "a - i b vanishes: vector is not in the orbit"
+        else:
+            assert str(exc) == "quotient identity for the scale factor fails"
         return
     assert lam * coherent_state(v) == state
     if expected is not None:
@@ -114,10 +121,34 @@ def test_state_vectors_compare_by_entries_and_are_unhashable():
 
 
 def test_recover_coordinates_errors():
-    with pytest.raises(NotInOrbitError):
+    with pytest.raises(NotInOrbitError, match="^a - i b vanishes"):
         recover_coordinates(StateVector((gr(1), gr(0), gr(0))))  # a - ib = 0 shape
-    with pytest.raises(NotInOrbitError):
+    with pytest.raises(NotInOrbitError, match="^quotient identity"):
         recover_coordinates(StateVector((gr(1), gr(1), gr(5))))
+
+
+def test_a_gaussian_coherent_point_round_trips_exactly():
+    # every real and imaginary part nonzero, denominators coprime
+    v = (gr(Fraction(2, 3), Fraction(-5, 7)), gr(Fraction(-1, 4), Fraction(3, 2)))
+    lam = gr(Fraction(3, 5), Fraction(-7, 2))
+    assert recover_coordinates(lam * coherent_state(v)) == (v, lam)
+
+
+def _base_by_dot(w, v):
+    return 1 - 2 * dot(w, v) + dot(w, w) * dot(v, v)
+
+
+def test_leibniz_base_value_is_the_dot_formula():
+    w = [gr(Fraction(2, 3), Fraction(-5, 7)), gr(Fraction(-1, 4), Fraction(3, 2))]
+    v = [gr(Fraction(7, 9), Fraction(1, 6)), gr(-3, Fraction(2, 5))]
+    assert leibniz_base_value(w, v) == _base_by_dot(w, v)
+    assert leibniz_base_value([1, 0], [0, 1]) == 2
+    # polynomials, alone and beside numbers, with complex coefficients
+    x, y = MultiPoly.var("w1"), MultiPoly.var("v1")
+    w = [gr(Fraction(1, 2), 1) * x + Fraction(1, 3), gr(0, 2)]
+    v = [y * y - gr(Fraction(3, 4), -1), gr(Fraction(-2, 5), 1) * y]
+    assert leibniz_base_value(w, v) == _base_by_dot(w, v)
+    assert leibniz_base_value(w[:1], v[:1]) == _base_by_dot(w[:1], v[:1])
 
 
 def test_leibniz_matrix_values():
@@ -149,8 +180,6 @@ def test_moved_vacuum_closed_form_n2():
     # exp(w.L) exp(v.R) vacuum, fully symbolic, against the closed vector
     n = 2
     alg = build_algebra(n)
-    from socone.matrices import DenseMatrix, exp_nilpotent
-
     w = [MultiPoly.var("w1"), MultiPoly.var("w2")]
     v = [MultiPoly.var("v1"), MultiPoly.var("v2")]
     lower = DenseMatrix.zeros(4)
@@ -170,22 +199,56 @@ def test_moved_vacuum_closed_form_n2():
     assert moved[3] == eye * (-2) * wv + eye * (1 - v2 + w2 * v2)
 
 
-def test_moved_vacuum_matches_the_matrix_exponentials(rng):
-    # exp(w.L) as a whole matrix, applied to the closed-form coherent state
-    from socone.matrices import DenseMatrix, exp_nilpotent
+def _moved_by_matrices(w, v, q):
+    # exp(w.L) as a whole matrix, applied to q times the closed-form state;
+    # w.L is the running sum zeros + w_j L_j
+    alg = build_algebra(len(w))
+    generator = DenseMatrix.zeros(len(w) + 2)
+    for j in range(1, len(w) + 1):
+        generator = generator + w[j - 1] * alg.L(j)
+    return StateVector(exp_nilpotent(generator).apply(q.apply(coherent_state(v).entries)))
 
+
+def test_moved_vacuum_matches_the_matrix_exponentials(rng):
     for n in (1, 2, 3):
-        alg = build_algebra(n)
+        identity = build_algebra(n).identity
         for _ in range(4):
             w = [rand_fraction(rng) for _ in range(n)]
             v = [rand_fraction(rng) for _ in range(n)]
-            # w.L as the running sum zeros + w_j L_j
-            generator = DenseMatrix.zeros(n + 2)
-            for j in range(1, n + 1):
-                generator = generator + w[j - 1] * alg.L(j)
-            lower = exp_nilpotent(generator)
-            expected = StateVector(lower.apply(coherent_state(v).entries))
-            assert moved_vacuum(w, v, alg.identity) == expected
+            assert moved_vacuum(w, v, identity) == _moved_by_matrices(w, v, identity)
+
+
+def test_moved_vacuum_with_a_gaussian_q():
+    # every real and imaginary part of w, v and q is nonzero
+    w = [gr(Fraction(1, 2), Fraction(2, 3)), gr(Fraction(-3, 5), Fraction(1, 4))]
+    v = [gr(Fraction(2, 7), Fraction(-1, 3)), gr(Fraction(5, 2), Fraction(3, 4))]
+    q = DenseMatrix(
+        [
+            [gr(Fraction(i + 2, j + 3), Fraction(-(j + 1), i + 2)) for j in range(4)]
+            for i in range(4)
+        ]
+    )
+    assert moved_vacuum(w, v, q) == _moved_by_matrices(w, v, q)
+
+
+@st.composite
+def moved_vacuum_cases(draw):
+    """(w, v, q) at n = 1..3 with Gaussian-rational parts, q square of size n + 2."""
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    scalar = st.builds(gr, part, part)
+    n = draw(st.integers(1, 3))
+    w = draw(st.lists(scalar, min_size=n, max_size=n))
+    v = draw(st.lists(scalar, min_size=n, max_size=n))
+    row = st.lists(scalar, min_size=n + 2, max_size=n + 2)
+    q = DenseMatrix(draw(st.lists(row, min_size=n + 2, max_size=n + 2)))
+    return w, v, q
+
+
+@settings(derandomize=True, max_examples=100)
+@given(moved_vacuum_cases())
+def test_moved_vacuum_with_any_q_matches_the_matrix_exponentials(case):
+    w, v, q = case
+    assert moved_vacuum(w, v, q) == _moved_by_matrices(w, v, q)
 
 
 def test_leibniz_series_coefficients():
