@@ -292,7 +292,7 @@ def cmd_basis_poly(args) -> int:
             # made one at a time as they are written, so one polynomial's
             # decoded terms are held at a time
             "polynomials": (
-                _basis_poly_json(lab, bp.poly.canonical_items())
+                _basis_poly_json(lab, list(bp.poly.canonical_items()))
                 for lab, bp in zip(labels, polys)
             ),
         })

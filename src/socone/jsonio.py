@@ -18,6 +18,7 @@ carries the values themselves.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii as _quote
 from types import GeneratorType
 
@@ -65,12 +66,13 @@ def state_to_json(state) -> list:
 
 class Terms:
     """A polynomial given by its canonical_items(), which dumps writes as
-    the polynomial: a payload that also prints the polynomial's text sorts
-    and decodes its terms once for both."""
+    the polynomial. items is read once, when it is written; a payload that
+    also prints the polynomial's text holds them in a list, so the terms
+    are sorted and decoded once for both."""
 
     __slots__ = ("items",)
 
-    def __init__(self, items: list):
+    def __init__(self, items: Iterable):
         self.items = items
 
 
@@ -157,12 +159,9 @@ def _write_exact(value, out: list, newline: str) -> None:
         out.append("[]")
 
 
-def _write_terms(items: list, out: list, newline: str) -> None:
+def _write_terms(items: Iterable, out: list, newline: str) -> None:
     """Write the reference tree of the polynomial with these
-    canonical_items() in place."""
-    if not items:
-        out.append("[]")
-        return
+    canonical_items(), any iterable of them, in place as they are read."""
     term = newline + "  "  # the level of each term's dict
     field = term + "  "  # the level of "exps" and "coeff"
     key = field + '  "'  # an exponent's key, at the level below
@@ -185,4 +184,4 @@ def _write_terms(items: list, out: list, newline: str) -> None:
             exps = "{}"
         out.append(sep + open_exps + exps + open_coeff + _coeff(coeff, field) + close)
         sep = "," + term
-    out.append(newline + "]")
+    out.append(newline + "]" if sep[0] == "," else "[]")

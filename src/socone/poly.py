@@ -12,13 +12,16 @@ equals the coefficient in the untruncated result. The weight parameter
 factors into polynomials in t.
 
 Coefficients are GaussianRational, so all arithmetic is exact. The
-truncated series (series_power, exp_series) are the one place that
-computes on plain Python ints instead: their shared kernel, _series,
-scales its operands to integer numerators, holds each power and the
-running sum as maps from words to ints (a real map and an imaginary one,
-empty for real coefficients) over one common denominator fixed before
-its loop, truncates with the same word test as mul_truncated, and makes
-one GaussianRational per output term at the end.
+truncated series (series_power, exp_series) compute on plain Python ints
+instead: their shared kernel, _series, scales its operands to integer
+numerators, holds each power and the running sum as maps from words to
+ints (a real map and an imaginary one, empty for real coefficients) over
+one common denominator fixed before its loop, truncates with the same
+word test as mul_truncated, and makes one GaussianRational per output
+term at the end. _mul_cleared is the same integer product for a
+truncated product of two large series, as in the basis generating
+function; mul_truncated stays the GaussianRational loop for the small
+products everywhere else.
 
 A monomial is one int, a packed exponent word (Monagan and Pearce, CASC
 2007): a 16-bit field per variable holds its exponent, and a 16-bit field
@@ -34,6 +37,7 @@ order in which names were first seen never reaches an output.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -90,9 +94,11 @@ class _Decoder:
         return tuple(zip(compress(self.names, exps), compress(exps, exps)))
 
     def grlex(self, word: int) -> tuple:
-        # graded lexicographic order: the larger key is the leading term
+        """(degree, exponents(), word): graded lexicographic order, the
+        larger key the leading term. Distinct words have distinct
+        exponents, so the word, carried for a sort, is never compared."""
         exps = self.exponents(word)
-        return sum(exps), exps
+        return sum(exps), exps, word
 
 
 _decoder = None  # the _Decoder of the current layout
@@ -516,13 +522,15 @@ class MultiPoly:
 
     # -- display -------------------------------------------------------------------
 
-    def canonical_items(self) -> list:
+    def canonical_items(self) -> Iterator:
         """(monomial, coefficient) pairs in graded lexicographic order,
         leading term first, each monomial as (name, exponent) pairs in
-        var_key order."""
+        var_key order. The terms are sorted on call, each word decoded once
+        in its sort key, and each pair is made only as it is read."""
         decoder, terms = _decoder, self.terms
-        rows = sorted(((decoder.grlex(m), m) for m in terms), reverse=True)
-        return [(decoder.monomial(exps), terms[m]) for (_, exps), m in rows]
+        rows = sorted(map(decoder.grlex, terms), reverse=True)
+        monomial = decoder.monomial
+        return ((monomial(exps), terms[m]) for _, exps, m in rows)
 
     def __str__(self):
         return render_items(self.canonical_items())
@@ -538,12 +546,11 @@ _new = object.__new__
 _set_terms = MultiPoly.terms.__set__
 
 
-def render_items(items: list, latex: bool = False) -> str:
-    """The printed form of a polynomial from its canonical_items(): terms
-    in canonical order, a ±1 coefficient left out before variables, and a
-    coefficient with nonzero real and imaginary parts in parentheses."""
-    if not items:
-        return "0"
+def render_items(items: Iterable, latex: bool = False) -> str:
+    """The printed form of a polynomial from its canonical_items(), any
+    iterable of them, read once: terms in canonical order, a ±1 coefficient
+    left out before variables, and a coefficient with nonzero real and
+    imaginary parts in parentheses."""
     if latex:
         sep, power = r" \, ", "{}^{{{}}}"
     else:
@@ -579,7 +586,7 @@ def render_items(items: list, latex: bool = False) -> str:
         elif negative:
             out.append("-")
         out.append(body)
-    return "".join(out)
+    return "".join(out) if out else "0"
 
 
 def _latex_name(name: str) -> str:
@@ -770,13 +777,27 @@ def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> Mul
         weight //= m * unit
         scaled = tuple({w: c * weight for w, c in part.items()} for part in poch)
         _add_product(acc, scaled, power, offsets)
-    re, im = acc
+    return _from_numerators(*acc, denominator)
+
+
+def _mul_cleared(left: MultiPoly, right: MultiPoly, bounds: dict) -> MultiPoly:
+    """left.mul_truncated(right, bounds) by _product on integer numerators.
+    It pays on large series; on a few terms mul_truncated is faster."""
+    l_re, l_im, dl = _numerators(left)
+    r_re, r_im, dr = _numerators(right)
+    re, im = _product((l_re, l_im), (r_re, r_im), _offsets(bounds))
+    return _from_numerators(re, im, dl * dr)
+
+
+def _from_numerators(re: dict, im: dict, d: int) -> MultiPoly:
+    """The MultiPoly (re + i im) / d, one reduced coefficient per nonzero
+    term; im is emptied of the words of re."""
     terms = {}
     for w, c in re.items():
         b = im.pop(w, 0)
         if c or b:
-            terms[w] = _reduced(c, b, denominator)
+            terms[w] = _reduced(c, b, d)
     for w, b in im.items():
         if b:
-            terms[w] = _reduced(0, b, denominator)
+            terms[w] = _reduced(0, b, d)
     return _make(terms)

@@ -28,7 +28,7 @@ from .fock import (
     vacuum_vector,
 )
 from .matrices import _coerce_entry, dot, exp_combination_apply
-from .poly import MultiPoly, exp_series, series_power, weight_exponent
+from .poly import MultiPoly, _mul_cleared, exp_series, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
@@ -277,10 +277,10 @@ def basis_polynomials(
     q = 1 + 2 * v[0] + v2
     inv_q = series_power(q, Fraction(-1), kmax)
     numerator = x[0] * (v[0] + v2) + _I * (dot(x, v) - x[0] * v[0])
-    exponent_arg = numerator.mul_truncated(inv_q, {"v": kmax})
+    exponent_arg = _mul_cleared(numerator, inv_q, {"v": kmax})
     exp_part = exp_series(exponent_arg, kmax)
     weight_part = series_power(q, weight_exponent(tau), kmax)
-    gf = exp_part.mul_truncated(weight_part, {"v": kmax})
+    gf = _mul_cleared(exp_part, weight_part, {"v": kmax})
     buckets = gf.split_index("v", n)
     return [
         BasisPolynomial(k, mi_factorial(k) * buckets.get(k, MultiPoly.zero()))

@@ -166,3 +166,18 @@ def printed_polys():
     names = st.sampled_from(["t", "v1", "w2", "x1", "z3"])
     monos = st.lists(st.tuples(names, st.integers(0, 3)), max_size=3).map(tuple)
     return st.dictionaries(monos, coeffs, max_size=5).map(MultiPoly)
+
+
+def first_order_basis(n):
+    """(got, want): the degree-one basis polynomials p_{e_1}, ..., p_{e_n}
+    and their closed forms p_{e_1} = x1 - t and p_{e_j} = i x_j for j >= 2,
+    which carry the sign of i in the basis generating function."""
+    from socone.poly import MultiPoly
+    from socone.scalars import gr
+    from socone.spectral import basis_polynomials
+
+    polys = {bp.index: bp.poly for bp in basis_polynomials(n, 1)}
+    got = [polys[tuple(int(i == j) for i in range(n))] for j in range(n)]
+    x = [MultiPoly.var(f"x{j}") for j in range(1, n + 1)]
+    want = [x[0] - MultiPoly.var("t")] + [gr(0, 1) * xj for xj in x[1:]]
+    return got, want

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from socone.algebra import build_algebra
 from socone.jsonio import (
     Terms,
+    _write_terms,
     dumps,
     gaussian_to_json,
     matrix_to_json,
@@ -15,7 +16,7 @@ from socone.jsonio import (
     state_to_json,
 )
 from socone.matrices import DenseMatrix
-from socone.poly import MultiPoly, TAU
+from socone.poly import MultiPoly, TAU, render_items
 from socone.scalars import gr
 from socone.states import coherent_state
 
@@ -142,6 +143,36 @@ def test_a_constant_is_written_in_the_polynomial_form(c):
     if not c.im:
         # a numeric Gram cell is printed as its rational
         assert str(c.as_fraction()) == str(poly)
+
+
+@pytest.mark.parametrize(
+    "poly, text, latex, tree",
+    [
+        (MultiPoly.zero(), "0", "0", []),
+        (
+            MultiPoly.const(Fraction(-3, 2)),
+            "-3/2",
+            "-3/2",
+            [{"exps": {}, "coeff": {"re": "-3/2", "im": "0"}}],
+        ),
+        (
+            MultiPoly.var("x1"),
+            "x1",
+            "x_{1}",
+            [{"exps": {"x1": 1}, "coeff": {"re": "1", "im": "0"}}],
+        ),
+    ],
+)
+def test_the_smallest_polynomials_in_every_form(poly, text, latex, tree):
+    encoded = json.dumps(tree, indent=2)
+    assert (str(poly), poly.latex(), dumps(poly)) == (text, latex, encoded)
+    # the writers read the terms once, from any iterator, the empty one too
+    assert render_items(iter(list(poly.canonical_items()))) == text
+    assert render_items(iter(list(poly.canonical_items())), latex=True) == latex
+    out = []
+    _write_terms(iter(list(poly.canonical_items())), out, "\n")
+    assert "".join(out) == encoded
+    assert dumps(Terms(iter(list(poly.canonical_items())))) == encoded
 
 
 # -- exact values written in place by dumps ---------------------------------------

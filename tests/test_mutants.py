@@ -1,5 +1,6 @@
 """Source mutants applied by monkeypatch: each must turn report rows into
-FAIL rows, not abort the suite with an exception."""
+FAIL rows, not abort the suite with an exception, or, where no report row
+can see it, fail a tier-1 oracle."""
 
 from types import MappingProxyType
 
@@ -11,8 +12,10 @@ from socone.berezin import wick_recipe_check
 from socone.cli import main
 from socone.fock import FockMatrix, verify_hat_relations
 from socone.scalars import gr
-from socone.spectral import roundtrip_check
+from socone.spectral import roundtrip_check, vacuum_orthogonality_check
 from socone.states import StateVector, coherent_suite
+
+from conftest import first_order_basis
 
 
 def test_a_wrong_inverse_coordinate_change_fails_the_round_trip_rows(monkeypatch):
@@ -50,6 +53,20 @@ def test_a_wrong_pairing_base_at_w_zero_fails_the_closed_form_row(monkeypatch):
         ),
         "pairing at w = 0 is 1": "no point compared",
     }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_flipped_i_in_the_basis_generating_function_fails_the_closed_forms(
+    monkeypatch, n
+):
+    # basis_polynomials is the one reader of spectral's i that runs here, so
+    # this is the numerator x1 (v1 + v.v) - i (x.v - x1 v1); the vacuum
+    # orthogonality row, which reads the basis at n >= 2, still passes
+    monkeypatch.setattr(spectral, "_I", -spectral._I)
+    assert vacuum_orthogonality_check(n, 2).all_passed
+    got, want = first_order_basis(n)
+    assert got[0] == want[0]
+    assert got[1:] == [-p for p in want[1:]]
 
 
 def test_an_off_orbit_coherent_closed_form_fails_rows_without_aborting(

@@ -3,9 +3,9 @@ from math import factorial
 
 import pytest
 
-from socone.fock import gram_matrix, multi_indices, positivity_probe
+from socone.fock import gram_matrix, mi_factorial, multi_indices, positivity_probe
 from socone.matrices import is_positive_definite
-from socone.poly import MultiPoly, TAU
+from socone.poly import MultiPoly, TAU, exp_series, series_power, weight_exponent
 from socone.scalars import gr
 from socone import spectral
 from socone.spectral import (
@@ -29,6 +29,7 @@ from socone.states import vacuum
 
 from conftest import (
     dense_table,
+    first_order_basis,
     gram_entry,
     leading_minors_positive,
     poch,
@@ -270,6 +271,44 @@ def test_basis_polynomials_n2_degrees():
     for bp in polys:
         assert max(bp.poly.degrees("x")) <= sum(bp.index)
     assert polys[0].poly == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_order_basis_polynomials_are_their_closed_forms(n):
+    got, want = first_order_basis(n)
+    assert got == want
+
+
+def reference_basis_polynomials(n, kmax, tau=None):
+    """basis_polynomials as it was formed before its integer products: the
+    same generating function, with both products through mul_truncated."""
+    v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
+    x = [MultiPoly.var(f"x{j}") for j in range(1, n + 1)]
+    v2 = sum((a * a for a in v), MultiPoly.zero())
+    xv = sum((a * b for a, b in zip(x, v)), MultiPoly.zero())
+    q = 1 + 2 * v[0] + v2
+    inv_q = series_power(q, Fraction(-1), kmax)
+    numerator = x[0] * (v[0] + v2) + gr(0, 1) * (xv - x[0] * v[0])
+    exp_part = exp_series(numerator.mul_truncated(inv_q, {"v": kmax}), kmax)
+    weight_part = series_power(q, weight_exponent(tau), kmax)
+    gf = exp_part.mul_truncated(weight_part, {"v": kmax})
+    buckets = gf.split_index("v", n)
+    return {
+        k: mi_factorial(k) * buckets.get(k, MultiPoly.zero())
+        for k in multi_indices(n, kmax)
+    }
+
+
+@pytest.mark.parametrize(
+    "n, kmax, tau",
+    [(1, 16, None), (2, 6, None), (3, 5, None), (2, 5, Fraction(-1, 2))],
+)
+def test_basis_polynomials_match_the_mul_truncated_route(n, kmax, tau):
+    got = {bp.index: bp.poly for bp in basis_polynomials(n, kmax, tau)}
+    assert got == reference_basis_polynomials(n, kmax, tau)
+    # from n = 2 on the integer products meet imaginary parts
+    complex_coeffs = any(c.im for p in got.values() for c in p.terms.values())
+    assert complex_coeffs == (n > 1)
 
 
 def test_vacuum_orthogonality_symbolic():
