@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import factorial, gcd, inf, nextafter
+from math import factorial, inf, lcm, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
@@ -59,6 +59,8 @@ def _space(n: int, degree_bound: int) -> tuple:
     the position of each state, and ends[d], the offset of the degree-d
     block for d = 0..D+1 (ends[D+1] is the size). Built once per (n, D)
     and shared by every operator on the space and by multi_indices."""
+    if n < 1:
+        raise ValueError("spatial dimension must be at least 1")
     basis = []
     for total in range(degree_bound + 1):
         block = []
@@ -88,7 +90,10 @@ class FockMatrix(SparseMatrix):
     positions in the shared basis of the space.
     """
 
-    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "_columns")
+    # _columns (apply) and _t_rows (eval_at) are built on first use and kept
+    __slots__ = (
+        "n", "degree_bound", "basis", "index", "entries", "_columns", "_t_rows"
+    )
 
     def __init__(self, n, degree_bound, entries=None):
         basis, index, _ = _space(n, degree_bound)
@@ -150,29 +155,59 @@ class FockMatrix(SparseMatrix):
         """The nonzero values of the entries at an exact weight, an int or a
         Fraction (anything else raises TypeError), as {(row, col): Fraction}.
 
-        Each entry is a polynomial in t alone; its t-coefficients are summed
-        against the powers of the weight, computed once per matrix, in
-        integers over a common denominator that is reduced once per entry.
+        Each entry must be a polynomial in t alone (ValueError otherwise).
+        The first call clears the t-coefficients of each distinct entry to
+        integers c_top..c_0 over one denominator d (_cleared_t_rows) and
+        keeps them on the matrix, which is immutable. At tau = p/q an entry
+        is then sum_e c_e p^e q^(top - e) / (d q^top): one integer Horner
+        pass per distinct entry, and one Fraction for each that does not
+        vanish, shared by the positions that hold the entry.
         """
         # the two-argument form takes exact rationals only, not a float
         tau = Fraction(tau, 1)
-        out = {}
-        # (numerator, denominator) of tau^e
-        powers = [(1, 1)]
-        for pos, poly in self.entries.items():
-            num, den = 0, 1
-            for e, coeff in poly.powers_of(TAU_NAME):
-                while len(powers) <= e:
-                    p, q = powers[-1]
-                    powers.append((p * tau.numerator, q * tau.denominator))
-                a, d = coeff.as_integer_ratio()
-                p, q = powers[e]
-                a, d = a * p, d * q
-                g = gcd(den, d)
-                num, den = num * (d // g) + a * (den // g), den // g * d
-            if num:
-                out[pos] = Fraction(num, den)
-        return out
+        cleared = getattr(self, "_t_rows", None)
+        if cleared is None:
+            cleared = _cleared_t_rows(self.entries)
+            object.__setattr__(self, "_t_rows", cleared)
+        rows, positions = cleared
+        p, q = tau.numerator, tau.denominator
+        # q_powers[e] = q^e up to the largest degree in t
+        q_powers = [1]
+        for _ in range(max((len(c) for c, _ in rows), default=1) - 1):
+            q_powers.append(q_powers[-1] * q)
+        values = []
+        for coeffs, den in rows:
+            acc = 0
+            for c, qe in zip(coeffs, q_powers):
+                acc = acc * p + c * qe
+            top = len(coeffs) - 1
+            values.append(Fraction(acc, den * q_powers[top]) if acc else None)
+        return {pos: v for pos, k in positions if (v := values[k]) is not None}
+
+
+def _cleared_t_rows(entries) -> tuple:
+    """(rows, positions) of entries that are polynomials in t alone with
+    real coefficients: rows holds ((c_top, ..., c_0), d) once for each
+    distinct entry, which is sum_e c_e t^e / d with d the lcm of its
+    coefficients' denominators, and positions pairs each position, in
+    entry order, with its row. A table holds few distinct polynomials:
+    the Gram table at (4, 4) has 23 among its 292 entries."""
+    rows, positions, seen = [], [], {}
+    for pos, entry in entries.items():
+        entry = MultiPoly.coerce(entry)
+        # equal keys are equal entries; equal entries may differ in key
+        key = tuple(entry.terms.items())
+        k = seen.get(key)
+        if k is None:
+            k = seen[key] = len(rows)
+            ratios = [(e, c.as_integer_ratio()) for e, c in entry.powers_of(TAU_NAME)]
+            den = lcm(*(d for _, (_, d) in ratios))
+            coeffs = [0] * (max(e for e, _ in ratios) + 1)
+            for e, (a, d) in ratios:
+                coeffs[-1 - e] = a * (den // d)
+            rows.append((tuple(coeffs), den))
+        positions.append((pos, k))
+    return tuple(rows), tuple(positions)
 
 
 def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMatrix:
@@ -223,6 +258,7 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     """
     if degree_bound < 2:
         raise ValueError("need truncation degree at least 2")
+    identity = FockMatrix.identity(n, degree_bound)
     raising = tuple(
         build_combinatorial(n, degree_bound, "raise", j) for j in range(1, n + 1)
     )
@@ -231,7 +267,6 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     )
     number = dot(raising, lowering)
     vsq = dot(lowering, lowering)
-    identity = FockMatrix.identity(n, degree_bound)
     rho0 = TAU * identity + 2 * number
 
     def ladder(j):
@@ -337,9 +372,9 @@ def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
+    basis, index, _ = _space(n, degree_bound)
     # uncached: the table is kept per key, its generating series is not
     series = series_power(leibniz_base(n), weight_exponent(None), degree_bound)
-    basis, index, _ = _space(n, degree_bound)
     entries = {}
     for k, cofactor in series.split_index("w", n).items():
         for m, poly in cofactor.split_index("v", n).items():

@@ -350,7 +350,7 @@ def exp_combination_apply(coeffs, matrices, vector) -> tuple:
 
 
 def exact_ldl(matrix):
-    """Exact LDL pivots of a symmetric matrix of Fractions.
+    """Exact LDL pivots of a symmetric matrix of ints or Fractions.
 
     Uses symmetric pivoting on the diagonal: each step takes the first
     nonzero diagonal entry of the remainder. Returns (pivots, completed):
@@ -363,17 +363,18 @@ def exact_ldl(matrix):
     each step an entry of the remainder is the minor bordering the pivots
     eliminated so far, so the update divides exactly by the previous pivot
     minor prev. The Schur complement entry is that minor over prev * L.
+    Entries are read through their numerator and denominator, never
+    re-wrapped, and symmetry is checked on the scaled integers.
     """
-    a = [list(map(Fraction, row)) for row in matrix]
-    size = len(a)
-    if any(len(row) != size for row in a):
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    b = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
     for i in range(size):
         for j in range(i):
-            if a[i][j] != a[j][i]:
+            if b[i][j] != b[j][i]:
                 raise ValueError("matrix must be symmetric")
-    scale = lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (scale // x.denominator) for x in row] for row in a]
     remaining = list(range(size))
     pivots = []
     prev = 1
@@ -400,7 +401,7 @@ def exact_ldl(matrix):
 
 
 def is_positive_definite(matrix) -> tuple:
-    """Exact positive-definiteness verdict and pivot list for Fractions."""
+    """Exact positive-definiteness verdict and pivot list for ints or Fractions."""
     pivots, completed = exact_ldl(matrix)
     verdict = completed and len(pivots) == len(matrix) and all(p > 0 for p in pivots)
     return verdict, pivots

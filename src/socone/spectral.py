@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import sub
+from types import MappingProxyType
 
 from .algebra import build_observables
 from .fock import (
@@ -28,7 +29,14 @@ from .fock import (
     vacuum_vector,
 )
 from .matrices import _coerce_entry, dot, exp_combination_apply
-from .poly import MultiPoly, _mul_cleared, exp_series, series_power, weight_exponent
+from .poly import (
+    MultiPoly,
+    _mul_cleared,
+    _pack,
+    exp_series,
+    series_power,
+    weight_exponent,
+)
 from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
@@ -167,6 +175,8 @@ def roundtrip_check(n: int, count: int, seed: int, height: int = 5) -> Report:
 
 def spectral_transform(n: int, truncation: int, tau: Fraction | None = None):
     """Series of ((1-z1)^2 - sum z_k^2) ** (-tau/2) in the z variables."""
+    if n < 1:
+        raise ValueError("spatial dimension must be at least 1")
     return series_power(h2_value(_symbolic_z(n)), weight_exponent(tau), truncation)
 
 
@@ -234,23 +244,52 @@ def moments(
     return MomentTable(n, max_degree, tau, entries)
 
 
+@cache
+def _moment_cells(n: int, degree: int) -> tuple:
+    """(size, cells) of the moment matrix on the basis states of degree at
+    most `degree`: size is their number, and cells maps the word of z^s in
+    the transform's terms, for each s = k + m, to s! and the positions
+    (i, j) of the cells that hold E[x^s]. Every z^s of degree at most
+    2 * degree is some k + m. Nothing here depends on the weight, so the
+    map is built once per (n, degree)."""
+    basis = multi_indices(n, degree)
+    positions = {}
+    for i, k in enumerate(basis):
+        for j, m in enumerate(basis):
+            s = tuple(a + b for a, b in zip(k, m))
+            positions.setdefault(s, []).append((i, j))
+    names = [f"z{j}" for j in range(1, n + 1)]
+    cells = {
+        _pack(zip(names, s)): (mi_factorial(s), tuple(at))
+        for s, at in positions.items()
+    }
+    return len(basis), MappingProxyType(cells)
+
+
 def moment_positivity_probe(n: int, tau: Fraction, degree: int) -> PositivityProbe:
     """Exact LDL of the moment matrix M[k][m] = E[x^(k+m)] at an exact
     weight, one per component of its nonzero values, every pivot labeled 0.
 
+    The transform is expanded at the weight, and each moment
+    E[x^s] = s! [z^s] is read off its terms as one Fraction into the cells
+    that hold it (_moment_cells). A term that is not z^s for a moment, as
+    one in t would be, or a complex coefficient raises ValueError.
     An empirical probe of one weight, not a positivity proof.
     """
     # the two-argument form takes exact rationals only, not a float
-    table = moments(n, 2 * degree, tau=Fraction(tau, 1), check_hat=False)
-    nonzero = {k: v.as_gaussian().as_fraction() for k, v in table.entries.items() if v}
-    basis = multi_indices(n, degree)
-    values = {
-        (i, j): nonzero[s]
-        for i, k in enumerate(basis)
-        for j, m in enumerate(basis)
-        if (s := tuple(a + b for a, b in zip(k, m))) in nonzero
-    }
-    return probe_components(values, [0] * len(basis))
+    series = spectral_transform(n, 2 * degree, Fraction(tau, 1))
+    size, cells = _moment_cells(n, degree)
+    values = {}
+    for word, coeff in series.terms.items():
+        cell = cells.get(word)
+        if cell is None:
+            raise ValueError("the transform has a term that is not a moment")
+        scale, at = cell
+        a, d = coeff.as_integer_ratio()
+        value = Fraction(a * scale, d)
+        for pos in at:
+            values[pos] = value
+    return probe_components(values, [0] * size)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,12 @@ from socone.fock import (
     verify_hat_relations,
 )
 from socone.matrices import commutator
-from socone.spectral import moment_positivity_probe, moments, orthogonality_check
+from socone.spectral import (
+    moment_positivity_probe,
+    moments,
+    orthogonality_check,
+    spectral_transform,
+)
 from socone.poly import MultiPoly, TAU
 from socone.report import CheckResult
 from socone.scalars import gr
@@ -451,6 +456,100 @@ def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
         assert values == want
         assert all(type(x) is Fraction and x for x in values.values())
 
+
+
+def test_eval_at_matches_substitution_on_hand_built_tables():
+    # rational, negative and constant t-coefficients; an int, a scalar and
+    # a polynomial entry; (3t - 2)(t + 1) vanishes at t = 2/3
+    t = TAU
+    entries = {
+        (0, 0): MultiPoly.const(1),
+        (0, 1): Fraction(-7, 3) * t**3 + Fraction(5, 2) * t - 4,
+        (1, 0): Fraction(-7, 3) * t**3 + Fraction(5, 2) * t - 4,
+        (1, 1): (3 * t - 2) * (t + 1),
+        (1, 2): gr(Fraction(-9, 97)),
+        (2, 1): -t**5 + Fraction(1, 101) * t**2,
+        (2, 2): 6,
+        (0, 2): Fraction(12, 5) * t,
+    }
+    table = FockMatrix(2, 1, entries)
+    weights = [
+        0, -1, -3, 7, Fraction(2, 3), Fraction(-5, 2), Fraction(96, 97),
+        Fraction(-200, 101), Fraction(1, 997),
+    ]
+    for tau in weights:
+        want = {}
+        for pos, entry in table.entries.items():
+            x = MultiPoly.coerce(entry).subs({"t": tau}).as_gaussian().as_fraction()
+            if x:
+                want[pos] = x
+        got = table.eval_at(tau)
+        assert got == want
+        assert all(type(x) is Fraction for x in got.values())
+        # a repeated call reads the same cleared rows to the same values
+        assert table.eval_at(tau) == got
+    assert (1, 1) not in table.eval_at(Fraction(2, 3))
+    assert table.eval_at(Fraction(2, 3))[0, 0] == 1
+
+
+def test_eval_at_refuses_a_table_in_another_variable():
+    table = FockMatrix(1, 1, {(0, 0): TAU + 1, (1, 1): TAU * MultiPoly.var("z1")})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not a polynomial in t alone"):
+            table.eval_at(Fraction(1, 2))
+    complex_table = FockMatrix(1, 1, {(0, 0): gr(1, 1) * TAU})
+    with pytest.raises(ValueError, match="imaginary"):
+        complex_table.eval_at(1)
+
+
+def components_of(matrix):
+    """The connected components of the nonzero pattern of a square nested
+    list, each as its sorted rows, listed by first row."""
+    seen, out = set(), []
+    for start in range(len(matrix)):
+        if start in seen:
+            continue
+        rows, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            for j, x in enumerate(matrix[i]):
+                if (x or matrix[j][i]) and j not in rows:
+                    rows.add(j)
+                    todo.append(j)
+        seen |= rows
+        out.append(sorted(rows))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moment_probe_blocks_match_the_moment_table(n):
+    # the probe reads its moments off the transform's terms; the table route
+    # goes through moments() and its multi-index split
+    d = PROBE_MOMENT_DEGREE[n]
+    boundary = max(n - 2, 0)
+    offsets = (-3, -1, Fraction(-1, 997), 0, Fraction(1, 101), Fraction(350, 113))
+    for tau in [boundary + x for x in offsets] + [Fraction(-250, 997)]:
+        matrix = moment_matrix(n, d, tau)
+        probe = moment_positivity_probe(n, tau, d)
+        assert probe.blocks == submatrices(matrix, components_of(matrix))
+        unsplit = fock.probe_components(as_values(matrix), [0] * len(matrix))
+        assert probe == unsplit
+
+
+def test_entry_points_refuse_a_dimension_below_one():
+    calls = [
+        lambda: positivity_probe(0, 3, 1),
+        lambda: positivity_probe(-1, 3, 1),
+        lambda: moment_positivity_probe(0, 1, 2),
+        lambda: moments(0, 2),
+        lambda: spectral_transform(0, 2),
+        lambda: build_hat(0, 3),
+        lambda: gram_matrix(0, 3),
+        lambda: multi_indices(-2, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^spatial dimension must be at least 1$"):
+            call()
 
 
 def test_weights_are_exact_ints_or_fractions():

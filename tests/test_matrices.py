@@ -210,6 +210,9 @@ def test_exact_ldl_matches_the_fraction_elimination(m):
         ([[1, 2], [3]], "matrix must be square"),
         ([[1, 2], [3, 4]], "matrix must be symmetric"),
         ([[0, Fraction(1, 2)], [Fraction(1, 3), 0]], "matrix must be symmetric"),
+        # equal numerators over different denominators, an int among them
+        ([[0, Fraction(1, 2)], [Fraction(1, 4), 0]], "matrix must be symmetric"),
+        ([[0, 1], [Fraction(1, 2), 0]], "matrix must be symmetric"),
     ],
 )
 def test_exact_ldl_rejects_non_square_and_non_symmetric(matrix, message):
@@ -224,6 +227,19 @@ def test_exact_ldl_pivot_cases():
     assert completed and pivots == [Fraction(-1, 2), 4, 0]
     # nonzero remainder with an all-zero diagonal: stop without completing
     assert exact_ldl([[1, 1, 0], [1, 1, 1], [0, 1, 0]]) == ([1], False)
+    # an int and an equal Fraction are symmetric partners; every pivot is a
+    # Fraction, also where all entries are ints
+    mixed = [
+        [2, Fraction(1, 2), 3],
+        [Fraction(1, 2), Fraction(5, 3), 0],
+        [Fraction(3), 0, 7],
+    ]
+    pivots, completed = exact_ldl(mixed)
+    assert (pivots, completed) == textbook_ldl(mixed)
+    assert all(type(p) is Fraction for p in pivots)
+    assert is_positive_definite(mixed) == (True, pivots)
+    pivots, _ = exact_ldl([[4, 2], [2, 3]])
+    assert pivots == [4, 2] and all(type(p) is Fraction for p in pivots)
 
 
 # -- kernel fast paths against the plain formulas ----------------------------------

@@ -181,6 +181,18 @@ def test_moment_probe_expands_the_transform_at_the_weight(monkeypatch):
     assert exponents == [Fraction(-1, 4)]
 
 
+@pytest.mark.parametrize(
+    "extra", [TAU * MultiPoly.var("z1"), gr(0, 1) * MultiPoly.var("z2")]
+)
+def test_moment_probe_refuses_a_non_constant_or_complex_moment(monkeypatch, extra):
+    real = spectral.spectral_transform
+    monkeypatch.setattr(
+        spectral, "spectral_transform", lambda n, d, tau=None: real(n, d, tau) + extra
+    )
+    with pytest.raises(ValueError):
+        moment_positivity_probe(2, Fraction(1, 2), 2)
+
+
 def test_moment_hat_consistency():
     assert moment_consistency_check(1, 6).all_passed
     assert moment_consistency_check(2, 4).all_passed
