@@ -153,7 +153,7 @@ def build_observables(n: int) -> list:
     """The family X_1..X_n as a new list, built once per n.
 
     Nothing is asserted on build: verify_observables reports whether the
-    X_j commute and cube to zero, and exp_combination_apply raises
+    X_j commute and cube to zero, and exp_zX_vacuum raises
     NotNilpotentError rather than truncate an exponential of them.
     """
     return list(_observables(n))

@@ -22,7 +22,6 @@ from .fock import (
 from .matrices import dot
 from .poly import MultiPoly, TAU
 from .report import CheckResult, Report
-from .scalars import GaussianRational
 from .states import (
     lambda_factor,
     leibniz_base,
@@ -71,15 +70,11 @@ def berezin_transform(word_or_words, w, v):
     den = leibniz_base_value(w, v)
     if not den:
         raise PoleError("the pairing vanishes at this point")
-    wc = [GaussianRational.coerce(c) for c in w]
-    vc = [GaussianRational.coerce(c) for c in v]
-    numerator = lambda_factor(moved_vacuum(wc, vc, _operator(words, alg)))
+    numerator = lambda_factor(moved_vacuum(w, v, _operator(words, alg)))
     bound = 3 + max((len(x.factors) for x in words), default=0)
     series = fock_pairing_series(words, n, bound).subs({"t": Fraction(-2)})
-    point = {}
-    for j in range(1, n + 1):
-        point[f"w{j}"] = wc[j - 1]
-        point[f"v{j}"] = vc[j - 1]
+    point = {f"w{j}": c for j, c in enumerate(w, 1)}
+    point.update((f"v{j}", c) for j, c in enumerate(v, 1))
     via_fock = series.subs(point).as_gaussian()
     if via_fock != numerator:
         raise AssertionError("matrix and Fock numerators disagree at weight -2")

@@ -479,13 +479,14 @@ def probe_components(values: dict, labels) -> PositivityProbe:
     """Exact verdict of a symmetric Fraction matrix given by its nonzero
     entries {(row, col): value}, each pivot paired with its row's label.
 
-    Every stored entry joins its row and column; each connected component,
-    listed by its first row, gets its own exact LDL on its rows, with
-    Fraction(0) in every absent cell, and the matrix is positive definite
-    exactly when every component is. The r-th pivot of a component stands
-    at the position of its r-th row. Where the elimination of a block of
-    rows would take them in order (no leading minor vanishes), these are the
-    block's pivots, since the leading minors factor over the components.
+    Every stored off-diagonal entry joins its row and column; each
+    connected component, listed by its first row, gets its own exact LDL on
+    its rows, with Fraction(0) in every absent cell, and the matrix is
+    positive definite exactly when every component is. The r-th pivot of a
+    component stands at the position of its r-th row. Where the elimination
+    of a block of rows would take them in order (no leading minor vanishes),
+    these are the block's pivots, since the leading minors factor over the
+    components.
     """
     parent = list(range(len(labels)))
 
@@ -496,9 +497,10 @@ def probe_components(values: dict, labels) -> PositivityProbe:
         return i
 
     for r, c in values:
-        a, b = root(r), root(c)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+        if r != c:
+            a, b = root(r), root(c)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
     # a root is its component's first row
     components = {}
     for i in range(len(parent)):

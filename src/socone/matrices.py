@@ -19,7 +19,7 @@ from math import factorial, lcm
 from operator import add, mul
 
 from .poly import MultiPoly
-from .scalars import ZERO, GaussianRational, I, _reduced
+from .scalars import ZERO, GaussianRational, I, _cleared, _reduced
 
 _SCALARS = (int, Fraction, GaussianRational, MultiPoly)
 
@@ -253,13 +253,21 @@ def pair_product(x, y) -> tuple:
     return re, im
 
 
+def pair_dot(xs, ys) -> tuple:
+    """sum_k xs[k] ys[k] over numerator pairs, adding no zero."""
+    re = im = 0
+    for p, q in map(pair_product, xs, ys):
+        if p:
+            re = re + p if re else p
+        if q:
+            im = im + q if im else q
+    return re, im
+
+
 def numerator_pairs(vector) -> tuple:
     """(pairs, d) with vector[k] = (re_k + i im_k) / d over the lcm d of the
     entries' denominators; a polynomial p is (p, 0) over 1."""
-    cleared = [_numerators(x) for x in vector]
-    d = lcm(1, *(f for *_, f in cleared))
-    pairs = [(a, b) if f == d else (a * (d // f), b * (d // f)) for a, b, f in cleared]
-    return pairs, d
+    return _cleared(map(_numerators, vector))
 
 
 def exact_value(re, im, d):
@@ -340,13 +348,6 @@ def exp_combination_cleared(coeffs, matrices, pairs, d) -> tuple:
             for (p, q), (x, y) in zip(acc, term)
         ]
     return acc, denominator * d
-
-
-def exp_combination_apply(coeffs, matrices, vector) -> tuple:
-    """exp(A) x for A = sum_k coeffs[k] matrices[k]: exp_combination_cleared
-    on the vector's numerator pairs, equal to exp_nilpotent(A).apply(vector)."""
-    pairs, d = exp_combination_cleared(coeffs, matrices, *numerator_pairs(vector))
-    return exact_vector(pairs, d)
 
 
 def exact_ldl(matrix):

@@ -13,15 +13,16 @@ factors into polynomials in t.
 
 Coefficients are GaussianRational, so all arithmetic is exact. The
 truncated series (series_power, exp_series) compute on plain Python ints
-instead: their shared kernel, _series, scales its operands to integer
-numerators, holds each power and the running sum as maps from words to
-ints (a real map and an imaginary one, empty for real coefficients) over
-one common denominator fixed before its loop, truncates with the same
-word test as mul_truncated, and makes one GaussianRational per output
-term at the end. _mul_cleared is the same integer product for a
-truncated product of two large series, as in the basis generating
-function; mul_truncated stays the GaussianRational loop for the small
-products everywhere else.
+instead: their shared kernel, _series, clears its operands to integer
+numerators (_word_numerators, by the clearing rule scalars._cleared that
+vectors of exact values share), holds each power and the running sum as
+maps from words to ints (a real map and an imaginary one, empty for real
+coefficients) over one common denominator fixed before its loop,
+truncates with the same word test as mul_truncated, and makes one
+GaussianRational per output term at the end. _mul_cleared is the same
+integer product for a truncated product of two large series, as in the
+basis generating function; mul_truncated stays the GaussianRational loop
+for the small products everywhere else.
 
 A monomial is one int, a packed exponent word (Monagan and Pearce, CASC
 2007): a 16-bit field per variable holds its exponent, and a 16-bit field
@@ -41,12 +42,12 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
-from math import factorial, lcm
+from math import factorial
 from operator import ge, itemgetter, or_
 from sys import byteorder
 from threading import Lock
 
-from .scalars import GaussianRational, _part_str, _reduced
+from .scalars import GaussianRational, _cleared, _part_str, _reduced
 
 _GROUP_ORDER = {"v": 0, "w": 1, "z": 2, "x": 3}
 
@@ -665,19 +666,13 @@ def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
 # arithmetic runs the same loops over an empty map.
 
 
-def _numerators(p: MultiPoly) -> tuple:
+def _word_numerators(p: MultiPoly) -> tuple:
     """(re, im, d) with p = (re + i im) / d, where d is the lcm of the
-    denominators of p's coefficients."""
-    d = 1
-    for c in p.terms.values():
-        d = lcm(d, c._d)
-    re, im = {}, {}
-    for m, c in p.terms.items():
-        k = d // c._d
-        if c._a:
-            re[m] = c._a * k
-        if c._b:
-            im[m] = c._b * k
+    denominators of p's coefficients; the inverse of _from_numerators."""
+    terms = p.terms
+    pairs, d = _cleared([(c._a, c._b, c._d) for c in terms.values()])
+    re = {m: a for m, (a, _) in zip(terms, pairs) if a}
+    im = {m: b for m, (_, b) in zip(terms, pairs) if b}
     return re, im, d
 
 
@@ -759,8 +754,8 @@ def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> Mul
     if not least:
         raise ValueError(f"series does not terminate: {role} has a pure-t term")
     top = len(bounds) * min(bound, _LIMIT - 1) // least
-    u_re, u_im, du = _numerators(u)
-    a_re, a_im, da = _numerators(a)
+    u_re, u_im, du = _word_numerators(u)
+    a_re, a_im, da = _word_numerators(a)
     unit = da * du
     weight = denominator = factorial(top) * unit**top
     acc = ({0: denominator}, {})
@@ -783,8 +778,8 @@ def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> Mul
 def _mul_cleared(left: MultiPoly, right: MultiPoly, bounds: dict) -> MultiPoly:
     """left.mul_truncated(right, bounds) by _product on integer numerators.
     It pays on large series; on a few terms mul_truncated is faster."""
-    l_re, l_im, dl = _numerators(left)
-    r_re, r_im, dr = _numerators(right)
+    l_re, l_im, dl = _word_numerators(left)
+    r_re, r_im, dr = _word_numerators(right)
     re, im = _product((l_re, l_im), (r_re, r_im), _offsets(bounds))
     return _from_numerators(re, im, dl * dr)
 

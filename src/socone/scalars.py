@@ -6,7 +6,7 @@ Every other module computes over this field; nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _RATIONAL = (int, Fraction)
 
@@ -178,9 +178,6 @@ class GaussianRational:
             raise ValueError(f"{self} has a nonzero imaginary part")
         return self._a, self._d
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(*self.as_integer_ratio())
-
     def __complex__(self):
         d = self._d
         return complex(self._a / d, self._b / d)
@@ -250,6 +247,17 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     if g == 1:
         return _make(a, b, d)
     return _make(a // g, b // g, d // g)
+
+
+def _cleared(triples) -> tuple:
+    """(pairs, d) with (a + b i)/f = (a' + b' i)/d for each triple (a, b, f)
+    and its pair (a', b'), d the lcm of the denominators: the values over
+    one denominator, the inverse of _reduced. The numerators a, b may be
+    polynomials, which are only multiplied by ints."""
+    triples = list(triples)
+    d = lcm(1, *[f for _, _, f in triples])
+    pairs = [(a, b) if f == d else (a * (k := d // f), b * k) for a, b, f in triples]
+    return pairs, d
 
 
 def gr(re=0, im=0) -> GaussianRational:

@@ -28,7 +28,7 @@ from .fock import (
     probe_components,
     vacuum_vector,
 )
-from .matrices import _coerce_entry, dot, exp_combination_apply
+from .matrices import _coerce_entry, dot, exact_vector
 from .poly import (
     MultiPoly,
     _mul_cleared,
@@ -40,7 +40,7 @@ from .poly import (
 from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
-from .states import ROUTE_FAILURES, StateVector, recover_coordinates, vacuum
+from .states import ROUTE_FAILURES, StateVector, _raised, recover_coordinates
 
 
 class SingularCoordinateError(ValueError):
@@ -63,12 +63,13 @@ def _symbolic_z(n: int) -> tuple:
 
 
 def exp_zX_vacuum(z) -> StateVector:
-    """exp(z.X) applied to the vacuum by exp_combination_apply, checked
-    against the closed quadratic form."""
+    """exp(z.X) applied to the vacuum by states._raised, the vacuum
+    exponential coherent_state uses, checked against the closed quadratic
+    form."""
     n = len(z)
     comps = [_coerce_entry(c) for c in z]
     observables = [e.matrix for e in build_observables(n)]
-    moved = StateVector(exp_combination_apply(comps, observables, vacuum(n).entries))
+    moved = StateVector(exact_vector(*_raised(n, comps, observables)))
     zeta2 = zeta2_value(comps)
     closed = StateVector(
         (gr(0, 2) * (comps[0] - zeta2),)

@@ -23,7 +23,7 @@ from functools import cache
 from .algebra import build_algebra, rotation_label
 from .matrices import NotNilpotentError, _coerce_entry, _numerators, cleared_apply, dot
 from .matrices import exact_value, exact_vector, exp_combination_cleared
-from .matrices import numerator_pairs, pair_product
+from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import MultiPoly, series_power, weight_exponent
 from .report import CheckResult, Report
 from .scalars import I as _I
@@ -98,16 +98,19 @@ def coherent_closed_form(v) -> StateVector:
     return StateVector(spatial + (1 + v2, _I * (1 - v2)))
 
 
-def _raised(alg, v) -> tuple:
-    """exp(v.R) vacuum in the algebra alg, as (numerator pairs, denominator)."""
-    raising = [alg.R(j) for j in range(1, alg.n + 1)]
-    return exp_combination_cleared(v, raising, *numerator_pairs(vacuum(alg.n).entries))
+def _raised(n, coeffs, generators) -> tuple:
+    """exp(sum_k coeffs[k] generators[k]) vacuum(n), the exponential of the
+    vacuum behind v.R and z.X, as (numerator pairs, denominator)."""
+    vac = numerator_pairs(vacuum(n).entries)
+    return exp_combination_cleared(coeffs, generators, *vac)
 
 
 def coherent_state(v) -> StateVector:
     """exp(v.R) applied to the vacuum, computed two ways and asserted equal:
     by exp_combination_cleared and in closed form."""
-    via_exp = StateVector(exact_vector(*_raised(build_algebra(len(v)), v)))
+    alg = build_algebra(len(v))
+    raising = [alg.R(j) for j in range(1, alg.n + 1)]
+    via_exp = StateVector(exact_vector(*_raised(alg.n, v, raising)))
     closed = coherent_closed_form(v)
     if via_exp != closed:
         raise AssertionError("exponential and closed-form coherent states differ")
@@ -119,24 +122,13 @@ def lambda_factor(state: StateVector):
     return (state.a - _I * state.b) * _HALF
 
 
-def _pair_dot(xs, ys) -> tuple:
-    """sum_k xs[k] ys[k] over numerator pairs, adding no zero."""
-    re = im = 0
-    for p, q in map(pair_product, xs, ys):
-        if p:
-            re = re + p if re else p
-        if q:
-            im = im + q if im else q
-    return re, im
-
-
 def _orbit_coordinates(pairs, den):
     """recover_coordinates on a state given as numerator pairs over den."""
     *spatial, (ar, ai), (br, bi) = pairs
     lr, li = scale = (ar + bi, ai - br)  # a - i b = 2 lam, over den
     if not (lr or li):
         raise NotInOrbitError("a - i b vanishes: vector is not in the orbit")
-    v2r, v2i = _pair_dot(spatial, spatial)
+    v2r, v2i = pair_dot(spatial, spatial)
     if (-v2r, -v2i) != pair_product(scale, (ar - bi, ai + br)):
         raise NotInOrbitError("quotient identity for the scale factor fails")
     # b + i a = i (a - i b) = -li + i lr, so v0 / (b + i a) is
@@ -182,15 +174,15 @@ def leibniz_base_value(w, v):
     """
     (wp, dw), (vp, dv) = numerator_pairs(w), numerator_pairs(v)
     d = dw * dv
-    wv = _pair_dot(wp, vp)
-    re, im = pair_product(_pair_dot(wp, wp), _pair_dot(vp, vp))
+    wv = pair_dot(wp, vp)
+    re, im = pair_product(pair_dot(wp, wp), pair_dot(vp, vp))
     return exact_value(d * d - 2 * d * wv[0] + re, im - 2 * d * wv[1], d * d)
 
 
 def _moved(w, v, q) -> tuple:
     """moved_vacuum(w, v, q) as (numerator pairs, denominator)."""
     alg = build_algebra(len(w))
-    moved = _raised(alg, v)
+    moved = _raised(alg.n, v, [alg.R(j) for j in range(1, alg.n + 1)])
     if q is not alg.identity:  # the identity changes nothing
         moved = cleared_apply(q, *moved)
     lowering = [alg.L(j) for j in range(1, alg.n + 1)]

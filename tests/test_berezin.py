@@ -20,6 +20,7 @@ from socone.berezin import (
 )
 from socone.fock import build_hat, coherent_vector, multi_indices
 from socone.poly import MultiPoly, TAU
+from socone.scalars import GaussianRational
 from socone.states import leibniz_base
 
 
@@ -46,6 +47,26 @@ def test_raising_transform_values():
 def test_transform_pole_error():
     with pytest.raises(PoleError):
         berezin_transform(OperatorWord.of(), [1], [1])
+
+
+def test_transform_reads_int_fraction_and_gaussian_points_alike():
+    words = [OperatorWord.of("R1", "L2"), OperatorWord.of("rho0", coeff=3)]
+    for w, v in (([1, -2], [0, 3]), ([2, 1], [-1, 1])):
+        values = {
+            str(berezin_transform(words, kind(w), kind(v)))
+            for kind in (
+                list,
+                lambda xs: [Fraction(x) for x in xs],
+                lambda xs: [GaussianRational(x) for x in xs],
+            )
+        }
+        assert len(values) == 1
+    w, v = [Fraction(1, 2), Fraction(-1, 3)], [Fraction(2, 5), 1]
+    gaussian = [[GaussianRational(x) for x in xs] for xs in (w, v)]
+    assert berezin_transform(words, w, v) == berezin_transform(words, *gaussian)
+    for w, v in (([0.5, 0], [0, 0]), ([0, 0], [0, 0.25])):
+        with pytest.raises(TypeError):
+            berezin_transform(words, w, v)
 
 
 @pytest.mark.parametrize("w, v", [([1], [0, 5]), ([1, 0], [0])])

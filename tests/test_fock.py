@@ -255,7 +255,11 @@ def moment_matrix(n, d, tau):
     basis = multi_indices(n, d)
     return [
         [
-            table.moment(tuple(a + b for a, b in zip(k, m))).as_gaussian().as_fraction()
+            Fraction(
+                *table.moment(tuple(a + b for a, b in zip(k, m)))
+                .as_gaussian()
+                .as_integer_ratio()
+            )
             for m in basis
         ]
         for k in basis
@@ -451,7 +455,7 @@ def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
         want = {
             pos: x
             for pos, entry in gram.entries.items()
-            if (x := entry.subs(point).as_gaussian().as_fraction())
+            if (x := Fraction(*entry.subs(point).as_gaussian().as_integer_ratio()))
         }
         assert values == want
         assert all(type(x) is Fraction and x for x in values.values())
@@ -480,7 +484,8 @@ def test_eval_at_matches_substitution_on_hand_built_tables():
     for tau in weights:
         want = {}
         for pos, entry in table.entries.items():
-            x = MultiPoly.coerce(entry).subs({"t": tau}).as_gaussian().as_fraction()
+            x = MultiPoly.coerce(entry).subs({"t": tau}).as_gaussian()
+            x = Fraction(*x.as_integer_ratio())
             if x:
                 want[pos] = x
         got = table.eval_at(tau)

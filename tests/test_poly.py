@@ -157,7 +157,7 @@ def test_series_power_pochhammer_coefficients():
         mono = (("v1", k), ("w1", k)) if k else ()
         coeff = buckets[mono]
         for tau in (Fraction(1), Fraction(3), Fraction(-2), Fraction(5, 2)):
-            value = coeff.subs({"t": tau}).as_gaussian().as_fraction()
+            value = Fraction(*coeff.subs({"t": tau}).as_gaussian().as_integer_ratio())
             assert value == poch(tau, k) / factorial(k)
 
 

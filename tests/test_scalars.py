@@ -57,7 +57,7 @@ def test_division_and_errors():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
     with pytest.raises(ValueError):
-        I.as_fraction()
+        I.as_integer_ratio()
 
 
 def test_mixed_comparisons():
@@ -155,7 +155,6 @@ def test_division_by_rationals_keeps_exact_parts(x, r):
     for num, den in ((1, 3), (6, 3), (-4, 6), (0, 5)):
         q = GaussianRational(num) / den
         assert parts_of(q) == (Fraction(num, den), 0)
-        assert type(q.as_fraction()) is Fraction
 
 
 @settings(derandomize=True, max_examples=100)
@@ -164,8 +163,7 @@ def test_structure_values_are_fractions(x):
     a, b = parts_of(x)
     assert parts_of(x * x.conj()) == (a * a + b * b, 0)
     assert GaussianRational(x.re) == x.re
-    assert type(GaussianRational(x.re).as_fraction()) is Fraction
-    assert GaussianRational(x.re).as_fraction() == a
+    assert Fraction(*GaussianRational(x.re).as_integer_ratio()) == a
     assert GaussianRational(x.re).as_integer_ratio() == (a.numerator, a.denominator)
     if b:
         with pytest.raises(ValueError):

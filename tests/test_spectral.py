@@ -3,8 +3,9 @@ from math import factorial
 
 import pytest
 
+from socone.algebra import build_observables
 from socone.fock import gram_matrix, mi_factorial, multi_indices, positivity_probe
-from socone.matrices import is_positive_definite
+from socone.matrices import DenseMatrix, exp_nilpotent, is_positive_definite
 from socone.poly import MultiPoly, TAU, exp_series, series_power, weight_exponent
 from socone.scalars import gr
 from socone import spectral
@@ -57,6 +58,20 @@ def test_exp_zX_values():
     # n=2 at z=(0,1): zeta^2 = -1
     s = exp_zX_vacuum([0, 1])
     assert s.entries == (gr(0, 2), gr(2), gr(-1), gr(0, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exp_zX_vacuum_matches_the_matrix_exponential(rng, n):
+    # the shared vacuum exponential against exp_nilpotent of the formed sum
+    observables = [e.matrix for e in build_observables(n)]
+    for _ in range(4):
+        z = [rand_fraction(rng, 7) for _ in range(n)]
+        z[-1] = gr(z[-1], rand_fraction(rng, 7))
+        generator = DenseMatrix.zeros(n + 2)
+        for c, x in zip(z, observables):
+            generator = generator + c * x
+        want = exp_nilpotent(generator).apply(vacuum(n).entries)
+        assert exp_zX_vacuum(z).entries == want
 
 
 def test_z_to_v_examples():
@@ -204,7 +219,10 @@ def test_moment_positivity_probes():
     # gamma Hankel oracle through leading minors
     table = moments(1, 6, tau=Fraction(2), check_hat=False)
     hankel = [
-        [table.moment((i + j,)).as_gaussian().as_fraction() for j in range(4)]
+        [
+            Fraction(*table.moment((i + j,)).as_gaussian().as_integer_ratio())
+            for j in range(4)
+        ]
         for i in range(4)
     ]
     assert leading_minors_positive(hankel)
@@ -239,7 +257,11 @@ def test_gram_and_moment_probes_share_one_verdict(tau):
     basis = multi_indices(2, 2)
     mat = [
         [
-            table.moment(tuple(a + b for a, b in zip(k, m))).as_gaussian().as_fraction()
+            Fraction(
+                *table.moment(tuple(a + b for a, b in zip(k, m)))
+                .as_gaussian()
+                .as_integer_ratio()
+            )
             for m in basis
         ]
         for k in basis
