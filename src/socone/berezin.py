@@ -20,7 +20,7 @@ from .fock import (
     vacuum_vector,
 )
 from .matrices import dot
-from .poly import MultiPoly, TAU
+from .poly import MultiPoly, TAU, _sum_into
 from .report import CheckResult, Report
 from .states import (
     lambda_factor,
@@ -179,7 +179,7 @@ def normal_order(word) -> dict:
     (raises, lowers) -> integer coefficient, where raises and lowers are
     sorted tuples of slot indices, using [V_j, R_j] = 1.
     """
-    result = {}
+    ordered = []  # (key, coefficient) of each normal word reached
     stack = [(1, tuple(word))]
     while stack:
         coeff, w = stack.pop()
@@ -191,17 +191,14 @@ def normal_order(word) -> dict:
         if swap_at is None:
             raises = tuple(sorted(j for kind, j in w if kind == "R"))
             lowers = tuple(sorted(j for kind, j in w if kind == "V"))
-            key = (raises, lowers)
-            result[key] = result.get(key, 0) + coeff
-            if not result[key]:
-                del result[key]
+            ordered.append(((raises, lowers), coeff))
             continue
         a, b = w[swap_at], w[swap_at + 1]
         swapped = w[:swap_at] + (b, a) + w[swap_at + 2 :]
         stack.append((coeff, swapped))
         if a[1] == b[1]:
             stack.append((coeff, w[:swap_at] + w[swap_at + 2 :]))
-    return result
+    return _sum_into({}, ordered)
 
 
 def _diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
@@ -225,14 +222,9 @@ def _diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
                 if p:
                     moved[k] = p
             derivatives[raises] = moved
-        factor = MultiPoly.const(coeff)
-        for j in lowers:
-            factor = factor * MultiPoly.var(f"v{j}")
-        for k, p in moved.items():
-            p = p * factor
-            acc = out.get(k)
-            out[k] = p if acc is None else acc + p
-    return {k: v for k, v in out.items() if v}
+        factor = MultiPoly({tuple((f"v{j}", 1) for j in lowers): coeff})
+        _sum_into(out, ((k, p * factor) for k, p in moved.items()))
+    return out
 
 
 # the longest word wick_recipe_check compares

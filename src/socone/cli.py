@@ -235,14 +235,13 @@ def cmd_verify(args) -> int:
 def cmd_gram(args) -> int:
     gram = fock.gram_matrix(args.n, args.degree)
     labels = [jsonio.multi_index_label(k) for k in gram.basis]
-    values = gram.entries
-    if args.tau is not None:
-        # the nonzero values at the weight, as constants in the form of the
-        # symbolic table
-        values = {pos: MultiPoly.const(v) for pos, v in gram.eval_at(args.tau).items()}
+    # the polynomial entries, or their nonzero Fraction values at the weight
+    values = gram.entries if args.tau is None else gram.eval_at(args.tau)
     positions = range(len(labels))
     if args.format == "json":
+        # a stored value is written as a polynomial, a constant at a weight;
         # most cells are absent: each is one shared zero polynomial, []
+        values = {pos: MultiPoly.coerce(v) for pos, v in values.items()}
         zero = []
         return _write_json({
             "n": args.n,

@@ -15,16 +15,16 @@ truncation cannot leak, so each reported identity is exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import accumulate
 from math import factorial, inf, lcm, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
-from .matrices import SparseMatrix, _sum_into, commutator, dot, is_positive_definite
-from .poly import MultiPoly, TAU, TAU_NAME, series_power, weight_exponent
+from .matrices import SparseMatrix, commutator, dot, is_positive_definite
+from .poly import MultiPoly, TAU, TAU_NAME, _sum_into, series_power, weight_exponent
 from .report import CheckResult, Report, reading_check
 from .scalars import gr
 from .states import leibniz_base, leibniz_closed_form
@@ -61,26 +61,20 @@ def _space(n: int, degree_bound: int) -> tuple:
     and shared by every operator on the space and by multi_indices."""
     if n < 1:
         raise ValueError("spatial dimension must be at least 1")
-    basis = []
-    for total in range(degree_bound + 1):
-        block = []
-
-        def fill(prefix, left, slots):
-            if slots == 0:
-                if left == 0:
-                    block.append(prefix)
-                return
-            for d in range(left + 1):
-                fill(prefix + (d,), left - d, slots - 1)
-
-        fill((), total, n)
-        block.sort(key=lambda k: tuple(-x for x in k))
-        basis.extend(block)
-    basis = tuple(basis)
+    blocks = [_block(total, n) for total in range(degree_bound + 1)]
+    basis = tuple(k for block in blocks for k in block)
     index = MappingProxyType({k: i for i, k in enumerate(basis)})
-    degrees = [mi_degree(k) for k in basis]
-    ends = tuple(bisect_left(degrees, d) for d in range(degree_bound + 2))
-    return basis, index, ends
+    return basis, index, tuple(accumulate(map(len, blocks), initial=0))
+
+
+def _block(total: int, slots: int) -> list:
+    """The multi-indices of length slots >= 1 and degree total, first slot
+    largest first, then the next, and so on."""
+    if slots == 1:
+        return [(total,)]
+    return [
+        (d,) + rest for d in range(total, -1, -1) for rest in _block(total - d, slots - 1)
+    ]
 
 
 class FockMatrix(SparseMatrix):
@@ -393,17 +387,14 @@ def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
 
 
 def pair(gram: FockMatrix, left: dict, right: dict):
-    """Bilinear pairing sum_{k,m} left_k G[k][m] right_m (no conjugation)."""
-    index, entries = gram.index, gram.entries
-    right_at = [(index[m], b) for m, b in right.items()]
-    acc = MultiPoly.zero()
-    for k, a in left.items():
-        i = index[k]
-        for j, b in right_at:
-            g = entries.get((i, j))
-            if g is not None:
-                acc = acc + a * g * b
-    return acc
+    """Bilinear pairing sum_k left_k (G right)_k (no conjugation); a
+    multi-index outside the basis raises KeyError on either side."""
+    applied = gram.apply(right)
+    outside = [k for k in left if k not in gram.index]
+    if outside:
+        raise KeyError(outside[0])
+    products = (a * applied[k] for k, a in left.items() if k in applied)
+    return sum(products, MultiPoly.zero())
 
 
 def verify_adjointness(n: int, degree_bound: int) -> Report:

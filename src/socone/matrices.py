@@ -18,7 +18,7 @@ from functools import reduce
 from math import factorial, lcm
 from operator import add, mul
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _sum_into
 from .scalars import ZERO, GaussianRational, I, _cleared, _reduced
 
 _SCALARS = (int, Fraction, GaussianRational, MultiPoly)
@@ -32,19 +32,6 @@ def _coerce_entry(value):
     if isinstance(value, (GaussianRational, MultiPoly)):
         return value
     return GaussianRational.coerce(value)
-
-
-def _sum_into(acc: dict, items) -> dict:
-    """Add each (key, value) of items into acc and return acc; a sum that
-    vanishes is deleted, so acc never holds a zero."""
-    for key, value in items:
-        old = acc.get(key)
-        s = value if old is None else old + value
-        if s:
-            acc[key] = s
-        elif old is not None:
-            del acc[key]
-    return acc
 
 
 class SparseMatrix:

@@ -34,6 +34,9 @@ var_key order only where monomials meet the outside: the constructor, subs,
 split_groups and split_index, the leading term of exact_divide, and the
 printed and JSON forms, which sort in graded lexicographic order. So the
 order in which names were first seen never reaches an output.
+
+Every exact sparse map, here and in the modules above, adds through
+_sum_into, so none stores a zero and equal values are equal dicts.
 """
 
 from __future__ import annotations
@@ -70,6 +73,21 @@ _INFO = {}  # name -> (group, index, var_key, unit word, shift of its field)
 _GROUP_SHIFT = {}  # group -> shift of its degree field
 _OFFSETS = {}  # truncation items -> (offset, guards, heads), see _offsets
 _fields = 0  # fields taken so far
+
+
+def _sum_into(acc: dict, items) -> dict:
+    """Add each (key, value) of items into acc and return acc; a sum that
+    vanishes is deleted, so acc never holds a zero. Only the product loops,
+    mul_truncated and the integer kernels, add inline: they are the hot
+    loops, and a call per pair there slows the verify benchmark."""
+    for key, value in items:
+        old = acc.get(key)
+        s = value if old is None else old + value
+        if s:
+            acc[key] = s
+        elif old is not None:
+            del acc[key]
+    return acc
 
 
 class _Decoder:
@@ -171,14 +189,9 @@ def _decode(word: int) -> tuple:
 def _pack(items) -> int:
     """The word of (name, exponent) pairs in any order; the exponents of a
     repeated name add."""
-    exps = {}
-    for name, e in items:
-        exps[name] = exps.get(name, 0) + e
     word = 0
     degrees = {}
-    for name, e in exps.items():
-        if not e:
-            continue
+    for name, e in _sum_into({}, items).items():
         if not 0 < e < _LIMIT:
             raise ValueError(f"exponent {e} of {name} is outside 0..{_LIMIT - 1}")
         group, _, _, _, shift = _name_info(name)
@@ -244,12 +257,10 @@ class MultiPoly:
         zero exponents and summing repeated names are added together.
         A negative exponent, or an exponent or group degree of 2**14 or
         more, raises ValueError."""
-        summed = {}
-        for mono, coeff in (terms or {}).items():
-            key = _pack(mono)
-            c = GaussianRational.coerce(coeff)
-            summed[key] = summed[key] + c if key in summed else c
-        _set_terms(self, {m: c for m, c in summed.items() if c})
+        pairs = (
+            (_pack(mono), GaussianRational.coerce(c)) for mono, c in (terms or {}).items()
+        )
+        _set_terms(self, _sum_into({}, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -286,18 +297,7 @@ class MultiPoly:
             if not isinstance(other, (int, Fraction, GaussianRational)):
                 return NotImplemented
             other = MultiPoly.const(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            if acc is None:
-                terms[mono] = coeff
-            else:
-                s = acc + coeff
-                if s:
-                    terms[mono] = s
-                else:
-                    del terms[mono]
-        return _make(terms)
+        return _make(_sum_into(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -457,7 +457,7 @@ class MultiPoly:
         for name in scalars:
             if name in _INFO:
                 touched |= _FIELD << _INFO[name][4]
-        terms = {}
+        moved = []
         for mono, coeff in self.terms.items():
             rest = mono
             if mono & touched:
@@ -466,8 +466,8 @@ class MultiPoly:
                         for _ in range(e):
                             coeff = coeff * scalars[name]
                         rest -= e * _INFO[name][3]
-            terms[rest] = terms[rest] + coeff if rest in terms else coeff
-        return _make({m: c for m, c in terms.items() if c})
+            moved.append((rest, coeff))
+        return _make(_sum_into({}, moved))
 
     def conj(self) -> "MultiPoly":
         """Conjugate the coefficients; the indeterminates are treated as real."""
@@ -510,6 +510,8 @@ class MultiPoly:
         lead_coeff = divisor.terms[lead]
         lead_exps = decoder.exponents(lead)
         remainder = self
+        # each step cancels the leading term and adds only smaller ones, so
+        # each quotient monomial is new and its coefficient nonzero
         quotient = {}
         while remainder.terms:
             rm = max(remainder.terms, key=decoder.grlex)
@@ -517,9 +519,9 @@ class MultiPoly:
                 raise ValueError("not exactly divisible")
             q_mono = rm - lead
             q_coeff = remainder.terms[rm] / lead_coeff
-            quotient[q_mono] = quotient.get(q_mono, GaussianRational(0)) + q_coeff
+            quotient[q_mono] = q_coeff
             remainder = remainder - _make({q_mono: q_coeff}) * divisor
-        return _make({m: c for m, c in quotient.items() if c})
+        return _make(quotient)
 
     # -- display -------------------------------------------------------------------
 

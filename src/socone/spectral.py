@@ -40,7 +40,7 @@ from .poly import (
 from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
-from .states import ROUTE_FAILURES, StateVector, _raised, recover_coordinates
+from .states import ROUTE_FAILURES, StateVector, _raised, random_point, recover_coordinates
 
 
 class SingularCoordinateError(ValueError):
@@ -157,10 +157,7 @@ def roundtrip_check(n: int, count: int, seed: int, height: int = 5) -> Report:
     checks = []
     done = 0
     while done < count:
-        v = [
-            Fraction(rng.randint(-height, height), rng.randint(1, height))
-            for _ in range(n)
-        ]
+        v = random_point(rng, n, height)
         name = f"round trip at point {done + 1}"
         try:
             v_to_z(v)

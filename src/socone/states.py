@@ -236,6 +236,14 @@ def leibniz_closed_form(
     return series_power(leibniz_base(n), weight_exponent(tau), truncation)
 
 
+def random_point(rng, n: int, height: int) -> list:
+    """n exact rationals p/q drawn from rng with |p| <= height and
+    1 <= q <= height, numerator then denominator, component by component."""
+    return [
+        Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(n)
+    ]
+
+
 def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> Report:
     """Randomized exact checks of the coherent-state pipeline.
 
@@ -246,13 +254,6 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     import random
 
     rng = random.Random(seed)
-
-    def rand_tuple():
-        return [
-            Fraction(rng.randint(-height, height), rng.randint(1, height))
-            for _ in range(n)
-        ]
-
     checks = []
     try:
         vacuum(n)
@@ -264,7 +265,7 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     failure = ""
     symmetric, reproducing = [], []  # one verdict per point compared
     for _ in range(count):
-        w, v = rand_tuple(), rand_tuple()
+        w, v = random_point(rng, n, height), random_point(rng, n, height)
         try:
             lam = leibniz_from_matrices(w, v)
             symmetric.append(lam == leibniz_from_matrices(v, w))
@@ -287,7 +288,7 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     recovered = True
     failure = ""
     for _ in range(max(count // 2, 1)):
-        v = rand_tuple()
+        v = random_point(rng, n, height)
         lam = Fraction(rng.randint(1, height), rng.randint(1, height))
         try:
             got_v, got_lam = recover_coordinates(lam * coherent_state(v))

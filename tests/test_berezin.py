@@ -147,6 +147,23 @@ def test_normal_order_contraction():
     assert got == {((1,), (2,)): 1}
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_normal_order_and_substitution_store_no_zero(n):
+    alphabet = [("R", j) for j in range(1, n + 1)] + [("V", j) for j in range(1, n + 1)]
+    psi = coherent_vector(n, 4, "v")
+    derivatives = {}
+    for size in range(4):
+        for word in product(alphabet, repeat=size):
+            terms = normal_order(word)
+            assert terms and all(terms.values()), word
+            subst = berezin._diffop_apply(terms, psi, derivatives)
+            assert subst and all(subst.values()), word
+    # v1 d1 - 1 multiplies component k by k1 - 1: every k with k1 = 1 cancels
+    cancelled = berezin._diffop_apply({((1,), (1,)): 1, ((), ()): -1}, psi, {})
+    assert all(cancelled.values())
+    assert set(cancelled) == {k for k in psi if k[0] != 1}
+
+
 def test_wick_recipe():
     assert wick_recipe_check(1, 6).all_passed
     assert wick_recipe_check(2, 6).all_passed

@@ -2,7 +2,7 @@ import hashlib
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 from types import MappingProxyType
 
@@ -55,6 +55,20 @@ def test_multi_indices_is_a_fresh_list_of_the_cached_basis():
     again = multi_indices(2, 3)
     assert again is not first
     assert again == list(fock._space(2, 3)[0]) and len(again) == 10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_space_is_the_sorted_enumeration_of_each_degree_block(n):
+    # reference: every tuple of a block, sorted with the first slot largest first
+    for d in range(7):
+        want = []
+        for total in range(d + 1):
+            block = [k for k in product(range(total + 1), repeat=n) if sum(k) == total]
+            want.extend(sorted(block, key=lambda k: tuple(-x for x in k)))
+        basis, index, ends = fock._space(n, d)
+        assert basis == tuple(want)
+        assert all(index[k] == i for i, k in enumerate(want))
+        assert ends == tuple(sum(1 for k in want if sum(k) < e) for e in range(d + 2))
 
 
 def test_combinatorial_actions():
@@ -850,3 +864,25 @@ def test_pair_is_the_double_sum_over_multi_indices(n, d):
                 want = want + a * table[k, m] * b
     assert pair(gram, left, right) == want
     assert pair(gram, right, left) == want
+
+
+@pytest.mark.parametrize(
+    "outside", [{(3, 0): gr(1)}, {(1,): gr(1)}, {(1, 0, 0): gr(2)}, {(-1, 1): gr(1)}]
+)
+@pytest.mark.parametrize("inside", [{}, {(1, 0): gr(1)}, vacuum_vector(2)])
+def test_pair_refuses_a_multi_index_outside_the_basis_on_either_side(outside, inside):
+    gram = gram_matrix(2, 2)
+    with pytest.raises(KeyError):
+        pair(gram, outside, inside)
+    with pytest.raises(KeyError):
+        pair(gram, inside, outside)
+
+
+@pytest.mark.parametrize("n, d", [(1, 4), (2, 4), (3, 3)])
+def test_hat_generators_on_the_coherent_vector_store_no_zero(n, d):
+    hat = build_hat(n, d)
+    psi = coherent_vector(n, d, "v")
+    for label, matrix in hat.generators.items():
+        moved = matrix.apply(psi)
+        assert moved, label
+        assert all(moved.values()), label

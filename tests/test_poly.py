@@ -321,6 +321,14 @@ def test_exact_divide():
         (V1 + 1).exact_divide(V2)
 
 
+def test_exact_divide_stores_no_zero_in_the_quotient():
+    for divisor in (2 - V2, (V1 - V2) ** 2, 1 + V1 * V2 + W1):
+        for cofactor in (V1 - V2, 1 - V1 ** 2 + V2 ** 3, gr(1, 1) * V1 - W1 * V2):
+            quotient = (cofactor * divisor).exact_divide(divisor)
+            assert quotient == cofactor
+            assert quotient.terms and all(quotient.terms.values())
+
+
 def test_diff():
     p = V1 ** 3 * W1 + 2 * V1
     assert p.diff("v1") == 3 * V1 ** 2 * W1 + 2
@@ -483,9 +491,8 @@ def ref_accumulate(out, mono, c):
 def ref_build(raw):
     summed = {}
     for items, c in raw.items():
-        key = ref_mono(items)
-        summed[key] = summed[key] + c if key in summed else c
-    return {m: c for m, c in summed.items() if c}
+        ref_accumulate(summed, ref_mono(items), c)
+    return summed
 
 
 def ref_add(a, b):
@@ -526,9 +533,8 @@ def ref_subs(a, values):
                     c = c * values[name]
             else:
                 rest.append((name, e))
-        key = tuple(rest)
-        terms[key] = terms[key] + c if key in terms else c
-    return {m: c for m, c in terms.items() if c}
+        ref_accumulate(terms, tuple(rest), c)
+    return terms
 
 
 def ref_split(a, groups):

@@ -19,11 +19,22 @@ from socone.states import (
     leibniz_closed_form,
     leibniz_from_matrices,
     moved_vacuum,
+    random_point,
     recover_coordinates,
     vacuum,
 )
 
 from conftest import poch, poly_poch, rand_fraction
+
+
+def test_random_point_draws_numerator_then_denominator_per_component():
+    import random
+
+    rng, ref = random.Random(7), random.Random(7)
+    for n, height in [(1, 5), (3, 97), (4, 1)]:
+        want = [Fraction(ref.randint(-height, height), ref.randint(1, height)) for _ in range(n)]
+        assert random_point(rng, n, height) == want
+    assert rng.getstate() == ref.getstate()
 
 
 def test_vacuum_annihilation():
