@@ -238,19 +238,25 @@ def cmd_gram(args) -> int:
     # the polynomial entries, or their nonzero Fraction values at the weight
     values = gram.entries if args.tau is None else gram.eval_at(args.tau)
     positions = range(len(labels))
+    # positions with equal values share one object, rendered once: in JSON
+    # as the terms of a polynomial (a constant at a weight), else as str
     if args.format == "json":
-        # a stored value is written as a polynomial, a constant at a weight;
+        render = lambda v: jsonio.Terms(list(MultiPoly.coerce(v).canonical_items()))
+    else:
+        render = str
+    distinct = {id(v): v for v in values.values()}
+    distinct = {key: render(v) for key, v in distinct.items()}
+    cells = {pos: distinct[id(v)] for pos, v in values.items()}
+    if args.format == "json":
         # most cells are absent: each is one shared zero polynomial, []
-        values = {pos: MultiPoly.coerce(v) for pos, v in values.items()}
         zero = []
         return _write_json({
             "n": args.n,
             "degree": args.degree,
             "tau": _tau_json(args),
             "basis": labels,
-            "matrix": [[values.get((r, c), zero) for c in positions] for r in positions],
+            "matrix": [[cells.get((r, c), zero) for c in positions] for r in positions],
         })
-    cells = {pos: str(v) for pos, v in values.items()}
     rows = [[lab] + [cells.get((r, c), "0") for c in positions] for r, lab in enumerate(labels)]
     return _write_rows(args, [""] + labels, rows)
 

@@ -24,7 +24,8 @@ from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
 from .matrices import SparseMatrix, commutator, dot, is_positive_definite
-from .poly import MultiPoly, TAU, TAU_NAME, _sum_into, series_power, weight_exponent
+from .poly import MultiPoly, TAU, TAU_NAME, _from_numerators, _group_mask, _pack, _sum_into
+from .poly import series_power_numerators, weight_exponent
 from .report import CheckResult, Report, reading_check
 from .scalars import gr
 from .states import leibniz_base, leibniz_closed_form
@@ -359,29 +360,42 @@ def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
     """Pairings of basis states of degree <= D, entries polynomial in t.
 
     G[k][m] = k! m! [w^k v^m] of the Leibniz series, held as a FockMatrix
-    on the shared space whose entries are a read-only mapping. The entries
-    vanish between different degrees, the vacuum entry is 1, and the table
-    is symmetric: all three are asserted on build. Built once per (n, D)
-    and shared: the table is immutable.
+    on the shared space whose entries are a read-only mapping. The series
+    comes in integer numerators (series_power_numerators): a word's w and v
+    parts name the cell (k, m), and its numerator times k! m! is the cell's
+    coefficient of the rest, a power of t. The integer cells are asserted
+    to be 1 at the vacuum, 0 between different degrees, and symmetric; then
+    one MultiPoly is made per distinct cell, shared by the positions that
+    hold it. Built once per (n, D) and shared: the table is immutable.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
-    basis, index, _ = _space(n, degree_bound)
-    # uncached: the table is kept per key, its generating series is not
-    series = series_power(leibniz_base(n), weight_exponent(None), degree_bound)
-    entries = {}
-    for k, cofactor in series.split_index("w", n).items():
-        for m, poly in cofactor.split_index("v", n).items():
-            if mi_degree(k) <= degree_bound and mi_degree(m) <= degree_bound:
-                entries[(index[k], index[m])] = mi_factorial(k) * mi_factorial(m) * poly
+    basis = _space(n, degree_bound)[0]
+    # uncached: the table is kept per key, its real series (no im) is not
+    base, exponent = leibniz_base(n), weight_exponent(None)
+    (series, _), den = series_power_numerators(base, exponent, degree_bound)
+    groups = ([f"{g}{j}" for j in range(1, n + 1)] for g in "wv")
+    rows, cols = ({_pack(zip(names, k)): i for i, k in enumerate(basis)} for names in groups)
+    w_mask, v_mask = _group_mask({"w"}), _group_mask({"v"})
+    scale = [mi_factorial(k) for k in basis]
+    cells = {}
+    for word, c in series.items():
+        if c:
+            w, v = word & w_mask, word & v_mask
+            r, col = rows[w], cols[v]
+            cells.setdefault((r, col), {})[word - w - v] = c * scale[r] * scale[col]
     # the vacuum is the first basis state
-    if entries.get((0, 0)) != 1:
+    if cells.get((0, 0)) != {0: den}:
         raise AssertionError("vacuum pairing is not 1")
-    for (r, c), poly in entries.items():
+    for (r, c), cell in cells.items():
         if mi_degree(basis[r]) != mi_degree(basis[c]):
             raise AssertionError("pairing connects different degrees")
-        if entries.get((c, r)) != poly:
+        if cells.get((c, r)) != cell:
             raise AssertionError("pairing table is not symmetric")
+    keys = {pos: frozenset(cell.items()) for pos, cell in cells.items()}
+    distinct = {key: cells[pos] for pos, key in keys.items()}
+    distinct = {key: _from_numerators((cell, {}), den) for key, cell in distinct.items()}
+    entries = {pos: distinct[key] for pos, key in keys.items()}
     # every entry is nonzero, so the table is wrapped as built, read-only
     return FockMatrix(n, degree_bound)._like(MappingProxyType(entries))
 

@@ -66,9 +66,9 @@ def state_to_json(state) -> list:
 
 class Terms:
     """A polynomial given by its canonical_items(), which dumps writes as
-    the polynomial. items is read once, when it is written; a payload that
-    also prints the polynomial's text holds them in a list, so the terms
-    are sorted and decoded once for both."""
+    the polynomial; items is read each time it is written. A list may be
+    written more than once (`gram` puts one Terms in each cell of a value)
+    or also printed as text: its terms are sorted and decoded once."""
 
     __slots__ = ("items",)
 

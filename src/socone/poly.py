@@ -18,11 +18,13 @@ numerators (_word_numerators, by the clearing rule scalars._cleared that
 vectors of exact values share), holds each power and the running sum as
 maps from words to ints (a real map and an imaginary one, empty for real
 coefficients) over one common denominator fixed before its loop,
-truncates with the same word test as mul_truncated, and makes one
-GaussianRational per output term at the end. _mul_cleared is the same
-integer product for a truncated product of two large series, as in the
-basis generating function; mul_truncated stays the GaussianRational loop
-for the small products everywhere else.
+truncates with the same word test as mul_truncated, and returns the
+integer sums: _from_numerators makes one GaussianRational per output
+term of them, and fock.gram_matrix reads them (series_power_numerators)
+as they are. _mul_cleared is the same integer product for a truncated
+product of two large series, as in the basis generating function;
+mul_truncated stays the GaussianRational loop for the small products
+everywhere else.
 
 A monomial is one int, a packed exponent word (Monagan and Pearce, CASC
 2007): a 16-bit field per variable holds its exponent, and a 16-bit field
@@ -637,6 +639,12 @@ def series_power(base: MultiPoly, exponent, bound: int) -> MultiPoly:
     which _series adds up in Python ints: integer numerators over one
     common denominator, with one GaussianRational made per output term.
     """
+    return _from_numerators(*series_power_numerators(base, exponent, bound))
+
+
+def series_power_numerators(base: MultiPoly, exponent, bound: int) -> tuple:
+    """series_power(base, exponent, bound), same checks, as ((re, im), d):
+    integer numerators (zeros kept) by word over one denominator d."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
     base = MultiPoly.coerce(base)
@@ -659,7 +667,7 @@ def exp_series(argument: MultiPoly, bound: int) -> MultiPoly:
     argument = MultiPoly.coerce(argument)
     if argument.constant_term != 0:
         raise ValueError("exp_series requires zero constant term")
-    return _series(argument, bound, MultiPoly.const(1), 0, "argument")
+    return _from_numerators(*_series(argument, bound, MultiPoly.const(1), 0, "argument"))
 
 
 # -- the integer series kernel ---------------------------------------------------
@@ -728,8 +736,9 @@ def _product(left: tuple, right: tuple, offsets: tuple) -> tuple:
     return out
 
 
-def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> MultiPoly:
-    """The sum over m >= 0 of (a)(a + step)...(a + (m - 1) step) / m! u^m,
+def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> tuple:
+    """((re, im), L): the integer numerators of the sum over m >= 0 of
+    (a)(a + step)...(a + (m - 1) step) / m! u^m over one denominator L,
     with every non-t variable group of u truncated at total degree bound;
     u has no constant term and a is a constant or a polynomial in t alone.
     A term of u in t alone, which never lets the series end, raises
@@ -744,8 +753,8 @@ def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> Mul
     and every term is summed in integers over the one denominator
     L = M! (da du)^M: the m-th term's numerator is P_m U^m times
     M! / m! (da du)^(M - m). Each power U^m is formed from the last and
-    added in at once, so only one is kept, and each output coefficient is
-    reduced once, at the end.
+    added in at once, so only one is kept. The sums are returned
+    unreduced, zeros included: _from_numerators reduces each once.
     """
     bounds = {_name_info(n)[0]: bound for n in u.variables()}
     bounds.pop(TAU_NAME, None)
@@ -774,7 +783,7 @@ def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> Mul
         weight //= m * unit
         scaled = tuple({w: c * weight for w, c in part.items()} for part in poch)
         _add_product(acc, scaled, power, offsets)
-    return _from_numerators(*acc, denominator)
+    return acc, denominator
 
 
 def _mul_cleared(left: MultiPoly, right: MultiPoly, bounds: dict) -> MultiPoly:
@@ -782,13 +791,13 @@ def _mul_cleared(left: MultiPoly, right: MultiPoly, bounds: dict) -> MultiPoly:
     It pays on large series; on a few terms mul_truncated is faster."""
     l_re, l_im, dl = _word_numerators(left)
     r_re, r_im, dr = _word_numerators(right)
-    re, im = _product((l_re, l_im), (r_re, r_im), _offsets(bounds))
-    return _from_numerators(re, im, dl * dr)
+    return _from_numerators(_product((l_re, l_im), (r_re, r_im), _offsets(bounds)), dl * dr)
 
 
-def _from_numerators(re: dict, im: dict, d: int) -> MultiPoly:
-    """The MultiPoly (re + i im) / d, one reduced coefficient per nonzero
-    term; im is emptied of the words of re."""
+def _from_numerators(parts: tuple, d: int) -> MultiPoly:
+    """The MultiPoly (re + i im) / d of parts = (re, im), one reduced
+    coefficient per nonzero term; im is emptied of the words of re."""
+    re, im = parts
     terms = {}
     for w, c in re.items():
         b = im.pop(w, 0)

@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import socone
-from socone import jsonio, matrices, poly, states
+from socone import fock, jsonio, matrices, poly, states
 from socone.cli import main
 from socone.scalars import GaussianRational
 
@@ -548,3 +549,28 @@ def test_an_unbuffered_stdout_closed_early_exits_141():
     assert proc.wait(timeout=300) == 141
     assert b"Traceback" not in err
     assert head.startswith(b"0,0,0,0  1")
+
+
+class _FreshValues(fock.FockMatrix):
+    """A table whose every position holds its own object, also at a weight."""
+
+    def eval_at(self, tau):
+        return {pos: Fraction(v) for pos, v in super().eval_at(tau).items()}
+
+
+@pytest.mark.parametrize("tau", [[], ["--tau", "7/3"]], ids=["symbolic", "7/3"])
+def test_gram_output_does_not_depend_on_which_cells_share_an_object(
+    capsys, monkeypatch, tau
+):
+    argvs = [
+        ["gram", "--n", "3", "--degree", "5", "--format", f] + tau for f in ("text", "csv", "json")
+    ]
+    want = [run(capsys, *argv) for argv in argvs]
+    shared = fock.gram_matrix(3, 5)
+    fresh = _FreshValues(3, 5, {pos: v + 0 for pos, v in shared.entries.items()})
+    # the built table shares objects, the copy does not
+    assert len({id(v) for v in shared.entries.values()}) < len(shared.entries)
+    for values in (fresh.entries, fresh.eval_at(Fraction(7, 3))):
+        assert len({id(v) for v in values.values()}) == len(values)
+    monkeypatch.setattr(fock, "gram_matrix", lambda n, d: fresh)
+    assert [run(capsys, *argv) for argv in argvs] == want

@@ -35,10 +35,10 @@ from socone.spectral import (
     orthogonality_check,
     spectral_transform,
 )
-from socone.poly import MultiPoly, TAU
+from socone.poly import MultiPoly, TAU, series_power, weight_exponent
 from socone.report import CheckResult
 from socone.scalars import gr
-from socone.states import leibniz_closed_form
+from socone.states import leibniz_base, leibniz_closed_form
 
 from conftest import dense_table, gram_entry, leading_minors_positive, poch
 
@@ -886,3 +886,53 @@ def test_hat_generators_on_the_coherent_vector_store_no_zero(n, d):
         moved = matrix.apply(psi)
         assert moved, label
         assert all(moved.values()), label
+
+
+# -- the table from the integer series against the split polynomial series ------
+
+
+def reference_gram_entries(n, d):
+    # the series as one MultiPoly, split by w and then by v, scaled by k! m!
+    index = {k: i for i, k in enumerate(multi_indices(n, d))}
+    series = series_power(leibniz_base(n), weight_exponent(None), d)
+    return {
+        (index[k], index[m]): prod(map(factorial, k + m)) * poly
+        for k, cofactor in series.split_index("w", n).items()
+        for m, poly in cofactor.split_index("v", n).items()
+    }
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(1, 12), (2, 6), (2, 10), (3, 5), (3, 6), (4, 4), (1, 0), (3, 0), (2, 1), (4, 1)],
+)
+def test_gram_table_matches_the_split_polynomial_series(n, d):
+    entries = gram_matrix(n, d).entries
+    assert dict(entries) == reference_gram_entries(n, d)
+    holders = {}
+    for value in entries.values():
+        holders.setdefault(tuple(value.canonical_items()), set()).add(id(value))
+    # positions with equal values hold one object
+    assert all(len(ids) == 1 for ids in holders.values())
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (("w1", "v1", "v1"), "pairing connects different degrees"),
+        (("w1", "w2", "v1", "v1"), "pairing table is not symmetric"),
+    ],
+    ids=["degree", "symmetry"],
+)
+def test_gram_build_asserts_on_a_wrong_series(monkeypatch, extra, message):
+    want = dict(gram_matrix(2, 3).entries)
+    term = prod(map(MultiPoly.var, extra), start=MultiPoly.const(1))
+    monkeypatch.setattr(fock, "leibniz_base", lambda n: leibniz_base(n) + term)
+    gram_matrix.cache_clear()
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=message):
+            gram_matrix(2, 3)
+    # a failed build is not cached
+    assert gram_matrix.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert dict(gram_matrix(2, 3).entries) == want

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import socone
-from socone.poly import MultiPoly, TAU, exp_series, group_of, series_power, var_key
+from socone.poly import (
+    MultiPoly,
+    TAU,
+    exp_series,
+    group_of,
+    series_power,
+    series_power_numerators,
+    var_key,
+)
 from socone.scalars import GaussianRational, gr
 
 from conftest import poch, printed_polys
@@ -311,6 +319,43 @@ def test_series_errors_match_the_reference_loop(kernel, reference, args):
         reference(*args)
     with pytest.raises(ValueError) as got:
         kernel(*args)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "base, exponent, bound",
+    [
+        (1 - 2 * V1 * W1 + V1 ** 2 * W1 ** 2, TAU * Fraction(-1, 2), 4),
+        (1 - gr(0, 1) * V1 + Fraction(1, 3) * V1 * W1, Fraction(-5, 2), 3),
+        (1 + TAU * V2 - V1 * V2, TAU, 3),
+        (MultiPoly.const(1), Fraction(7, 2), 2),
+    ],
+)
+def test_series_power_numerators_are_series_power_over_one_denominator(base, exponent, bound):
+    (re, im), d = series_power_numerators(base, exponent, bound)
+    got = {}
+    for w in re.keys() | im.keys():
+        c = GaussianRational(Fraction(re.get(w, 0), d), Fraction(im.get(w, 0), d))
+        if c:
+            got[w] = c
+    assert got == series_power(base, exponent, bound).terms
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2 + V1, Fraction(1, 2), 3),
+        (1 - V1, Fraction(1, 2), -1),
+        (1 - V1, 0.5, 3),
+        (1 - V1, V1, 3),
+        (1 - TAU * V1 - TAU, -TAU, 3),
+    ],
+)
+def test_series_power_numerators_check_their_arguments_as_series_power(args):
+    with pytest.raises((TypeError, ValueError)) as want:
+        series_power(*args)
+    with pytest.raises(want.type) as got:
+        series_power_numerators(*args)
     assert str(got.value) == str(want.value)
 
 
