@@ -28,6 +28,7 @@ from .fock import (
     FockMatrix,
     build_combinatorial,
     build_hat,
+    gram_at,
     gram_matrix,
     multi_indices,
     positivity_probe,
@@ -82,6 +83,7 @@ __all__ = [
     "exp_series",
     "formal_adjoint",
     "gr",
+    "gram_at",
     "gram_matrix",
     "leibniz_closed_form",
     "leibniz_from_matrices",

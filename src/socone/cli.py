@@ -233,10 +233,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    gram = fock.gram_matrix(args.n, args.degree)
-    labels = [jsonio.multi_index_label(k) for k in gram.basis]
+    n, d = args.n, args.degree
     # the polynomial entries, or their nonzero Fraction values at the weight
-    values = gram.entries if args.tau is None else gram.eval_at(args.tau)
+    values = fock.gram_matrix(n, d).entries if args.tau is None else fock.gram_at(n, d, args.tau)
+    labels = [jsonio.multi_index_label(k) for k in fock.multi_indices(n, d)]
     positions = range(len(labels))
     # positions with equal values share one object, rendered once: in JSON
     # as the terms of a polynomial (a constant at a weight), else as str

@@ -1,5 +1,6 @@
-"""Degree-truncated Fock space, shift operators, the hat realization, Gram
-matrices, and exact positivity probes.
+"""Degree-truncated Fock space, shift operators, the hat realization, the
+Gram table (integer cells built once per (n, D), read as polynomials in t by
+gram_matrix and at an exact weight by gram_at), and exact positivity probes.
 
 The hat realization is the so(n,2) generator interface of algebra.SoAlgebra
 on truncated Fock operators: HatFamily reads labels, brackets, words and
@@ -19,12 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
-from math import factorial, inf, lcm, nextafter
+from math import factorial, gcd, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
 from .matrices import SparseMatrix, commutator, dot, is_positive_definite
-from .poly import MultiPoly, TAU, TAU_NAME, _from_numerators, _group_mask, _pack, _sum_into
+from .poly import MultiPoly, TAU, _from_numerators, _group_mask, _pack, _sum_into
 from .poly import series_power_numerators, weight_exponent
 from .report import CheckResult, Report, reading_check
 from .scalars import gr
@@ -85,10 +86,8 @@ class FockMatrix(SparseMatrix):
     positions in the shared basis of the space.
     """
 
-    # _columns (apply) and _t_rows (eval_at) are built on first use and kept
-    __slots__ = (
-        "n", "degree_bound", "basis", "index", "entries", "_columns", "_t_rows"
-    )
+    # _columns (apply) is built on first use and kept
+    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "_columns")
 
     def __init__(self, n, degree_bound, entries=None):
         basis, index, _ = _space(n, degree_bound)
@@ -145,64 +144,6 @@ class FockMatrix(SparseMatrix):
                 for mi, value in cols.get(index[k], ())
             ),
         )
-
-    def eval_at(self, tau) -> dict:
-        """The nonzero values of the entries at an exact weight, an int or a
-        Fraction (anything else raises TypeError), as {(row, col): Fraction}.
-
-        Each entry must be a polynomial in t alone (ValueError otherwise).
-        The first call clears the t-coefficients of each distinct entry to
-        integers c_top..c_0 over one denominator d (_cleared_t_rows) and
-        keeps them on the matrix, which is immutable. At tau = p/q an entry
-        is then sum_e c_e p^e q^(top - e) / (d q^top): one integer Horner
-        pass per distinct entry, and one Fraction for each that does not
-        vanish, shared by the positions that hold the entry.
-        """
-        # the two-argument form takes exact rationals only, not a float
-        tau = Fraction(tau, 1)
-        cleared = getattr(self, "_t_rows", None)
-        if cleared is None:
-            cleared = _cleared_t_rows(self.entries)
-            object.__setattr__(self, "_t_rows", cleared)
-        rows, positions = cleared
-        p, q = tau.numerator, tau.denominator
-        # q_powers[e] = q^e up to the largest degree in t
-        q_powers = [1]
-        for _ in range(max((len(c) for c, _ in rows), default=1) - 1):
-            q_powers.append(q_powers[-1] * q)
-        values = []
-        for coeffs, den in rows:
-            acc = 0
-            for c, qe in zip(coeffs, q_powers):
-                acc = acc * p + c * qe
-            top = len(coeffs) - 1
-            values.append(Fraction(acc, den * q_powers[top]) if acc else None)
-        return {pos: v for pos, k in positions if (v := values[k]) is not None}
-
-
-def _cleared_t_rows(entries) -> tuple:
-    """(rows, positions) of entries that are polynomials in t alone with
-    real coefficients: rows holds ((c_top, ..., c_0), d) once for each
-    distinct entry, which is sum_e c_e t^e / d with d the lcm of its
-    coefficients' denominators, and positions pairs each position, in
-    entry order, with its row. A table holds few distinct polynomials:
-    the Gram table at (4, 4) has 23 among its 292 entries."""
-    rows, positions, seen = [], [], {}
-    for pos, entry in entries.items():
-        entry = MultiPoly.coerce(entry)
-        # equal keys are equal entries; equal entries may differ in key
-        key = tuple(entry.terms.items())
-        k = seen.get(key)
-        if k is None:
-            k = seen[key] = len(rows)
-            ratios = [(e, c.as_integer_ratio()) for e, c in entry.powers_of(TAU_NAME)]
-            den = lcm(*(d for _, (_, d) in ratios))
-            coeffs = [0] * (max(e for e, _ in ratios) + 1)
-            for e, (a, d) in ratios:
-                coeffs[-1 - e] = a * (den // d)
-            rows.append((tuple(coeffs), den))
-        positions.append((pos, k))
-    return tuple(rows), tuple(positions)
 
 
 def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMatrix:
@@ -356,33 +297,33 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
 
 
 @cache
-def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
-    """Pairings of basis states of degree <= D, entries polynomial in t.
+def _gram_cells(n: int, degree_bound: int) -> tuple:
+    """(rows, positions): the pairing table's cells in integers.
 
-    G[k][m] = k! m! [w^k v^m] of the Leibniz series, held as a FockMatrix
-    on the shared space whose entries are a read-only mapping. The series
-    comes in integer numerators (series_power_numerators): a word's w and v
-    parts name the cell (k, m), and its numerator times k! m! is the cell's
-    coefficient of the rest, a power of t. The integer cells are asserted
-    to be 1 at the vacuum, 0 between different degrees, and symmetric; then
-    one MultiPoly is made per distinct cell, shared by the positions that
-    hold it. Built once per (n, D) and shared: the table is immutable.
+    G[k][m] = k! m! [w^k v^m] of the Leibniz series, whose integer numerators
+    over one denominator den come from series_power_numerators: a word's w
+    and v parts name the cell, and its numerator times k! m! is the cell's
+    coefficient of the rest, t^e. The cells are asserted to be 1 at the
+    vacuum, 0 between different degrees, and symmetric. rows holds each
+    distinct nonzero cell once as ((c_top, ..., c_0), d), the cell being
+    sum_e c_e t^e / d in lowest terms; positions pairs each position, in
+    entry order, with its row: at (4, 4), 292 positions share 23 rows.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     basis = _space(n, degree_bound)[0]
-    # uncached: the table is kept per key, its real series (no im) is not
+    # uncached: the cells are kept per key, their real series (no im) is not
     base, exponent = leibniz_base(n), weight_exponent(None)
     (series, _), den = series_power_numerators(base, exponent, degree_bound)
     groups = ([f"{g}{j}" for j in range(1, n + 1)] for g in "wv")
-    rows, cols = ({_pack(zip(names, k)): i for i, k in enumerate(basis)} for names in groups)
+    row_of, col_of = ({_pack(zip(names, k)): i for i, k in enumerate(basis)} for names in groups)
     w_mask, v_mask = _group_mask({"w"}), _group_mask({"v"})
     scale = [mi_factorial(k) for k in basis]
     cells = {}
     for word, c in series.items():
         if c:
             w, v = word & w_mask, word & v_mask
-            r, col = rows[w], cols[v]
+            r, col = row_of[w], col_of[v]
             cells.setdefault((r, col), {})[word - w - v] = c * scale[r] * scale[col]
     # the vacuum is the first basis state
     if cells.get((0, 0)) != {0: den}:
@@ -392,12 +333,57 @@ def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
             raise AssertionError("pairing connects different degrees")
         if cells.get((c, r)) != cell:
             raise AssertionError("pairing table is not symmetric")
-    keys = {pos: frozenset(cell.items()) for pos, cell in cells.items()}
-    distinct = {key: cells[pos] for pos, key in keys.items()}
-    distinct = {key: _from_numerators((cell, {}), den) for key, cell in distinct.items()}
-    entries = {pos: distinct[key] for pos, key in keys.items()}
+    # what is left of a word is t^e, e times TAU's one word
+    (unit,) = TAU.terms
+    rows, positions = {}, []
+    for pos, cell in cells.items():
+        coeffs = [0] * (max(cell) // unit + 1)
+        for word, c in cell.items():
+            coeffs[-1 - word // unit] = c
+        positions.append((pos, rows.setdefault(tuple(coeffs), len(rows))))
+    # each row over its own least denominator keeps gram_at's ints small
+    rows = [(row, gcd(den, *row)) for row in rows]
+    return tuple((tuple(c // g for c in row), den // g) for row, g in rows), tuple(positions)
+
+
+@cache
+def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
+    """Pairings of basis states of degree <= D, entries polynomial in t: one
+    MultiPoly per distinct cell of _gram_cells, shared by the positions that
+    hold it, in a read-only mapping. Built once per (n, D) and shared: the
+    table is immutable.
+    """
+    rows, positions = _gram_cells(n, degree_bound)
+    (unit,) = TAU.terms
+    polys = [
+        _from_numerators(({e * unit: c for e, c in enumerate(reversed(row))}, {}), d)
+        for row, d in rows
+    ]
+    entries = {pos: polys[k] for pos, k in positions}
     # every entry is nonzero, so the table is wrapped as built, read-only
     return FockMatrix(n, degree_bound)._like(MappingProxyType(entries))
+
+
+def gram_at(n: int, degree_bound: int, tau) -> dict:
+    """The nonzero values of the pairing table at an exact weight, an int or
+    a Fraction (anything else raises TypeError), as {(row, col): Fraction}.
+
+    At tau = p/q a cell is sum_e c_e p^e q^(top - e) / (d q^top): one
+    integer Horner pass per distinct cell of _gram_cells, and one Fraction
+    for each that does not vanish, shared by the positions that hold it.
+    """
+    rows, positions = _gram_cells(n, degree_bound)
+    # the two-argument form takes exact rationals only, not a float
+    tau = Fraction(tau, 1)
+    p, q = tau.numerator, tau.denominator
+    q_powers = [q**e for e in range(max(len(c) for c, _ in rows))]
+    values = []
+    for coeffs, den in rows:
+        acc = 0
+        for c, qe in zip(coeffs, q_powers):
+            acc = acc * p + c * qe
+        values.append(Fraction(acc, den * q_powers[len(coeffs) - 1]) if acc else None)
+    return {pos: v for pos, k in positions if (v := values[k]) is not None}
 
 
 def pair(gram: FockMatrix, left: dict, right: dict):
@@ -527,15 +513,16 @@ def probe_components(values: dict, labels) -> PositivityProbe:
 
 def positivity_probe(n: int, degree_bound: int, tau) -> PositivityProbe:
     """Exact LDL of the pairing table's nonzero values at an exact weight
-    (eval_at), one per component (probe_components), each pivot labeled
-    with its row's degree.
+    (gram_at, read from the integer cells: no polynomial table is made),
+    one per component (probe_components), each pivot labeled with its
+    row's degree.
 
     This is an empirical probe of the given weight only; it makes no claim
     about the set of weights with a positive pairing.
     """
-    gram = gram_matrix(n, degree_bound)
-    labels = [mi_degree(k) for k in gram.basis]
-    return probe_components(gram.eval_at(tau), labels)
+    values = gram_at(n, degree_bound, tau)
+    labels = [mi_degree(k) for k in _space(n, degree_bound)[0]]
+    return probe_components(values, labels)
 
 
 def coherent_vector(n: int, degree_bound: int, prefix: str) -> dict:

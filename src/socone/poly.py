@@ -414,19 +414,6 @@ class MultiPoly:
             return {0} if self.terms else set()
         return {(m >> shift) & _FIELD for m in self.terms}
 
-    def powers_of(self, name: str) -> list:
-        """(exponent, coefficient) of each term of a polynomial in name
-        alone; ValueError if another variable occurs."""
-        info = _INFO.get(name)
-        unit, shift = (info[3], info[4]) if info else (0, 0)
-        out = []
-        for m, c in self.terms.items():
-            e = (m >> shift) & _FIELD if unit else 0
-            if m != e * unit:
-                raise ValueError(f"{self} is not a polynomial in {name} alone")
-            out.append((e, c))
-        return out
-
     def decoded_terms(self) -> dict:
         """terms keyed by monomials as (name, exponent) pairs in var_key
         order, in the same order as terms."""

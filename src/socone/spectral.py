@@ -20,7 +20,7 @@ from .algebra import build_observables
 from .fock import (
     PositivityProbe,
     build_hat,
-    gram_matrix,
+    gram_at,
     mi_degree,
     mi_factorial,
     multi_indices,
@@ -151,6 +151,8 @@ def roundtrip_check(n: int, count: int, seed: int, height: int = 5) -> Report:
     vacuum; a point where either fails is a FAIL row with the message as
     its detail.
     """
+    if count < 1:
+        raise ValueError("the number of points must be at least 1")
     import random
 
     rng = random.Random(seed)
@@ -349,11 +351,11 @@ def vacuum_orthogonality_check(n: int, kmax: int) -> Report:
 def orthogonality_check(tau: Fraction, kmax: int) -> Report:
     """Three routes to <p_k, p_m> for n=1 at an exact weight:
 
-    (a) the Gram table from the Leibniz series, (b) the moment functional
-    applied to p_k p_m, (c) the closed form delta_km k! (tau)_k.
+    (a) the Gram table's integer cells at tau (gram_at), (b) the moment
+    functional applied to p_k p_m, (c) the closed form delta_km k! (tau)_k.
     """
     tau = Fraction(tau, 1)
-    values = gram_matrix(1, kmax).eval_at(tau)
+    values = gram_at(1, kmax, tau)
     table = moments(1, 2 * kmax, tau=tau, check_hat=False)
     polys = {bp.index: bp.poly for bp in basis_polynomials(1, kmax, tau=tau)}
     checks = [

@@ -251,6 +251,8 @@ def coherent_suite(n: int, count: int = 50, seed: int = 0, height: int = 5) -> R
     at w = 0, scaled-state recovery, and (for n <= 2) the fully symbolic
     pairing identity.
     """
+    if count < 1:
+        raise ValueError("the number of points must be at least 1")
     import random
 
     rng = random.Random(seed)

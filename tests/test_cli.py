@@ -551,13 +551,6 @@ def test_an_unbuffered_stdout_closed_early_exits_141():
     assert head.startswith(b"0,0,0,0  1")
 
 
-class _FreshValues(fock.FockMatrix):
-    """A table whose every position holds its own object, also at a weight."""
-
-    def eval_at(self, tau):
-        return {pos: Fraction(v) for pos, v in super().eval_at(tau).items()}
-
-
 @pytest.mark.parametrize("tau", [[], ["--tau", "7/3"]], ids=["symbolic", "7/3"])
 def test_gram_output_does_not_depend_on_which_cells_share_an_object(
     capsys, monkeypatch, tau
@@ -567,10 +560,13 @@ def test_gram_output_does_not_depend_on_which_cells_share_an_object(
     ]
     want = [run(capsys, *argv) for argv in argvs]
     shared = fock.gram_matrix(3, 5)
-    fresh = _FreshValues(3, 5, {pos: v + 0 for pos, v in shared.entries.items()})
-    # the built table shares objects, the copy does not
-    assert len({id(v) for v in shared.entries.values()}) < len(shared.entries)
-    for values in (fresh.entries, fresh.eval_at(Fraction(7, 3))):
-        assert len({id(v) for v in values.values()}) == len(values)
+    at_weight = fock.gram_at(3, 5, Fraction(7, 3))
+    # the built tables share objects, the copies do not
+    fresh = fock.FockMatrix(3, 5, {pos: v + 0 for pos, v in shared.entries.items()})
+    fresh_at = {pos: Fraction(v) for pos, v in at_weight.items()}
+    for built, copy in ((shared.entries, fresh.entries), (at_weight, fresh_at)):
+        assert len({id(v) for v in built.values()}) < len(built)
+        assert len({id(v) for v in copy.values()}) == len(copy) == len(built)
     monkeypatch.setattr(fock, "gram_matrix", lambda n, d: fresh)
+    monkeypatch.setattr(fock, "gram_at", lambda n, d, t: dict(fresh_at))
     assert [run(capsys, *argv) for argv in argvs] == want

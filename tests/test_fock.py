@@ -16,6 +16,7 @@ from socone.fock import (
     build_combinatorial,
     build_hat,
     coherent_vector,
+    gram_at,
     gram_matrix,
     mi_degree,
     multi_indices,
@@ -252,14 +253,14 @@ def test_probes_compute_the_float_view_only_when_it_is_read(monkeypatch):
 
 def test_positivity_probe_matches_minor_oracle():
     gram = gram_matrix(2, 2)
-    dense = dense_table(gram.eval_at(Fraction(3)), len(gram.basis))
+    dense = dense_table(gram_at(2, 2, Fraction(3)), len(gram.basis))
     assert leading_minors_positive(dense)
     assert positivity_probe(2, 2, Fraction(3)).positive_definite
 
 
 def degree_blocks(n, d, tau):
     gram = gram_matrix(n, d)
-    dense = dense_table(gram.eval_at(tau), len(gram.basis))
+    dense = dense_table(gram_at(n, d, tau), len(gram.basis))
     ends = fock._space(n, d)[2]
     return [[row[a:b] for row in dense[a:b]] for a, b in zip(ends, ends[1:])]
 
@@ -353,7 +354,7 @@ def test_gram_components_are_the_parity_classes_of_every_slot(n, d):
     # classes of each degree block
     tau = Fraction(7, 3)
     gram = gram_matrix(n, d)
-    dense = dense_table(gram.eval_at(tau), len(gram.basis))
+    dense = dense_table(gram_at(n, d, tau), len(gram.basis))
     ends = fock._space(n, d)[2]
     expected = [
         [a + i for i in rows]
@@ -459,11 +460,18 @@ def test_build_hat_validates_bound():
         verify_hat_relations(1, 2)
 
 
-@pytest.mark.parametrize("n, d", [(1, 6), (2, 5), (3, 4)])
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 5), (3, 4), (4, 4)])
 def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
+    # rational, negative and integer weights; at t = 0 the Leibniz series
+    # is 1, so every cell but the vacuum vanishes
     gram = gram_matrix(n, d)
-    for tau in (Fraction(-5, 2), Fraction(0), Fraction(1, 3), Fraction(4)):
-        values = gram.eval_at(tau)
+    assert gram_at(n, d, 0) == {(0, 0): 1}
+    weights = [
+        0, -1, -3, 7, Fraction(2, 3), Fraction(-5, 2), Fraction(96, 97),
+        Fraction(-200, 101), Fraction(1, 997), Fraction(1, 3), Fraction(4),
+    ]
+    for tau in weights:
+        values = gram_at(n, d, tau)
         point = {"t": tau}
         # an absent cell is zero at every weight
         want = {
@@ -473,52 +481,13 @@ def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
         }
         assert values == want
         assert all(type(x) is Fraction and x for x in values.values())
-
-
-
-def test_eval_at_matches_substitution_on_hand_built_tables():
-    # rational, negative and constant t-coefficients; an int, a scalar and
-    # a polynomial entry; (3t - 2)(t + 1) vanishes at t = 2/3
-    t = TAU
-    entries = {
-        (0, 0): MultiPoly.const(1),
-        (0, 1): Fraction(-7, 3) * t**3 + Fraction(5, 2) * t - 4,
-        (1, 0): Fraction(-7, 3) * t**3 + Fraction(5, 2) * t - 4,
-        (1, 1): (3 * t - 2) * (t + 1),
-        (1, 2): gr(Fraction(-9, 97)),
-        (2, 1): -t**5 + Fraction(1, 101) * t**2,
-        (2, 2): 6,
-        (0, 2): Fraction(12, 5) * t,
-    }
-    table = FockMatrix(2, 1, entries)
-    weights = [
-        0, -1, -3, 7, Fraction(2, 3), Fraction(-5, 2), Fraction(96, 97),
-        Fraction(-200, 101), Fraction(1, 997),
-    ]
-    for tau in weights:
-        want = {}
-        for pos, entry in table.entries.items():
-            x = MultiPoly.coerce(entry).subs({"t": tau}).as_gaussian()
-            x = Fraction(*x.as_integer_ratio())
-            if x:
-                want[pos] = x
-        got = table.eval_at(tau)
-        assert got == want
-        assert all(type(x) is Fraction for x in got.values())
-        # a repeated call reads the same cleared rows to the same values
-        assert table.eval_at(tau) == got
-    assert (1, 1) not in table.eval_at(Fraction(2, 3))
-    assert table.eval_at(Fraction(2, 3))[0, 0] == 1
-
-
-def test_eval_at_refuses_a_table_in_another_variable():
-    table = FockMatrix(1, 1, {(0, 0): TAU + 1, (1, 1): TAU * MultiPoly.var("z1")})
-    for _ in range(2):
-        with pytest.raises(ValueError, match="not a polynomial in t alone"):
-            table.eval_at(Fraction(1, 2))
-    complex_table = FockMatrix(1, 1, {(0, 0): gr(1, 1) * TAU})
-    with pytest.raises(ValueError, match="imaginary"):
-        complex_table.eval_at(1)
+        # a repeated call reads the same cached cells to the same values
+        assert gram_at(n, d, tau) == values
+    # positions that share a polynomial share its value
+    holders = {}
+    for pos, x in gram_at(n, d, Fraction(2, 3)).items():
+        holders.setdefault(id(gram.entries[pos]), set()).add(id(x))
+    assert all(len(ids) == 1 for ids in holders.values())
 
 
 def components_of(matrix):
@@ -564,6 +533,8 @@ def test_entry_points_refuse_a_dimension_below_one():
         lambda: spectral_transform(0, 2),
         lambda: build_hat(0, 3),
         lambda: gram_matrix(0, 3),
+        lambda: gram_at(0, 3, 1),
+        lambda: gram_at(-1, 3, Fraction(1, 2)),
         lambda: multi_indices(-2, 2),
     ]
     for call in calls:
@@ -573,10 +544,9 @@ def test_entry_points_refuse_a_dimension_below_one():
 
 def test_weights_are_exact_ints_or_fractions():
     # a float is refused, not probed at its binary expansion
-    gram = gram_matrix(2, 3)
     for weight in (0.1, 2.0, "1/2", gr(1), None, Decimal(3)):
         for call in (
-            lambda: gram.eval_at(weight),
+            lambda: gram_at(2, 3, weight),
             lambda: positivity_probe(2, 3, weight),
             lambda: moment_positivity_probe(2, weight, 2),
             lambda: orthogonality_check(weight, 2),
@@ -584,7 +554,7 @@ def test_weights_are_exact_ints_or_fractions():
             with pytest.raises(TypeError):
                 call()
     for weight in (3, Fraction(3)):
-        assert gram.eval_at(weight) == gram.eval_at(Fraction(3))
+        assert gram_at(2, 3, weight) == gram_at(2, 3, Fraction(3))
     assert positivity_probe(2, 3, 3) == positivity_probe(2, 3, Fraction(3))
     assert moment_positivity_probe(2, 3, 2) == moment_positivity_probe(2, Fraction(3), 2)
 
@@ -929,10 +899,13 @@ def test_gram_build_asserts_on_a_wrong_series(monkeypatch, extra, message):
     term = prod(map(MultiPoly.var, extra), start=MultiPoly.const(1))
     monkeypatch.setattr(fock, "leibniz_base", lambda n: leibniz_base(n) + term)
     gram_matrix.cache_clear()
+    fock._gram_cells.cache_clear()
     for _ in range(2):
-        with pytest.raises(AssertionError, match=message):
-            gram_matrix(2, 3)
+        for build in (gram_matrix, lambda n, d: gram_at(n, d, 1)):
+            with pytest.raises(AssertionError, match=message):
+                build(2, 3)
     # a failed build is not cached
     assert gram_matrix.cache_info().currsize == 0
+    assert fock._gram_cells.cache_info().currsize == 0
     monkeypatch.undo()
     assert dict(gram_matrix(2, 3).entries) == want

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from socone.algebra import build_observables
-from socone.fock import gram_matrix, mi_factorial, multi_indices, positivity_probe
+from socone.fock import gram_at, gram_matrix, mi_factorial, multi_indices, positivity_probe
 from socone.matrices import DenseMatrix, exp_nilpotent, is_positive_definite
 from socone.poly import MultiPoly, TAU, exp_series, series_power, weight_exponent
 from socone.scalars import gr
@@ -101,6 +101,13 @@ def test_v_to_z_examples():
 def test_roundtrip_random(rng):
     for n in (1, 2, 3):
         assert roundtrip_check(n, 20, seed=11).all_passed
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_roundtrip_refuses_no_points(count):
+    # a suite that compared no point has shown nothing
+    with pytest.raises(ValueError, match="number of points must be at least 1"):
+        roundtrip_check(2, count, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -240,7 +247,7 @@ def test_moment_positivity_probes():
 def test_gram_and_moment_probes_share_one_verdict(tau):
     # n = 2: the Wallach boundary is t = 0, so the two weights straddle it
     gram = gram_matrix(2, 3)
-    dense = dense_table(gram.eval_at(tau), len(gram.basis))
+    dense = dense_table(gram_at(2, 3, tau), len(gram.basis))
     blocks = []
     for d in range(4):
         idx = [i for i, k in enumerate(gram.basis) if sum(k) == d]

@@ -307,6 +307,13 @@ def test_coherent_suite_passes():
         assert coherent_suite(n, count=15, seed=3).all_passed
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_coherent_suite_refuses_no_points(count):
+    # a suite that compared no point has shown nothing
+    with pytest.raises(ValueError, match="number of points must be at least 1"):
+        coherent_suite(1, count)
+
+
 def test_vacuum_is_built_once_per_n():
     assert vacuum(2) is vacuum(2)
 
