@@ -248,7 +248,8 @@ def cmd_gram(args) -> int:
     distinct = {key: render(v) for key, v in distinct.items()}
     cells = {pos: distinct[id(v)] for pos, v in values.items()}
     if args.format == "json":
-        # most cells are absent: each is one shared zero polynomial, []
+        # most cells are absent: each is one shared zero polynomial, [],
+        # which dumps writes in place
         zero = []
         return _write_json({
             "n": args.n,

@@ -7,6 +7,12 @@ on truncated Fock operators: HatFamily reads labels, brackets, words and
 observables through it and adds only the truncation degree and the
 lowering shifts V_j.
 
+A Fock operator is held as integer t-slices, sum_e t^e S_e: a hat
+generator is A + t B, and the Gram table the slices of its integer cells.
+The bracket, adjointness and lowering-form rows compare integer products
+of slices; polynomial entries are made only where they are read (apply,
+and so pair, and the printed table).
+
 Basis states are multi-indices (k_1..k_n) of total degree at most D in
 graded lexicographic order; one basis, index and block layout serves every
 operator on a truncated space (n, D). A raise out of the truncated space is
@@ -24,11 +30,12 @@ from math import factorial, gcd, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
-from .matrices import SparseMatrix, commutator, dot, is_positive_definite
-from .poly import MultiPoly, TAU, _from_numerators, _group_mask, _pack, _sum_into
+from .matrices import _SCALARS, SparseMatrix, _by_row, _product_into, commutator, dot
+from .matrices import is_positive_definite
+from .poly import MultiPoly, TAU, _from_numerators, _group_mask, _make, _pack, _sum_into
 from .poly import series_power_numerators, weight_exponent
 from .report import CheckResult, Report, reading_check
-from .scalars import gr
+from .scalars import GaussianRational, gr
 from .states import leibniz_base, leibniz_closed_form
 
 
@@ -80,35 +87,39 @@ def _block(total: int, slots: int) -> list:
 
 
 class FockMatrix(SparseMatrix):
-    """Sparse operator matrix on the truncated Fock basis.
+    """Sparse operator on the truncated Fock basis, held as integer t-slices.
 
-    Entries are exact scalars or polynomials in t, keyed by (row, column)
-    positions in the shared basis of the space.
+    The operator is sum_e t^e slices[e]: slices[e] maps (row, column)
+    positions in the shared basis to the nonzero coefficient of t^e, an int
+    (a GaussianRational only where a rational or complex scalar entered),
+    and no slice is empty. Sums, products and comparisons run on the
+    slices, a product as one Gustavson product per pair of slices.
+    `entries`, the exact values, are made from the slices on first read
+    (apply and the printed table) and kept.
     """
 
-    # _columns (apply) is built on first use and kept
-    __slots__ = ("n", "degree_bound", "basis", "index", "entries", "_columns")
+    # _entries and _columns (apply) are built on first use and kept
+    __slots__ = ("n", "degree_bound", "basis", "index", "slices", "_entries", "_columns")
 
     def __init__(self, n, degree_bound, entries=None):
+        """The operator of entries {(row, col): exact scalar or polynomial in t}."""
         basis, index, _ = _space(n, degree_bound)
-        cleaned = {pos: v for pos, v in (entries or {}).items() if v}
-        self._fill(n, degree_bound, basis, index, cleaned, None)
+        self._fill(n, degree_bound, basis, index, _slices(entries or {}), None, None)
 
     @classmethod
     def identity(cls, n, degree_bound):
         size = len(_space(n, degree_bound)[0])
-        return cls(n, degree_bound, {(i, i): gr(1) for i in range(size)})
+        return cls(n, degree_bound)._like({0: {(i, i): 1 for i in range(size)}})
 
     @property
     def shape(self):
         return len(self.basis), len(self.basis)
 
-    def _like(self, entries, shape=None):
-        """A matrix on this space from entries that hold no zero, wrapped as
-        they are: the space is not looked up and nothing is re-filtered. Every
-        operator on the space is square, so the shape adds nothing."""
+    def _like(self, slices):
+        """The operator sum_e t^e slices[e] on this space, wrapped as given:
+        no slice may be empty and no value zero."""
         out = object.__new__(FockMatrix)
-        out._fill(self.n, self.degree_bound, self.basis, self.index, entries, None)
+        out._fill(self.n, self.degree_bound, self.basis, self.index, slices, None, None)
         return out
 
     def _check(self, other, op):
@@ -116,15 +127,72 @@ class FockMatrix(SparseMatrix):
             raise ValueError("operators live on different truncated spaces")
         return True
 
+    @property
+    def entries(self) -> dict:
+        """{(row, col): exact scalar, or MultiPoly where t appears}."""
+        if self._entries is None:
+            (unit,) = TAU.terms
+            cells = {}
+            for e, part in self.slices.items():
+                for pos, c in part.items():
+                    cells.setdefault(pos, {})[e * unit] = GaussianRational.coerce(c)
+            made = {p: c[0] if c.keys() == {0} else _make(c) for p, c in cells.items()}
+            object.__setattr__(self, "_entries", made)
+        return self._entries
+
+    @property
+    def is_zero(self):
+        return not self.slices
+
+    def __add__(self, other):
+        if not isinstance(other, FockMatrix):
+            return NotImplemented
+        self._check(other, "addition")
+        out = {e: dict(part) for e, part in self.slices.items()}
+        for e, part in other.slices.items():
+            if not _sum_into(out.setdefault(e, {}), part.items()):
+                del out[e]
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({e: {p: -v for p, v in part.items()} for e, part in self.slices.items()})
+
+    def __mul__(self, other):
+        out = {}
+        if isinstance(other, FockMatrix):
+            self._check(other, "product")
+            rows = [(f, _by_row(part)) for f, part in other.slices.items()]
+            for e, part in self.slices.items():
+                for f, by_row in rows:
+                    _product_into(out.setdefault(e + f, {}), part, by_row)
+        elif isinstance(other, _SCALARS):
+            # the values lie in an integral domain: no product vanishes
+            for f, c in ((f, s[()]) for f, s in _slices({(): other}).items()):
+                for e, part in self.slices.items():
+                    _sum_into(out.setdefault(e + f, {}), ((p, v * c) for p, v in part.items()))
+        else:
+            return NotImplemented
+        return self._like({e: p for e, p in out.items() if p})
+
+    def __eq__(self, other):
+        if not isinstance(other, FockMatrix):
+            return NotImplemented
+        return self._check(other, "equality") and self.slices == other.slices
+
+    def transpose(self):
+        swapped = {e: {(c, r): v for (r, c), v in p.items()} for e, p in self.slices.items()}
+        return self._like(swapped)
+
     def restrict(self, max_degree: int) -> "FockMatrix":
         """Drop every entry whose row or column exceeds the given degree."""
         # the basis is graded, so the states of degree <= max_degree are a prefix
         ends = _space(self.n, self.degree_bound)[2]
         size = ends[min(max(max_degree + 1, 0), self.degree_bound + 1)]
-        entries = {
-            (r, c): v for (r, c), v in self.entries.items() if r < size and c < size
-        }
-        return self._like(entries)
+        return self._like({
+            e: kept
+            for e, part in self.slices.items()
+            if (kept := {(r, c): v for (r, c), v in part.items() if r < size and c < size})
+        })
 
     def apply(self, vector: dict) -> dict:
         """Apply to a sparse vector keyed by multi-index."""
@@ -146,6 +214,20 @@ class FockMatrix(SparseMatrix):
         )
 
 
+def _slices(cells: dict) -> dict:
+    """cells {key: exact scalar or polynomial in t alone} as the slices
+    {e: {key: coefficient of t^e}}, an integral coefficient as an int; any
+    other value raises."""
+    (unit,), others = TAU.terms, ~_group_mask({"t"})
+    slices = {}
+    for key, value in cells.items():
+        for word, c in MultiPoly.coerce(value).terms.items():
+            if word & others:
+                raise ValueError("a Fock operator entry is a polynomial in t alone")
+            slices.setdefault(word // unit, {})[key] = c if c._b or c._d != 1 else c._a
+    return slices
+
+
 def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMatrix:
     """The shift operators: kind "raise" appends to slot j with coefficient 1,
     kind "lower" removes one from slot j with coefficient k_j."""
@@ -158,13 +240,14 @@ def build_combinatorial(n: int, degree_bound: int, kind: str, j: int) -> FockMat
     for col, k in enumerate(basis):
         if kind == "raise":
             if mi_degree(k) < degree_bound:
-                entries[(index[_shift(k, j, 1)], col)] = gr(1)
+                entries[(index[_shift(k, j, 1)], col)] = 1
         elif kind == "lower":
             if k[j - 1] > 0:
-                entries[(index[_shift(k, j, -1)], col)] = gr(k[j - 1])
+                entries[(index[_shift(k, j, -1)], col)] = k[j - 1]
         else:
             raise ValueError(f"unknown shift kind {kind!r}")
-    return FockMatrix(n, degree_bound, entries)
+    # D >= 1: the vacuum raises, and its raise lowers
+    return FockMatrix(n, degree_bound)._like({0: entries})
 
 
 @dataclass(frozen=True)
@@ -187,9 +270,10 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     """Ladder and rotation operators as polynomials in the shift operators.
 
     L_j is t V_j + 2 (R_l V_l) V_j - R_j V.V; berezin.bessel_form_check
-    reports whether it equals rho0 V_j - R_j V.V. Only the grading is
-    asserted: every entry of R_j raises the degree by exactly 1, of L_j
-    lowers it by exactly 1, and of rho0 and rho_jk keeps it.
+    reports whether it equals rho0 V_j - R_j V.V. Each generator is A + t B
+    in integer t-slices, formed from the integer shift matrices. Only the
+    grading is asserted: every entry of R_j raises the degree by exactly 1,
+    of L_j lowers it by exactly 1, and of rho0 and rho_jk keeps it.
     Built and checked once per (n, D) and shared: the family is immutable.
     """
     if degree_bound < 2:
@@ -219,7 +303,7 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     degree = [mi_degree(k) for k in identity.basis]
     for label, matrix in generators.items():
         grade = {"R": 1, "L": -1}.get(label[0], 0)
-        if any(degree[r] - degree[c] != grade for r, c in matrix.entries):
+        if any(degree[r] - degree[c] != grade for p in matrix.slices.values() for r, c in p):
             raise AssertionError(f"{label}^ does not move the degree by {grade}")
     return HatFamily(n, generators, identity, degree_bound, lowering)
 
@@ -267,15 +351,15 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
     # a row whose block holds no basis state has shown nothing, so it fails;
     # the block is read through the restrict call its comparison makes
     empty = "no basis state compared"
-    if not hat.identity.restrict(interior).entries:
+    if hat.identity.restrict(interior).is_zero:
         checks = [CheckResult(c.name, False, empty) for c in checks]
     # interior shift-operator commutator
     one = hat.identity.restrict(degree_bound - 1)
     for j in range(1, n + 1):
         comm = commutator(hat.shift_lower(j), hat.R(j))
-        same = bool(one.entries) and comm.restrict(degree_bound - 1) == one
+        same = not one.is_zero and comm.restrict(degree_bound - 1) == one
         name = f"[V{j}, R{j}] = 1 (interior)"
-        checks.append(CheckResult(name, same, "" if one.entries else empty))
+        checks.append(CheckResult(name, same, empty if one.is_zero else ""))
     # vacuum axioms
     omega = vacuum_vector(n)
     ok = all(not hat.L(j).apply(omega) for j in range(1, n + 1))
@@ -348,20 +432,30 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
 
 @cache
 def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
-    """Pairings of basis states of degree <= D, entries polynomial in t: one
-    MultiPoly per distinct cell of _gram_cells, shared by the positions that
-    hold it, in a read-only mapping. Built once per (n, D) and shared: the
-    table is immutable.
+    """Pairings of basis states of degree <= D, polynomial in t: the integer
+    t-slices of _gram_cells, and as entries one MultiPoly per distinct
+    cell, shared by the positions that hold it, in a read-only mapping.
+    Built once per (n, D) and shared: the table is immutable.
     """
     rows, positions = _gram_cells(n, degree_bound)
     (unit,) = TAU.terms
-    polys = [
-        _from_numerators(({e * unit: c for e, c in enumerate(reversed(row))}, {}), d)
-        for row, d in rows
-    ]
-    entries = {pos: polys[k] for pos, k in positions}
-    # every entry is nonzero, so the table is wrapped as built, read-only
-    return FockMatrix(n, degree_bound)._like(MappingProxyType(entries))
+    holders = [[] for _ in rows]
+    for pos, k in positions:
+        holders[k].append(pos)
+    polys, slices = [], {}
+    for (row, d), held in zip(rows, holders):
+        # each cell is <vacuum, L^k R^m vacuum>, and L^ and R^ are integer
+        if d != 1:
+            raise AssertionError("a pairing cell is not an integer polynomial in t")
+        coeffs = dict(enumerate(reversed(row)))
+        polys.append(_from_numerators(({e * unit: c for e, c in coeffs.items()}, {}), 1))
+        for e, c in coeffs.items():
+            if c:
+                slices.setdefault(e, {}).update(dict.fromkeys(held, c))
+    gram = FockMatrix(n, degree_bound)._like(slices)
+    # every entry is nonzero, so the table is set as built, read-only
+    object.__setattr__(gram, "_entries", MappingProxyType({pos: polys[k] for pos, k in positions}))
+    return gram
 
 
 def gram_at(n: int, degree_bound: int, tau) -> dict:
@@ -399,7 +493,9 @@ def pair(gram: FockMatrix, left: dict, right: dict):
 
 def verify_adjointness(n: int, degree_bound: int) -> Report:
     """transpose(L^) G = G R^, and the symmetric/skew statements for the
-    rotations, as polynomial identities on degrees <= D-1.
+    rotations, as polynomial identities on degrees <= D-1, compared per
+    power of t: with L^ = A + t B, A^T G_e + B^T G_(e-1) against G_e R^, in
+    integer t-slices.
 
     Both sides are computed from the generators and the Gram table
     restricted to degree <= D-1. The table is block-diagonal by degree

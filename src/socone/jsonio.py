@@ -118,8 +118,13 @@ def _write(obj, out: list, newline: str) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
-            out.append(sep)
-            _write(item, out, inner)
+            if item.__class__ is list and not item:
+                # an empty list, as each absent cell of a Gram row, is
+                # written in place
+                out.append(sep + "[]")
+            else:
+                out.append(sep)
+                _write(item, out, inner)
             sep = "," + inner
         out.append(newline + "]" if sep[0] == "," else "[]")
     elif kind is int:

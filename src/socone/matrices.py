@@ -1,13 +1,14 @@
 """Exact matrices that keep only their nonzero entries, plus the exact helpers
 built on them.
 
-SparseMatrix is the ring both realizations share: DenseMatrix, the
-(n+2) x (n+2) matrices, and fock.FockMatrix, the truncated Fock operators.
-Entries are GaussianRational or MultiPoly; the two mix freely. Both lie
+SparseMatrix is the ring of DenseMatrix, the (n+2) x (n+2) matrices, whose
+entries are GaussianRational or MultiPoly; the two mix freely. Both lie
 in an integral domain, so a product of nonzero values is nonzero. An
 absent entry is an exact zero, and no operation stores a zero. Products
-index the right operand by row (Gustavson, ACM TOMS 4 (1978)). Matrices
-are immutable after construction. exp_combination_cleared forms exp(A) x for
+index the right operand by row (Gustavson, ACM TOMS 4 (1978)) in one
+kernel, _product_into, which fock.FockMatrix, a truncated Fock operator
+held as integer t-slices, runs once per pair of slices. Matrices are
+immutable after construction. exp_combination_cleared forms exp(A) x for
 a combination A of matrices in integer numerators, without forming A.
 """
 
@@ -41,7 +42,9 @@ class SparseMatrix:
     shape)` to wrap entries that hold no zero on that space (shape None keeps
     its own), and `_check(other, op)`, which is True when the operands fit
     and otherwise raises ValueError or, for an equality it can answer, is
-    False.
+    False. fock.FockMatrix keeps only the immutability, subtraction and
+    right scalar product from here: it holds t-slices, not entries, and
+    runs its own ring operations on them.
     """
 
     __slots__ = ()
@@ -70,17 +73,7 @@ class SparseMatrix:
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check(other, "product")
-            by_row = {}
-            for (r, c), value in other.entries.items():
-                by_row.setdefault(r, []).append((c, value))
-            entries = _sum_into(
-                {},
-                (
-                    ((i, c), a * b)
-                    for (i, j), a in self.entries.items()
-                    for c, b in by_row.get(j, ())
-                ),
-            )
+            entries = _product_into({}, self.entries, _by_row(other.entries))
             return self._like(entries, (self.shape[0], other.shape[1]))
         if isinstance(other, _SCALARS):
             # entries and scalars lie in an integral domain: only a zero
@@ -110,6 +103,30 @@ class SparseMatrix:
     def transpose(self):
         entries = {(c, r): v for (r, c), v in self.entries.items()}
         return self._like(entries, self.shape[::-1])
+
+
+def _by_row(entries) -> dict:
+    """The (column, value) pairs of each row of {(row, column): value}."""
+    rows = {}
+    for (r, c), value in entries.items():
+        rows.setdefault(r, []).append((c, value))
+    return rows
+
+
+def _product_into(acc: dict, left: dict, right_rows: dict) -> dict:
+    """Add the product of left, {(row, column): value}, and the matrix whose
+    rows right_rows holds (_by_row) into acc and return acc; a sum that
+    vanishes is deleted. The Gustavson loop adds inline, as _sum_into would."""
+    for (i, j), a in left.items():
+        for c, b in right_rows.get(j, ()):
+            key = (i, c)
+            old = acc.get(key)
+            s = a * b if old is None else old + a * b
+            if s:
+                acc[key] = s
+            elif old is not None:
+                del acc[key]
+    return acc
 
 
 class DenseMatrix(SparseMatrix):

@@ -28,7 +28,7 @@ from .fock import (
     probe_components,
     vacuum_vector,
 )
-from .matrices import _coerce_entry, dot, exact_vector
+from .matrices import _coerce_entry, _numerators, dot, exact_value, exact_vector
 from .poly import (
     MultiPoly,
     _mul_cleared,
@@ -40,7 +40,7 @@ from .poly import (
 from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
-from .states import ROUTE_FAILURES, StateVector, _raised, random_point, recover_coordinates
+from .states import ROUTE_FAILURES, StateVector, _orbit_coordinates, _raised, random_point
 
 
 class SingularCoordinateError(ValueError):
@@ -62,37 +62,43 @@ def _symbolic_z(n: int) -> tuple:
     return tuple(MultiPoly.var(f"z{j}") for j in range(1, n + 1))
 
 
-def exp_zX_vacuum(z) -> StateVector:
-    """exp(z.X) applied to the vacuum by states._raised, the vacuum
-    exponential coherent_state uses, checked against the closed quadratic
-    form."""
-    n = len(z)
-    comps = [_coerce_entry(c) for c in z]
-    observables = [e.matrix for e in build_observables(n)]
-    moved = StateVector(exact_vector(*_raised(n, comps, observables)))
+def _moved_pairs(comps) -> tuple:
+    """exp(z.X) vacuum as (numerator pairs, denominator), by states._raised,
+    the vacuum exponential coherent_state uses, checked against the closed
+    quadratic form cross-multiplied: pair (x, y) over d is (c + i e) / f
+    when (x f - c d) + i (y f - e d) vanishes."""
+    observables = [e.matrix for e in build_observables(len(comps))]
+    pairs, d = _raised(len(comps), comps, observables)
     zeta2 = zeta2_value(comps)
-    closed = StateVector(
+    closed = (
         (gr(0, 2) * (comps[0] - zeta2),)
         + tuple(2 * c for c in comps[1:])
         + (1 - 2 * comps[0] + 2 * zeta2, _I * (1 - 2 * comps[0]))
     )
-    if moved != closed:
-        raise AssertionError("closed form for exp(z.X) vacuum fails")
-    return moved
+    for (x, y), entry in zip(pairs, closed):
+        c, e, f = _numerators(entry)
+        if exact_value(x * f - c * d, y * f - e * d, 1):
+            raise AssertionError("closed form for exp(z.X) vacuum fails")
+    return pairs, d
+
+
+def exp_zX_vacuum(z) -> StateVector:
+    """exp(z.X) applied to the vacuum, checked against its closed form."""
+    return StateVector(exact_vector(*_moved_pairs([_coerce_entry(c) for c in z])))
 
 
 def z_to_v(z):
     """(v, h^2) with v1 = (1 - z1 - h^2)/h^2 and v_k = -i z_k / h^2.
 
-    Checked against coordinate recovery from the moved vacuum vector.
+    Checked against coordinate recovery from the moved vacuum, read as its
+    numerator pairs by states._orbit_coordinates.
     """
     comps = [_coerce_entry(c) for c in z]
     h2 = h2_value(comps)
     if not h2:
         raise SingularCoordinateError("h^2 vanishes at this point")
     v = ((1 - comps[0] - h2) / h2,) + tuple((-_I) * c / h2 for c in comps[1:])
-    state = exp_zX_vacuum(comps)
-    recovered_v, lam = recover_coordinates(state)
+    recovered_v, lam = _orbit_coordinates(*_moved_pairs(comps))
     if lam != h2 or any(a != b for a, b in zip(recovered_v, v)):
         raise AssertionError("coordinate recovery disagrees with the closed form")
     return v, h2
@@ -197,22 +203,24 @@ def _hat_moments(n: int, max_degree: int) -> dict:
     """<vacuum, X^k vacuum> for all |k| <= max_degree, weight symbolic.
 
     The X^k vacuum vectors are built by extending one slot at a time (the
-    family commutes, so the extension order is immaterial). The Gram table
-    is block-diagonal by degree with vacuum entry 1 (gram_matrix asserts
-    both), so each expectation is the vacuum component of X^k vacuum.
+    family commutes, so the extension order is immaterial), each through
+    the integer operator Y_j of X_j = phase Y_j, the phases multiplied
+    apart. The Gram table is block-diagonal by degree with vacuum entry 1
+    (gram_matrix asserts both), so each expectation is the vacuum
+    component of X^k vacuum.
     """
     bound = max(max_degree, 2)
     hat = build_hat(n, bound)
-    omega = vacuum_vector(n)
-    xs = [hat.observable(j) for j in range(1, n + 1)]
-    table = {(0,) * n: omega}
+    parts = [hat.observable_parts(j) for j in range(1, n + 1)]
+    table = {(0,) * n: (vacuum_vector(n), 1)}
     out = {}
     for k in multi_indices(n, max_degree):
         if k not in table:
             j = next(i for i, e in enumerate(k) if e)
-            prev = tuple(e - (1 if i == j else 0) for i, e in enumerate(k))
-            table[k] = xs[j].apply(table[prev])
-        out[k] = MultiPoly.coerce(table[k].get((0,) * n, 0))
+            vector, phase = table[tuple(e - (1 if i == j else 0) for i, e in enumerate(k))]
+            table[k] = (parts[j][1].apply(vector), phase * parts[j][0])
+        vector, phase = table[k]
+        out[k] = phase * MultiPoly.coerce(vector.get((0,) * n, 0))
     return out
 
 

@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from socone import algebra, fock, matrices
+from socone import algebra, berezin, fock, matrices
 from socone.algebra import OperatorWord, brackets, build_algebra, verify_relations
 from socone.berezin import fock_pairing_series
 from socone.fock import (
@@ -909,3 +909,145 @@ def test_gram_build_asserts_on_a_wrong_series(monkeypatch, extra, message):
     assert fock._gram_cells.cache_info().currsize == 0
     monkeypatch.undo()
     assert dict(gram_matrix(2, 3).entries) == want
+
+
+# -- the integer t-slices against the MultiPoly route -----------------------------
+
+
+def mp_add(a, b, scale=1):
+    # a + scale b for {(row, col): MultiPoly or scalar} maps, storing no zero
+    out = dict(a)
+    for pos, v in b.items():
+        s = out.get(pos, 0) + scale * v
+        if s:
+            out[pos] = s
+        else:
+            out.pop(pos, None)
+    return out
+
+
+def mp_mul(a, b):
+    # the product of two such maps, each entry summed from its products
+    products = {}
+    for (i, j), x in a.items():
+        for (k, c), y in b.items():
+            if j == k:
+                products.setdefault((i, c), []).append(x * y)
+    return mp_add({}, {pos: sum(ps[1:], ps[0]) for pos, ps in products.items()})
+
+
+def reference_hat(n, d):
+    # the reference route: the generators with MultiPoly entries, formed
+    # entry by entry from the shift operators
+    basis = multi_indices(n, d)
+    index = {k: i for i, k in enumerate(basis)}
+
+    def step(k, j, delta):
+        return k[: j - 1] + (k[j - 1] + delta,) + k[j:]
+
+    raising = [
+        {(index[step(k, j, 1)], i): gr(1) for i, k in enumerate(basis) if sum(k) < d}
+        for j in range(1, n + 1)
+    ]
+    lowering = [
+        {(index[step(k, j, -1)], i): gr(k[j - 1]) for i, k in enumerate(basis) if k[j - 1]}
+        for j in range(1, n + 1)
+    ]
+    number, vsq = {}, {}
+    for r, v in zip(raising, lowering):
+        number, vsq = mp_add(number, mp_mul(r, v)), mp_add(vsq, mp_mul(v, v))
+    table = {f"R{j}": raising[j - 1] for j in range(1, n + 1)}
+    for j in range(1, n + 1):
+        v = lowering[j - 1]
+        ladder = mp_add({p: TAU * x for p, x in v.items()}, mp_mul(number, v), 2)
+        table[f"L{j}"] = mp_add(ladder, mp_mul(raising[j - 1], vsq), -1)
+    identity = {(i, i): TAU for i in range(len(basis))}
+    table["rho0"] = mp_add(identity, number, 2)
+    for j, k in combinations(range(1, n + 1), 2):
+        rot = mp_mul(raising[j - 1], lowering[k - 1])
+        rot = mp_add(rot, mp_mul(raising[k - 1], lowering[j - 1]), -1)
+        table[algebra.rotation_label(j, k)] = rot
+    return table
+
+
+def t_coefficients(entries):
+    # {e: {position: coefficient of t^e}} of a map of polynomials in t
+    out = {}
+    for pos, value in entries.items():
+        for mono, c in MultiPoly.coerce(value).decoded_terms().items():
+            out.setdefault(dict(mono).get("t", 0), {})[pos] = c
+    return out
+
+
+def slice_values(matrix):
+    # the slices, as exact values
+    return {e: {pos: gr(c) for pos, c in part.items()} for e, part in matrix.slices.items()}
+
+
+@pytest.mark.parametrize("n, d", [(1, 6), (2, 5), (3, 5), (4, 4)])
+def test_slices_equal_the_multipoly_tables_entry_for_entry(n, d):
+    hat = build_hat(n, d)
+    reference = reference_hat(n, d)
+    assert list(reference) == hat.labels()
+    for label, matrix in hat.generators.items():
+        # every generator is A + t B with integer A and B
+        assert set(matrix.slices) <= {0, 1}
+        assert all(type(c) is int for p in matrix.slices.values() for c in p.values())
+        assert slice_values(matrix) == t_coefficients(reference[label]), label
+    gram = gram_matrix(n, d)
+    assert all(type(c) is int for p in gram.slices.values() for c in p.values())
+    assert slice_values(gram) == t_coefficients(reference_gram_entries(n, d))
+
+
+def test_a_changed_integer_coefficient_fails_exactly_its_rows(monkeypatch):
+    # 3 (N V_1) in place of 2 (N V_1) in the lowering generator L_1
+    hat = build_hat(2, 4)
+    number = hat.R(1) * hat.shift_lower(1) + hat.R(2) * hat.shift_lower(2)
+    generators = dict(hat.generators)
+    generators["L1"] = hat.L(1) + number * hat.shift_lower(1)
+    mutant = fock.HatFamily(2, MappingProxyType(generators), hat.identity, 4, hat.lowering)
+    monkeypatch.setattr(fock, "build_hat", lambda n, d: mutant)
+    monkeypatch.setattr(berezin, "build_hat", lambda n, d: mutant)
+    failed = {
+        check.__name__: [c.name for c in check(2, 4).failed()]
+        for check in (
+            verify_adjointness,
+            verify_hat_relations,
+            berezin.bessel_form_check,
+            berezin.hat_from_pde_check,
+        )
+    }
+    # [L1^, rho0^] = 2 L1^ still holds: N V_1 lowers the degree by one too
+    assert failed == {
+        "verify_adjointness": ["L1^* pairs as R1^"],
+        "verify_hat_relations": [
+            "[L1^, R1^] = rho0^",
+            "[rho12^, L2^] = L1^",
+            "[L1^, R2^] = 2 rho21^",
+            "[rho21^, L1^] = L2^",
+            "[L1^, L2^] = 0",
+        ],
+        "bessel_form_check": ["lowering form for j=1"],
+        "hat_from_pde_check": ["lowering operator read off the system, j=1"],
+    }
+
+
+def test_the_slice_ring_keeps_rational_and_complex_values_exact():
+    hat = build_hat(2, 4)
+    r, lo = hat.R(1), hat.L(2)
+    half, third = r * Fraction(1, 2), r * Fraction(1, 3)
+    assert set(half.slices[0].values()) == {gr(Fraction(1, 2))}
+    assert half * 2 == r and half != r and half + third == r * Fraction(5, 6)
+    assert half - half == 0 * r and (half - half).is_zero
+    assert lo * half == (lo * r) * Fraction(1, 2) != lo * r
+    # a complex or polynomial scalar multiplies every slice
+    assert (r * gr(0, 1)) * gr(0, 1) == -r
+    assert TAU * r == FockMatrix(2, 4, {p: TAU * v for p, v in r.entries.items()})
+    assert set((TAU * lo + gr(1, 2) * lo).slices) == {0, 1, 2}
+    # the entries read back to the same operator, and a product's entries
+    # are the products of the MultiPoly entries
+    for m in (lo, hat.rho0, gram_matrix(2, 4), half * lo, r * gr(2, -3)):
+        assert FockMatrix(2, 4, m.entries) == m
+    assert (half * lo).entries == mp_mul(half.entries, lo.entries)
+    with pytest.raises(ValueError, match="polynomial in t alone"):
+        FockMatrix(2, 4, {(0, 0): MultiPoly.var("v1")})
