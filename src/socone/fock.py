@@ -7,7 +7,8 @@ on truncated Fock operators: HatFamily reads labels, brackets, words and
 observables through it and adds only the truncation degree and the
 lowering shifts V_j.
 
-A Fock operator is held as integer t-slices, sum_e t^e S_e: a hat
+A Fock operator is held as integer t-slices, sum_e t^e S_e, the graded
+parts of the ring matrices.SparseMatrix shares with DenseMatrix: a hat
 generator is A + t B, and the Gram table the slices of its integer cells.
 The bracket, adjointness and lowering-form rows compare integer products
 of slices; polynomial entries are made only where they are read (apply,
@@ -30,7 +31,7 @@ from math import factorial, gcd, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
-from .matrices import _SCALARS, SparseMatrix, _by_row, _product_into, commutator, dot
+from .matrices import SparseMatrix, commutator, dot
 from .matrices import is_positive_definite
 from .poly import MultiPoly, TAU, _from_numerators, _group_mask, _make, _pack, _sum_into
 from .poly import series_power_numerators, weight_exponent
@@ -89,13 +90,13 @@ def _block(total: int, slots: int) -> list:
 class FockMatrix(SparseMatrix):
     """Sparse operator on the truncated Fock basis, held as integer t-slices.
 
-    The operator is sum_e t^e slices[e]: slices[e] maps (row, column)
-    positions in the shared basis to the nonzero coefficient of t^e, an int
-    (a GaussianRational only where a rational or complex scalar entered),
-    and no slice is empty. Sums, products and comparisons run on the
-    slices, a product as one Gustavson product per pair of slices.
-    `entries`, the exact values, are made from the slices on first read
-    (apply and the printed table) and kept.
+    The parts of matrices.SparseMatrix are the powers of t: slices[e] maps
+    (row, column) positions in the shared basis to the nonzero coefficient
+    of t^e, an int (a GaussianRational only where a rational or complex
+    scalar entered). The ring is SparseMatrix's; this class adds the space,
+    a scalar split into its powers of t, restrict and apply. `entries`, the
+    exact values, are made from the slices on first read (apply and the
+    printed table) and kept.
     """
 
     # _entries and _columns (apply) are built on first use and kept
@@ -115,9 +116,10 @@ class FockMatrix(SparseMatrix):
     def shape(self):
         return len(self.basis), len(self.basis)
 
-    def _like(self, slices):
+    def _like(self, slices, shape=None):
         """The operator sum_e t^e slices[e] on this space, wrapped as given:
-        no slice may be empty and no value zero."""
+        no slice may be empty and no value zero. Every operator on the space
+        is square, so shape is ignored."""
         out = object.__new__(FockMatrix)
         out._fill(self.n, self.degree_bound, self.basis, self.index, slices, None, None)
         return out
@@ -126,6 +128,11 @@ class FockMatrix(SparseMatrix):
         if (self.n, self.degree_bound) != (other.n, other.degree_bound):
             raise ValueError("operators live on different truncated spaces")
         return True
+
+    @staticmethod
+    def _scalar_parts(scalar):
+        # a polynomial in t splits into its powers of t
+        return {f: part[()] for f, part in _slices({(): scalar}).items()}
 
     @property
     def entries(self) -> dict:
@@ -139,49 +146,6 @@ class FockMatrix(SparseMatrix):
             made = {p: c[0] if c.keys() == {0} else _make(c) for p, c in cells.items()}
             object.__setattr__(self, "_entries", made)
         return self._entries
-
-    @property
-    def is_zero(self):
-        return not self.slices
-
-    def __add__(self, other):
-        if not isinstance(other, FockMatrix):
-            return NotImplemented
-        self._check(other, "addition")
-        out = {e: dict(part) for e, part in self.slices.items()}
-        for e, part in other.slices.items():
-            if not _sum_into(out.setdefault(e, {}), part.items()):
-                del out[e]
-        return self._like(out)
-
-    def __neg__(self):
-        return self._like({e: {p: -v for p, v in part.items()} for e, part in self.slices.items()})
-
-    def __mul__(self, other):
-        out = {}
-        if isinstance(other, FockMatrix):
-            self._check(other, "product")
-            rows = [(f, _by_row(part)) for f, part in other.slices.items()]
-            for e, part in self.slices.items():
-                for f, by_row in rows:
-                    _product_into(out.setdefault(e + f, {}), part, by_row)
-        elif isinstance(other, _SCALARS):
-            # the values lie in an integral domain: no product vanishes
-            for f, c in ((f, s[()]) for f, s in _slices({(): other}).items()):
-                for e, part in self.slices.items():
-                    _sum_into(out.setdefault(e + f, {}), ((p, v * c) for p, v in part.items()))
-        else:
-            return NotImplemented
-        return self._like({e: p for e, p in out.items() if p})
-
-    def __eq__(self, other):
-        if not isinstance(other, FockMatrix):
-            return NotImplemented
-        return self._check(other, "equality") and self.slices == other.slices
-
-    def transpose(self):
-        swapped = {e: {(c, r): v for (r, c), v in p.items()} for e, p in self.slices.items()}
-        return self._like(swapped)
 
     def restrict(self, max_degree: int) -> "FockMatrix":
         """Drop every entry whose row or column exceeds the given degree."""

@@ -1,15 +1,18 @@
 """Exact matrices that keep only their nonzero entries, plus the exact helpers
 built on them.
 
-SparseMatrix is the ring of DenseMatrix, the (n+2) x (n+2) matrices, whose
-entries are GaussianRational or MultiPoly; the two mix freely. Both lie
-in an integral domain, so a product of nonzero values is nonzero. An
-absent entry is an exact zero, and no operation stores a zero. Products
-index the right operand by row (Gustavson, ACM TOMS 4 (1978)) in one
-kernel, _product_into, which fock.FockMatrix, a truncated Fock operator
-held as integer t-slices, runs once per pair of slices. Matrices are
-immutable after construction. exp_combination_cleared forms exp(A) x for
-a combination A of matrices in integer numerators, without forming A.
+SparseMatrix is the one ring of both matrix kinds: DenseMatrix, the
+(n+2) x (n+2) matrices, and fock.FockMatrix, the truncated Fock operators.
+A matrix is held as graded parts, sum_e t^e slices[e], each part a map
+{(row, column): nonzero value}; a DenseMatrix is the single part 0, whose
+GaussianRational and MultiPoly values mix freely. The values lie in an
+integral domain, so a product of nonzero values is nonzero. An absent
+entry is an exact zero, and no operation stores a zero or an empty part.
+A product is one Gustavson product per pair of parts, the right part
+indexed by row (Gustavson, ACM TOMS 4 (1978)); the kinds differ only in
+the parts a scalar factor contributes. Matrices are immutable after
+construction. exp_combination_cleared forms exp(A) x for a combination A
+of matrices in integer numerators, without forming A.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ def _coerce_entry(value):
 
 
 class SparseMatrix:
-    """The ring on matrices whose `entries` map (row, column) to a nonzero value.
+    """The one ring of DenseMatrix and fock.FockMatrix: a matrix held as its
+    graded parts, `slices` {e: {(row, column): nonzero value}}, no part
+    empty, standing for sum_e t^e slices[e].
 
-    A subclass supplies its space: `shape` as (rows, cols), `_like(entries,
-    shape)` to wrap entries that hold no zero on that space (shape None keeps
-    its own), and `_check(other, op)`, which is True when the operands fit
-    and otherwise raises ValueError or, for an equality it can answer, is
-    False. fock.FockMatrix keeps only the immutability, subtraction and
-    right scalar product from here: it holds t-slices, not entries, and
-    runs its own ring operations on them.
+    A subclass supplies its space: `shape` as (rows, cols), `_like(slices,
+    shape)` to wrap parts that hold no zero on that space (shape None keeps
+    its own), `_check(other, op)`, which is True when the operands fit and
+    otherwise raises ValueError or, for an equality it can answer, is False,
+    and `_scalar_parts(scalar)`, the parts {f: c} of a scalar factor.
     """
 
     __slots__ = ()
@@ -60,7 +63,11 @@ class SparseMatrix:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other, "addition")
-        return self._like(_sum_into(dict(self.entries), other.entries.items()))
+        out = {e: dict(part) for e, part in self.slices.items()}
+        for e, part in other.slices.items():
+            if not _sum_into(out.setdefault(e, {}), part.items()):
+                del out[e]
+        return self._like(out)
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -68,20 +75,40 @@ class SparseMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return self._like({p: -v for p, v in self.entries.items()})
+        return self._like({e: {p: -v for p, v in part.items()} for e, part in self.slices.items()})
 
     def __mul__(self, other):
+        out, shape = {}, None
         if isinstance(other, type(self)):
             self._check(other, "product")
-            entries = _product_into({}, self.entries, _by_row(other.entries))
-            return self._like(entries, (self.shape[0], other.shape[1]))
-        if isinstance(other, _SCALARS):
-            # entries and scalars lie in an integral domain: only a zero
-            # factor makes a product vanish
-            if not other:
-                return self._like({})
-            return self._like({p: v * other for p, v in self.entries.items()})
-        return NotImplemented
+            shape = self.shape[0], other.shape[1]
+            # the right parts indexed by row, for one Gustavson loop per pair
+            right = []
+            for f, part in other.slices.items():
+                rows = {}
+                for (r, c), b in part.items():
+                    rows.setdefault(r, []).append((c, b))
+                right.append((f, rows))
+            for e, part in self.slices.items():
+                for f, rows in right:
+                    acc = out.setdefault(e + f, {})
+                    for (i, j), a in part.items():
+                        for c, b in rows.get(j, ()):
+                            key = (i, c)
+                            old = acc.get(key)
+                            s = a * b if old is None else old + a * b
+                            if s:
+                                acc[key] = s
+                            elif old is not None:
+                                del acc[key]
+        elif isinstance(other, _SCALARS):
+            # the values lie in an integral domain: no product vanishes
+            for f, c in self._scalar_parts(other).items():
+                for e, part in self.slices.items():
+                    _sum_into(out.setdefault(e + f, {}), ((p, v * c) for p, v in part.items()))
+        else:
+            return NotImplemented
+        return self._like({e: p for e, p in out.items() if p}, shape)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
@@ -91,48 +118,25 @@ class SparseMatrix:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        # neither side stores a zero, so equal matrices have equal keys
-        return self._check(other, "equality") and self.entries == other.entries
+        # neither side stores a zero or an empty part, so equal matrices
+        # have equal parts
+        return self._check(other, "equality") and self.slices == other.slices
 
     __hash__ = None
 
     @property
     def is_zero(self):
-        return not self.entries
+        return not self.slices
 
     def transpose(self):
-        entries = {(c, r): v for (r, c), v in self.entries.items()}
-        return self._like(entries, self.shape[::-1])
-
-
-def _by_row(entries) -> dict:
-    """The (column, value) pairs of each row of {(row, column): value}."""
-    rows = {}
-    for (r, c), value in entries.items():
-        rows.setdefault(r, []).append((c, value))
-    return rows
-
-
-def _product_into(acc: dict, left: dict, right_rows: dict) -> dict:
-    """Add the product of left, {(row, column): value}, and the matrix whose
-    rows right_rows holds (_by_row) into acc and return acc; a sum that
-    vanishes is deleted. The Gustavson loop adds inline, as _sum_into would."""
-    for (i, j), a in left.items():
-        for c, b in right_rows.get(j, ()):
-            key = (i, c)
-            old = acc.get(key)
-            s = a * b if old is None else old + a * b
-            if s:
-                acc[key] = s
-            elif old is not None:
-                del acc[key]
-    return acc
+        swapped = {e: {(c, r): v for (r, c), v in p.items()} for e, p in self.slices.items()}
+        return self._like(swapped, self.shape[::-1])
 
 
 class DenseMatrix(SparseMatrix):
-    """A rows x cols matrix, built from and read as dense rows."""
+    """A rows x cols matrix, built from and read as dense rows: the part 0."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "slices")
 
     def __init__(self, data):
         data = [[_coerce_entry(e) for e in row] for row in data]
@@ -143,12 +147,22 @@ class DenseMatrix(SparseMatrix):
         entries = {
             (i, j): e for i, row in enumerate(data) for j, e in enumerate(row) if e
         }
-        self._fill(len(data), len(data[0]), entries)
+        self._fill(len(data), len(data[0]), {0: entries} if entries else {})
 
-    def _like(self, entries, shape=None):
+    def _like(self, slices, shape=None):
         out = object.__new__(DenseMatrix)
-        out._fill(*(shape or self.shape), entries)
+        out._fill(*(shape or self.shape), slices)
         return out
+
+    @staticmethod
+    def _scalar_parts(scalar):
+        # a scalar multiplies each value as it is, a polynomial in t too
+        return {0: scalar} if scalar else {}
+
+    @property
+    def entries(self) -> dict:
+        """{(row, col): nonzero value}: the part 0."""
+        return self.slices.get(0, {})
 
     def _check(self, other, op):
         if op == "product":

@@ -94,6 +94,8 @@ def z_to_v(z):
     numerator pairs by states._orbit_coordinates.
     """
     comps = [_coerce_entry(c) for c in z]
+    if not comps:
+        raise ValueError("spatial dimension must be at least 1")
     h2 = h2_value(comps)
     if not h2:
         raise SingularCoordinateError("h^2 vanishes at this point")
@@ -107,6 +109,8 @@ def z_to_v(z):
 def v_to_z(v):
     """(z, h^2) with h^2 = (1 + 2 v1 + v.v)^(-1); inverse of z_to_v."""
     comps = [_coerce_entry(c) for c in v]
+    if not comps:
+        raise ValueError("spatial dimension must be at least 1")
     denom = 1 + 2 * comps[0] + dot(comps, comps)
     if not denom:
         raise SingularCoordinateError("1 + 2 v1 + v.v vanishes at this point")
@@ -128,12 +132,13 @@ def verify_coordinate_duality(n: int) -> Report:
     """
     title = f"coordinate duality (n={n})"
     z = _symbolic_z(n)
-    h2 = h2_value(z)
     try:
+        # builds the observables, so n < 1 raises ValueError here
         state = exp_zX_vacuum(z)
     except ROUTE_FAILURES as exc:
         name = "exp(z.X) vacuum equals its closed form"
         return Report(title, [CheckResult(name, False, str(exc))])
+    h2 = h2_value(z)
     num = (1 - z[0] - h2,) + tuple((-_I) * c for c in z[1:])
     name = "(h^2 v).(h^2 v) is divisible by h^2"
     try:
@@ -318,6 +323,7 @@ def basis_polynomials(
     kmax = max_total_degree
     if kmax < 0:
         raise ValueError("degree must be non-negative")
+    basis = multi_indices(n, kmax)  # n < 1 raises ValueError here
     v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
     x = [MultiPoly.var(f"x{j}") for j in range(1, n + 1)]
     v2 = dot(v, v)
@@ -331,7 +337,7 @@ def basis_polynomials(
     buckets = gf.split_index("v", n)
     return [
         BasisPolynomial(k, mi_factorial(k) * buckets.get(k, MultiPoly.zero()))
-        for k in multi_indices(n, kmax)
+        for k in basis
     ]
 
 

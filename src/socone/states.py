@@ -160,6 +160,8 @@ def recover_coordinates(state: StateVector):
 
 def leibniz_base(n: int) -> MultiPoly:
     """1 - 2 w.v + (w.w)(v.v) in the symbolic w and v variables."""
+    if n < 1:
+        raise ValueError("spatial dimension must be at least 1")
     return leibniz_base_value(
         [MultiPoly.var(f"w{j}") for j in range(1, n + 1)],
         [MultiPoly.var(f"v{j}") for j in range(1, n + 1)],

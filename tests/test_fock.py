@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from socone import algebra, berezin, fock, matrices
+from socone import algebra, berezin, fock, matrices, spectral
 from socone.algebra import OperatorWord, brackets, build_algebra, verify_relations
 from socone.berezin import fock_pairing_series
 from socone.fock import (
@@ -542,6 +542,40 @@ def test_entry_points_refuse_a_dimension_below_one():
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: spectral.basis_polynomials(0, 3),
+        lambda: berezin.verify_raising_identity(0),
+        lambda: berezin.verify_pde_system(0),
+        lambda: spectral.z_to_v([]),
+        lambda: spectral.v_to_z([]),
+        lambda: spectral.roundtrip_check(0, 2, 1),
+        lambda: spectral.verify_coordinate_duality(0),
+        lambda: leibniz_closed_form(0, 3),
+        lambda: leibniz_base(0),
+        lambda: leibniz_base(-1),
+    ],
+    ids=[
+        "basis_polynomials",
+        "verify_raising_identity",
+        "verify_pde_system",
+        "z_to_v",
+        "v_to_z",
+        "roundtrip_check",
+        "verify_coordinate_duality",
+        "leibniz_closed_form",
+        "leibniz_base",
+        "leibniz_base_negative",
+    ],
+)
+def test_series_and_coordinate_entry_points_refuse_a_dimension_below_one(call):
+    # twice: a refused build caches nothing
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^spatial dimension must be at least 1$"):
+            call()
+
+
 def test_weights_are_exact_ints_or_fractions():
     # a float is refused, not probed at its binary expansion
     for weight in (0.1, 2.0, "1/2", gr(1), None, Decimal(3)):
@@ -1044,6 +1078,11 @@ def test_the_slice_ring_keeps_rational_and_complex_values_exact():
     assert (r * gr(0, 1)) * gr(0, 1) == -r
     assert TAU * r == FockMatrix(2, 4, {p: TAU * v for p, v in r.entries.items()})
     assert set((TAU * lo + gr(1, 2) * lo).slices) == {0, 1, 2}
+    # a polynomial in t splits into its powers: t shifts every slice up one
+    for m in (r, lo, hat.rho0, gram_matrix(2, 4)):
+        shifted = {e + 1: part for e, part in m.slices.items()}
+        assert (TAU * m).slices == (m * TAU).slices == shifted
+        assert (1 + TAU) * m == m + TAU * m
     # the entries read back to the same operator, and a product's entries
     # are the products of the MultiPoly entries
     for m in (lo, hat.rho0, gram_matrix(2, 4), half * lo, r * gr(2, -3)):
@@ -1051,3 +1090,5 @@ def test_the_slice_ring_keeps_rational_and_complex_values_exact():
     assert (half * lo).entries == mp_mul(half.entries, lo.entries)
     with pytest.raises(ValueError, match="polynomial in t alone"):
         FockMatrix(2, 4, {(0, 0): MultiPoly.var("v1")})
+    with pytest.raises(ValueError, match="polynomial in t alone"):
+        MultiPoly.var("v1") * r

@@ -18,7 +18,7 @@ from socone.matrices import (
 )
 from socone.algebra import build_algebra
 from socone.fock import build_combinatorial
-from socone.poly import MultiPoly
+from socone.poly import MultiPoly, TAU
 from socone.scalars import GaussianRational, gr
 
 from conftest import fraction_det, leading_minors_positive
@@ -529,6 +529,19 @@ def test_dense_operands_must_fit():
     assert (b == b.transpose()) is False
     with pytest.raises(ValueError):
         DenseMatrix.zeros(0)
+
+
+def test_a_dense_scalar_multiplies_each_entry_as_it_is():
+    # a polynomial in t is a value like any other: the product stays the
+    # single part 0, not split into powers of t as a Fock operator's would
+    v1 = MultiPoly.var("v1")
+    m = DenseMatrix([[1, gr(0, 1), 0], [v1, 0, Fraction(2, 3)]])
+    for s in (TAU, 1 + TAU, v1, TAU * v1 - Fraction(1, 3)):
+        want = {p: x * s for p, x in m.entries.items()}
+        for got in (s * m, m * s):
+            assert list(got.slices) == [0] and got.entries == want
+    assert (TAU * DenseMatrix.identity(2)).entries == {(0, 0): TAU, (1, 1): TAU}
+    assert (m * 0).slices == {} and (m * 0).entries == {}
 
 
 def test_linear_combination_rejects_mismatched_input():
