@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import accumulate
-from math import factorial, gcd, inf, nextafter
+from math import factorial, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
 from .matrices import SparseMatrix, commutator, dot
 from .matrices import is_positive_definite
-from .poly import MultiPoly, TAU, _from_numerators, _group_mask, _make, _pack, _sum_into
+from .poly import MultiPoly, TAU, _group_mask, _make, _pack, _sum_into
 from .poly import series_power_numerators, weight_exponent
 from .report import CheckResult, Report, reading_check
 from .scalars import GaussianRational, gr
@@ -96,7 +96,7 @@ class FockMatrix(SparseMatrix):
     scalar entered). The ring is SparseMatrix's; this class adds the space,
     a scalar split into its powers of t, restrict and apply. `entries`, the
     exact values, are made from the slices on first read (apply and the
-    printed table) and kept.
+    printed table) and kept in a read-only mapping.
     """
 
     # _entries and _columns (apply) are built on first use and kept
@@ -135,8 +135,8 @@ class FockMatrix(SparseMatrix):
         return {f: part[()] for f, part in _slices({(): scalar}).items()}
 
     @property
-    def entries(self) -> dict:
-        """{(row, col): exact scalar, or MultiPoly where t appears}."""
+    def entries(self) -> MappingProxyType:
+        """{(row, col): exact scalar, or MultiPoly where t appears}, read-only."""
         if self._entries is None:
             (unit,) = TAU.terms
             cells = {}
@@ -144,7 +144,7 @@ class FockMatrix(SparseMatrix):
                 for pos, c in part.items():
                     cells.setdefault(pos, {})[e * unit] = GaussianRational.coerce(c)
             made = {p: c[0] if c.keys() == {0} else _make(c) for p, c in cells.items()}
-            object.__setattr__(self, "_entries", made)
+            object.__setattr__(self, "_entries", MappingProxyType(made))
         return self._entries
 
     def restrict(self, max_degree: int) -> "FockMatrix":
@@ -350,12 +350,13 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
 
     G[k][m] = k! m! [w^k v^m] of the Leibniz series, whose integer numerators
     over one denominator den come from series_power_numerators: a word's w
-    and v parts name the cell, and its numerator times k! m! is the cell's
-    coefficient of the rest, t^e. The cells are asserted to be 1 at the
-    vacuum, 0 between different degrees, and symmetric. rows holds each
-    distinct nonzero cell once as ((c_top, ..., c_0), d), the cell being
-    sum_e c_e t^e / d in lowest terms; positions pairs each position, in
-    entry order, with its row: at (4, 4), 292 positions share 23 rows.
+    and v parts name the cell, and its numerator times k! m! / den is the
+    cell's coefficient of the rest, t^e. The cells are asserted to be 1
+    at the vacuum, 0 between different degrees, symmetric, and integer
+    polynomials in t. rows holds each distinct nonzero cell once as
+    (c_top, ..., c_0), the cell being sum_e c_e t^e; positions pairs each
+    position, in entry order, with its row: at (4, 4), 292 positions share
+    23 rows.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
@@ -389,9 +390,10 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
         for word, c in cell.items():
             coeffs[-1 - word // unit] = c
         positions.append((pos, rows.setdefault(tuple(coeffs), len(rows))))
-    # each row over its own least denominator keeps gram_at's ints small
-    rows = [(row, gcd(den, *row)) for row in rows]
-    return tuple((tuple(c // g for c in row), den // g) for row, g in rows), tuple(positions)
+    # each cell is <vacuum, L^k R^m vacuum>, and L^ and R^ are integer
+    if any(c % den for row in rows for c in row):
+        raise AssertionError("a pairing cell is not an integer polynomial in t")
+    return tuple(tuple(c // den for c in row) for row in rows), tuple(positions)
 
 
 @cache
@@ -403,19 +405,13 @@ def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
     """
     rows, positions = _gram_cells(n, degree_bound)
     (unit,) = TAU.terms
-    holders = [[] for _ in rows]
+    # each distinct cell's nonzero (e, c_e), and its polynomial
+    parts = [[(e, c) for e, c in enumerate(reversed(row)) if c] for row in rows]
+    polys = [_make({e * unit: gr(c) for e, c in part}) for part in parts]
+    slices = {}
     for pos, k in positions:
-        holders[k].append(pos)
-    polys, slices = [], {}
-    for (row, d), held in zip(rows, holders):
-        # each cell is <vacuum, L^k R^m vacuum>, and L^ and R^ are integer
-        if d != 1:
-            raise AssertionError("a pairing cell is not an integer polynomial in t")
-        coeffs = dict(enumerate(reversed(row)))
-        polys.append(_from_numerators(({e * unit: c for e, c in coeffs.items()}, {}), 1))
-        for e, c in coeffs.items():
-            if c:
-                slices.setdefault(e, {}).update(dict.fromkeys(held, c))
+        for e, c in parts[k]:
+            slices.setdefault(e, {})[pos] = c
     gram = FockMatrix(n, degree_bound)._like(slices)
     # every entry is nonzero, so the table is set as built, read-only
     object.__setattr__(gram, "_entries", MappingProxyType({pos: polys[k] for pos, k in positions}))
@@ -426,21 +422,21 @@ def gram_at(n: int, degree_bound: int, tau) -> dict:
     """The nonzero values of the pairing table at an exact weight, an int or
     a Fraction (anything else raises TypeError), as {(row, col): Fraction}.
 
-    At tau = p/q a cell is sum_e c_e p^e q^(top - e) / (d q^top): one
-    integer Horner pass per distinct cell of _gram_cells, and one Fraction
-    for each that does not vanish, shared by the positions that hold it.
+    At tau = p/q a cell is sum_e c_e p^e q^(top - e) / q^top: one integer
+    Horner pass per distinct cell of _gram_cells, and one Fraction for each
+    that does not vanish, shared by the positions that hold it.
     """
     rows, positions = _gram_cells(n, degree_bound)
     # the two-argument form takes exact rationals only, not a float
     tau = Fraction(tau, 1)
     p, q = tau.numerator, tau.denominator
-    q_powers = [q**e for e in range(max(len(c) for c, _ in rows))]
+    q_powers = [q**e for e in range(max(map(len, rows)))]
     values = []
-    for coeffs, den in rows:
+    for coeffs in rows:
         acc = 0
         for c, qe in zip(coeffs, q_powers):
             acc = acc * p + c * qe
-        values.append(Fraction(acc, den * q_powers[len(coeffs) - 1]) if acc else None)
+        values.append(Fraction(acc, q_powers[len(coeffs) - 1]) if acc else None)
     return {pos: v for pos, k in positions if (v := values[k]) is not None}
 
 
@@ -463,7 +459,7 @@ def verify_adjointness(n: int, degree_bound: int) -> Report:
 
     Both sides are computed from the generators and the Gram table
     restricted to degree <= D-1. The table is block-diagonal by degree
-    (asserted by gram_matrix), so an entry of either product between states
+    (asserted by _gram_cells), so an entry of either product between states
     of degree <= D-1 sums only over states of degree <= D-1: there the
     restricted products equal the full ones.
     """

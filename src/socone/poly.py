@@ -20,7 +20,7 @@ maps from words to ints (a real map and an imaginary one, empty for real
 coefficients) over one common denominator fixed before its loop,
 truncates with the same word test as mul_truncated, and returns the
 integer sums: _from_numerators makes one GaussianRational per output
-term of them, and fock.gram_matrix reads them (series_power_numerators)
+term of them, and fock._gram_cells reads them (series_power_numerators)
 as they are. _mul_cleared is the same integer product for a truncated
 product of two large series, as in the basis generating function;
 mul_truncated stays the GaussianRational loop for the small products

@@ -211,7 +211,7 @@ def _hat_moments(n: int, max_degree: int) -> dict:
     family commutes, so the extension order is immaterial), each through
     the integer operator Y_j of X_j = phase Y_j, the phases multiplied
     apart. The Gram table is block-diagonal by degree with vacuum entry 1
-    (gram_matrix asserts both), so each expectation is the vacuum
+    (fock._gram_cells asserts both), so each expectation is the vacuum
     component of X^k vacuum.
     """
     bound = max(max_degree, 2)

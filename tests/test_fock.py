@@ -617,6 +617,8 @@ def test_shared_tables_are_read_only():
         gram_matrix(2, 3).entries[0, 0] = MultiPoly.zero()
     with pytest.raises(TypeError):
         build_hat(2, 3).generators["rho12"] = None
+    with pytest.raises(TypeError):
+        build_hat(2, 3).R(1).entries[1, 0] = 5
 
 
 @pytest.mark.parametrize("builder, args", [(build_hat, (1, 1)), (gram_matrix, (1, -1))])
@@ -925,8 +927,9 @@ def test_gram_table_matches_the_split_polynomial_series(n, d):
     [
         (("w1", "v1", "v1"), "pairing connects different degrees"),
         (("w1", "w2", "v1", "v1"), "pairing table is not symmetric"),
+        (("w1", "v1"), "a pairing cell is not an integer polynomial in t"),
     ],
-    ids=["degree", "symmetry"],
+    ids=["degree", "symmetry", "integrality"],
 )
 def test_gram_build_asserts_on_a_wrong_series(monkeypatch, extra, message):
     want = dict(gram_matrix(2, 3).entries)
