@@ -123,18 +123,11 @@ class SoAlgebra:
     def labels(self):
         return list(self.generators)
 
-    def observable_parts(self, j: int) -> tuple:
-        """(phase, Y) with X_j = phase Y, Y an integer combination of
-        generators: X_1 = R_1 + L_1 + rho0 and, for j >= 2,
-        X_j = -i (R_j - L_j - 2 rho_1j)."""
-        if j == 1:
-            return 1, self.R(1) + self.L(1) + self.rho0
-        return -_I, self.R(j) - self.L(j) - 2 * self.rho(1, j)
-
     def observable(self, j: int):
-        """The observable X_j of observable_parts."""
-        phase, real = self.observable_parts(j)
-        return real if j == 1 else phase * real
+        """X_1 = R_1 + L_1 + rho0 and, for j >= 2, X_j = -i (R_j - L_j - 2 rho_1j)."""
+        if j == 1:
+            return self.R(1) + self.L(1) + self.rho0
+        return -_I * (self.R(j) - self.L(j) - 2 * self.rho(1, j))
 
 
 @cache

@@ -234,8 +234,8 @@ def cmd_verify(args) -> int:
 
 def cmd_gram(args) -> int:
     n, d = args.n, args.degree
-    # the polynomial entries, or their nonzero Fraction values at the weight
-    values = fock.gram_matrix(n, d).entries if args.tau is None else fock.gram_at(n, d, args.tau)
+    # the nonzero cells, polynomials in t or Fraction values at the weight
+    values = fock.gram_at(n, d, args.tau)
     labels = [jsonio.multi_index_label(k) for k in fock.multi_indices(n, d)]
     positions = range(len(labels))
     # positions with equal values share one object, rendered once: in JSON

@@ -1,18 +1,20 @@
 """Degree-truncated Fock space, shift operators, the hat realization, the
-Gram table (integer cells built once per (n, D), read as polynomials in t by
-gram_matrix and at an exact weight by gram_at), and exact positivity probes.
+Gram table (integer cells built once per (n, D), held as t-slices by
+gram_matrix and read by gram_at, in t or at an exact weight), and exact
+positivity probes.
 
 The hat realization is the so(n,2) generator interface of algebra.SoAlgebra
 on truncated Fock operators: HatFamily reads labels, brackets, words and
 observables through it and adds only the truncation degree and the
 lowering shifts V_j.
 
-A Fock operator is held as integer t-slices, sum_e t^e S_e, the graded
-parts of the ring matrices.SparseMatrix shares with DenseMatrix: a hat
-generator is A + t B, and the Gram table the slices of its integer cells.
-The bracket, adjointness and lowering-form rows compare integer products
-of slices; polynomial entries are made only where they are read (apply,
-and so pair, and the printed table).
+A Fock operator is held only as t-slices, sum_e t^e S_e, the graded parts
+of the ring matrices.SparseMatrix shares with DenseMatrix: a hat generator
+is A + t B in integers, and the Gram table the slices of its integer
+cells. The bracket, adjointness and lowering-form rows compare products of
+slices. apply makes each position's value sum_e c_e t^e once, in the
+column index it keeps, and the one polynomial table is the printed Gram
+table, gram_at(n, D, None).
 
 Basis states are multi-indices (k_1..k_n) of total degree at most D in
 graded lexicographic order; one basis, index and block layout serves every
@@ -88,24 +90,22 @@ def _block(total: int, slots: int) -> list:
 
 
 class FockMatrix(SparseMatrix):
-    """Sparse operator on the truncated Fock basis, held as integer t-slices.
+    """Sparse operator on the truncated Fock basis, held as t-slices.
 
     The parts of matrices.SparseMatrix are the powers of t: slices[e] maps
     (row, column) positions in the shared basis to the nonzero coefficient
     of t^e, an int (a GaussianRational only where a rational or complex
     scalar entered). The ring is SparseMatrix's; this class adds the space,
-    a scalar split into its powers of t, restrict and apply. `entries`, the
-    exact values, are made from the slices on first read (apply and the
-    printed table) and kept in a read-only mapping.
+    a scalar split into its powers of t, restrict and apply.
     """
 
-    # _entries and _columns (apply) are built on first use and kept
-    __slots__ = ("n", "degree_bound", "basis", "index", "slices", "_entries", "_columns")
+    # _columns (apply) is built on first use and kept
+    __slots__ = ("n", "degree_bound", "basis", "index", "slices", "_columns")
 
     def __init__(self, n, degree_bound, entries=None):
         """The operator of entries {(row, col): exact scalar or polynomial in t}."""
         basis, index, _ = _space(n, degree_bound)
-        self._fill(n, degree_bound, basis, index, _slices(entries or {}), None, None)
+        self._fill(n, degree_bound, basis, index, _slices(entries or {}), None)
 
     @classmethod
     def identity(cls, n, degree_bound):
@@ -121,7 +121,7 @@ class FockMatrix(SparseMatrix):
         no slice may be empty and no value zero. Every operator on the space
         is square, so shape is ignored."""
         out = object.__new__(FockMatrix)
-        out._fill(self.n, self.degree_bound, self.basis, self.index, slices, None, None)
+        out._fill(self.n, self.degree_bound, self.basis, self.index, slices, None)
         return out
 
     def _check(self, other, op):
@@ -133,19 +133,6 @@ class FockMatrix(SparseMatrix):
     def _scalar_parts(scalar):
         # a polynomial in t splits into its powers of t
         return {f: part[()] for f, part in _slices({(): scalar}).items()}
-
-    @property
-    def entries(self) -> MappingProxyType:
-        """{(row, col): exact scalar, or MultiPoly where t appears}, read-only."""
-        if self._entries is None:
-            (unit,) = TAU.terms
-            cells = {}
-            for e, part in self.slices.items():
-                for pos, c in part.items():
-                    cells.setdefault(pos, {})[e * unit] = GaussianRational.coerce(c)
-            made = {p: c[0] if c.keys() == {0} else _make(c) for p, c in cells.items()}
-            object.__setattr__(self, "_entries", MappingProxyType(made))
-        return self._entries
 
     def restrict(self, max_degree: int) -> "FockMatrix":
         """Drop every entry whose row or column exceeds the given degree."""
@@ -162,9 +149,16 @@ class FockMatrix(SparseMatrix):
         """Apply to a sparse vector keyed by multi-index."""
         cols = self._columns
         if cols is None:
-            # built on first use and kept: the matrix is immutable
+            # built on first use and kept: the matrix is immutable; each
+            # position's value sum_e c_e t^e is made once, here
+            (unit,) = TAU.terms
+            cells = {}
+            for e, part in self.slices.items():
+                for pos, c in part.items():
+                    cells.setdefault(pos, {})[e * unit] = GaussianRational.coerce(c)
             cols = {}
-            for (r, c), value in self.entries.items():
+            for (r, c), terms in cells.items():
+                value = terms[0] if terms.keys() == {0} else _make(terms)
                 cols.setdefault(c, []).append((self.basis[r], value))
             object.__setattr__(self, "_columns", cols)
         index = self.index
@@ -399,33 +393,31 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
 @cache
 def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
     """Pairings of basis states of degree <= D, polynomial in t: the integer
-    t-slices of _gram_cells, and as entries one MultiPoly per distinct
-    cell, shared by the positions that hold it, in a read-only mapping.
-    Built once per (n, D) and shared: the table is immutable.
+    t-slices of _gram_cells. Built once per (n, D) and shared: the table is
+    immutable.
     """
     rows, positions = _gram_cells(n, degree_bound)
-    (unit,) = TAU.terms
-    # each distinct cell's nonzero (e, c_e), and its polynomial
-    parts = [[(e, c) for e, c in enumerate(reversed(row)) if c] for row in rows]
-    polys = [_make({e * unit: gr(c) for e, c in part}) for part in parts]
     slices = {}
     for pos, k in positions:
-        for e, c in parts[k]:
-            slices.setdefault(e, {})[pos] = c
-    gram = FockMatrix(n, degree_bound)._like(slices)
-    # every entry is nonzero, so the table is set as built, read-only
-    object.__setattr__(gram, "_entries", MappingProxyType({pos: polys[k] for pos, k in positions}))
-    return gram
+        for e, c in enumerate(reversed(rows[k])):
+            if c:
+                slices.setdefault(e, {})[pos] = c
+    return FockMatrix(n, degree_bound)._like(slices)
 
 
-def gram_at(n: int, degree_bound: int, tau) -> dict:
-    """The nonzero values of the pairing table at an exact weight, an int or
-    a Fraction (anything else raises TypeError), as {(row, col): Fraction}.
+def gram_at(n: int, degree_bound: int, tau) -> MappingProxyType | dict:
+    """The nonzero values of the pairing table, as {(row, col): value}: in
+    t when tau is None, else at an exact weight, an int or a Fraction
+    (anything else raises TypeError).
 
-    At tau = p/q a cell is sum_e c_e p^e q^(top - e) / q^top: one integer
-    Horner pass per distinct cell of _gram_cells, and one Fraction for each
-    that does not vanish, shared by the positions that hold it.
+    In t the values are one MultiPoly per distinct cell of _gram_cells,
+    shared by the positions that hold it, made once per (n, D) and kept in
+    a read-only mapping. At tau = p/q a cell is sum_e c_e p^e q^(top - e) /
+    q^top: one integer Horner pass per distinct cell, and one Fraction for
+    each that does not vanish, shared by the positions that hold it.
     """
+    if tau is None:
+        return _gram_polynomials(n, degree_bound)
     rows, positions = _gram_cells(n, degree_bound)
     # the two-argument form takes exact rationals only, not a float
     tau = Fraction(tau, 1)
@@ -438,6 +430,15 @@ def gram_at(n: int, degree_bound: int, tau) -> dict:
             acc = acc * p + c * qe
         values.append(Fraction(acc, q_powers[len(coeffs) - 1]) if acc else None)
     return {pos: v for pos, k in positions if (v := values[k]) is not None}
+
+
+@cache
+def _gram_polynomials(n: int, degree_bound: int) -> MappingProxyType:
+    """gram_at(n, D, None): each distinct cell as one MultiPoly in t."""
+    rows, positions = _gram_cells(n, degree_bound)
+    (unit,) = TAU.terms
+    polys = [_make({e * unit: gr(c) for e, c in enumerate(reversed(r)) if c}) for r in rows]
+    return MappingProxyType({pos: polys[k] for pos, k in positions})
 
 
 def pair(gram: FockMatrix, left: dict, right: dict):
@@ -576,8 +577,8 @@ def positivity_probe(n: int, degree_bound: int, tau) -> PositivityProbe:
     This is an empirical probe of the given weight only; it makes no claim
     about the set of weights with a positive pairing.
     """
-    values = gram_at(n, degree_bound, tau)
     labels = [mi_degree(k) for k in _space(n, degree_bound)[0]]
+    values = gram_at(n, degree_bound, Fraction(tau, 1))
     return probe_components(values, labels)
 
 

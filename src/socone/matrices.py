@@ -21,11 +21,13 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial, lcm
 from operator import add, mul
+from types import MappingProxyType
 
 from .poly import MultiPoly, _sum_into
 from .scalars import ZERO, GaussianRational, I, _cleared, _reduced
 
 _SCALARS = (int, Fraction, GaussianRational, MultiPoly)
+_EMPTY = MappingProxyType({})
 
 
 class NotNilpotentError(ValueError):
@@ -134,7 +136,7 @@ class SparseMatrix:
 
 
 class DenseMatrix(SparseMatrix):
-    """A rows x cols matrix, built from and read as dense rows: the part 0."""
+    """A rows x cols matrix, built from and read as dense rows: the part 0, read-only."""
 
     __slots__ = ("rows", "cols", "slices")
 
@@ -147,11 +149,11 @@ class DenseMatrix(SparseMatrix):
         entries = {
             (i, j): e for i, row in enumerate(data) for j, e in enumerate(row) if e
         }
-        self._fill(len(data), len(data[0]), {0: entries} if entries else {})
+        self._fill(len(data), len(data[0]), {0: MappingProxyType(entries)} if entries else {})
 
     def _like(self, slices, shape=None):
         out = object.__new__(DenseMatrix)
-        out._fill(*(shape or self.shape), slices)
+        out._fill(*(shape or self.shape), {e: MappingProxyType(p) for e, p in slices.items()})
         return out
 
     @staticmethod
@@ -160,9 +162,9 @@ class DenseMatrix(SparseMatrix):
         return {0: scalar} if scalar else {}
 
     @property
-    def entries(self) -> dict:
-        """{(row, col): nonzero value}: the part 0."""
-        return self.slices.get(0, {})
+    def entries(self) -> MappingProxyType:
+        """{(row, col): nonzero value}: the part 0, read-only."""
+        return self.slices.get(0, _EMPTY)
 
     def _check(self, other, op):
         if op == "product":
@@ -332,12 +334,6 @@ def _rows_times(rows, term) -> list:
                 re, im = (re - b * e if b else re), (im + a * e if a else im)
         out.append((re, im))
     return out
-
-
-def cleared_apply(matrix, pairs, d) -> tuple:
-    """matrix times the vector pairs / d, as (pairs, denominator)."""
-    rows, s = _cleared_rows([1], [matrix], len(pairs))
-    return _rows_times(rows, pairs), d * s
 
 
 def exp_combination_cleared(coeffs, matrices, pairs, d) -> tuple:

@@ -41,6 +41,7 @@ from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
 from .states import ROUTE_FAILURES, StateVector, _orbit_coordinates, _raised, random_point
+from .states import _spatial_components
 
 
 class SingularCoordinateError(ValueError):
@@ -49,13 +50,14 @@ class SingularCoordinateError(ValueError):
 
 def zeta2_value(z):
     """The Lorentz form z1^2 - z2^2 - ... - zn^2."""
-    comps = [_coerce_entry(c) for c in z]
+    comps = _spatial_components(z)
     return reduce(sub, (c * c for c in comps[1:]), comps[0] * comps[0])
 
 
 def h2_value(z):
     """(1 - z1)^2 - z2^2 - ... - zn^2: the Lorentz form at (1 - z1, z2, ..)."""
-    return zeta2_value((1 - z[0], *z[1:]))
+    first, *rest = _spatial_components(z)
+    return zeta2_value((1 - first, *rest))
 
 
 def _symbolic_z(n: int) -> tuple:
@@ -93,9 +95,7 @@ def z_to_v(z):
     Checked against coordinate recovery from the moved vacuum, read as its
     numerator pairs by states._orbit_coordinates.
     """
-    comps = [_coerce_entry(c) for c in z]
-    if not comps:
-        raise ValueError("spatial dimension must be at least 1")
+    comps = _spatial_components(z)
     h2 = h2_value(comps)
     if not h2:
         raise SingularCoordinateError("h^2 vanishes at this point")
@@ -108,9 +108,7 @@ def z_to_v(z):
 
 def v_to_z(v):
     """(z, h^2) with h^2 = (1 + 2 v1 + v.v)^(-1); inverse of z_to_v."""
-    comps = [_coerce_entry(c) for c in v]
-    if not comps:
-        raise ValueError("spatial dimension must be at least 1")
+    comps = _spatial_components(v)
     denom = 1 + 2 * comps[0] + dot(comps, comps)
     if not denom:
         raise SingularCoordinateError("1 + 2 v1 + v.v vanishes at this point")
@@ -208,24 +206,22 @@ def _hat_moments(n: int, max_degree: int) -> dict:
     """<vacuum, X^k vacuum> for all |k| <= max_degree, weight symbolic.
 
     The X^k vacuum vectors are built by extending one slot at a time (the
-    family commutes, so the extension order is immaterial), each through
-    the integer operator Y_j of X_j = phase Y_j, the phases multiplied
-    apart. The Gram table is block-diagonal by degree with vacuum entry 1
-    (fock._gram_cells asserts both), so each expectation is the vacuum
-    component of X^k vacuum.
+    family commutes, so the extension order is immaterial). The Gram table
+    is block-diagonal by degree with vacuum entry 1 (fock._gram_cells
+    asserts both), so each expectation is the vacuum component of X^k
+    vacuum.
     """
     bound = max(max_degree, 2)
     hat = build_hat(n, bound)
-    parts = [hat.observable_parts(j) for j in range(1, n + 1)]
-    table = {(0,) * n: (vacuum_vector(n), 1)}
+    observables = [hat.observable(j) for j in range(1, n + 1)]
+    table = {(0,) * n: vacuum_vector(n)}
     out = {}
     for k in multi_indices(n, max_degree):
         if k not in table:
             j = next(i for i, e in enumerate(k) if e)
-            vector, phase = table[tuple(e - (1 if i == j else 0) for i, e in enumerate(k))]
-            table[k] = (parts[j][1].apply(vector), phase * parts[j][0])
-        vector, phase = table[k]
-        out[k] = phase * MultiPoly.coerce(vector.get((0,) * n, 0))
+            lower = tuple(e - (1 if i == j else 0) for i, e in enumerate(k))
+            table[k] = observables[j].apply(table[lower])
+        out[k] = MultiPoly.coerce(table[k].get((0,) * n, 0))
     return out
 
 

@@ -9,9 +9,10 @@ halved; a naive conjugate-transpose pairing is NOT compatible with the
 ladder involution here (it sends R_j to -L_j), which is why all inner
 products go through this functional.
 
-From the raise through q and the lower to the orbit checks, a vector stays
-Gaussian-integer pairs (re, im) over one denominator (a polynomial p is
-(p, 0) over 1); only the values returned become exact numbers.
+From the raise to the orbit checks, a vector stays Gaussian-integer pairs
+(re, im) over one denominator (a polynomial p is (p, 0) over 1); only a
+matrix q between the raise and the lower, and the values returned, see
+exact numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import build_algebra, rotation_label
-from .matrices import NotNilpotentError, _coerce_entry, _numerators, cleared_apply, dot
+from .matrices import NotNilpotentError, _coerce_entry, _numerators, dot
 from .matrices import exact_value, exact_vector, exp_combination_cleared
 from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import MultiPoly, series_power, weight_exponent
@@ -90,9 +91,18 @@ def vacuum(n: int) -> StateVector:
     return omega
 
 
+def _spatial_components(values) -> list:
+    """The components of a spatial tuple as exact values; an empty tuple
+    raises ValueError."""
+    comps = [_coerce_entry(c) for c in values]
+    if not comps:
+        raise ValueError("spatial dimension must be at least 1")
+    return comps
+
+
 def coherent_closed_form(v) -> StateVector:
     """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v."""
-    comps = [_coerce_entry(c) for c in v]
+    comps = _spatial_components(v)
     v2 = dot(comps, comps)
     spatial = tuple(gr(0, 2) * c for c in comps)
     return StateVector(spatial + (1 + v2, _I * (1 - v2)))
@@ -160,8 +170,6 @@ def recover_coordinates(state: StateVector):
 
 def leibniz_base(n: int) -> MultiPoly:
     """1 - 2 w.v + (w.w)(v.v) in the symbolic w and v variables."""
-    if n < 1:
-        raise ValueError("spatial dimension must be at least 1")
     return leibniz_base_value(
         [MultiPoly.var(f"w{j}") for j in range(1, n + 1)],
         [MultiPoly.var(f"v{j}") for j in range(1, n + 1)],
@@ -174,6 +182,8 @@ def leibniz_base_value(w, v):
     With w = W/dw and v = V/dv in numerator pairs and d = dw dv, the value
     is d^2 - 2 d W.V + (W.W)(V.V) over d^2, made into one exact value.
     """
+    if not (len(w) and len(v)):
+        raise ValueError("spatial dimension must be at least 1")
     (wp, dw), (vp, dv) = numerator_pairs(w), numerator_pairs(v)
     d = dw * dv
     wv = pair_dot(wp, vp)
@@ -186,7 +196,7 @@ def _moved(w, v, q) -> tuple:
     alg = build_algebra(len(w))
     moved = _raised(alg.n, v, [alg.R(j) for j in range(1, alg.n + 1)])
     if q is not alg.identity:  # the identity changes nothing
-        moved = cleared_apply(q, *moved)
+        moved = numerator_pairs(q.apply(exact_vector(*moved)))
     lowering = [alg.L(j) for j in range(1, alg.n + 1)]
     return exp_combination_cleared(w, lowering, *moved)
 
@@ -195,8 +205,8 @@ def moved_vacuum(w, v, q) -> StateVector:
     """exp(w.L) q exp(v.R) vacuum, the coherent matrix element of an
     (n+2)-square matrix q between spatial tuples w and v of exact numbers or
     polynomials, each exponential by exp_combination_cleared. q acts on the
-    raised numerator pairs, which go straight to the lowering; the entries
-    are made into exact values once, at the end.
+    raised vector as exact values (DenseMatrix.apply), cleared again for
+    the lowering; the entries are made into exact values at the end.
     """
     return StateVector(exact_vector(*_moved(w, v, q)))
 

@@ -123,9 +123,13 @@ def dense_table(values, size):
 
 
 def gram_entry(gram, row, col):
-    """The entry of a table between two basis states, read off its stored
-    entries through the shared index; 0 where none is stored."""
-    return gram.entries.get((gram.index[row], gram.index[col]), 0)
+    """The polynomial cell of a Gram table between two basis states, read
+    off gram_at(n, D, None) through the shared index; 0 where none is
+    stored."""
+    from socone.fock import gram_at
+
+    cells = gram_at(gram.n, gram.degree_bound, None)
+    return cells.get((gram.index[row], gram.index[col]), 0)
 
 
 def leading_minors_positive(matrix):

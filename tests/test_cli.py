@@ -559,14 +559,13 @@ def test_gram_output_does_not_depend_on_which_cells_share_an_object(
         ["gram", "--n", "3", "--degree", "5", "--format", f] + tau for f in ("text", "csv", "json")
     ]
     want = [run(capsys, *argv) for argv in argvs]
-    shared = fock.gram_matrix(3, 5)
+    shared = fock.gram_at(3, 5, None)
     at_weight = fock.gram_at(3, 5, Fraction(7, 3))
     # the built tables share objects, the copies do not
-    fresh = fock.FockMatrix(3, 5, {pos: v + 0 for pos, v in shared.entries.items()})
+    fresh = {pos: v + 0 for pos, v in shared.items()}
     fresh_at = {pos: Fraction(v) for pos, v in at_weight.items()}
-    for built, copy in ((shared.entries, fresh.entries), (at_weight, fresh_at)):
+    for built, copy in ((shared, fresh), (at_weight, fresh_at)):
         assert len({id(v) for v in built.values()}) < len(built)
         assert len({id(v) for v in copy.values()}) == len(copy) == len(built)
-    monkeypatch.setattr(fock, "gram_matrix", lambda n, d: fresh)
-    monkeypatch.setattr(fock, "gram_at", lambda n, d, t: dict(fresh_at))
+    monkeypatch.setattr(fock, "gram_at", lambda n, d, t: dict(fresh if t is None else fresh_at))
     assert [run(capsys, *argv) for argv in argvs] == want

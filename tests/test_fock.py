@@ -8,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from socone import algebra, berezin, fock, matrices, spectral
+from socone import algebra, berezin, fock, matrices, spectral, states
 from socone.algebra import OperatorWord, brackets, build_algebra, verify_relations
 from socone.berezin import fock_pairing_series
 from socone.fock import (
@@ -426,12 +426,18 @@ def test_duality_at_rational_points(rng):
         assert lhs == series.subs(point)
 
 
+def entries_of(matrix):
+    # the operator's entries {(row, col): sum_e c_e t^e}, from its slices
+    out = {}
+    for e, part in matrix.slices.items():
+        for pos, c in part.items():
+            out[pos] = out.get(pos, 0) + c * TAU**e
+    return out
+
+
 def at_weight(matrix, tau):
     # the matrix with the weight t set to tau in every polynomial entry
-    entries = {
-        pos: v.subs({"t": tau}) if isinstance(v, MultiPoly) else v
-        for pos, v in matrix.entries.items()
-    }
+    entries = {pos: v.subs({"t": tau}) for pos, v in entries_of(matrix).items()}
     return FockMatrix(matrix.n, matrix.degree_bound, entries)
 
 
@@ -464,7 +470,7 @@ def test_build_hat_validates_bound():
 def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
     # rational, negative and integer weights; at t = 0 the Leibniz series
     # is 1, so every cell but the vacuum vanishes
-    gram = gram_matrix(n, d)
+    symbolic = gram_at(n, d, None)
     assert gram_at(n, d, 0) == {(0, 0): 1}
     weights = [
         0, -1, -3, 7, Fraction(2, 3), Fraction(-5, 2), Fraction(96, 97),
@@ -476,7 +482,7 @@ def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
         # an absent cell is zero at every weight
         want = {
             pos: x
-            for pos, entry in gram.entries.items()
+            for pos, entry in symbolic.items()
             if (x := Fraction(*entry.subs(point).as_gaussian().as_integer_ratio()))
         }
         assert values == want
@@ -486,7 +492,7 @@ def test_gram_at_a_weight_matches_entrywise_substitution(n, d):
     # positions that share a polynomial share its value
     holders = {}
     for pos, x in gram_at(n, d, Fraction(2, 3)).items():
-        holders.setdefault(id(gram.entries[pos]), set()).add(id(x))
+        holders.setdefault(id(symbolic[pos]), set()).add(id(x))
     assert all(len(ids) == 1 for ids in holders.values())
 
 
@@ -555,6 +561,10 @@ def test_entry_points_refuse_a_dimension_below_one():
         lambda: leibniz_closed_form(0, 3),
         lambda: leibniz_base(0),
         lambda: leibniz_base(-1),
+        lambda: states.coherent_closed_form([]),
+        lambda: spectral.zeta2_value([]),
+        lambda: spectral.h2_value([]),
+        lambda: states.leibniz_base_value([], []),
     ],
     ids=[
         "basis_polynomials",
@@ -567,6 +577,10 @@ def test_entry_points_refuse_a_dimension_below_one():
         "leibniz_closed_form",
         "leibniz_base",
         "leibniz_base_negative",
+        "coherent_closed_form",
+        "zeta2_value",
+        "h2_value",
+        "leibniz_base_value",
     ],
 )
 def test_series_and_coordinate_entry_points_refuse_a_dimension_below_one(call):
@@ -579,12 +593,15 @@ def test_series_and_coordinate_entry_points_refuse_a_dimension_below_one(call):
 def test_weights_are_exact_ints_or_fractions():
     # a float is refused, not probed at its binary expansion
     for weight in (0.1, 2.0, "1/2", gr(1), None, Decimal(3)):
-        for call in (
-            lambda: gram_at(2, 3, weight),
+        calls = [
             lambda: positivity_probe(2, 3, weight),
             lambda: moment_positivity_probe(2, weight, 2),
             lambda: orthogonality_check(weight, 2),
-        ):
+        ]
+        # gram_at reads None as the table in t
+        if weight is not None:
+            calls.append(lambda: gram_at(2, 3, weight))
+        for call in calls:
             with pytest.raises(TypeError):
                 call()
     for weight in (3, Fraction(3)):
@@ -603,7 +620,7 @@ def test_shared_matrices_apply_like_fresh_copies():
     for shared in (hat.L(1), hat.rho0, hat.rho(1, 2), hat.shift_lower(2)):
         for _ in range(2):
             for vector in vectors:
-                fresh = FockMatrix(shared.n, shared.degree_bound, dict(shared.entries))
+                fresh = FockMatrix(shared.n, shared.degree_bound, entries_of(shared))
                 assert shared.apply(vector) == fresh.apply(vector)
 
 
@@ -614,11 +631,13 @@ def test_hat_and_gram_are_built_once_per_key():
 
 def test_shared_tables_are_read_only():
     with pytest.raises(TypeError):
-        gram_matrix(2, 3).entries[0, 0] = MultiPoly.zero()
+        gram_at(2, 3, None)[0, 0] = MultiPoly.zero()
     with pytest.raises(TypeError):
         build_hat(2, 3).generators["rho12"] = None
     with pytest.raises(TypeError):
-        build_hat(2, 3).R(1).entries[1, 0] = 5
+        build_algebra(2).R(1).entries[0, 0] = 5
+    assert build_algebra(2).R(1) == build_algebra.__wrapped__(2).R(1)
+    assert (0, 0) not in build_algebra(2).R(1).entries
 
 
 @pytest.mark.parametrize("builder, args", [(build_hat, (1, 1)), (gram_matrix, (1, -1))])
@@ -706,7 +725,7 @@ def test_gram_matrix_leaves_the_leibniz_cache_alone():
     before = leibniz_closed_form.cache_info()
     built = gram_matrix.__wrapped__(2, 3)
     assert leibniz_closed_form.cache_info() == before
-    assert dict(built.entries) == dict(gram_matrix(2, 3).entries)
+    assert built == gram_matrix(2, 3)
 
 
 # -- the compared-block restrictions against the full products -------------------
@@ -720,7 +739,7 @@ def drop_above(matrix, max_degree):
         matrix.degree_bound,
         {
             (r, c): v
-            for (r, c), v in matrix.entries.items()
+            for (r, c), v in entries_of(matrix).items()
             if mi_degree(basis[r]) <= max_degree and mi_degree(basis[c]) <= max_degree
         },
     )
@@ -769,7 +788,7 @@ def test_a_generator_that_jumps_two_degrees_fails_the_grading_assertion(monkeypa
 @pytest.mark.parametrize("k", [(1, 0), (3, 0)])
 def test_a_wrong_gram_entry_fails_an_adjointness_row(monkeypatch, k):
     good = gram_matrix(2, 4)
-    entries = dict(good.entries)
+    entries = dict(gram_at(2, 4, None))
     i = good.index[k]
     entries[i, i] = entries[i, i] + 1
     bad = FockMatrix(2, 4, entries)
@@ -801,7 +820,8 @@ def test_every_operator_on_a_space_shares_one_basis_and_index():
     ]
     for m in results:
         assert m.basis is identity.basis and m.index is identity.index
-        assert all(m.entries.values())
+        assert all(m.slices.values())
+        assert all(v for part in m.slices.values() for v in part.values())
     assert gram_matrix(2, 4).basis is identity.basis
     assert list(identity.basis) == multi_indices(2, 4)
     assert all(identity.index[k] == i for i, k in enumerate(identity.basis))
@@ -811,7 +831,7 @@ def test_a_zero_scalar_product_stores_nothing():
     dense = matrices.DenseMatrix([[1, MultiPoly.var("v1")], [0, gr(0, 2)]])
     for m in (dense, build_hat(2, 3).R(1), gram_matrix(1, 3)):
         for zero in (0, Fraction(0), gr(0), MultiPoly.zero()):
-            assert (zero * m).entries == {} and (m * zero).entries == {}
+            assert (zero * m).slices == {} and (m * zero).slices == {}
             assert (zero * m).shape == m.shape
 
 
@@ -830,7 +850,7 @@ def test_restrict_drops_by_degree_at_every_cut(n, d):
     matrices = [full] + (list(build_hat(n, d).generators.values()) if d >= 2 else [])
     for m in matrices:
         for cut in range(-2, d + 3):
-            assert m.restrict(cut).entries == drop_above(m, cut).entries, cut
+            assert m.restrict(cut) == drop_above(m, cut), cut
 
 
 # -- the Gram table is a FockMatrix on the shared space ---------------------------
@@ -841,15 +861,18 @@ def test_gram_table_is_a_fock_matrix_on_the_shared_space(n, d):
     gram, hat = gram_matrix(n, d), build_hat(n, d)
     assert type(gram) is FockMatrix
     assert gram.basis is hat.identity.basis and gram.index is hat.identity.index
-    # keyed by basis positions, read-only
-    assert all(isinstance(r, int) and isinstance(c, int) for r, c in gram.entries)
-    assert gram.entries[0, 0] == 1
+    # keyed by basis positions; the cells in t read-only
+    positions = {pos for part in gram.slices.values() for pos in part}
+    assert all(isinstance(r, int) and isinstance(c, int) for r, c in positions)
+    assert entries_of(gram)[0, 0] == 1
+    cells = gram_at(n, d, None)
+    assert cells.keys() == positions and cells[0, 0] == 1
     with pytest.raises(TypeError):
-        gram.entries[0, 0] = MultiPoly.const(2)
+        cells[0, 0] = MultiPoly.const(2)
     for k in gram.basis:
         for m in gram.basis:
             if mi_degree(k) != mi_degree(m):
-                assert (gram.index[k], gram.index[m]) not in gram.entries
+                assert (gram.index[k], gram.index[m]) not in positions
 
 
 @pytest.mark.parametrize("n, d", [(1, 4), (2, 3), (3, 3)])
@@ -913,8 +936,9 @@ def reference_gram_entries(n, d):
     [(1, 12), (2, 6), (2, 10), (3, 5), (3, 6), (4, 4), (1, 0), (3, 0), (2, 1), (4, 1)],
 )
 def test_gram_table_matches_the_split_polynomial_series(n, d):
-    entries = gram_matrix(n, d).entries
+    entries = gram_at(n, d, None)
     assert dict(entries) == reference_gram_entries(n, d)
+    assert FockMatrix(n, d, entries) == gram_matrix(n, d)
     holders = {}
     for value in entries.values():
         holders.setdefault(tuple(value.canonical_items()), set()).add(id(value))
@@ -932,20 +956,25 @@ def test_gram_table_matches_the_split_polynomial_series(n, d):
     ids=["degree", "symmetry", "integrality"],
 )
 def test_gram_build_asserts_on_a_wrong_series(monkeypatch, extra, message):
-    want = dict(gram_matrix(2, 3).entries)
+    want = gram_matrix(2, 3)
+    want_cells = dict(gram_at(2, 3, None))
     term = prod(map(MultiPoly.var, extra), start=MultiPoly.const(1))
     monkeypatch.setattr(fock, "leibniz_base", lambda n: leibniz_base(n) + term)
     gram_matrix.cache_clear()
     fock._gram_cells.cache_clear()
+    fock._gram_polynomials.cache_clear()
+    builds = (gram_matrix, lambda n, d: gram_at(n, d, 1), lambda n, d: gram_at(n, d, None))
     for _ in range(2):
-        for build in (gram_matrix, lambda n, d: gram_at(n, d, 1)):
+        for build in builds:
             with pytest.raises(AssertionError, match=message):
                 build(2, 3)
     # a failed build is not cached
     assert gram_matrix.cache_info().currsize == 0
     assert fock._gram_cells.cache_info().currsize == 0
+    assert fock._gram_polynomials.cache_info().currsize == 0
     monkeypatch.undo()
-    assert dict(gram_matrix(2, 3).entries) == want
+    assert gram_matrix(2, 3) == want
+    assert gram_at(2, 3, None) == want_cells
 
 
 # -- the integer t-slices against the MultiPoly route -----------------------------
@@ -1079,7 +1108,7 @@ def test_the_slice_ring_keeps_rational_and_complex_values_exact():
     assert lo * half == (lo * r) * Fraction(1, 2) != lo * r
     # a complex or polynomial scalar multiplies every slice
     assert (r * gr(0, 1)) * gr(0, 1) == -r
-    assert TAU * r == FockMatrix(2, 4, {p: TAU * v for p, v in r.entries.items()})
+    assert TAU * r == FockMatrix(2, 4, {p: TAU * v for p, v in entries_of(r).items()})
     assert set((TAU * lo + gr(1, 2) * lo).slices) == {0, 1, 2}
     # a polynomial in t splits into its powers: t shifts every slice up one
     for m in (r, lo, hat.rho0, gram_matrix(2, 4)):
@@ -1089,8 +1118,8 @@ def test_the_slice_ring_keeps_rational_and_complex_values_exact():
     # the entries read back to the same operator, and a product's entries
     # are the products of the MultiPoly entries
     for m in (lo, hat.rho0, gram_matrix(2, 4), half * lo, r * gr(2, -3)):
-        assert FockMatrix(2, 4, m.entries) == m
-    assert (half * lo).entries == mp_mul(half.entries, lo.entries)
+        assert FockMatrix(2, 4, entries_of(m)) == m
+    assert entries_of(half * lo) == mp_mul(entries_of(half), entries_of(lo))
     with pytest.raises(ValueError, match="polynomial in t alone"):
         FockMatrix(2, 4, {(0, 0): MultiPoly.var("v1")})
     with pytest.raises(ValueError, match="polynomial in t alone"):
