@@ -3,18 +3,30 @@ hat realization: the raising symbol, the first-order system solved by the
 pairing, the alternate lowering form, and the ordering recipe.
 
 Rational-function identities are verified by clearing the weight power and
-comparing polynomials, never by sampling alone.
+comparing polynomials, never by sampling alone. The Fock-side rows compare
+integer matrix entries instead of coherent vectors: with psi_v = sum_k v^k/k!
+|k>, component k of Q psi_v is sum_m Q[k, m] v^m/m!, and <psi_w, Q psi_v>
+has (G Q)[k, m] / (k! m!) at w^k v^m. The ordering recipe, the raising rows
+and the vacuum symbol read these integer tables; the transform and the
+public series functions pair coherent vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from operator import add
 
 from .algebra import OperatorWord, build_algebra, word_to_matrix
 from .fock import (
+    _numerator_cells,
+    _shift,
     build_hat,
     coherent_vector,
     gram_matrix,
+    mi_degree,
+    mi_factorial,
     multi_indices,
     pair,
     vacuum_vector,
@@ -92,36 +104,35 @@ def verify_raising_identity(n: int, degree_bound: int = 4) -> Report:
     """The raising symbol is the v_j-derivative of the log of the pairing.
 
     Cleared form: with P the pairing base, t (w_j - v_j w.w) must equal
-    -(t/2) dP/dv_j exactly, and the Fock numerator series for R_j must be
-    the v_j-derivative of the pairing series.
+    -(t/2) dP/dv_j exactly. The Fock numerator series of R_j,
+    sum (G R_j)[k, m] w^k v^m / (k! m!), must be the v_j-derivative of the
+    pairing series sum num[w^k v^m t^e] t^e w^k v^m / den, compared in
+    integers: (G R_j)[k, m]_e den against k! m! (m_j + 1) num[w^k v^(m+e_j) t^e].
     """
     base = leibniz_base(n)
     w = [MultiPoly.var(f"w{j}") for j in range(1, n + 1)]
     w2 = dot(w, w)
     checks = []
     for j in range(1, n + 1):
-        vj = MultiPoly.var(f"v{j}")
-        lhs = TAU * (w[j - 1] - vj * w2)
-        rhs = Fraction(-1, 2) * TAU * base.diff(f"v{j}")
-        checks.append(
-            CheckResult(f"cleared raising symbol for j={j}", lhs == rhs)
-        )
         dv = base.diff(f"v{j}")
-        checks.append(
-            CheckResult(
-                f"raising symbol vanishes at w=0 for j={j}",
-                dv.subs({f"w{i}": 0 for i in range(1, n + 1)}).is_zero,
-            )
-        )
-    series = leibniz_closed_form(n, degree_bound)
+        lhs = TAU * (w[j - 1] - MultiPoly.var(f"v{j}") * w2)
+        same = lhs == Fraction(-1, 2) * TAU * dv
+        checks.append(CheckResult(f"cleared raising symbol for j={j}", same))
+        at_zero = dv.subs({f"w{i}": 0 for i in range(1, n + 1)})
+        checks.append(CheckResult(f"raising symbol vanishes at w=0 for j={j}", at_zero.is_zero))
+    hat, gram = build_hat(n, degree_bound), gram_matrix(n, degree_bound)
+    basis, index = hat.identity.basis, hat.identity.index
+    cells, den = _numerator_cells(n, degree_bound)
     for j in range(1, n + 1):
-        fock_num = fock_pairing_series(OperatorWord.of(f"R{j}"), n, degree_bound)
-        checks.append(
-            CheckResult(
-                f"Fock numerator for R{j} is d/dv{j} of the pairing series",
-                fock_num == series.diff(f"v{j}"),
-            )
-        )
+        # the cells of the columns m + e_j, moved to the columns m
+        moved = {}
+        for (r, col), cell in cells.items():
+            if (m := basis[col])[j - 1]:
+                for e, c in cell.items():
+                    moved.setdefault(e, {})[r, index[_shift(m, j, -1)]] = c
+        same = (den * (gram * hat.R(j))).slices == moved
+        name = f"Fock numerator for R{j} is d/dv{j} of the pairing series"
+        checks.append(CheckResult(name, same))
     return Report(f"raising symbol (n={n})", checks)
 
 
@@ -201,32 +212,6 @@ def normal_order(word) -> dict:
     return _sum_into({}, ordered)
 
 
-def _diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
-    """Apply the ordering substitution to a coherent-parameter vector.
-
-    A normal word R^a V^b acts on the parameter side as multiplication by
-    v^b after differentiation d^a; the substitution reverses the factor
-    order, matching the adjoint-style pairing of the two pictures.
-    derivatives caches the nonzero components of d^a vector per raises
-    tuple a; pass the same dict only with the same vector.
-    """
-    out = {}
-    for (raises, lowers), coeff in normal_terms.items():
-        moved = derivatives.get(raises)
-        if moved is None:
-            moved = {}
-            for k, poly in vector.items():
-                p = MultiPoly.coerce(poly)
-                for j in raises:
-                    p = p.diff(f"v{j}")
-                if p:
-                    moved[k] = p
-            derivatives[raises] = moved
-        factor = MultiPoly({tuple((f"v{j}", 1) for j in lowers): coeff})
-        _sum_into(out, ((k, p * factor) for k, p in moved.items()))
-    return out
-
-
 # the longest word wick_recipe_check compares
 MAX_WORD_LENGTH = 3
 
@@ -235,66 +220,67 @@ def wick_recipe_check(n: int, degree_bound: int) -> Report:
     """Direct shift action on the coherent vector versus the ordering
     substitution, for every word of at most MAX_WORD_LENGTH letters.
 
-    Both routes act only on the components of the coherent vector of
-    degree at most safe = D - MAX_WORD_LENGTH, and are compared there. That
-    is exact. Component k is v^k/k!. In the direct route a term's v-degree
-    is the degree of its source component, and at most MAX_WORD_LENGTH raises
-    carry a source of degree <= safe to degree <= D, never past the
-    truncation boundary, so no other component reaches the compared block.
-    The substitution route keeps each component's index; it is compared
-    up to v-degree safe, because its lowers raise the v-degree. Below
+    Both routes are integer tables W[k, m], component k of Q psi_v scaled by
+    m! at v^m: the product of the hat's integer shift slices on the direct
+    route, and c m!/(k-a)! at m = k - a + b for each normal term c R^a V^b
+    on the substitution route. They are compared on the rows
+    multi_indices(n, safe), safe = D - MAX_WORD_LENGTH, and the columns of
+    degree <= safe. That is exact: MAX_WORD_LENGTH raises carry such a
+    column to degree <= D, never past the truncation boundary. Below
     D = MAX_WORD_LENGTH there is nothing to compare, and ValueError is raised.
 
-    The direct route applies a word's first letter to the vector of the
-    rest of the word, so each word costs one shift; the substitution route
-    shares each derivative of the coherent vector between the words that
-    need it.
+    A shift sends a basis state to one basis state, so a word's direct table,
+    its first letter applied to the kept table of the rest of the word, holds
+    one entry per column. Each normal term's table is made once.
     """
     if degree_bound < MAX_WORD_LENGTH:
         raise ValueError(f"need truncation degree at least {MAX_WORD_LENGTH}")
     hat = build_hat(n, degree_bound)
     safe = degree_bound - MAX_WORD_LENGTH
+    basis, index = hat.identity.basis, hat.identity.index
     compared = multi_indices(n, safe)
-    psi = coherent_vector(n, safe, "v")
-    alphabet = [("R", j) for j in range(1, n + 1)] + [
-        ("V", j) for j in range(1, n + 1)
-    ]
-    words = [()]
-    for length in range(MAX_WORD_LENGTH):
-        words.extend(
-            w + (a,) for w in list(words) if len(w) == length for a in alphabet
-        )
-    checks = []
-    mismatches = 0
-    # direct vectors of the words that are suffixes of longer ones
-    suffixes = {(): psi}
-    derivatives = {}
-    empty = MultiPoly.zero()
+    rows = {index[k] for k in compared}
+    letters = {}  # letter -> {column: (row, entry)} of its integer shift slice
+    for kind, shift in (("R", hat.R), ("V", hat.shift_lower)):
+        for j in range(1, n + 1):
+            letters[kind, j] = {c: (r, x) for (r, c), x in shift(j).slices[0].items()}
+    words = [w for size in range(MAX_WORD_LENGTH + 1) for w in product(letters, repeat=size)]
 
+    @cache
+    def term_table(raises, lowers):
+        # k = p + a and m = p + b, both of degree <= safe
+        a, b = ([x.count(j) for j in range(1, n + 1)] for x in (raises, lowers))
+        table = {}
+        for p in basis:
+            if mi_degree(p) > safe - max(len(raises), len(lowers)):
+                break
+            if (r := index[tuple(map(add, p, a))]) in rows:
+                m = tuple(map(add, p, b))
+                table[r, index[m]] = mi_factorial(m) // mi_factorial(p)
+        return table
+
+    # the direct tables of the words that are suffixes of longer ones
+    suffixes = {(): {c: (c, 1) for c, k in enumerate(basis) if mi_degree(k) <= safe}}
+    mismatches = 0
     for word in words:
-        direct = psi
+        direct = suffixes[word[1:]]
         if word:
-            kind, j = word[0]
-            op = hat.R(j) if kind == "R" else hat.shift_lower(j)
-            direct = op.apply(suffixes[word[1:]])
+            letter = letters[word[0]]
+            direct = {c: (s[0], s[1] * v) for c, (r, v) in direct.items() if (s := letter.get(r))}
             if len(word) < MAX_WORD_LENGTH:
                 suffixes[word] = direct
-        subst = _diffop_apply(normal_order(word), psi, derivatives)
-        for k in compared:
-            low = subst.get(k, empty).truncate({"v": safe}).terms
-            if direct.get(k, empty).terms != low:
-                mismatches += 1
-                break
+        subst = {}
+        for key, coeff in normal_order(word).items():
+            _sum_into(subst, ((pos, coeff * x) for pos, x in term_table(*key).items()))
+        mismatches += subst != {(r, c): v for c, (r, v) in direct.items() if r in rows}
     # a row that compared no component has shown nothing, so it fails
     detail = f"{mismatches} mismatches" if mismatches else ""
-    checks.append(
-        CheckResult(
-            f"all {len(words)} words of length <= {MAX_WORD_LENGTH} agree",
-            bool(compared) and mismatches == 0,
-            detail=detail if compared else "no component compared",
-        )
+    check = CheckResult(
+        f"all {len(words)} words of length <= {MAX_WORD_LENGTH} agree",
+        bool(compared) and mismatches == 0,
+        detail=detail if compared else "no component compared",
     )
-    return Report(f"ordering recipe (n={n}, D={degree_bound})", checks)
+    return Report(f"ordering recipe (n={n}, D={degree_bound})", [check])
 
 
 def hat_from_pde_check(n: int, degree_bound: int) -> Report:
@@ -323,15 +309,11 @@ def hat_from_pde_check(n: int, degree_bound: int) -> Report:
 
 
 def vacuum_symbol_check(n: int, degree_bound: int = 3) -> Report:
-    """The transform of rho0 at w=v=0 is the weight itself."""
-    num, den = berezin_symbol_series(OperatorWord.of("rho0"), n, degree_bound)
-    zero_point = {}
-    for j in range(1, n + 1):
-        zero_point[f"w{j}"] = 0
-        zero_point[f"v{j}"] = 0
-    value = num.subs(zero_point)
-    ok = value == TAU and den.subs(zero_point) == 1
-    return Report(
-        f"vacuum symbol (n={n})",
-        [CheckResult("transform of rho0 at the origin equals t", ok)],
-    )
+    """The transform of rho0 at w=v=0 is the weight itself: the vacuum cell
+    of G rho0^ is t, and that of G is 1. Both keep the degree, so the vacuum
+    cell of the product is the product of the vacuum cells."""
+    hat = build_hat(n, degree_bound)
+    gram, one = gram_matrix(n, degree_bound).restrict(0), hat.identity.restrict(0)
+    ok = gram * hat.rho0.restrict(0) == TAU * one and gram == one
+    row = CheckResult("transform of rho0 at the origin equals t", ok)
+    return Report(f"vacuum symbol (n={n})", [row])

@@ -232,7 +232,8 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
     in integer t-slices, formed from the integer shift matrices. Only the
     grading is asserted: every entry of R_j raises the degree by exactly 1,
     of L_j lowers it by exactly 1, and of rho0 and rho_jk keeps it.
-    Built and checked once per (n, D) and shared: the family is immutable.
+    Built and checked once per (n, D) and shared: every operator of the
+    family is read-only.
     """
     if degree_bound < 2:
         raise ValueError("need truncation degree at least 2")
@@ -263,7 +264,16 @@ def build_hat(n: int, degree_bound: int) -> HatFamily:
         grade = {"R": 1, "L": -1}.get(label[0], 0)
         if any(degree[r] - degree[c] != grade for p in matrix.slices.values() for r, c in p):
             raise AssertionError(f"{label}^ does not move the degree by {grade}")
-    return HatFamily(n, generators, identity, degree_bound, lowering)
+    generators = MappingProxyType({label: _read_only(m) for label, m in generators.items()})
+    lowering = tuple(map(_read_only, lowering))
+    return HatFamily(n, generators, _read_only(identity), degree_bound, lowering)
+
+
+def _read_only(matrix: FockMatrix) -> FockMatrix:
+    """The operator with read-only slices, the outer map and each part: the
+    form of every operator build_hat and gram_matrix cache and share."""
+    slices = {e: MappingProxyType(part) for e, part in matrix.slices.items()}
+    return matrix._like(MappingProxyType(slices))
 
 
 def restricted_family(hat: HatFamily, max_degree: int) -> SoAlgebra:
@@ -338,14 +348,36 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
     return Report(f"hat realization relations (n={n}, D={degree_bound})", checks)
 
 
+def _numerator_cells(n: int, degree_bound: int) -> tuple:
+    """(cells, den) with cells {(row, col): {e: nonzero c}}: the Leibniz
+    series, truncated at w- and v-degree D, is sum c t^e w^k v^m / (k! m! den)
+    over the cells of rows k and columns m. The integer numerators over den
+    come from series_power_numerators, uncached: a reader keeps what it makes
+    of them."""
+    basis = _space(n, degree_bound)[0]
+    base, exponent = leibniz_base(n), weight_exponent(None)
+    (series, _), den = series_power_numerators(base, exponent, degree_bound)
+    groups = ([f"{g}{j}" for j in range(1, n + 1)] for g in "wv")
+    row_of, col_of = ({_pack(zip(names, k)): i for i, k in enumerate(basis)} for names in groups)
+    w_mask, v_mask = _group_mask({"w"}), _group_mask({"v"})
+    (unit,) = TAU.terms
+    scale = [mi_factorial(k) for k in basis]
+    cells = {}
+    for word, c in series.items():
+        if c:
+            # a word's w and v parts name the cell; the rest is t^e, e units
+            w, v = word & w_mask, word & v_mask
+            r, col = row_of[w], col_of[v]
+            cells.setdefault((r, col), {})[(word - w - v) // unit] = c * scale[r] * scale[col]
+    return cells, den
+
+
 @cache
 def _gram_cells(n: int, degree_bound: int) -> tuple:
     """(rows, positions): the pairing table's cells in integers.
 
-    G[k][m] = k! m! [w^k v^m] of the Leibniz series, whose integer numerators
-    over one denominator den come from series_power_numerators: a word's w
-    and v parts name the cell, and its numerator times k! m! / den is the
-    cell's coefficient of the rest, t^e. The cells are asserted to be 1
+    G[k][m] = k! m! [w^k v^m] of the Leibniz series, the cells of
+    _numerator_cells over their denominator. The cells are asserted to be 1
     at the vacuum, 0 between different degrees, symmetric, and integer
     polynomials in t. rows holds each distinct nonzero cell once as
     (c_top, ..., c_0), the cell being sum_e c_e t^e; positions pairs each
@@ -355,19 +387,7 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     basis = _space(n, degree_bound)[0]
-    # uncached: the cells are kept per key, their real series (no im) is not
-    base, exponent = leibniz_base(n), weight_exponent(None)
-    (series, _), den = series_power_numerators(base, exponent, degree_bound)
-    groups = ([f"{g}{j}" for j in range(1, n + 1)] for g in "wv")
-    row_of, col_of = ({_pack(zip(names, k)): i for i, k in enumerate(basis)} for names in groups)
-    w_mask, v_mask = _group_mask({"w"}), _group_mask({"v"})
-    scale = [mi_factorial(k) for k in basis]
-    cells = {}
-    for word, c in series.items():
-        if c:
-            w, v = word & w_mask, word & v_mask
-            r, col = row_of[w], col_of[v]
-            cells.setdefault((r, col), {})[word - w - v] = c * scale[r] * scale[col]
+    cells, den = _numerator_cells(n, degree_bound)
     # the vacuum is the first basis state
     if cells.get((0, 0)) != {0: den}:
         raise AssertionError("vacuum pairing is not 1")
@@ -376,14 +396,10 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
             raise AssertionError("pairing connects different degrees")
         if cells.get((c, r)) != cell:
             raise AssertionError("pairing table is not symmetric")
-    # what is left of a word is t^e, e times TAU's one word
-    (unit,) = TAU.terms
     rows, positions = {}, []
     for pos, cell in cells.items():
-        coeffs = [0] * (max(cell) // unit + 1)
-        for word, c in cell.items():
-            coeffs[-1 - word // unit] = c
-        positions.append((pos, rows.setdefault(tuple(coeffs), len(rows))))
+        coeffs = tuple(cell.get(e, 0) for e in range(max(cell), -1, -1))
+        positions.append((pos, rows.setdefault(coeffs, len(rows))))
     # each cell is <vacuum, L^k R^m vacuum>, and L^ and R^ are integer
     if any(c % den for row in rows for c in row):
         raise AssertionError("a pairing cell is not an integer polynomial in t")
@@ -394,7 +410,7 @@ def _gram_cells(n: int, degree_bound: int) -> tuple:
 def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
     """Pairings of basis states of degree <= D, polynomial in t: the integer
     t-slices of _gram_cells. Built once per (n, D) and shared: the table is
-    immutable.
+    read-only.
     """
     rows, positions = _gram_cells(n, degree_bound)
     slices = {}
@@ -402,7 +418,7 @@ def gram_matrix(n: int, degree_bound: int) -> FockMatrix:
         for e, c in enumerate(reversed(rows[k])):
             if c:
                 slices.setdefault(e, {})[pos] = c
-    return FockMatrix(n, degree_bound)._like(slices)
+    return _read_only(FockMatrix(n, degree_bound)._like(slices))
 
 
 def gram_at(n: int, degree_bound: int, tau) -> MappingProxyType | dict:

@@ -65,7 +65,7 @@ class SparseMatrix:
         if not isinstance(other, type(self)):
             return NotImplemented
         self._check(other, "addition")
-        out = {e: dict(part) for e, part in self.slices.items()}
+        out = {e: part.copy() for e, part in self.slices.items()}
         for e, part in other.slices.items():
             if not _sum_into(out.setdefault(e, {}), part.items()):
                 del out[e]

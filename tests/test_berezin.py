@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -19,7 +20,7 @@ from socone.berezin import (
     wick_recipe_check,
 )
 from socone.fock import build_hat, coherent_vector, multi_indices
-from socone.poly import MultiPoly, TAU
+from socone.poly import MultiPoly, TAU, _sum_into
 from socone.scalars import GaussianRational
 from socone.states import leibniz_base
 
@@ -147,6 +148,33 @@ def test_normal_order_contraction():
     assert got == {((1,), (2,)): 1}
 
 
+def diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
+    """The ordering substitution on a coherent-parameter vector, in
+    polynomials: the reference the integer ordering-recipe check is held to.
+
+    A normal word R^a V^b acts on the parameter side as multiplication by
+    v^b after differentiation d^a; the substitution reverses the factor
+    order, matching the adjoint-style pairing of the two pictures.
+    derivatives caches the nonzero components of d^a vector per raises
+    tuple a; pass the same dict only with the same vector.
+    """
+    out = {}
+    for (raises, lowers), coeff in normal_terms.items():
+        moved = derivatives.get(raises)
+        if moved is None:
+            moved = {}
+            for k, poly in vector.items():
+                p = MultiPoly.coerce(poly)
+                for j in raises:
+                    p = p.diff(f"v{j}")
+                if p:
+                    moved[k] = p
+            derivatives[raises] = moved
+        factor = MultiPoly({tuple((f"v{j}", 1) for j in lowers): coeff})
+        _sum_into(out, ((k, p * factor) for k, p in moved.items()))
+    return out
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_normal_order_and_substitution_store_no_zero(n):
     alphabet = [("R", j) for j in range(1, n + 1)] + [("V", j) for j in range(1, n + 1)]
@@ -156,10 +184,10 @@ def test_normal_order_and_substitution_store_no_zero(n):
         for word in product(alphabet, repeat=size):
             terms = normal_order(word)
             assert terms and all(terms.values()), word
-            subst = berezin._diffop_apply(terms, psi, derivatives)
+            subst = diffop_apply(terms, psi, derivatives)
             assert subst and all(subst.values()), word
     # v1 d1 - 1 multiplies component k by k1 - 1: every k with k1 = 1 cancels
-    cancelled = berezin._diffop_apply({((1,), (1,)): 1, ((), ()): -1}, psi, {})
+    cancelled = diffop_apply({((1,), (1,)): 1, ((), ()): -1}, psi, {})
     assert all(cancelled.values())
     assert set(cancelled) == {k for k in psi if k[0] != 1}
 
@@ -207,7 +235,7 @@ def full_vector_recipe(n, degree_bound, max_length=3):
         direct = psi
         for kind, j in reversed(word):
             direct = (hat.R(j) if kind == "R" else hat.shift_lower(j)).apply(direct)
-        subst = berezin._diffop_apply(berezin.normal_order(word), psi, derivatives)
+        subst = diffop_apply(berezin.normal_order(word), psi, derivatives)
         compared = multi_indices(n, safe)
         if any(low(direct.get(k, 0)) != low(subst.get(k, 0)) for k in compared):
             mismatches += 1
@@ -240,6 +268,49 @@ def test_wick_recipe_agrees_with_the_full_vector_comparison(monkeypatch, n, d, m
     assert row.passed == (mismatches == 0)
     assert row.detail == ("" if not mismatches else f"{mismatches} mismatches")
     assert (mismatches == 0) == (mutant is None)
+
+
+@pytest.mark.parametrize(
+    "n, d, mutant, count",
+    [
+        (3, 5, commuting_order, 51),
+        (3, 5, one_more_on_the_first_term, 198),
+        (4, 6, commuting_order, 92),
+        (4, 6, one_more_on_the_first_term, 576),
+    ],
+)
+def test_wick_recipe_counts_every_mismatching_word(monkeypatch, n, d, mutant, count):
+    # the counts the polynomial route read on the whole coherent vector
+    monkeypatch.setattr(berezin, "normal_order", mutant)
+    row = wick_recipe_check(n, d).checks[0]
+    assert (row.passed, row.detail) == (False, f"{count} mismatches")
+
+
+def changed_hat(**labels):
+    """build_hat with each named generator replaced by a function of the
+    built family."""
+
+    def build(n, degree_bound):
+        hat = build_hat(n, degree_bound)
+        changed = {label: make(hat) for label, make in labels.items()}
+        return replace(hat, generators={**hat.generators, **changed})
+
+    return build
+
+
+def test_the_integer_pairing_rows_catch_a_wrong_generator(monkeypatch):
+    swapped = changed_hat(R1=lambda hat: hat.R(2), R2=lambda hat: hat.R(1))
+    monkeypatch.setattr(berezin, "build_hat", swapped)
+    failed = [c.name for c in verify_raising_identity(2).failed()]
+    assert failed == [
+        f"Fock numerator for R{j} is d/dv{j} of the pairing series" for j in (1, 2)
+    ]
+    shifted = changed_hat(rho0=lambda hat: hat.rho0 + hat.identity)
+    monkeypatch.setattr(berezin, "build_hat", shifted)
+    report = vacuum_symbol_check(2)
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("transform of rho0 at the origin equals t", False)
+    ]
 
 
 def test_fock_pairing_series_identity_word():

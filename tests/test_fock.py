@@ -634,6 +634,16 @@ def test_shared_tables_are_read_only():
         gram_at(2, 3, None)[0, 0] = MultiPoly.zero()
     with pytest.raises(TypeError):
         build_hat(2, 3).generators["rho12"] = None
+    # the operators build_hat and gram_matrix cache: each part and the map of parts
+    for shared, fresh in (
+        (build_hat(2, 3).R(1), build_hat.__wrapped__(2, 3).R(1)),
+        (gram_matrix(2, 3), gram_matrix.__wrapped__(2, 3)),
+    ):
+        with pytest.raises(TypeError):
+            shared.slices[0][(1, 0)] = 5
+        with pytest.raises(TypeError):
+            shared.slices[7] = {}
+        assert shared == fresh
     with pytest.raises(TypeError):
         build_algebra(2).R(1).entries[0, 0] = 5
     assert build_algebra(2).R(1) == build_algebra.__wrapped__(2).R(1)
