@@ -19,11 +19,11 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from types import MappingProxyType
 
-from .matrices import DenseMatrix, commutator, exp_nilpotent
+from .matrices import DenseMatrix, commutator, exp_nilpotent, numerator_stack
 from .report import CheckResult, Report, reading_check
 from .scalars import GaussianRational, gr
 from .scalars import I as _I
@@ -123,6 +123,16 @@ class SoAlgebra:
     def labels(self):
         return list(self.generators)
 
+    @cached_property
+    def raising_stack(self) -> tuple:
+        """R_1..R_n as one numerator_stack, cleared once per realization."""
+        return numerator_stack(self.R(j) for j in range(1, self.n + 1))
+
+    @cached_property
+    def lowering_stack(self) -> tuple:
+        """L_1..L_n as one numerator_stack, cleared once per realization."""
+        return numerator_stack(self.L(j) for j in range(1, self.n + 1))
+
     def observable(self, j: int):
         """X_1 = R_1 + L_1 + rho0 and, for j >= 2, X_j = -i (R_j - L_j - 2 rho_1j)."""
         if j == 1:
@@ -155,13 +165,15 @@ def build_observables(n: int) -> list:
     X_j commute and cube to zero, and exp_zX_vacuum raises
     NotNilpotentError rather than truncate an exponential of them.
     """
-    return list(_observables(n))
+    return list(_observables(n)[0])
 
 
 @cache
 def _observables(n: int) -> tuple:
+    """(X_1..X_n as LieBasisElements, their numerator_stack), built once per n."""
     alg = build_algebra(n)
-    return tuple(LieBasisElement(f"X{j}", alg.observable(j)) for j in range(1, n + 1))
+    family = tuple(LieBasisElement(f"X{j}", alg.observable(j)) for j in range(1, n + 1))
+    return family, numerator_stack(e.matrix for e in family)
 
 
 def brackets(n: int) -> list:

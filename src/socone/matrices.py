@@ -11,8 +11,10 @@ entry is an exact zero, and no operation stores a zero or an empty part.
 A product is one Gustavson product per pair of parts, the right part
 indexed by row (Gustavson, ACM TOMS 4 (1978)); the kinds differ only in
 the parts a scalar factor contributes. Matrices are immutable after
-construction. exp_combination_cleared forms exp(A) x for a combination A
-of matrices in integer numerators, without forming A.
+construction. numerator_stack clears a family of square matrices once into
+integer rows; exp_combination_cleared forms exp(A) x for a combination A of
+the family from those rows, clearing only the coefficients per call and
+never forming A.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .scalars import ZERO, GaussianRational, I, _cleared, _reduced
 
 _SCALARS = (int, Fraction, GaussianRational, MultiPoly)
 _EMPTY = MappingProxyType({})
+_STACK_MISMATCH = "need a coefficient per matrix, each K x K for a K-vector"
 
 
 class NotNilpotentError(ValueError):
@@ -304,21 +307,20 @@ def exact_vector(pairs, d) -> tuple:
     return tuple(exact_value(re, im, d) for re, im in pairs)
 
 
-def _cleared_rows(coeffs, matrices, size) -> tuple:
-    """(rows, s): row i of s A for A = sum_k coeffs[k] matrices[k] as
-    (column, re, im) numerators, s the lcm of their denominators."""
-    matrices = list(matrices)
-    if len(coeffs) != len(matrices) or {m.shape for m in matrices} != {(size, size)}:
-        raise ValueError("need a coefficient per matrix, each K x K for a K-vector")
-    rows = [[] for _ in range(size)]  # (column, d (c_k M_k)_ij as re, im, d)
-    for c, m in zip(coeffs, matrices):
-        a, b, d = _numerators(c)
-        if a or b:
-            for (i, j), entry in m.entries.items():
-                p, q, f = _numerators(entry)
-                rows[i].append((j, *pair_product((a, b), (p, q)), d * f))
-    s = lcm(1, *(d for row in rows for *_, d in row))
-    return [[(j, a * (s // d), b * (s // d)) for j, a, b, d in row] for row in rows], s
+def numerator_stack(matrices) -> tuple:
+    """(size, rows, dens) for square matrices M_k of one size, each cleared
+    once: row i lists (column, k, re, im) per nonzero entry (i, column) of
+    M_k, whose value is (re + i im) / dens[k]."""
+    matrices = tuple(matrices)
+    if len({m.shape for m in matrices}) != 1 or not matrices[0].is_square:
+        raise ValueError(_STACK_MISMATCH)
+    rows, dens = [[] for _ in range(matrices[0].rows)], []
+    for k, m in enumerate(matrices):
+        pairs, d = _cleared(map(_numerators, m.entries.values()))
+        for (i, j), (re, im) in zip(m.entries, pairs):
+            rows[i].append((j, k, re, im))
+        dens.append(d)
+    return len(rows), tuple(map(tuple, rows)), tuple(dens)
 
 
 def _rows_times(rows, term) -> list:
@@ -336,17 +338,27 @@ def _rows_times(rows, term) -> list:
     return out
 
 
-def exp_combination_cleared(coeffs, matrices, pairs, d) -> tuple:
-    """exp(A) x for A = sum_k coeffs[k] matrices[k], square matrices of one
-    size K, and x = pairs / d, returned as (pairs, denominator); raises
-    NotNilpotentError if A^K x is not exactly zero. With s the common
+def exp_combination_cleared(coeffs, stack, pairs, d) -> tuple:
+    """exp(A) x for A = sum_k coeffs[k] M_k, the M_k given as one
+    numerator_stack of size K, and x = pairs / d, returned as (pairs,
+    denominator); raises NotNilpotentError if A^K x is not exactly zero.
+    Only the coefficients are cleared per call. With s the common
     denominator of A, A^m x / m! is (s A)^m x weighed by (K!/m!) s^(K-m)
     over K! s^K, so the loop makes integer multiply-adds that skip zero
     parts. A polynomial p is (p, 0) over 1: the loop uses only +, * and
     truth tests, so symbolic inputs run it unchanged.
     """
-    size = len(pairs)
-    rows, s = _cleared_rows(coeffs, matrices, size)
+    size, stacked, dens = stack
+    if len(coeffs) != len(dens) or len(pairs) != size:
+        raise ValueError(_STACK_MISMATCH)
+    cleared = [(a, b, f * g) for (a, b, f), g in zip(map(_numerators, coeffs), dens)]
+    s = lcm(1, *(f for a, b, f in cleared if a or b))
+    # coefficient k times s over its entries' denominator, None when it is 0
+    scaled = [(a * (s // f), b * (s // f)) if a or b else None for a, b, f in cleared]
+    rows = [
+        [(j, *pair_product(c, (re, im))) for j, k, re, im in row if (c := scaled[k])]
+        for row in stacked
+    ]
     term = pairs
     weight = denominator = factorial(size) * s**size
     acc = [(a * weight, b * weight) for a, b in term]

@@ -16,7 +16,7 @@ from functools import cache, reduce
 from operator import sub
 from types import MappingProxyType
 
-from .algebra import build_observables
+from .algebra import _observables
 from .fock import (
     PositivityProbe,
     build_hat,
@@ -66,11 +66,10 @@ def _symbolic_z(n: int) -> tuple:
 
 def _moved_pairs(comps) -> tuple:
     """exp(z.X) vacuum as (numerator pairs, denominator), by states._raised,
-    the vacuum exponential coherent_state uses, checked against the closed
-    quadratic form cross-multiplied: pair (x, y) over d is (c + i e) / f
-    when (x f - c d) + i (y f - e d) vanishes."""
-    observables = [e.matrix for e in build_observables(len(comps))]
-    pairs, d = _raised(len(comps), comps, observables)
+    the vacuum exponential coherent_state uses, on the X family's stack,
+    checked against the closed quadratic form cross-multiplied: pair (x, y)
+    over d is (c + i e) / f when (x f - c d) + i (y f - e d) vanishes."""
+    pairs, d = _raised(len(comps), comps, _observables(len(comps))[1])
     zeta2 = zeta2_value(comps)
     closed = (
         (gr(0, 2) * (comps[0] - zeta2),)

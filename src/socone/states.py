@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import build_algebra, rotation_label
-from .matrices import NotNilpotentError, _coerce_entry, _numerators, dot
+from .matrices import NotNilpotentError, _coerce_entry, _numerators
 from .matrices import exact_value, exact_vector, exp_combination_cleared
 from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import MultiPoly, series_power, weight_exponent
@@ -101,26 +101,29 @@ def _spatial_components(values) -> list:
 
 
 def coherent_closed_form(v) -> StateVector:
-    """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v."""
-    comps = _spatial_components(v)
-    v2 = dot(comps, comps)
-    spatial = tuple(gr(0, 2) * c for c in comps)
-    return StateVector(spatial + (1 + v2, _I * (1 - v2)))
+    """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v, read off its
+    numerator pairs: with v = V / d and V.V = p + i q, the entries are
+    2i V / d, (d^2 + p + i q) / d^2 and (q + i (d^2 - p)) / d^2."""
+    pairs, d = numerator_pairs(_spatial_components(v))
+    p, q = pair_dot(pairs, pairs)
+    d2 = d * d
+    spatial = tuple(exact_value(-2 * im, 2 * re, d) for re, im in pairs)
+    return StateVector(spatial + (exact_value(d2 + p, q, d2), exact_value(q, d2 - p, d2)))
 
 
-def _raised(n, coeffs, generators) -> tuple:
-    """exp(sum_k coeffs[k] generators[k]) vacuum(n), the exponential of the
-    vacuum behind v.R and z.X, as (numerator pairs, denominator)."""
+def _raised(n, coeffs, stack) -> tuple:
+    """exp(sum_k coeffs[k] M_k) vacuum(n) for the family M_k cleared into
+    stack, the exponential of the vacuum behind v.R and z.X, as (numerator
+    pairs, denominator)."""
     vac = numerator_pairs(vacuum(n).entries)
-    return exp_combination_cleared(coeffs, generators, *vac)
+    return exp_combination_cleared(coeffs, stack, *vac)
 
 
 def coherent_state(v) -> StateVector:
     """exp(v.R) applied to the vacuum, computed two ways and asserted equal:
     by exp_combination_cleared and in closed form."""
     alg = build_algebra(len(v))
-    raising = [alg.R(j) for j in range(1, alg.n + 1)]
-    via_exp = StateVector(exact_vector(*_raised(alg.n, v, raising)))
+    via_exp = StateVector(exact_vector(*_raised(alg.n, v, alg.raising_stack)))
     closed = coherent_closed_form(v)
     if via_exp != closed:
         raise AssertionError("exponential and closed-form coherent states differ")
@@ -194,11 +197,10 @@ def leibniz_base_value(w, v):
 def _moved(w, v, q) -> tuple:
     """moved_vacuum(w, v, q) as (numerator pairs, denominator)."""
     alg = build_algebra(len(w))
-    moved = _raised(alg.n, v, [alg.R(j) for j in range(1, alg.n + 1)])
+    moved = _raised(alg.n, v, alg.raising_stack)
     if q is not alg.identity:  # the identity changes nothing
         moved = numerator_pairs(q.apply(exact_vector(*moved)))
-    lowering = [alg.L(j) for j in range(1, alg.n + 1)]
-    return exp_combination_cleared(w, lowering, *moved)
+    return exp_combination_cleared(w, alg.lowering_stack, *moved)
 
 
 def moved_vacuum(w, v, q) -> StateVector:
@@ -251,6 +253,8 @@ def leibniz_closed_form(
 def random_point(rng, n: int, height: int) -> list:
     """n exact rationals p/q drawn from rng with |p| <= height and
     1 <= q <= height, numerator then denominator, component by component."""
+    if height < 1:
+        raise ValueError("the height of random rationals must be at least 1")
     return [
         Fraction(rng.randint(-height, height), rng.randint(1, height)) for _ in range(n)
     ]

@@ -5,6 +5,7 @@ import pytest
 from socone.algebra import (
     OperatorWord,
     SoAlgebra,
+    _observables,
     build_algebra,
     build_observables,
     build_rho,
@@ -16,7 +17,7 @@ from socone.algebra import (
     verify_relations,
     word_to_matrix,
 )
-from socone.matrices import DenseMatrix, commutator
+from socone.matrices import DenseMatrix, commutator, numerator_stack
 from socone.scalars import gr
 
 from conftest import c, mat_comm, mat_from_dense, mat_scale, mat_add, pairs_equal
@@ -139,6 +140,22 @@ def test_observables_commute_and_cube_to_zero(n):
 
 def test_build_algebra_is_built_once_per_n():
     assert build_algebra(2) is build_algebra(2)
+
+
+def test_generator_stacks_are_cleared_once_per_algebra():
+    alg = build_algebra(3)
+    families = {
+        "raising_stack": [alg.R(j) for j in (1, 2, 3)],
+        "lowering_stack": [alg.L(j) for j in (1, 2, 3)],
+    }
+    for name, family in families.items():
+        stack = getattr(alg, name)
+        assert getattr(build_algebra(3), name) is stack
+        assert stack == numerator_stack(family)
+        assert type(stack[1]) is tuple and all(type(row) is tuple for row in stack[1])
+    observables, stack = _observables(3)
+    assert _observables(3)[1] is stack
+    assert stack == numerator_stack(e.matrix for e in observables)
 
 
 def test_build_observables_returns_a_fresh_list():

@@ -348,7 +348,7 @@ def test_singular_input_exit_code(capsys):
 def test_a_generator_that_is_not_nilpotent_is_a_verification_failure(
     capsys, monkeypatch, argv
 ):
-    def refuse(coeffs, generators, pairs, denominator):
+    def refuse(coeffs, stack, pairs, denominator):
         raise matrices.NotNilpotentError("matrix is not nilpotent")
 
     monkeypatch.setattr(states, "exp_combination_cleared", refuse)

@@ -14,6 +14,7 @@ from socone.matrices import (
     exp_nilpotent,
     is_positive_definite,
     numerator_pairs,
+    numerator_stack,
 )
 from socone.algebra import build_algebra
 from socone.fock import build_combinatorial
@@ -334,7 +335,8 @@ def nilpotent_systems(draw, entries):
 
 
 def exp_apply(coeffs, mats, vector):
-    return exact_vector(*exp_combination_cleared(coeffs, mats, *numerator_pairs(vector)))
+    stack = numerator_stack(mats)
+    return exact_vector(*exp_combination_cleared(coeffs, stack, *numerator_pairs(vector)))
 
 
 @settings(derandomize=True, max_examples=60)
@@ -540,10 +542,53 @@ def test_a_dense_scalar_multiplies_each_entry_as_it_is():
     assert (m * 0).slices == {} and (m * 0).entries == {}
 
 
+MISMATCH = "need a coefficient per matrix, each K x K for a K-vector"
+
+
 def test_linear_combination_rejects_mismatched_input():
-    a, b = DenseMatrix.identity(2), DenseMatrix.zeros(2, 3)
-    for coeffs, mats in (([], []), ([1], [a, a]), ([1, 2], [a, b]), ([1], [b])):
-        with pytest.raises(ValueError):
-            exp_apply(coeffs, mats, [1, 0])
-    with pytest.raises(ValueError):
-        exp_apply([1], [a], [1, 0, 0])
+    a, b, c = DenseMatrix.identity(2), DenseMatrix.zeros(2, 3), DenseMatrix.identity(3)
+    # the stack refuses an empty family, a matrix that is not square and
+    # mixed sizes; the kernel a wrong coefficient count and vector length
+    for family in ([], [b], [a, b], [b, a], [a, c]):
+        with pytest.raises(ValueError, match=MISMATCH):
+            numerator_stack(family)
+    stack = numerator_stack([a, a])
+    for coeffs, vector in (([1], [1, 0]), ([1, 2, 3], [1, 0]), ([1, 2], [1, 0, 0]), ([1, 2], [1])):
+        with pytest.raises(ValueError, match=MISMATCH):
+            exp_combination_cleared(coeffs, stack, *numerator_pairs(vector))
+
+
+# entries with denominators 2 and 3 and Gaussian ones, so that each
+# generator's own denominator in the stack is exercised
+stack_entries = st.sampled_from(
+    [0, 0, 1, -2, Fraction(1, 2), Fraction(-1, 3), gr(0, 1), gr(Fraction(1, 3), Fraction(-1, 2))]
+)
+
+
+@st.composite
+def reused_stacks(draw):
+    size, count = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    mats = [strictly_upper(draw, stack_entries, size) for _ in range(count)]
+    draws = [
+        (
+            [draw(st.one_of(complex_gaussians, gaussians)) for _ in range(count)],
+            tuple(draw(gaussians) for _ in range(size)),
+        )
+        for _ in range(6)
+    ]
+    return mats, draws
+
+
+@settings(derandomize=True, max_examples=40)
+@given(reused_stacks())
+def test_one_stack_serves_every_coefficient_draw(system):
+    mats, draws = system
+    stack = numerator_stack(mats)
+    size, rows, dens = stack
+    assert (size, len(dens)) == (mats[0].rows, len(mats))
+    assert all(type(row) is tuple for row in rows)
+    for coeffs, vector in draws:
+        got = exact_vector(*exp_combination_cleared(coeffs, stack, *numerator_pairs(vector)))
+        want = exp_nilpotent(running_sum(coeffs, mats)).apply(vector)
+        for x, y in zip(got, want):
+            same_entry(x, y)

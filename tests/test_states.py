@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -8,6 +9,7 @@ from socone.algebra import build_algebra
 from socone.matrices import DenseMatrix, dot, exp_nilpotent
 from socone.poly import MultiPoly, TAU
 from socone.scalars import gr
+from socone.spectral import roundtrip_check
 from socone.states import (
     NotInOrbitError,
     StateVector,
@@ -28,13 +30,25 @@ from conftest import poch, poly_poch, rand_fraction
 
 
 def test_random_point_draws_numerator_then_denominator_per_component():
-    import random
-
     rng, ref = random.Random(7), random.Random(7)
     for n, height in [(1, 5), (3, 97), (4, 1)]:
         want = [Fraction(ref.randint(-height, height), ref.randint(1, height)) for _ in range(n)]
         assert random_point(rng, n, height) == want
     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda: random_point(random.Random(0), 2, 0),
+        lambda: coherent_suite(2, 3, 0, height=0),
+        lambda: roundtrip_check(2, 3, 0, height=0),
+    ],
+    ids=["random_point", "coherent_suite", "roundtrip_check"],
+)
+def test_a_height_below_1_is_refused(draw):
+    with pytest.raises(ValueError, match="^the height of random rationals must be at least 1$"):
+        draw()
 
 
 def test_vacuum_annihilation():
