@@ -352,8 +352,8 @@ def _numerator_cells(n: int, degree_bound: int) -> tuple:
     """(cells, den) with cells {(row, col): {e: nonzero c}}: the Leibniz
     series, truncated at w- and v-degree D, is sum c t^e w^k v^m / (k! m! den)
     over the cells of rows k and columns m. The integer numerators over den
-    come from series_power_numerators, uncached: a reader keeps what it makes
-    of them."""
+    come from series_power_numerators, uncached: _gram_cells, the one reader,
+    keeps what it makes of them."""
     basis = _space(n, degree_bound)[0]
     base, exponent = leibniz_base(n), weight_exponent(None)
     (series, _), den = series_power_numerators(base, exponent, degree_bound)

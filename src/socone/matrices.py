@@ -353,10 +353,20 @@ def exp_combination_cleared(coeffs, stack, pairs, d) -> tuple:
         raise ValueError(_STACK_MISMATCH)
     cleared = [(a, b, f * g) for (a, b, f), g in zip(map(_numerators, coeffs), dens)]
     s = lcm(1, *(f for a, b, f in cleared if a or b))
-    # coefficient k times s over its entries' denominator, None when it is 0
-    scaled = [(a * (s // f), b * (s // f)) if a or b else None for a, b, f in cleared]
+    # coefficient k times s over its entries' denominator, None when it is 0:
+    # a pair when it is complex, else its real numerator alone
+    scaled = [
+        (a * (s // f), b * (s // f)) if b else a * (s // f) if a else None
+        for a, b, f in cleared
+    ]
     rows = [
-        [(j, *pair_product(c, (re, im))) for j, k, re, im in row if (c := scaled[k])]
+        [
+            (j, *pair_product(c, (re, im)))
+            if type(c) is tuple
+            else (j, c * re if re else 0, c * im if im else 0)
+            for j, k, re, im in row
+            if (c := scaled[k])
+        ]
         for row in stacked
     ]
     term = pairs

@@ -28,7 +28,8 @@ from .fock import (
     probe_components,
     vacuum_vector,
 )
-from .matrices import _coerce_entry, _numerators, dot, exact_value, exact_vector
+from .matrices import _coerce_entry, dot, exact_value, exact_vector
+from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import (
     MultiPoly,
     _mul_cleared,
@@ -41,11 +42,19 @@ from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
 from .states import ROUTE_FAILURES, StateVector, _orbit_coordinates, _raised, random_point
-from .states import _spatial_components
 
 
 class SingularCoordinateError(ValueError):
     pass
+
+
+def _spatial_components(values) -> list:
+    """The components of a spatial tuple as exact values; an empty tuple
+    raises ValueError."""
+    comps = [_coerce_entry(c) for c in values]
+    if not comps:
+        raise ValueError("spatial dimension must be at least 1")
+    return comps
 
 
 def zeta2_value(z):
@@ -64,57 +73,101 @@ def _symbolic_z(n: int) -> tuple:
     return tuple(MultiPoly.var(f"z{j}") for j in range(1, n + 1))
 
 
-def _moved_pairs(comps) -> tuple:
-    """exp(z.X) vacuum as (numerator pairs, denominator), by states._raised,
-    the vacuum exponential coherent_state uses, on the X family's stack,
-    checked against the closed quadratic form cross-multiplied: pair (x, y)
-    over d is (c + i e) / f when (x f - c d) + i (y f - e d) vanishes."""
-    pairs, d = _raised(len(comps), comps, _observables(len(comps))[1])
-    zeta2 = zeta2_value(comps)
-    closed = (
-        (gr(0, 2) * (comps[0] - zeta2),)
-        + tuple(2 * c for c in comps[1:])
-        + (1 - 2 * comps[0] + 2 * zeta2, _I * (1 - 2 * comps[0]))
-    )
-    for (x, y), entry in zip(pairs, closed):
-        c, e, f = _numerators(entry)
-        if exact_value(x * f - c * d, y * f - e * d, 1):
-            raise AssertionError("closed form for exp(z.X) vacuum fails")
+def _exact_point(values) -> tuple:
+    """(pairs, d) with values = pairs / d for a spatial tuple of exact
+    numbers: an empty tuple raises ValueError, a polynomial TypeError."""
+    pairs, d = numerator_pairs(values)
+    if not pairs:
+        raise ValueError("spatial dimension must be at least 1")
+    if any(type(re) is not int for re, _ in pairs):
+        raise TypeError("coordinate changes take exact numbers, not polynomials")
     return pairs, d
+
+
+def _lorentz_pairs(first, rest) -> tuple:
+    """first^2 - rest.rest over numerator pairs."""
+    (a, b), (c, e) = pair_product(first, first), pair_dot(rest, rest)
+    return a - c, b - e
+
+
+def _divided(numerators, g) -> tuple:
+    """x / g for each pair x and a nonzero Gaussian integer g: x times the
+    conjugate of g, one exact value over the norm of g each."""
+    conj, norm = (g[0], -g[1]), g[0] * g[0] + g[1] * g[1]
+    return tuple(exact_value(*pair_product(x, conj), norm) for x in numerators)
+
+
+def _moved_pairs(z, pairs, d) -> tuple:
+    """exp(z.X) vacuum for z = pairs / d as (numerator pairs, denominator),
+    by states._raised, the vacuum exponential coherent_state uses, on the X
+    family's stack. It is checked against the closed quadratic form in
+    numerator pairs: with z1 = Z1 / d and zeta^2 = p / d^2, the form is
+    (2i (d Z1 - p), 2 d Z_k, d^2 - 2 d Z1 + 2 p, i (d^2 - 2 d Z1)) / d^2,
+    and pair (x, y) over den equals (c, e) over d^2 when x d^2 = c den and
+    y d^2 = e den."""
+    n = len(pairs)
+    moved, den = _raised(n, z, _observables(n)[1])
+    (r, i1), *rest = pairs
+    p0, p1 = _lorentz_pairs((r, i1), rest)
+    d2, dr, di = d * d, d * r, d * i1
+    closed = (
+        [(2 * (p1 - di), 2 * (dr - p0))]
+        + [(2 * d * x, 2 * d * y) for x, y in rest]
+        + [(d2 - 2 * dr + 2 * p0, 2 * (p1 - di)), (2 * di, d2 - 2 * dr)]
+    )
+    for (x, y), (c, e) in zip(moved, closed):
+        if x * d2 != c * den or y * d2 != e * den:
+            raise AssertionError("closed form for exp(z.X) vacuum fails")
+    return moved, den
 
 
 def exp_zX_vacuum(z) -> StateVector:
     """exp(z.X) applied to the vacuum, checked against its closed form."""
-    return StateVector(exact_vector(*_moved_pairs([_coerce_entry(c) for c in z])))
+    return StateVector(exact_vector(*_moved_pairs(z, *numerator_pairs(z))))
 
 
 def z_to_v(z):
     """(v, h^2) with v1 = (1 - z1 - h^2)/h^2 and v_k = -i z_k / h^2.
 
-    Checked against coordinate recovery from the moved vacuum, read as its
+    The point is cleared once to z = Z / d, and h^2 = g / d^2 with g =
+    (d - Z1)^2 - Z2^2 - ... - Zn^2. Then v1 = (d (d - Z1) - g) / g and
+    v_k = -i d Z_k / g, each divided by the Gaussian integer g once. Checked
+    against coordinate recovery from the moved vacuum, read as its
     numerator pairs by states._orbit_coordinates.
     """
-    comps = _spatial_components(z)
-    h2 = h2_value(comps)
-    if not h2:
+    pairs, d = _exact_point(z)
+    (r, i1), *rest = pairs
+    g = _lorentz_pairs((d - r, -i1), rest)
+    if not any(g):
         raise SingularCoordinateError("h^2 vanishes at this point")
-    v = ((1 - comps[0] - h2) / h2,) + tuple((-_I) * c / h2 for c in comps[1:])
-    recovered_v, lam = _orbit_coordinates(*_moved_pairs(comps))
+    first = (d * (d - r) - g[0], -d * i1 - g[1])
+    v = _divided([first, *((d * y, -d * x) for x, y in rest)], g)
+    h2 = exact_value(*g, d * d)
+    recovered_v, lam = _orbit_coordinates(*_moved_pairs(z, pairs, d))
     if lam != h2 or any(a != b for a, b in zip(recovered_v, v)):
         raise AssertionError("coordinate recovery disagrees with the closed form")
     return v, h2
 
 
 def v_to_z(v):
-    """(z, h^2) with h^2 = (1 + 2 v1 + v.v)^(-1); inverse of z_to_v."""
-    comps = _spatial_components(v)
-    denom = 1 + 2 * comps[0] + dot(comps, comps)
-    if not denom:
+    """(z, h^2) with h^2 = (1 + 2 v1 + v.v)^(-1); inverse of z_to_v.
+
+    The point is cleared once to v = V / d, and 1 + 2 v1 + v.v = q / d^2
+    with q = d^2 + 2 d V1 + V.V. Then h^2 = d^2 / q, z1 = (q - d (d + V1)) / q
+    and z_k = i d V_k / q, each divided by the Gaussian integer q once.
+    """
+    pairs, d = _exact_point(v)
+    (r, i1), *rest = pairs
+    vv0, vv1 = pair_dot(pairs, pairs)
+    q = (d * d + 2 * d * r + vv0, 2 * d * i1 + vv1)
+    if not any(q):
         raise SingularCoordinateError("1 + 2 v1 + v.v vanishes at this point")
-    h2 = 1 / denom
-    z = (1 - h2 * (1 + comps[0]),) + tuple(_I * h2 * c for c in comps[1:])
+    first = (q[0] - d * (d + r), q[1] - d * i1)
+    # h^2 = d^2 / q rides along as the last quotient
+    out = _divided([first, *((-d * y, d * x) for x, y in rest), (d * d, 0)], q)
+    z, h2 = out[:-1], out[-1]
     back, back_h2 = z_to_v(z)
-    if back_h2 != h2 or any(a != b for a, b in zip(back, comps)):
+    if back_h2 != h2 or any(a != b for a, b in zip(back, v)):
         raise AssertionError("round trip through the coordinate change fails")
     return z, h2
 

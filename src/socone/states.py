@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .algebra import build_algebra, rotation_label
 from .matrices import NotNilpotentError, _coerce_entry, _numerators
@@ -45,16 +45,21 @@ ROUTE_FAILURES = (AssertionError, NotInOrbitError, NotNilpotentError)
 @dataclass(frozen=True)
 class StateVector:
     """A column vector split as (v0: n spatial entries, a, b), equal to a
-    state with equal entries and, like the polynomials it may hold, unhashable."""
+    state with equal entries and, like the polynomials it may hold, unhashable.
+    Its numerator pairs are cleared once, on first read of `pairs`."""
 
     entries: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple(_coerce_entry(e) for e in self.entries)
-        )
+        object.__setattr__(self, "entries", tuple(map(_coerce_entry, self.entries)))
         if len(self.entries) < 3:
             raise ValueError("state vectors need at least three components")
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """numerator_pairs(entries), the pairs as a tuple: (pairs, d)."""
+        pairs, d = numerator_pairs(self.entries)
+        return tuple(pairs), d
 
     @property
     def a(self):
@@ -91,20 +96,14 @@ def vacuum(n: int) -> StateVector:
     return omega
 
 
-def _spatial_components(values) -> list:
-    """The components of a spatial tuple as exact values; an empty tuple
-    raises ValueError."""
-    comps = [_coerce_entry(c) for c in values]
-    if not comps:
-        raise ValueError("spatial dimension must be at least 1")
-    return comps
-
-
 def coherent_closed_form(v) -> StateVector:
     """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v, read off its
     numerator pairs: with v = V / d and V.V = p + i q, the entries are
-    2i V / d, (d^2 + p + i q) / d^2 and (q + i (d^2 - p)) / d^2."""
-    pairs, d = numerator_pairs(_spatial_components(v))
+    2i V / d, (d^2 + p + i q) / d^2 and (q + i (d^2 - p)) / d^2. An empty
+    tuple raises ValueError."""
+    pairs, d = numerator_pairs(v)
+    if not pairs:
+        raise ValueError("spatial dimension must be at least 1")
     p, q = pair_dot(pairs, pairs)
     d2 = d * d
     spatial = tuple(exact_value(-2 * im, 2 * re, d) for re, im in pairs)
@@ -114,9 +113,8 @@ def coherent_closed_form(v) -> StateVector:
 def _raised(n, coeffs, stack) -> tuple:
     """exp(sum_k coeffs[k] M_k) vacuum(n) for the family M_k cleared into
     stack, the exponential of the vacuum behind v.R and z.X, as (numerator
-    pairs, denominator)."""
-    vac = numerator_pairs(vacuum(n).entries)
-    return exp_combination_cleared(coeffs, stack, *vac)
+    pairs, denominator). The vacuum's pairs are cleared once per vector."""
+    return exp_combination_cleared(coeffs, stack, *vacuum(n).pairs)
 
 
 def coherent_state(v) -> StateVector:

@@ -565,17 +565,25 @@ stack_entries = st.sampled_from(
 )
 
 
+# every kind of coefficient the kernel takes: a real one scales the stack's
+# pairs by its int numerator, a complex one by a pair product
+coefficients = st.one_of(st.integers(-3, 3), tiny_fracs, gaussians, complex_gaussians)
+
+
 @st.composite
 def reused_stacks(draw):
     size, count = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     mats = [strictly_upper(draw, stack_entries, size) for _ in range(count)]
     draws = [
         (
-            [draw(st.one_of(complex_gaussians, gaussians)) for _ in range(count)],
+            [draw(coefficients) for _ in range(count)],
             tuple(draw(gaussians) for _ in range(size)),
         )
         for _ in range(6)
     ]
+    # real and complex coefficients alternate in one combination
+    mixed = [draw(complex_gaussians if k % 2 else nonzero_fracs) for k in range(count)]
+    draws.append((mixed, tuple(draw(gaussians) for _ in range(size))))
     return mats, draws
 
 

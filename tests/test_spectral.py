@@ -7,7 +7,7 @@ from socone.algebra import build_observables
 from socone.fock import gram_at, gram_matrix, mi_factorial, multi_indices, positivity_probe
 from socone.matrices import DenseMatrix, exp_nilpotent, is_positive_definite
 from socone.poly import MultiPoly, TAU, exp_series, series_power, weight_exponent
-from socone.scalars import gr
+from socone.scalars import I, GaussianRational, gr
 from socone import spectral
 from socone.spectral import (
     SingularCoordinateError,
@@ -26,7 +26,7 @@ from socone.spectral import (
     z_to_v,
     zeta2_value,
 )
-from socone.states import vacuum
+from socone.states import coherent_closed_form, vacuum
 
 from conftest import (
     dense_table,
@@ -101,6 +101,102 @@ def test_v_to_z_examples():
 def test_roundtrip_random(rng):
     for n in (1, 2, 3):
         assert roundtrip_check(n, 20, seed=11).all_passed
+
+
+# The exact-point formulas in GaussianRational arithmetic, as the package
+# computed them before it carried points as numerator pairs: references for
+# z_to_v, v_to_z, coherent_closed_form and the closed form of exp(z.X) vacuum.
+
+
+def reference_components(values):
+    comps = [GaussianRational.coerce(c) for c in values]
+    if not comps:
+        raise ValueError("spatial dimension must be at least 1")
+    return comps
+
+
+def reference_square(comps):
+    return sum((c * c for c in comps), gr(0))
+
+
+def reference_z_to_v(z):
+    first, *rest = reference_components(z)
+    h2 = (1 - first) * (1 - first) - reference_square(rest)
+    if not h2:
+        raise SingularCoordinateError("h^2 vanishes at this point")
+    return ((1 - first - h2) / h2,) + tuple(-I * c / h2 for c in rest), h2
+
+
+def reference_v_to_z(v):
+    comps = reference_components(v)
+    denom = 1 + 2 * comps[0] + reference_square(comps)
+    if not denom:
+        raise SingularCoordinateError("1 + 2 v1 + v.v vanishes at this point")
+    h2 = 1 / denom
+    return (1 - h2 * (1 + comps[0]),) + tuple(I * h2 * c for c in comps[1:]), h2
+
+
+def reference_coherent_closed_form(v):
+    comps = reference_components(v)
+    v2 = reference_square(comps)
+    return tuple(2 * I * c for c in comps) + (1 + v2, I * (1 - v2))
+
+
+def reference_exp_zX_vacuum(z):
+    first, *rest = reference_components(z)
+    zeta2 = first * first - reference_square(rest)
+    return (
+        (2 * I * (first - zeta2),)
+        + tuple(2 * c for c in rest)
+        + (1 - 2 * first + 2 * zeta2, I * (1 - 2 * first))
+    )
+
+
+def outcome(call, point):
+    """repr of the result, types included, or the exception's type and message."""
+    try:
+        return repr(call(point))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_exact_point_pipeline_matches_its_reference_formulas(n):
+    import random
+
+    rng = random.Random(n)
+    points = []
+    for height in (5, 97):
+        for _ in range(6):
+            point = [rand_fraction(rng, height) for _ in range(n)]
+            points.append(point)
+            gaussian = list(point)
+            k = rng.randrange(n)
+            gaussian[k] = gr(point[k], rand_fraction(rng, height, allow_zero=False))
+            points.append(gaussian)
+    pad = [0] * (n - 1)
+    # v1 = -1 and z1 = 1 are singular; z = (0, 1) is singular from n = 2 on
+    points += [[-1, *pad], [1, *pad], [0, 1, *pad[1:]][:n], [], [0.5] * n]
+    routes = [
+        (reference_z_to_v, z_to_v),
+        (reference_v_to_z, v_to_z),
+        (reference_coherent_closed_form, lambda v: coherent_closed_form(v).entries),
+        (reference_exp_zX_vacuum, lambda z: exp_zX_vacuum(z).entries),
+    ]
+    for point in points:
+        for reference, call in routes:
+            assert outcome(call, point) == outcome(reference, point), (call, point)
+    # the special points are refused, not passed by both routes alike
+    assert outcome(v_to_z, [-1, *pad])[0] is SingularCoordinateError
+    assert outcome(z_to_v, [1, *pad])[0] is SingularCoordinateError
+    assert [outcome(z_to_v, p)[0] for p in ([], [0.5] * n)] == [ValueError, TypeError]
+
+
+def test_polynomial_points_are_refused_by_the_coordinate_changes():
+    z = [MultiPoly.var("z1"), 1]
+    for change in (z_to_v, v_to_z):
+        with pytest.raises(TypeError):
+            change(z)
 
 
 @pytest.mark.parametrize("count", [0, -1])

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from socone.algebra import build_algebra
-from socone.matrices import DenseMatrix, dot, exp_nilpotent
+from socone.matrices import DenseMatrix, dot, exp_nilpotent, numerator_pairs
 from socone.poly import MultiPoly, TAU
 from socone.scalars import gr
 from socone.spectral import roundtrip_check
 from socone.states import (
     NotInOrbitError,
     StateVector,
+    coherent_closed_form,
     coherent_state,
     coherent_suite,
     lambda_factor,
@@ -330,6 +331,24 @@ def test_coherent_suite_refuses_no_points(count):
 
 def test_vacuum_is_built_once_per_n():
     assert vacuum(2) is vacuum(2)
+
+
+def test_vacuum_pairs_are_cleared_once_per_vector():
+    pairs, d = numerator_pairs(vacuum(3).entries)
+    assert vacuum(3).pairs is vacuum(3).pairs
+    assert vacuum(3).pairs == (tuple(pairs), d)
+    # the cache does not take part in equality
+    assert vacuum(3) == StateVector(vacuum(3).entries)
+
+
+def test_coherent_state_at_a_gaussian_point_equals_its_closed_form():
+    v = (Fraction(1, 2), gr(Fraction(-2, 3), Fraction(5, 7)), 3)
+    alg = build_algebra(3)
+    generator = DenseMatrix.zeros(5)
+    for j, c in enumerate(v, 1):
+        generator = generator + c * alg.R(j)
+    want = exp_nilpotent(generator).apply(vacuum(3).entries)
+    assert coherent_state(v).entries == want == coherent_closed_form(v).entries
 
 
 def test_leibniz_series_is_built_once_per_key():
