@@ -3,12 +3,13 @@ hat realization: the raising symbol, the first-order system solved by the
 pairing, the alternate lowering form, and the ordering recipe.
 
 Rational-function identities are verified by clearing the weight power and
-comparing polynomials, never by sampling alone. The Fock-side rows compare
-integer matrix entries instead of coherent vectors: with psi_v = sum_k v^k/k!
-|k>, component k of Q psi_v is sum_m Q[k, m] v^m/m!, and <psi_w, Q psi_v>
-has (G Q)[k, m] / (k! m!) at w^k v^m. The ordering recipe, the raising rows
-and the vacuum symbol read these integer tables; the transform and the
-public series functions pair coherent vectors.
+comparing polynomials, never by sampling alone. The Fock side holds no
+coherent vector: with psi_v = sum_k v^k/k! |k>, component k of Q psi_v is
+sum_m Q[k, m] v^m/m!, and <psi_w, Q psi_v> has (G Q)[k, m] / (k! m!) at
+w^k v^m. The ordering recipe, the raising rows and the vacuum symbol
+compare these integer tables, the vacuum rows products with the vacuum
+projector, and the transform and the public series read the slices of
+G Q through fock.pairing_series.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ from itertools import product
 from operator import add
 
 from .algebra import OperatorWord, build_algebra, word_to_matrix
-from .fock import (
-    _shift,
-    build_hat,
-    coherent_vector,
-    gram_matrix,
-    mi_degree,
-    mi_factorial,
-    multi_indices,
-    pair,
-    vacuum_vector,
-)
+from .fock import FockMatrix, _shift, build_hat, gram_matrix, mi_degree
+from .fock import mi_factorial, multi_indices, pairing_series
 from .matrices import dot
 from .poly import MultiPoly, TAU, _sum_into
 from .report import CheckResult, Report
@@ -58,11 +50,10 @@ def _operator(words, family):
 
 
 def fock_pairing_series(words, n: int, degree_bound: int) -> MultiPoly:
-    """<psi_w, Q psi_v> as a truncated double series, weight symbolic."""
+    """<psi_w, Q psi_v> as a truncated double series, weight symbolic: the
+    pairing series of G Q."""
     q = _operator(_words(words), build_hat(n, degree_bound))
-    left = coherent_vector(n, degree_bound, "w")
-    right = coherent_vector(n, degree_bound, "v")
-    return pair(gram_matrix(n, degree_bound), left, q.apply(right))
+    return pairing_series(gram_matrix(n, degree_bound) * q)
 
 
 def berezin_transform(word_or_words, w, v):
@@ -166,16 +157,12 @@ def bessel_form_check(n: int, degree_bound: int) -> Report:
     hat = build_hat(n, degree_bound)
     vsq = dot(hat.lowering, hat.lowering)
     checks = []
-    omega = vacuum_vector(n)
+    omega = FockMatrix(n, degree_bound, {(0, 0): 1})
     for j in range(1, n + 1):
         alt = hat.rho0 * hat.shift_lower(j) - hat.R(j) * vsq
         checks.append(CheckResult(f"lowering form for j={j}", alt == hat.L(j)))
-        checks.append(
-            CheckResult(
-                f"both forms annihilate the vacuum for j={j}",
-                not hat.L(j).apply(omega) and not alt.apply(omega),
-            )
-        )
+        ok = (hat.L(j) * omega).is_zero and (alt * omega).is_zero
+        checks.append(CheckResult(f"both forms annihilate the vacuum for j={j}", ok))
     return Report(f"alternate lowering form (n={n}, D={degree_bound})", checks)
 
 

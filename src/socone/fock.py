@@ -11,10 +11,12 @@ lowering shifts V_j.
 A Fock operator is held only as t-slices, sum_e t^e S_e, the graded parts
 of the ring matrices.SparseMatrix shares with DenseMatrix: a hat generator
 is A + t B in integers, and the Gram table the slices of its integer
-cells. The bracket, adjointness and lowering-form rows compare products of
-slices. apply makes each position's value sum_e c_e t^e once, in the
-column index it keeps, and the one polynomial table is the printed Gram
-table, gram_at(n, D, None).
+cells. A Fock vector is an operator column: the vacuum is the projector
+onto the vacuum state, and X^k vacuum a product. The bracket, adjointness,
+lowering-form and vacuum rows compare products of slices, and
+pairing_series reads the coherent pairing <psi_w, Q psi_v> off the slices
+of G Q. The one polynomial table is the printed Gram table,
+gram_at(n, D, None).
 
 Basis states are multi-indices (k_1..k_n) of total degree at most D in
 graded lexicographic order; one basis, index and block layout serves every
@@ -33,12 +35,12 @@ from math import factorial, inf, nextafter
 from types import MappingProxyType
 
 from .algebra import SoAlgebra, bracket_checks, generator_table, rotation_label
-from .matrices import SparseMatrix, commutator, dot
+from .matrices import SparseMatrix, _numerators, commutator, dot
 from .matrices import is_positive_definite
-from .poly import MultiPoly, TAU, _group_mask, _make, _pack, _sum_into
+from .poly import MultiPoly, TAU, _group_mask, _make, _pack
 from .poly import series_power_numerators, weight_exponent
 from .report import CheckResult, Report, reading_check
-from .scalars import GaussianRational, gr
+from .scalars import _reduced, gr
 from .states import leibniz_base, leibniz_closed_form
 
 
@@ -96,16 +98,15 @@ class FockMatrix(SparseMatrix):
     (row, column) positions in the shared basis to the nonzero coefficient
     of t^e, an int (a GaussianRational only where a rational or complex
     scalar entered). The ring is SparseMatrix's; this class adds the space,
-    a scalar split into its powers of t, restrict and apply.
+    a scalar split into its powers of t, and restrict.
     """
 
-    # _columns (apply) is built on first use and kept
-    __slots__ = ("n", "degree_bound", "basis", "index", "slices", "_columns")
+    __slots__ = ("n", "degree_bound", "basis", "index", "slices")
 
     def __init__(self, n, degree_bound, entries=None):
         """The operator of entries {(row, col): exact scalar or polynomial in t}."""
         basis, index, _ = _space(n, degree_bound)
-        self._fill(n, degree_bound, basis, index, _slices(entries or {}), None)
+        self._fill(n, degree_bound, basis, index, _slices(entries or {}))
 
     @classmethod
     def identity(cls, n, degree_bound):
@@ -121,7 +122,7 @@ class FockMatrix(SparseMatrix):
         no slice may be empty and no value zero. Every operator on the space
         is square, so shape is ignored."""
         out = object.__new__(FockMatrix)
-        out._fill(self.n, self.degree_bound, self.basis, self.index, slices, None)
+        out._fill(self.n, self.degree_bound, self.basis, self.index, slices)
         return out
 
     def _check(self, other, op):
@@ -144,32 +145,6 @@ class FockMatrix(SparseMatrix):
             for e, part in self.slices.items()
             if (kept := {(r, c): v for (r, c), v in part.items() if r < size and c < size})
         })
-
-    def apply(self, vector: dict) -> dict:
-        """Apply to a sparse vector keyed by multi-index."""
-        cols = self._columns
-        if cols is None:
-            # built on first use and kept: the matrix is immutable; each
-            # position's value sum_e c_e t^e is made once, here
-            (unit,) = TAU.terms
-            cells = {}
-            for e, part in self.slices.items():
-                for pos, c in part.items():
-                    cells.setdefault(pos, {})[e * unit] = GaussianRational.coerce(c)
-            cols = {}
-            for (r, c), terms in cells.items():
-                value = terms[0] if terms.keys() == {0} else _make(terms)
-                cols.setdefault(c, []).append((self.basis[r], value))
-            object.__setattr__(self, "_columns", cols)
-        index = self.index
-        return _sum_into(
-            {},
-            (
-                (mi, value * coeff)
-                for k, coeff in vector.items()
-                for mi, value in cols.get(index[k], ())
-            ),
-        )
 
 
 def _slices(cells: dict) -> dict:
@@ -293,10 +268,6 @@ def restricted_family(hat: HatFamily, max_degree: int) -> SoAlgebra:
     )
 
 
-def vacuum_vector(n: int) -> dict:
-    return {(0,) * n: gr(1)}
-
-
 def verify_hat_relations(n: int, degree_bound: int) -> Report:
     """Every bracket identity of the realization, exactly, on interior blocks.
 
@@ -328,32 +299,34 @@ def verify_hat_relations(n: int, degree_bound: int) -> Report:
         same = not one.is_zero and comm.restrict(degree_bound - 1) == one
         name = f"[V{j}, R{j}] = 1 (interior)"
         checks.append(CheckResult(name, same, empty if one.is_zero else ""))
-    # vacuum axioms
-    omega = vacuum_vector(n)
-    ok = all(not hat.L(j).apply(omega) for j in range(1, n + 1))
+    # vacuum axioms, on the projector onto the vacuum state
+    omega = FockMatrix(n, degree_bound, {(0, 0): 1})
+    ok = all((hat.L(j) * omega).is_zero for j in range(1, n + 1))
     checks.append(CheckResult("L^ annihilates the vacuum", ok))
-    rho0_omega = hat.rho0.apply(omega)
-    checks.append(
-        CheckResult(
-            "rho0^ vacuum eigenvalue is t",
-            rho0_omega == {(0,) * n: TAU},
-        )
-    )
+    ok = hat.rho0 * omega == TAU * omega
+    checks.append(CheckResult("rho0^ vacuum eigenvalue is t", ok))
     ok = all(
-        not hat.rho(j, k).apply(omega)
-        for j in range(1, n + 1)
-        for k in range(j + 1, n + 1)
+        (hat.rho(j, k) * omega).is_zero for j in range(1, n + 1) for k in range(j + 1, n + 1)
     )
     checks.append(CheckResult("rotations annihilate the vacuum", ok))
     return Report(f"hat realization relations (n={n}, D={degree_bound})", checks)
 
 
-def _numerator_cells(n: int, degree_bound: int) -> tuple:
-    """(cells, den) with cells {(row, col): {e: nonzero c}}: the Leibniz
-    series, truncated at w- and v-degree D, is sum c t^e w^k v^m / (k! m! den)
-    over the cells of rows k and columns m. The integer numerators over den
-    come from series_power_numerators, uncached: _gram_cells, the one reader,
-    keeps what it makes of them."""
+@cache
+def _gram_cells(n: int, degree_bound: int) -> tuple:
+    """(rows, positions): the pairing table's cells in integers.
+
+    G[k][m] = k! m! [w^k v^m] of the Leibniz series, truncated at w- and
+    v-degree D: each integer numerator c t^e w^k v^m over den that
+    series_power_numerators makes is scaled by k! m! into its cell, and the
+    cells are divided by den. The cells are asserted to be 1 at the vacuum,
+    0 between different degrees, symmetric, and integer polynomials in t.
+    rows holds each distinct nonzero cell once as (c_top, ..., c_0), the
+    cell being sum_e c_e t^e; positions pairs each position, in entry
+    order, with its row: at (4, 4), 292 positions share 23 rows.
+    """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be non-negative")
     basis = _space(n, degree_bound)[0]
     base, exponent = leibniz_base(n), weight_exponent(None)
     (series, _), den = series_power_numerators(base, exponent, degree_bound)
@@ -369,25 +342,6 @@ def _numerator_cells(n: int, degree_bound: int) -> tuple:
             w, v = word & w_mask, word & v_mask
             r, col = row_of[w], col_of[v]
             cells.setdefault((r, col), {})[(word - w - v) // unit] = c * scale[r] * scale[col]
-    return cells, den
-
-
-@cache
-def _gram_cells(n: int, degree_bound: int) -> tuple:
-    """(rows, positions): the pairing table's cells in integers.
-
-    G[k][m] = k! m! [w^k v^m] of the Leibniz series, the cells of
-    _numerator_cells over their denominator. The cells are asserted to be 1
-    at the vacuum, 0 between different degrees, symmetric, and integer
-    polynomials in t. rows holds each distinct nonzero cell once as
-    (c_top, ..., c_0), the cell being sum_e c_e t^e; positions pairs each
-    position, in entry order, with its row: at (4, 4), 292 positions share
-    23 rows.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be non-negative")
-    basis = _space(n, degree_bound)[0]
-    cells, den = _numerator_cells(n, degree_bound)
     # the vacuum is the first basis state
     if cells.get((0, 0)) != {0: den}:
         raise AssertionError("vacuum pairing is not 1")
@@ -457,15 +411,22 @@ def _gram_polynomials(n: int, degree_bound: int) -> MappingProxyType:
     return MappingProxyType({pos: polys[k] for pos, k in positions})
 
 
-def pair(gram: FockMatrix, left: dict, right: dict):
-    """Bilinear pairing sum_k left_k (G right)_k (no conjugation); a
-    multi-index outside the basis raises KeyError on either side."""
-    applied = gram.apply(right)
-    outside = [k for k in left if k not in gram.index]
-    if outside:
-        raise KeyError(outside[0])
-    products = (a * applied[k] for k, a in left.items() if k in applied)
-    return sum(products, MultiPoly.zero())
+def pairing_series(op: FockMatrix) -> MultiPoly:
+    """sum_e sum_(k,m) S_e[k, m] t^e w^k v^m / (k! m!) over the t-slices S_e
+    of op, one term per stored entry. With psi_v = sum_k v^k/k! |k>, for
+    op = G Q this is the coherent pairing <psi_w, Q psi_v>."""
+    (unit,), basis = TAU.terms, op.basis
+    names = [[f"{g}{j}" for j in range(1, op.n + 1)] for g in "wv"]
+    cells, terms = {}, {}
+    for e, part in op.slices.items():
+        for pos, x in part.items():
+            if (cell := cells.get(pos)) is None:
+                k, m = basis[pos[0]], basis[pos[1]]
+                word = _pack(zip(names[0], k)) + _pack(zip(names[1], m))
+                cell = cells[pos] = word, mi_factorial(k) * mi_factorial(m)
+            re, im, d = _numerators(x)
+            terms[e * unit + cell[0]] = _reduced(re, im, d * cell[1])
+    return _make(terms)
 
 
 def verify_adjointness(n: int, degree_bound: int) -> Report:
@@ -598,23 +559,11 @@ def positivity_probe(n: int, degree_bound: int, tau) -> PositivityProbe:
     return probe_components(values, labels)
 
 
-def coherent_vector(n: int, degree_bound: int, prefix: str) -> dict:
-    """Truncated coherent state sum_k prefix^k / k! |k>, symbolic components."""
-    names = [f"{prefix}{j}" for j in range(1, n + 1)]
-    return {
-        k: MultiPoly({tuple(zip(names, k)): Fraction(1, mi_factorial(k))})
-        for k in multi_indices(n, degree_bound)
-    }
-
-
 def series_duality_check(n: int, degree_bound: int) -> Report:
-    """Pairing of two truncated coherent vectors reproduces the Leibniz series."""
-    gram = gram_matrix(n, degree_bound)
-    left = coherent_vector(n, degree_bound, "w")
-    right = coherent_vector(n, degree_bound, "v")
-    got = pair(gram, left, right)
-    expected = leibniz_closed_form(n, degree_bound)
-    passed = got == expected
+    """The coherent pairing of the truncated space, read off the Gram
+    table's slices, reproduces the Leibniz series."""
+    got = pairing_series(gram_matrix(n, degree_bound))
+    passed = got == leibniz_closed_form(n, degree_bound)
     return Report(
         f"series/operator duality (n={n}, D={degree_bound})",
         [CheckResult("coherent pairing equals the Leibniz series", passed)],

@@ -287,6 +287,13 @@ def pair_dot(xs, ys) -> tuple:
     return re, im
 
 
+def _divided(numerators, g) -> tuple:
+    """x / g for each pair x and a nonzero Gaussian integer g: x times the
+    conjugate of g, one exact value over the norm of g each."""
+    conj, norm = (g[0], -g[1]), g[0] * g[0] + g[1] * g[1]
+    return tuple(exact_value(*pair_product(x, conj), norm) for x in numerators)
+
+
 def numerator_pairs(vector) -> tuple:
     """(pairs, d) with vector[k] = (re_k + i im_k) / d over the lcm d of the
     entries' denominators; a polynomial p is (p, 0) over 1."""

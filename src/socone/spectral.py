@@ -18,17 +18,18 @@ from types import MappingProxyType
 
 from .algebra import _observables
 from .fock import (
+    FockMatrix,
     PositivityProbe,
     build_hat,
     gram_at,
     mi_degree,
     mi_factorial,
     multi_indices,
+    pairing_series,
     positivity_probe,
     probe_components,
-    vacuum_vector,
 )
-from .matrices import _coerce_entry, dot, exact_value, exact_vector
+from .matrices import _coerce_entry, _divided, dot, exact_value, exact_vector
 from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import (
     MultiPoly,
@@ -88,13 +89,6 @@ def _lorentz_pairs(first, rest) -> tuple:
     """first^2 - rest.rest over numerator pairs."""
     (a, b), (c, e) = pair_product(first, first), pair_dot(rest, rest)
     return a - c, b - e
-
-
-def _divided(numerators, g) -> tuple:
-    """x / g for each pair x and a nonzero Gaussian integer g: x times the
-    conjugate of g, one exact value over the norm of g each."""
-    conj, norm = (g[0], -g[1]), g[0] * g[0] + g[1] * g[1]
-    return tuple(exact_value(*pair_product(x, conj), norm) for x in numerators)
 
 
 def _moved_pairs(z, pairs, d) -> tuple:
@@ -257,23 +251,25 @@ class MomentTable:
 def _hat_moments(n: int, max_degree: int) -> dict:
     """<vacuum, X^k vacuum> for all |k| <= max_degree, weight symbolic.
 
-    The X^k vacuum vectors are built by extending one slot at a time (the
-    family commutes, so the extension order is immaterial). The Gram table
-    is block-diagonal by degree with vacuum entry 1 (fock._gram_cells
-    asserts both), so each expectation is the vacuum component of X^k
-    vacuum.
+    With omega the projector onto the vacuum state, X^k omega is built as a
+    product, extending one slot at a time (the family commutes, so the
+    extension order is immaterial). The Gram table is block-diagonal by
+    degree with vacuum entry 1 (fock._gram_cells asserts both), so each
+    expectation is the vacuum cell of X^k omega, the pairing series of
+    omega X^k omega.
     """
     bound = max(max_degree, 2)
     hat = build_hat(n, bound)
     observables = [hat.observable(j) for j in range(1, n + 1)]
-    table = {(0,) * n: vacuum_vector(n)}
+    omega = FockMatrix(n, bound, {(0, 0): 1})
+    table = {(0,) * n: omega}
     out = {}
     for k in multi_indices(n, max_degree):
         if k not in table:
             j = next(i for i, e in enumerate(k) if e)
             lower = tuple(e - (1 if i == j else 0) for i, e in enumerate(k))
-            table[k] = observables[j].apply(table[lower])
-        out[k] = MultiPoly.coerce(table[k].get((0,) * n, 0))
+            table[k] = observables[j] * table[lower]
+        out[k] = pairing_series(omega * table[k])
     return out
 
 

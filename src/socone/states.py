@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .algebra import build_algebra, rotation_label
-from .matrices import NotNilpotentError, _coerce_entry, _numerators
+from .matrices import NotNilpotentError, _coerce_entry, _divided, _numerators
 from .matrices import exact_value, exact_vector, exp_combination_cleared
 from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import MultiPoly, series_power, weight_exponent
@@ -142,10 +142,8 @@ def _orbit_coordinates(pairs, den):
     v2r, v2i = pair_dot(spatial, spatial)
     if (-v2r, -v2i) != pair_product(scale, (ar - bi, ai + br)):
         raise NotInOrbitError("quotient identity for the scale factor fails")
-    # b + i a = i (a - i b) = -li + i lr, so v0 / (b + i a) is
-    # v0 (-li - i lr) over lr^2 + li^2
-    norm = lr * lr + li * li
-    v = tuple(exact_value(*pair_product(x, (-li, -lr)), norm) for x in spatial)
+    # b + i a = i (a - i b) = -li + i lr
+    v = _divided(spatial, (-li, lr))
     # lam (c + i e) / f = (x + i y) / den, times 2 den f
     for (x, y), entry in zip(pairs, coherent_closed_form(v).entries):
         c, e, f = _numerators(entry)

@@ -185,3 +185,19 @@ def first_order_basis(n):
     x = [MultiPoly.var(f"x{j}") for j in range(1, n + 1)]
     want = [x[0] - MultiPoly.var("t")] + [gr(0, 1) * xj for xj in x[1:]]
     return got, want
+
+
+def changed_hat(**labels):
+    """build_hat, as socone.fock holds it when this is called, with each
+    named generator replaced by a function of the built family: a mutant
+    for the rows that read the hat realization."""
+    from dataclasses import replace
+
+    from socone.fock import build_hat
+
+    def build(n, degree_bound):
+        hat = build_hat(n, degree_bound)
+        changed = {label: make(hat) for label, make in labels.items()}
+        return replace(hat, generators={**hat.generators, **changed})
+
+    return build

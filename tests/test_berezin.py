@@ -1,11 +1,10 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from socone import berezin
-from socone.algebra import OperatorWord
+from socone.algebra import OperatorWord, word_to_matrix
 from socone.berezin import (
     PoleError,
     berezin_symbol_series,
@@ -19,10 +18,12 @@ from socone.berezin import (
     verify_raising_identity,
     wick_recipe_check,
 )
-from socone.fock import build_hat, coherent_vector, multi_indices
+from socone.fock import build_hat, gram_matrix, mi_factorial, multi_indices
 from socone.poly import MultiPoly, TAU, _sum_into
-from socone.scalars import GaussianRational
+from socone.scalars import GaussianRational, gr
 from socone.states import leibniz_base
+
+from conftest import changed_hat
 
 
 def test_identity_transform_is_one(rng):
@@ -148,6 +149,28 @@ def test_normal_order_contraction():
     assert got == {((1,), (2,)): 1}
 
 
+def coherent_vector(n, degree_bound, prefix="v"):
+    """sum_k x^k / k! |k> as {multi-index: MultiPoly} in the variables
+    prefix1..prefixn, symbolic components."""
+    names = [f"{prefix}{j}" for j in range(1, n + 1)]
+    return {
+        k: MultiPoly({tuple(zip(names, k)): Fraction(1, mi_factorial(k))})
+        for k in multi_indices(n, degree_bound)
+    }
+
+
+def fock_apply(matrix, vector: dict) -> dict:
+    """A Fock operator on a vector {multi-index: value}, read off its
+    t-slices entry by entry, storing no zero."""
+    basis = matrix.basis
+    return _sum_into({}, (
+        (basis[r], x * TAU**e * vector[basis[c]])
+        for e, part in matrix.slices.items()
+        for (r, c), x in part.items()
+        if basis[c] in vector
+    ))
+
+
 def diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
     """The ordering substitution on a coherent-parameter vector, in
     polynomials: the reference the integer ordering-recipe check is held to.
@@ -178,7 +201,7 @@ def diffop_apply(normal_terms: dict, vector: dict, derivatives: dict):
 @pytest.mark.parametrize("n", [2, 3])
 def test_normal_order_and_substitution_store_no_zero(n):
     alphabet = [("R", j) for j in range(1, n + 1)] + [("V", j) for j in range(1, n + 1)]
-    psi = coherent_vector(n, 4, "v")
+    psi = coherent_vector(n, 4)
     derivatives = {}
     for size in range(4):
         for word in product(alphabet, repeat=size):
@@ -219,7 +242,7 @@ def full_vector_recipe(n, degree_bound, max_length=3):
     truncated coherent vector: each word is applied letter by letter, and
     both routes are cut to v-degree D - max_length afterwards."""
     hat = build_hat(n, degree_bound)
-    psi = coherent_vector(n, degree_bound, "v")
+    psi = coherent_vector(n, degree_bound)
     safe = degree_bound - max_length
     alphabet = [("R", j) for j in range(1, n + 1)] + [("V", j) for j in range(1, n + 1)]
     words = [
@@ -234,7 +257,7 @@ def full_vector_recipe(n, degree_bound, max_length=3):
     for word in words:
         direct = psi
         for kind, j in reversed(word):
-            direct = (hat.R(j) if kind == "R" else hat.shift_lower(j)).apply(direct)
+            direct = fock_apply(hat.R(j) if kind == "R" else hat.shift_lower(j), direct)
         subst = diffop_apply(berezin.normal_order(word), psi, derivatives)
         compared = multi_indices(n, safe)
         if any(low(direct.get(k, 0)) != low(subst.get(k, 0)) for k in compared):
@@ -286,18 +309,6 @@ def test_wick_recipe_counts_every_mismatching_word(monkeypatch, n, d, mutant, co
     assert (row.passed, row.detail) == (False, f"{count} mismatches")
 
 
-def changed_hat(**labels):
-    """build_hat with each named generator replaced by a function of the
-    built family."""
-
-    def build(n, degree_bound):
-        hat = build_hat(n, degree_bound)
-        changed = {label: make(hat) for label, make in labels.items()}
-        return replace(hat, generators={**hat.generators, **changed})
-
-    return build
-
-
 def test_the_integer_pairing_rows_catch_a_wrong_generator(monkeypatch):
     swapped = changed_hat(R1=lambda hat: hat.R(2), R2=lambda hat: hat.R(1))
     monkeypatch.setattr(berezin, "build_hat", swapped)
@@ -311,6 +322,37 @@ def test_the_integer_pairing_rows_catch_a_wrong_generator(monkeypatch):
     assert [(c.name, c.passed) for c in report.checks] == [
         ("transform of rho0 at the origin equals t", False)
     ]
+
+
+def test_a_raise_in_place_of_the_lowering_fails_both_vacuum_forms(monkeypatch):
+    swapped = changed_hat(L1=lambda hat: hat.R(1), R1=lambda hat: hat.L(1))
+    monkeypatch.setattr(berezin, "build_hat", swapped)
+    rows = {c.name: c.passed for c in bessel_form_check(2, 4).checks}
+    assert rows == {
+        "lowering form for j=1": False,
+        "both forms annihilate the vacuum for j=1": False,
+        "lowering form for j=2": True,
+        "both forms annihilate the vacuum for j=2": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, d, word",
+    [
+        (1, 4, OperatorWord.of("R1")),
+        (2, 4, OperatorWord.of("L1", "R1")),
+        (2, 5, OperatorWord.of("rho0", "rho12", coeff=3)),
+        (3, 4, OperatorWord.of("R2", "L3", coeff=gr(1, 2))),
+        (3, 5, OperatorWord.of("L2", "rho0", "R2", coeff=Fraction(1, 3))),
+    ],
+)
+def test_fock_pairing_series_is_the_coherent_pairing(n, d, word):
+    # <psi_w, Q psi_v> = sum_k psi_w[k] (G Q psi_v)[k], on coherent vectors
+    q = word_to_matrix(build_hat(n, d), word)
+    moved = fock_apply(gram_matrix(n, d), fock_apply(q, coherent_vector(n, d)))
+    left = coherent_vector(n, d, "w")
+    want = sum((left[k] * value for k, value in moved.items()), MultiPoly.zero())
+    assert fock_pairing_series(word, n, d) == want
 
 
 def test_fock_pairing_series_identity_word():

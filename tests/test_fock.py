@@ -15,17 +15,15 @@ from socone.fock import (
     FockMatrix,
     build_combinatorial,
     build_hat,
-    coherent_vector,
     gram_at,
     gram_matrix,
     mi_degree,
     multi_indices,
     number_grading_check,
-    pair,
+    pairing_series,
     positivity_probe,
     restricted_family,
     series_duality_check,
-    vacuum_vector,
     verify_adjointness,
     verify_hat_relations,
 )
@@ -41,7 +39,7 @@ from socone.report import CheckResult
 from socone.scalars import gr
 from socone.states import leibniz_base, leibniz_closed_form
 
-from conftest import dense_table, gram_entry, leading_minors_positive, poch
+from conftest import changed_hat, dense_table, gram_entry, leading_minors_positive, poch
 
 
 def test_multi_index_enumeration():
@@ -72,14 +70,28 @@ def test_space_is_the_sorted_enumeration_of_each_degree_block(n):
         assert ends == tuple(sum(1 for k in want if sum(k) < e) for e in range(d + 2))
 
 
+def column(n, d, vector):
+    # the vector {multi-index: value} as column 0 of an operator on (n, d)
+    index = FockMatrix(n, d).index
+    return FockMatrix(n, d, {(index[k], 0): value for k, value in vector.items()})
+
+
+def coherent_column(n, d, point, prefix):
+    # the truncated coherent vector sum_k x^k / k! |k> at an exact point
+    return column(n, d, {
+        k: prod(Fraction(point[f"{prefix}{j}"]) ** x / factorial(x) for j, x in enumerate(k, 1))
+        for k in multi_indices(n, d)
+    })
+
+
 def test_combinatorial_actions():
     lower = build_combinatorial(2, 4, "lower", 1)
-    assert lower.apply(vacuum_vector(2)) == {}
-    assert lower.apply({(2, 0): gr(1)}) == {(1, 0): gr(2)}
+    assert (lower * column(2, 4, {(0, 0): 1})).is_zero
+    assert lower * column(2, 4, {(2, 0): 1}) == column(2, 4, {(1, 0): 2})
     raiser = build_combinatorial(2, 4, "raise", 2)
-    assert raiser.apply({(1, 0): gr(1)}) == {(1, 1): gr(1)}
+    assert raiser * column(2, 4, {(1, 0): 1}) == column(2, 4, {(1, 1): 1})
     # raising the top state leaves the truncated space: the write is dropped
-    assert raiser.apply({(4, 0): gr(1)}) == {}
+    assert (raiser * column(2, 4, {(4, 0): 1})).is_zero
 
 
 def test_shift_commutator_is_identity_on_interior():
@@ -96,21 +108,45 @@ def test_shift_commutator_is_identity_on_interior():
 
 def test_hat_actions_by_hand():
     hat = build_hat(2, 4)
-    e1 = {(1, 0): gr(1)}
-    assert hat.L(1).apply(e1) == {(0, 0): TAU}
-    assert hat.rho0.apply(vacuum_vector(2)) == {(0, 0): TAU}
-    assert hat.rho(1, 2).apply({(0, 1): gr(1)}) == {(1, 0): gr(1)}
-    assert hat.rho(2, 1).apply({(0, 1): gr(1)}) == {(1, 0): gr(-1)}
+    e1, e2, vacuum = (column(2, 4, {k: 1}) for k in ((1, 0), (0, 1), (0, 0)))
+    assert hat.L(1) * e1 == TAU * vacuum
+    assert hat.rho0 * vacuum == TAU * vacuum
+    assert hat.rho(1, 2) * e2 == e1
+    assert hat.rho(2, 1) * e2 == -e1
     # classical lowering value: L|k> = k (t + k - 1) |k-1> for n=1
     hat1 = build_hat(1, 5)
-    got = hat1.L(1).apply({(3,): gr(1)})
-    assert got == {(2,): 3 * (TAU + 2)}
+    got = hat1.L(1) * column(1, 5, {(3,): 1})
+    assert got == column(1, 5, {(2,): 3 * (TAU + 2)})
 
 
 @pytest.mark.parametrize("n,d", [(1, 4), (2, 5), (3, 4)])
 def test_hat_relations(n, d):
     report = verify_hat_relations(n, d)
     assert report.all_passed, [ch.name for ch in report.failed()]
+
+
+VACUUM_ROWS = (
+    "L^ annihilates the vacuum",
+    "rho0^ vacuum eigenvalue is t",
+    "rotations annihilate the vacuum",
+)
+
+
+@pytest.mark.parametrize(
+    "labels, failing",
+    [
+        (dict(L1=lambda hat: hat.R(1), R1=lambda hat: hat.L(1)), "L^ annihilates the vacuum"),
+        (dict(rho0=lambda hat: hat.rho0 + hat.identity), "rho0^ vacuum eigenvalue is t"),
+        (dict(rho12=lambda hat: hat.rho(1, 2) + hat.R(1)), "rotations annihilate the vacuum"),
+    ],
+    ids=["L1 swapped with R1", "rho0 plus one", "rho12 plus R1"],
+)
+def test_a_wrong_generator_fails_its_vacuum_row(monkeypatch, labels, failing):
+    monkeypatch.setattr(fock, "build_hat", changed_hat(**labels))
+    rows = {c.name: c.passed for c in verify_hat_relations(2, 4).checks}
+    assert {name: rows[name] for name in VACUUM_ROWS} == {
+        name: name != failing for name in VACUUM_ROWS
+    }
 
 
 def test_gram_diagonal_n1():
@@ -158,11 +194,10 @@ def test_adjointness_hand_case():
     # <L|2>, |1>> = <|2>, R|1>> reduces to 2(t+1) * t = G[2][2]
     hat = build_hat(1, 3)
     gram = gram_matrix(1, 3)
-    lowered = hat.L(1).apply({(2,): gr(1)})
-    lhs = pair(gram, lowered, {(1,): gr(1)})
-    raised = hat.R(1).apply({(1,): gr(1)})
-    rhs = pair(gram, {(2,): gr(1)}, raised)
-    assert lhs == rhs == gram_entry(gram, (2,), (2,))
+    one, two = column(1, 3, {(1,): 1}), column(1, 3, {(2,): 1})
+    lhs = (hat.L(1) * two).transpose() * gram * one
+    rhs = two.transpose() * gram * (hat.R(1) * one)
+    assert lhs == rhs == FockMatrix(1, 3, {(0, 0): gram_entry(gram, (2,), (2,))})
 
 
 def test_positivity_probe_cases():
@@ -405,25 +440,19 @@ def test_series_duality():
 
 
 def test_duality_at_rational_points(rng):
-    # pairing of truncated coherent vectors at exact points, weight symbolic
+    # pairing of truncated coherent vectors at exact points, weight symbolic:
+    # the columns psi_w and psi_v, and the 1 x 1 product psi_w^T G psi_v
     n, d = 2, 4
     gram = gram_matrix(n, d)
-    left = coherent_vector(n, d, "w")
-    right = coherent_vector(n, d, "v")
-    from socone.states import leibniz_closed_form
-
     series = leibniz_closed_form(n, d)
     for _ in range(5):
         point = {}
         for j in range(1, n + 1):
             point[f"w{j}"] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             point[f"v{j}"] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        lhs = pair(
-            gram,
-            {k: MultiPoly.coerce(p).subs(point) for k, p in left.items()},
-            {k: MultiPoly.coerce(p).subs(point) for k, p in right.items()},
-        )
-        assert lhs == series.subs(point)
+        left, right = (coherent_column(n, d, point, g) for g in "wv")
+        lhs = left.transpose() * gram * right
+        assert lhs == FockMatrix(n, d, {(0, 0): series.subs(point)})
 
 
 def entries_of(matrix):
@@ -445,7 +474,8 @@ def test_number_grading():
     assert number_grading_check(2, 4).all_passed
     hat = build_hat(1, 4)
     specialized = at_weight(hat.rho0, Fraction(-2))
-    assert specialized.apply(vacuum_vector(1)) == {(0,): gr(-2)}
+    vacuum = column(1, 4, {(0,): 1})
+    assert specialized * vacuum == -2 * vacuum
 
 
 def test_hat_matches_matrix_realization_at_weight_minus_two():
@@ -456,7 +486,8 @@ def test_hat_matches_matrix_realization_at_weight_minus_two():
     assert verify_relations(build_algebra(2)).all_passed
     hat = build_hat(2, 4)
     rho0 = at_weight(hat.rho0, Fraction(-2))
-    assert rho0.apply(vacuum_vector(2)) == {(0, 0): gr(-2)}
+    vacuum = column(2, 4, {(0, 0): 1})
+    assert rho0 * vacuum == column(2, 4, {(0, 0): gr(-2)})
 
 
 def test_build_hat_validates_bound():
@@ -611,17 +642,21 @@ def test_weights_are_exact_ints_or_fractions():
 
 
 def test_shared_matrices_apply_like_fresh_copies():
+    # the read-only operators build_hat shares, on either side of a product,
+    # give what a fresh copy gives, and reading them leaves them as they were
     hat = build_hat(2, 4)
     vectors = [
-        vacuum_vector(2),
-        {(1, 0): gr(2), (0, 2): gr(0, 1)},
-        coherent_vector(2, 4, "v"),
+        column(2, 4, {(0, 0): 1}),
+        column(2, 4, {(1, 0): gr(2), (0, 2): gr(0, 1)}),
+        coherent_column(2, 4, {"v1": Fraction(1, 2), "v2": -3}, "v"),
     ]
     for shared in (hat.L(1), hat.rho0, hat.rho(1, 2), hat.shift_lower(2)):
+        fresh = FockMatrix(shared.n, shared.degree_bound, entries_of(shared))
         for _ in range(2):
             for vector in vectors:
-                fresh = FockMatrix(shared.n, shared.degree_bound, entries_of(shared))
-                assert shared.apply(vector) == fresh.apply(vector)
+                assert shared * vector == fresh * vector
+                assert vector.transpose() * shared == vector.transpose() * fresh
+        assert shared == fresh
 
 
 def test_hat_and_gram_are_built_once_per_key():
@@ -885,6 +920,12 @@ def test_gram_table_is_a_fock_matrix_on_the_shared_space(n, d):
                 assert (gram.index[k], gram.index[m]) not in positions
 
 
+def monomial(prefix, k):
+    # x^k / k! in the variables prefix1..prefixn
+    word = tuple((f"{prefix}{j}", x) for j, x in enumerate(k, 1))
+    return MultiPoly({word: Fraction(1, prod(map(factorial, k)))})
+
+
 @pytest.mark.parametrize("n, d", [(1, 4), (2, 3), (3, 3)])
 def test_pair_is_the_double_sum_over_multi_indices(n, d):
     gram = gram_matrix(n, d)
@@ -894,37 +935,36 @@ def test_pair_is_the_double_sum_over_multi_indices(n, d):
     for k, cofactor in series.split_index("w", n).items():
         for m, poly in cofactor.split_index("v", n).items():
             table[k, m] = prod(map(factorial, k + m)) * poly
-    left = {k: gr(i + 1, i % 3 - 1) for i, k in enumerate(gram.basis)}
-    right = coherent_vector(n, d, "v")
+    # Q with Gaussian entries, some linear in t, in every cell but one
+    basis, index, size = gram.basis, gram.index, len(gram.basis)
+    q = {
+        (i, c): gr(i + 1, (i + c) % 3 - 1) + (c - i) * TAU
+        for i in range(size)
+        for c in range(size)
+        if (i, c) != (size - 1, 0)
+    }
     want = MultiPoly.zero()
-    for k, a in left.items():
-        for m, b in right.items():
-            if (k, m) in table:
-                want = want + a * table[k, m] * b
-    assert pair(gram, left, right) == want
-    assert pair(gram, right, left) == want
-
-
-@pytest.mark.parametrize(
-    "outside", [{(3, 0): gr(1)}, {(1,): gr(1)}, {(1, 0, 0): gr(2)}, {(-1, 1): gr(1)}]
-)
-@pytest.mark.parametrize("inside", [{}, {(1, 0): gr(1)}, vacuum_vector(2)])
-def test_pair_refuses_a_multi_index_outside_the_basis_on_either_side(outside, inside):
-    gram = gram_matrix(2, 2)
-    with pytest.raises(KeyError):
-        pair(gram, outside, inside)
-    with pytest.raises(KeyError):
-        pair(gram, inside, outside)
+    for (k, l), cell in table.items():
+        for c, m in enumerate(basis):
+            if (x := q.get((index[l], c))) is not None:
+                want = want + monomial("w", k) * cell * x * monomial("v", m)
+    op = FockMatrix(n, d, q)
+    assert pairing_series(gram * op) == want
+    # the identity gives the pairing series itself
+    assert pairing_series(gram) == series
 
 
 @pytest.mark.parametrize("n, d", [(1, 4), (2, 4), (3, 3)])
 def test_hat_generators_on_the_coherent_vector_store_no_zero(n, d):
+    # the coherent vector's v^m coefficient |m> / m! is column m of a
+    # diagonal operator, so Q psi_v is the product with it, column by column
     hat = build_hat(n, d)
-    psi = coherent_vector(n, d, "v")
+    basis = hat.identity.basis
+    psi = FockMatrix(n, d, {(i, i): Fraction(1, prod(map(factorial, k))) for i, k in enumerate(basis)})
     for label, matrix in hat.generators.items():
-        moved = matrix.apply(psi)
-        assert moved, label
-        assert all(moved.values()), label
+        moved = matrix * psi
+        assert not moved.is_zero, label
+        assert all(v for part in moved.slices.values() for v in part.values()), label
 
 
 # -- the table from the integer series against the split polynomial series ------

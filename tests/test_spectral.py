@@ -29,6 +29,7 @@ from socone.spectral import (
 from socone.states import coherent_closed_form, vacuum
 
 from conftest import (
+    changed_hat,
     dense_table,
     first_order_basis,
     gram_entry,
@@ -314,6 +315,20 @@ def test_moment_probe_refuses_a_non_constant_or_complex_moment(monkeypatch, extr
 def test_moment_hat_consistency():
     assert moment_consistency_check(1, 6).all_passed
     assert moment_consistency_check(2, 4).all_passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_doubled_observable_on_the_hat_side_fails_the_moment_row(monkeypatch, n):
+    # X_1 = R_1 + L_1 + rho0, and the other X_j read none of the three
+    doubled = changed_hat(
+        R1=lambda hat: 2 * hat.R(1), L1=lambda hat: 2 * hat.L(1), rho0=lambda hat: 2 * hat.rho0
+    )
+    monkeypatch.setattr(spectral, "build_hat", doubled)
+    first = tuple(int(j == 0) for j in range(n))
+    report = moment_consistency_check(n, 3)
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+        ("transform moments match vacuum expectations", False, f"moment mismatch at {first}")
+    ]
 
 
 def test_moment_positivity_probes():
