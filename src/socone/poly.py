@@ -12,19 +12,17 @@ equals the coefficient in the untruncated result. The weight parameter
 factors into polynomials in t.
 
 Coefficients are GaussianRational, so all arithmetic is exact. The
-truncated series (series_power, exp_series) compute on plain Python ints
-instead: their shared kernel, _series, clears its operands to integer
-numerators (_word_numerators, by the clearing rule scalars._cleared that
-vectors of exact values share), holds each power and the running sum as
-maps from words to ints (a real map and an imaginary one, empty for real
-coefficients) over one common denominator fixed before its loop,
-truncates with the same word test as mul_truncated, and returns the
-integer sums: _from_numerators makes one GaussianRational per output
-term of them, and fock._gram_cells reads them (series_power_numerators)
-as they are. _mul_cleared is the same integer product for a truncated
-product of two large series, as in the basis generating function;
-mul_truncated stays the GaussianRational loop for the small products
-everywhere else.
+truncated products (mul_truncated, and the series series_power and
+exp_series) compute on plain Python ints instead: they clear their
+operands to integer numerators (_word_numerators, by the clearing rule
+scalars._cleared that vectors of exact values share) and multiply by one
+integer product, _product, that holds a polynomial as maps from words to
+ints (a real map and an imaginary one, empty for real coefficients).
+The series kernel, _series, keeps each power and the running sum in that
+form over one common denominator fixed before its loop and returns the
+integer sums: _from_numerators makes one GaussianRational per output term
+of them, and fock._gram_cells reads them (series_power_numerators) as
+they are. The plain product a * b stays a GaussianRational loop.
 
 A monomial is one int, a packed exponent word (Monagan and Pearce, CASC
 2007): a 16-bit field per variable holds its exponent, and a 16-bit field
@@ -33,9 +31,9 @@ time it is seen, above every field taken before, so words already built
 stay valid. A product of monomials is one int add, and a truncation test
 one more add and an AND. Words are decoded to (name, exponent) pairs in
 var_key order only where monomials meet the outside: the constructor, subs,
-split_groups and split_index, the leading term of exact_divide, and the
-printed and JSON forms, which sort in graded lexicographic order. So the
-order in which names were first seen never reaches an output.
+split_index, the leading term of exact_divide, and the printed and JSON
+forms, which sort in graded lexicographic order. So the order in which
+names were first seen never reaches an output.
 
 Every exact sparse map, here and in the modules above, adds through
 _sum_into, so none stores a zero and equal values are equal dicts.
@@ -80,7 +78,7 @@ _fields = 0  # fields taken so far
 def _sum_into(acc: dict, items) -> dict:
     """Add each (key, value) of items into acc and return acc; a sum that
     vanishes is deleted, so acc never holds a zero. Only the product loops,
-    mul_truncated and the integer kernels, add inline: they are the hot
+    __mul__ and the integer kernels, add inline: they are the hot
     loops, and a call per pair there slows the verify benchmark."""
     for key, value in items:
         old = acc.get(key)
@@ -324,27 +322,17 @@ class MultiPoly:
             if not c:
                 return MultiPoly.zero()
             return _make({m: k * c for m, k in self.terms.items()})
-        return self.mul_truncated(other, {})
-
-    __rmul__ = __mul__
-
-    def mul_truncated(self, other: "MultiPoly", bounds: dict) -> "MultiPoly":
-        """(self * other).truncate(bounds), forming no term beyond a bound.
-
-        An exponent or unbounded group degree that reaches 2**14 raises
-        ValueError, as in every product."""
-        offset, guards, heads = _offsets(bounds)
+        # heads holds the bit _LIMIT of every degree field: a group degree of
+        # a product is below 2 * _LIMIT, so it reaches _LIMIT when that bit is set
+        heads = _offsets({})[2]
         right = list(other.terms.items())
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in right:
-                # exponents and group degrees add with the words; a product
-                # beyond the bounds is dropped before its coefficient is formed
+                # exponents and group degrees add with the words
                 mono = m1 + m2
-                if (mono + offset) & guards:
-                    if mono & heads:
-                        raise ValueError(_OVERFLOW)
-                    continue
+                if mono & heads:
+                    raise ValueError(_OVERFLOW)
                 c = c1 * c2
                 acc = out.get(mono)
                 if acc is None:
@@ -357,6 +345,17 @@ class MultiPoly:
                     else:
                         del out[mono]
         return _make(out)
+
+    __rmul__ = __mul__
+
+    def mul_truncated(self, other: "MultiPoly", bounds: dict) -> "MultiPoly":
+        """(self * other).truncate(bounds), forming no term beyond a bound,
+        by _product on the integer numerators of both factors. An exponent
+        or unbounded group degree that reaches 2**14 raises ValueError, as
+        in every product."""
+        l_re, l_im, dl = _word_numerators(self)
+        r_re, r_im, dr = _word_numerators(other)
+        return _from_numerators(_product((l_re, l_im), (r_re, r_im), _offsets(bounds)), dl * dr)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -391,15 +390,11 @@ class MultiPoly:
         return not self.terms
 
     @property
-    def is_constant(self) -> bool:
-        return self.terms.keys() <= {0}
-
-    @property
     def constant_term(self) -> GaussianRational:
         return self.terms.get(0, GaussianRational(0))
 
     def as_gaussian(self) -> GaussianRational:
-        if not self.is_constant:
+        if not self.terms.keys() <= {0}:
             raise ValueError(f"{self} is not constant")
         return self.constant_term
 
@@ -462,33 +457,26 @@ class MultiPoly:
         """Conjugate the coefficients; the indeterminates are treated as real."""
         return _make({m: c.conj() for m, c in self.terms.items()})
 
-    def split_groups(self, groups) -> dict:
-        """Group terms by their monomial part in the given variable groups.
-
-        Returns a map from that monomial part to the polynomial cofactor in
-        the remaining variables.
-        """
-        return {_decode(key): cofactor for key, cofactor in self._split(groups)}
-
     def split_index(self, group: str, n: int) -> dict:
-        """split_groups for one group, keyed by multi-index: the cofactor of
-        group1^k1 ... groupn^kn is stored under (k1, ..., kn)."""
-        out = {}
-        for key, cofactor in self._split({group}):
-            k = [0] * n
-            for name, e in _decode(key):
-                k[_INFO[name][1] - 1] = e
-            out[tuple(k)] = cofactor
-        return out
-
-    def _split(self, groups) -> list:
-        """(word in the groups, cofactor) pairs of split_groups."""
-        mask = _group_mask(set(groups))
+        """Group terms by their monomial part in one variable group, keyed by
+        multi-index: the cofactor of group1^k1 ... groupn^kn, a polynomial in
+        the other variables, is stored under (k1, ..., kn). A variable of the
+        group indexed outside 1..n raises ValueError."""
+        mask = _group_mask({group})
         buckets = {}
         for mono, coeff in self.terms.items():
             key = mono & mask
             buckets.setdefault(key, {})[mono - key] = coeff
-        return [(key, _make(terms)) for key, terms in buckets.items()]
+        out = {}
+        for key, terms in buckets.items():
+            k = [0] * n
+            for name, e in _decode(key):
+                index = _INFO[name][1]
+                if not 0 < index <= n:
+                    raise ValueError(f"{name} is outside {group}1..{group}{n}")
+                k[index - 1] = e
+            out[tuple(k)] = _make(terms)
+        return out
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ValueError if it does not divide."""
@@ -677,7 +665,7 @@ def _add_product(out: tuple, left: tuple, right: tuple, offsets: tuple) -> None:
     """Add left * right into out, forming no product beyond the bounds of
     offsets (see _offsets); out may be left holding zeros. An exponent or
     unbounded group degree that reaches 2**14 raises ValueError, as in
-    mul_truncated.
+    every product.
 
     The truncation test reads only the group degree fields of a product,
     and those are the sums of its factors' degree fields. So the terms of
@@ -771,14 +759,6 @@ def _series(u: MultiPoly, bound: int, a: MultiPoly, step: int, role: str) -> tup
         scaled = tuple({w: c * weight for w, c in part.items()} for part in poch)
         _add_product(acc, scaled, power, offsets)
     return acc, denominator
-
-
-def _mul_cleared(left: MultiPoly, right: MultiPoly, bounds: dict) -> MultiPoly:
-    """left.mul_truncated(right, bounds) by _product on integer numerators.
-    It pays on large series; on a few terms mul_truncated is faster."""
-    l_re, l_im, dl = _word_numerators(left)
-    r_re, r_im, dr = _word_numerators(right)
-    return _from_numerators(_product((l_re, l_im), (r_re, r_im), _offsets(bounds)), dl * dr)
 
 
 def _from_numerators(parts: tuple, d: int) -> MultiPoly:

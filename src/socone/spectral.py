@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
-from operator import sub
+from functools import cache
 from types import MappingProxyType
 
 from .algebra import _observables
@@ -29,11 +28,10 @@ from .fock import (
     positivity_probe,
     probe_components,
 )
-from .matrices import _coerce_entry, _divided, dot, exact_value, exact_vector
+from .matrices import _divided, dot, exact_value, exact_vector
 from .matrices import numerator_pairs, pair_dot, pair_product
 from .poly import (
     MultiPoly,
-    _mul_cleared,
     _pack,
     exp_series,
     series_power,
@@ -42,32 +40,24 @@ from .poly import (
 from .report import CheckResult, Report
 from .scalars import I as _I
 from .scalars import gr
-from .states import ROUTE_FAILURES, StateVector, _orbit_coordinates, _raised, random_point
+from .states import ROUTE_FAILURES, StateVector, _orbit_coordinates, _point_pairs, _raised
+from .states import random_point
 
 
 class SingularCoordinateError(ValueError):
     pass
 
 
-def _spatial_components(values) -> list:
-    """The components of a spatial tuple as exact values; an empty tuple
-    raises ValueError."""
-    comps = [_coerce_entry(c) for c in values]
-    if not comps:
-        raise ValueError("spatial dimension must be at least 1")
-    return comps
-
-
 def zeta2_value(z):
-    """The Lorentz form z1^2 - z2^2 - ... - zn^2."""
-    comps = _spatial_components(z)
-    return reduce(sub, (c * c for c in comps[1:]), comps[0] * comps[0])
+    """The Lorentz form z1^2 - z2^2 - ... - zn^2, over numerator pairs."""
+    (first, *rest), d = _point_pairs(z)
+    return exact_value(*_lorentz_pairs(first, rest), d * d)
 
 
 def h2_value(z):
     """(1 - z1)^2 - z2^2 - ... - zn^2: the Lorentz form at (1 - z1, z2, ..)."""
-    first, *rest = _spatial_components(z)
-    return zeta2_value((1 - first, *rest))
+    ((r, i1), *rest), d = _point_pairs(z)
+    return exact_value(*_lorentz_pairs((d - r, -i1), rest), d * d)
 
 
 def _symbolic_z(n: int) -> tuple:
@@ -77,9 +67,7 @@ def _symbolic_z(n: int) -> tuple:
 def _exact_point(values) -> tuple:
     """(pairs, d) with values = pairs / d for a spatial tuple of exact
     numbers: an empty tuple raises ValueError, a polynomial TypeError."""
-    pairs, d = numerator_pairs(values)
-    if not pairs:
-        raise ValueError("spatial dimension must be at least 1")
+    pairs, d = _point_pairs(values)
     if any(type(re) is not int for re, _ in pairs):
         raise TypeError("coordinate changes take exact numbers, not polynomials")
     return pairs, d
@@ -374,10 +362,10 @@ def basis_polynomials(
     q = 1 + 2 * v[0] + v2
     inv_q = series_power(q, Fraction(-1), kmax)
     numerator = x[0] * (v[0] + v2) + _I * (dot(x, v) - x[0] * v[0])
-    exponent_arg = _mul_cleared(numerator, inv_q, {"v": kmax})
+    exponent_arg = numerator.mul_truncated(inv_q, {"v": kmax})
     exp_part = exp_series(exponent_arg, kmax)
     weight_part = series_power(q, weight_exponent(tau), kmax)
-    gf = _mul_cleared(exp_part, weight_part, {"v": kmax})
+    gf = exp_part.mul_truncated(weight_part, {"v": kmax})
     buckets = gf.split_index("v", n)
     return [
         BasisPolynomial(k, mi_factorial(k) * buckets.get(k, MultiPoly.zero()))

@@ -96,14 +96,20 @@ def vacuum(n: int) -> StateVector:
     return omega
 
 
+def _point_pairs(values) -> tuple:
+    """numerator_pairs of a spatial tuple; an empty tuple raises ValueError."""
+    pairs, d = numerator_pairs(values)
+    if not pairs:
+        raise ValueError("spatial dimension must be at least 1")
+    return pairs, d
+
+
 def coherent_closed_form(v) -> StateVector:
     """(2i v, 1 + v.v, i (1 - v.v)) for a spatial tuple v, read off its
     numerator pairs: with v = V / d and V.V = p + i q, the entries are
     2i V / d, (d^2 + p + i q) / d^2 and (q + i (d^2 - p)) / d^2. An empty
     tuple raises ValueError."""
-    pairs, d = numerator_pairs(v)
-    if not pairs:
-        raise ValueError("spatial dimension must be at least 1")
+    pairs, d = _point_pairs(v)
     p, q = pair_dot(pairs, pairs)
     d2 = d * d
     spatial = tuple(exact_value(-2 * im, 2 * re, d) for re, im in pairs)
@@ -181,9 +187,7 @@ def leibniz_base_value(w, v):
     With w = W/dw and v = V/dv in numerator pairs and d = dw dv, the value
     is d^2 - 2 d W.V + (W.W)(V.V) over d^2, made into one exact value.
     """
-    if not (len(w) and len(v)):
-        raise ValueError("spatial dimension must be at least 1")
-    (wp, dw), (vp, dv) = numerator_pairs(w), numerator_pairs(v)
+    (wp, dw), (vp, dv) = _point_pairs(w), _point_pairs(v)
     d = dw * dv
     wv = pair_dot(wp, vp)
     re, im = pair_product(pair_dot(wp, wp), pair_dot(vp, vp))

@@ -160,10 +160,9 @@ def test_series_power_pochhammer_coefficients():
     # (1 - u)^(-tau) with u = w1 v1; the coefficient of u^k is (tau)_k / k!
     base = 1 - W1 * V1
     series = series_power(base, -TAU, 6)
-    buckets = series.split_groups({"w", "v"})
+    by_w = series.split_index("w", 1)
     for k in range(7):
-        mono = (("v1", k), ("w1", k)) if k else ()
-        coeff = buckets[mono]
+        coeff = by_w[(k,)].split_index("v", 1)[(k,)]
         for tau in (Fraction(1), Fraction(3), Fraction(-2), Fraction(5, 2)):
             value = Fraction(*coeff.subs({"t": tau}).as_gaussian().as_integer_ratio())
             assert value == poch(tau, k) / factorial(k)
@@ -212,14 +211,14 @@ def test_exp_series_matches_scalar_expansion():
 def _reference_u(base, bounds, role):
     u = MultiPoly.const(1) - base.truncate(bounds)
     # a key () collects the terms with no variable of a truncated group
-    if () in u.split_groups(bounds):
+    if () in ref_split(u.decoded_terms(), bounds):
         raise ValueError(f"series does not terminate: {role} has a pure-t term")
     return u
 
 
 def reference_series_power(base, exponent, bound):
     """The binomial loop series_power ran before its integer kernel: one
-    GaussianRational product per kept pair, through mul_truncated."""
+    GaussianRational product per pair, each power truncated after it."""
     if base.constant_term != 1:
         raise ValueError("series_power requires constant term 1")
     minus_e = -MultiPoly.coerce(exponent)
@@ -230,7 +229,7 @@ def reference_series_power(base, exponent, bound):
     m = 0
     while True:
         m += 1
-        upow = upow.mul_truncated(u, bounds)
+        upow = (upow * u).truncate(bounds)
         if upow.is_zero:
             return acc
         rising = rising * (minus_e + (m - 1))
@@ -248,7 +247,7 @@ def reference_exp_series(argument, bound):
     m = 0
     while True:
         m += 1
-        pw = pw.mul_truncated(work, bounds)
+        pw = (pw * work).truncate(bounds)
         if pw.is_zero:
             return acc
         acc = acc + pw * Fraction(1, factorial(m))
@@ -452,7 +451,8 @@ def test_text_and_latex_match_the_reference_renderer(p):
 
 def test_split_groups():
     p = 3 * W1 ** 2 * V1 * TAU + W1 ** 2 * V2 - 5
-    buckets = p.split_groups({"w", "v"})
+    buckets = split_by_index(p, ["w", "v"])
+    assert buckets.keys() == {(), (("v1", 1), ("w1", 2)), (("v2", 1), ("w1", 2))}
     assert buckets[()] == MultiPoly.const(-5)
     assert buckets[(("v1", 1), ("w1", 2))] == 3 * TAU
     assert buckets[(("v2", 1), ("w1", 2))] == 1
@@ -460,6 +460,14 @@ def test_split_groups():
     assert by_index.keys() == {(0, 0), (2, 0)}
     assert by_index[(0, 0)] == -5
     assert by_index[(2, 0)] == 3 * V1 * TAU + V2
+    assert by_index[(2, 0)].split_index("v", 2) == {(1, 0): 3 * TAU, (0, 1): 1}
+
+
+@pytest.mark.parametrize("name", ["z", "z0", "z3", "z10"])
+def test_split_index_refuses_an_index_outside_one_to_n(name):
+    p = MultiPoly.var("z1") * MultiPoly.var(name) + MultiPoly.var("z2")
+    with pytest.raises(ValueError, match=f"^{name} is outside z1..z2$"):
+        p.split_index("z", 2)
 
 
 def test_name_lookups_after_the_cache_is_warm():
@@ -591,6 +599,18 @@ def ref_split(a, groups):
     return buckets
 
 
+def split_by_index(p, groups):
+    """ref_split's buckets through split_index, one group after another."""
+    parts = {(): p} if p else {}
+    for group in groups:
+        parts = {
+            key + tuple((f"{group}{i}", e) for i, e in enumerate(k, start=1) if e): cofactor
+            for key, part in parts.items()
+            for k, cofactor in part.split_index(group, 3).items()
+        }
+    return {tuple(sorted(key, key=lambda it: var_key(it[0]))): c for key, c in parts.items()}
+
+
 def ref_grlex(mono):
     return (-sum(e for _, e in mono), tuple((var_key(n), -e) for n, e in mono))
 
@@ -633,7 +653,13 @@ _ref_bounds = st.one_of(
 )
 
 
+_EXAMPLE_A = {(("v1", 2), ("w1", 1)): gr(1, 1), (("t", 1), ("a1", 1)): gr(-1, 2), (): gr(2)}
+_EXAMPLE_B = {(("v1", 1),): gr(Fraction(1, 2)), (("w2", 1),): gr(0, -3), (): gr(3)}
+
+
 @settings(derandomize=True, max_examples=150)
+@example(POOL, _EXAMPLE_A, _EXAMPLE_B, {}, "v1", {"v", "a"}, {})
+@example(POOL, _EXAMPLE_A, _EXAMPLE_B, {"v": -1, "w": 2}, "w1", {"w", "t"}, {"t": 2})
 @given(
     st.permutations(POOL),
     _ref_raw,
@@ -654,16 +680,22 @@ def test_packed_monomials_match_tuple_monomials(
     same(a + b, ref_add(ra, rb))
     same(a * b, ref_mul(ra, rb, {}))
     same(b * a, ref_mul(rb, ra, {}))
-    same(a.mul_truncated(b, bounds), ref_mul(ra, rb, bounds))
+    # the integer product keeps the terms, not their insertion order
+    assert a.mul_truncated(b, bounds).decoded_terms() == ref_mul(ra, rb, bounds)
     same(a.diff(name), ref_diff(ra, name))
     same(a.truncate(bounds), ref_clip(ra, bounds))
     scalars = {n: gr(v) if isinstance(v, int) else v for n, v in values.items()}
     same(a.subs(values), ref_subs(ra, scalars))
-    got = a.split_groups(groups)
     want = ref_split(ra, groups)
-    assert list(got) == list(want)
-    for key, cofactor in got.items():
-        same(cofactor, want[key])
+    if "t" in groups and "t" in a.variables():
+        # t has no index, so no multi-index holds it
+        with pytest.raises(ValueError, match="^t is outside t1..t3$"):
+            split_by_index(a, groups)
+    else:
+        got = split_by_index(a, groups)
+        assert got.keys() == want.keys()
+        for key, cofactor in got.items():
+            same(cofactor, want[key])
     for group in POOL_GROUPS + ["t"]:
         want_degree = max((ref_group_degree(m, group) for m in ra), default=-1)
         assert max(a.degrees(group), default=-1) == want_degree

@@ -26,7 +26,7 @@ from socone.spectral import (
     z_to_v,
     zeta2_value,
 )
-from socone.states import coherent_closed_form, vacuum
+from socone.states import coherent_closed_form, leibniz_base_value, vacuum
 
 from conftest import (
     changed_hat,
@@ -45,6 +45,49 @@ def test_quadratic_companions():
     assert h2_value([0, 0]) == 1
     assert zeta2_value([Fraction(1, 2), 1]) == Fraction(-3, 4)
     assert h2_value([0, 1]) == 0
+
+
+SPATIAL_CALLS = {
+    "zeta2_value": zeta2_value,
+    "h2_value": h2_value,
+    "coherent_closed_form": coherent_closed_form,
+    "leibniz_base_value": lambda v: leibniz_base_value(v, v),
+    "z_to_v": z_to_v,
+    "v_to_z": v_to_z,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPATIAL_CALLS))
+def test_spatial_tuples_refuse_no_components_and_the_lorentz_forms_are_hand_built(name):
+    call = SPATIAL_CALLS[name]
+    with pytest.raises(ValueError, match="^spatial dimension must be at least 1$"):
+        call(())
+    if name == "leibniz_base_value":
+        for w, v in (((), (1,)), ((gr(0, 1),), ())):
+            with pytest.raises(ValueError, match="^spatial dimension must be at least 1$"):
+                leibniz_base_value(w, v)
+    if name not in ("zeta2_value", "h2_value"):
+        return
+
+    def hand_built(z):
+        first, *rest = z
+        if name == "h2_value":
+            first = 1 - first
+        return first * first - sum((c * c for c in rest), gr(0))
+
+    for n in (1, 2, 4):
+        z = tuple(MultiPoly.var(f"z{j}") for j in range(1, n + 1))
+        got = call(z)
+        assert isinstance(got, MultiPoly) and got == hand_built(z)
+    for point in (
+        (Fraction(1, 2),),
+        (1, 0),
+        (gr(1, 2), Fraction(-3, 4), 5),
+        (Fraction(97, 96), gr(0, Fraction(1, 3)), -2, Fraction(5, 7)),
+    ):
+        got = call(point)
+        want = hand_built([GaussianRational.coerce(c) for c in point])
+        assert type(got) is GaussianRational and got == want
 
 
 def test_exp_zX_values():
@@ -215,14 +258,14 @@ def test_coordinate_duality_symbolic(n):
 
 def test_transform_coefficients():
     series = spectral_transform(1, 6)
-    buckets = series.split_groups({"z"})
-    assert buckets[()] == 1
+    buckets = series.split_index("z", 1)
+    assert buckets[(0,)] == 1
     for k in range(1, 7):
-        coeff = buckets[(("z1", k),)]
+        coeff = buckets[(k,)]
         for tau in (Fraction(1), Fraction(5, 2)):
             assert coeff.subs({"t": tau}).as_gaussian() == poch(tau, k) / factorial(k)
     series2 = spectral_transform(2, 2)
-    assert series2.split_groups({"z"})[(("z2", 2),)] == TAU * Fraction(1, 2)
+    assert series2.split_index("z", 2)[(0, 2)] == TAU * Fraction(1, 2)
 
 
 @pytest.mark.parametrize("n, degree", [(1, 8), (2, 6), (3, 5)])
@@ -433,7 +476,8 @@ def test_first_order_basis_polynomials_are_their_closed_forms(n):
 
 def reference_basis_polynomials(n, kmax, tau=None):
     """basis_polynomials as it was formed before its integer products: the
-    same generating function, with both products through mul_truncated."""
+    same generating function, each product a GaussianRational loop truncated
+    after it."""
     v = [MultiPoly.var(f"v{j}") for j in range(1, n + 1)]
     x = [MultiPoly.var(f"x{j}") for j in range(1, n + 1)]
     v2 = sum((a * a for a in v), MultiPoly.zero())
@@ -441,9 +485,9 @@ def reference_basis_polynomials(n, kmax, tau=None):
     q = 1 + 2 * v[0] + v2
     inv_q = series_power(q, Fraction(-1), kmax)
     numerator = x[0] * (v[0] + v2) + gr(0, 1) * (xv - x[0] * v[0])
-    exp_part = exp_series(numerator.mul_truncated(inv_q, {"v": kmax}), kmax)
+    exp_part = exp_series((numerator * inv_q).truncate({"v": kmax}), kmax)
     weight_part = series_power(q, weight_exponent(tau), kmax)
-    gf = exp_part.mul_truncated(weight_part, {"v": kmax})
+    gf = (exp_part * weight_part).truncate({"v": kmax})
     buckets = gf.split_index("v", n)
     return {
         k: mi_factorial(k) * buckets.get(k, MultiPoly.zero())
@@ -455,7 +499,7 @@ def reference_basis_polynomials(n, kmax, tau=None):
     "n, kmax, tau",
     [(1, 16, None), (2, 6, None), (3, 5, None), (2, 5, Fraction(-1, 2))],
 )
-def test_basis_polynomials_match_the_mul_truncated_route(n, kmax, tau):
+def test_basis_polynomials_match_the_truncated_product_route(n, kmax, tau):
     got = {bp.index: bp.poly for bp in basis_polynomials(n, kmax, tau)}
     assert got == reference_basis_polynomials(n, kmax, tau)
     # from n = 2 on the integer products meet imaginary parts

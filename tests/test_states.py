@@ -279,15 +279,16 @@ def test_moved_vacuum_with_any_q_matches_the_matrix_exponentials(case):
 
 def test_leibniz_series_coefficients():
     series = leibniz_closed_form(1, 5)
-    buckets = series.split_groups({"w", "v"})
-    assert buckets[()] == 1
+    by_w = series.split_index("w", 1)
+    assert by_w[(0,)].split_index("v", 1)[(0,)] == 1
     for k in range(1, 6):
-        coeff = buckets[(("v1", k), ("w1", k))]
+        coeff = by_w[(k,)].split_index("v", 1)[(k,)]
         for tau in (Fraction(2), Fraction(7, 3)):
             assert coeff.subs({"t": tau}).as_gaussian() == poch(tau, k) / factorial(k)
     # n=2: the coefficient of w1^2 v2^2 is -t/2
     series2 = leibniz_closed_form(2, 2)
-    assert series2.split_groups({"w", "v"})[(("v2", 2), ("w1", 2))] == TAU * Fraction(-1, 2)
+    by_w = series2.split_index("w", 2)
+    assert by_w[(2, 0)].split_index("v", 2)[(0, 2)] == TAU * Fraction(-1, 2)
 
 
 @pytest.mark.parametrize("n, degree", [(1, 8), (2, 6), (3, 5)])
